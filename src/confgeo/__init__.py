@@ -12,10 +12,8 @@ from .curvature import (
     CurvatureBundle,
     christoffel,
     curvature,
-    hat_apply,
     kulkarni_nomizu,
     metric_derivatives,
-    raise_index,
 )
 from .dynamics import (
     ArcLengthResult,
@@ -66,7 +64,6 @@ from .spiral import (
     h_profile,
     k_exact,
     m_covariant,
-    m_frame,
     spiral_acceleration,
     spiral_acceleration_dot,
     spiral_point,

@@ -67,10 +67,14 @@ def bivector_covariant_derivative(
         )
     gamma = christoffel(field, point)
     v = np.asarray(velocity, dtype=float)
-    comp = B.components
-    cov = (
-        np.asarray(dB_dt, dtype=float)
-        + np.einsum("mrs,r,sn->mn", gamma, v, comp)
-        + np.einsum("nrs,r,ms->mn", gamma, v, comp)
+    return Bivector(_transport(gamma, v, B.components, dB_dt), point)
+
+
+def _transport(gamma, v, S, dS_dt) -> np.ndarray:
+    """Components of nabla_v S from those of S and dS/dt; the connection
+    terms are those of bivector_covariant_derivative."""
+    return (
+        np.asarray(dS_dt, dtype=float)
+        + np.einsum("mrs,r,sn->mn", gamma, v, S)
+        + np.einsum("nrs,r,ms->mn", gamma, v, S)
     )
-    return Bivector(cov, point)

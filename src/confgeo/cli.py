@@ -23,11 +23,11 @@ from pathlib import Path
 import numpy as np
 
 from .curvature import curvature
-from .dynamics import IntegratorConfig, circle_state, from_unparametrized, integrate
+from .dynamics import IntegratorConfig, circle_state, integrate
 from .errors import ChartSingularityError, ConfgeoError
 from .metrics import euclidean_metric, flat_cylindrical_metric
-from .spiral import example_metric, spiral_state
-from .verify import run_checks
+from .spiral import example_metric
+from .verify import run_checks, spiral_tracking_errors, spiral_tracking_run
 
 log = logging.getLogger("confgeo")
 
@@ -140,8 +140,7 @@ def _trace_rows_spiral(traj):
     pos = traj.positions()
     cart = traj.cartesian_positions()
     r = pos[:, 0]
-    dphi = pos[:, 1] - np.exp(1.0 / r)
-    track = 2.0 * r * np.abs(np.sin(0.5 * dphi))
+    track, _ = spiral_tracking_errors(traj)
     for i in range(len(traj)):
         yield (
             traj.s[i],
@@ -208,23 +207,16 @@ def cmd_trace(args) -> int:
         )
         print(f"circle R={radius}: {len(traj)} samples, closure error {closure:.3e}")
     else:
-        field = example_metric("cylindrical") if metric_name == "example" else None
-        if field is None:
-            field = flat_cylindrical_metric()
         if not 0.0 < t_end <= t0 <= 1.0:
             print("trace requires 0 < t_end <= t0 <= 1", file=sys.stderr)
             return 2
-        config = IntegratorConfig(
-            rtol=tol, atol=tol, max_steps=max_steps, curvature_step=1e-2
-        )
-        initial = from_unparametrized(field, spiral_state(t0))
-        traj = integrate(
-            field,
-            initial,
-            (0.0, -80.0),
-            config,
-            stop=lambda st: st.x[0] <= t_end,
-            marked_point=np.zeros(3),
+        traj, _, _ = spiral_tracking_run(
+            t0=t0,
+            t_end=t_end,
+            integrator_tol=tol,
+            metric=flat_cylindrical_metric() if metric_name == "flat" else None,
+            max_steps=max_steps,
+            s_bound=80.0,
         )
         rows = list(_trace_rows_spiral(traj))
         print(
@@ -356,7 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="step budget; exceeding it yields a partial CSV and exit 3",
     )
-    p_trace.add_argument("--seed", type=int, default=None)
     p_trace.add_argument("--out", type=str, default=None)
     p_trace.add_argument("--config", type=str, default=None)
 
@@ -365,8 +356,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_curv.add_argument("--chart", choices=["cartesian", "cylindrical"], default=None)
     p_curv.add_argument("--point", type=str, default=None, help="comma-separated")
     p_curv.add_argument("--format", choices=["text", "json"], default=None)
-    p_curv.add_argument("--seed", type=int, default=None)
-    p_curv.add_argument("--out", type=str, default=None)
     p_curv.add_argument("--config", type=str, default=None)
 
     return parser

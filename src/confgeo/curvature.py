@@ -9,13 +9,14 @@ dimensions here are 2 or 3.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .errors import StepSizeError
-from .metrics import MetricField
+from .metrics import MetricField, _checked_inverse
 
 # Default finite-difference step, scaled per coordinate by max(1, |x_a|).
 DEFAULT_FD_STEP = 1e-4
@@ -36,6 +37,26 @@ def _fd_steps(point: np.ndarray, step: Optional[float]) -> np.ndarray:
     return h
 
 
+def _pairs(n: int):
+    return [(a, b) for a in range(n) for b in range(a + 1, n)]
+
+
+@functools.lru_cache(maxsize=None)
+def _stencil_offsets(n: int) -> np.ndarray:
+    """Stencil offsets in units of the per-axis step: the centre, then 4
+    points along each axis, then the 4x4 grid of each axis pair a < b."""
+    eye = np.eye(n)
+    rows = [np.zeros(n)]
+    rows += [o * eye[a] for a in range(n) for o in _OFF1]
+    rows += [
+        oa * eye[a] + ob * eye[b]
+        for a, b in _pairs(n)
+        for oa in _OFF1
+        for ob in _OFF1
+    ]
+    return np.array(rows)
+
+
 def _fd_metric_derivatives(field: MetricField, point: np.ndarray, h: np.ndarray):
     """One batched metric evaluation over the full stencil.
 
@@ -43,35 +64,17 @@ def _fd_metric_derivatives(field: MetricField, point: np.ndarray, h: np.ndarray)
     d2g[a, b, i, j] = d_a d_b g_ij.
     """
     n = point.size
-    pts = [point]
-    for a in range(n):
-        for o in _OFF1:
-            p = point.copy()
-            p[a] += o * h[a]
-            pts.append(p)
-    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
-    for a, b in pairs:
-        for oa in _OFF1:
-            for ob in _OFF1:
-                p = point.copy()
-                p[a] += oa * h[a]
-                p[b] += ob * h[b]
-                pts.append(p)
-
-    values = field(np.asarray(pts))
+    values = field(point + _stencil_offsets(n) * h)
     g0 = values[0]
+    axis_values = values[1 : 1 + 4 * n].reshape(n, 4, n, n)
+    pair_values = values[1 + 4 * n :].reshape(-1, 4, 4, n, n)
     dg = np.empty((n, n, n))
     d2g = np.empty((n, n, n, n))
-    idx = 1
-    for a in range(n):
-        vals = values[idx : idx + 4]
-        idx += 4
+    for a, vals in enumerate(axis_values):
         dg[a] = np.tensordot(_W1, vals, axes=(0, 0)) / h[a]
         stack = np.stack([vals[0], vals[1], g0, vals[2], vals[3]])
         d2g[a, a] = np.tensordot(_W2, stack, axes=(0, 0)) / h[a] ** 2
-    for a, b in pairs:
-        vals = values[idx : idx + 16].reshape(4, 4, n, n)
-        idx += 16
+    for (a, b), vals in zip(_pairs(n), pair_values):
         mixed = np.einsum("p,q,pqij->ij", _W1, _W1, vals) / (h[a] * h[b])
         d2g[a, b] = mixed
         d2g[b, a] = mixed
@@ -96,14 +99,18 @@ def metric_derivatives(field: MetricField, point, order: int, step=None):
     return dg if order == 1 else d2g
 
 
+def _connection(ginv: np.ndarray, dg: np.ndarray):
+    """(T, Gamma) with T[s, a, b] = d_a g_sb + d_b g_sa - d_s g_ab and
+    Gamma^m_ab = 1/2 g^ms T[s, a, b]."""
+    T = np.einsum("asb->sab", dg) + np.einsum("bsa->sab", dg) - dg
+    return T, 0.5 * np.einsum("ms,sab->mab", ginv, T)
+
+
 def christoffel(field: MetricField, point, step=None) -> np.ndarray:
     """Levi-Civita connection coefficients Gamma[m, a, b] = Gamma^m_ab."""
     point = np.asarray(point, dtype=float)
     g, dg, _ = _metric_jets(field, point, step)
-    ginv = field.inverse(point)
-    # T[s, a, b] = d_a g_sb + d_b g_sa - d_s g_ab
-    T = np.einsum("asb->sab", dg) + np.einsum("bsa->sab", dg) - dg
-    return 0.5 * np.einsum("ms,sab->mab", ginv, T)
+    return _connection(_checked_inverse(g, point), dg)[1]
 
 
 @dataclass(frozen=True)
@@ -134,10 +141,8 @@ def curvature(field: MetricField, point, step=None) -> CurvatureBundle:
     """Curvature bundle at a point, from analytic or finite-difference jets."""
     point = np.asarray(point, dtype=float)
     g, dg, d2g = _metric_jets(field, point, step)
-    ginv = field.inverse(point)
-
-    T = np.einsum("asb->sab", dg) + np.einsum("bsa->sab", dg) - dg
-    gamma = 0.5 * np.einsum("ms,sab->mab", ginv, T)
+    ginv = _checked_inverse(g, point)
+    T, gamma = _connection(ginv, dg)
 
     dginv = -np.einsum("mr,crt,ts->cms", ginv, dg, ginv)
     dT = (
@@ -194,23 +199,3 @@ def kulkarni_nomizu(A: np.ndarray, B: np.ndarray) -> np.ndarray:
         - np.einsum("mb,na->mnab", A, B)
         - np.einsum("na,mb->mnab", A, B)
     )
-
-
-def raise_index(field: MetricField, point, T: np.ndarray, slots=(0,)) -> np.ndarray:
-    """Raise the given slots of a rank-2 covariant tensor with g^{-1}."""
-    ginv = field.inverse(point)
-    out = np.asarray(T, dtype=float)
-    for slot in slots:
-        if slot == 0:
-            out = np.einsum("ma,ab->mb", ginv, out)
-        elif slot == 1:
-            out = np.einsum("nb,ab->an", ginv, out)
-        else:
-            raise ValueError("slots must be 0 and/or 1")
-    return out
-
-
-def hat_apply(field: MetricField, point, H: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """The 'hat' map of a 2-covector: (H^ u)^m = g^ma H_ab u^b."""
-    ginv = field.inverse(point)
-    return np.einsum("ma,ab,b->m", ginv, np.asarray(H, float), np.asarray(u, float))

@@ -24,10 +24,10 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.integrate import quad
 
-from .bivectors import Bivector, wedge
+from .bivectors import Bivector, _transport
 from .curvature import curvature
 from .errors import ConfgeoError, ImmersionError
-from .metrics import MetricField
+from .metrics import MetricField, _checked_inverse
 
 GAUGE_TOL = 1e-9
 
@@ -50,16 +50,15 @@ class GeodesicState:
         for name in ("x", "u", "a"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), float))
 
-    def gauge_residuals(self, field: MetricField) -> tuple[float, float]:
-        """(| |u|^2 - 1 |, |g(u, a)|) at the state's point."""
-        g = field(self.x)
+    def gauge_residuals(self, g: np.ndarray) -> tuple[float, float]:
+        """(| |u|^2 - 1 |, |g(u, a)|) for the metric matrix g at the state's point."""
         return (
             abs(float(self.u @ g @ self.u) - 1.0),
             abs(float(self.u @ g @ self.a)),
         )
 
     def require_gauge(self, field: MetricField, tol: float = GAUGE_TOL):
-        e_norm, e_orth = self.gauge_residuals(field)
+        e_norm, e_orth = self.gauge_residuals(field(self.x))
         if e_norm > tol or e_orth > tol:
             raise ConfgeoError(
                 f"state violates proper-time gauge: | |u|^2-1 |={e_norm:.3e}, "
@@ -146,16 +145,28 @@ class Trajectory:
 # ---------------------------------------------------------------------------
 
 
-def _schouten_at(field, x, curvature_step, override):
+def _schouten(bundle, x, override):
+    """L at x: the override when given, else the bundle's Schouten tensor."""
     if override is not None:
         return np.asarray(override(x), float)
-    bundle = curvature(field, x, step=curvature_step)
     if bundle.schouten is None:
         raise ConfgeoError(
             "Schouten tensor undefined in dimension 2; "
-            "supply a schouten override"
+            "propertime_rhs and unparam_residual take a schouten_override"
         )
     return bundle.schouten
+
+
+def _covariant_wedge(gamma, v, b, db):
+    """(S, nabla_v S) for S = v ^ b, where b = nabla_v v and db is the
+    parameter derivative of the components of b."""
+    v_dot = b - np.einsum("mab,a,b->m", gamma, v, v)
+    db = np.asarray(db, float)
+    S = np.outer(v, b) - np.outer(b, v)
+    dS = (np.outer(v_dot, b) + np.outer(v, db)) - (
+        np.outer(b, v_dot) + np.outer(db, v)
+    )
+    return S, _transport(gamma, v, S, dS)
 
 
 def propertime_rhs(
@@ -174,15 +185,7 @@ def propertime_rhs(
     bundle = curvature(field, x, step=curvature_step)
     gamma = bundle.christoffel
     g = bundle.metric
-    if schouten_override is not None:
-        L = np.asarray(schouten_override(x), float)
-    else:
-        L = bundle.schouten
-        if L is None:
-            raise ConfgeoError(
-                "Schouten tensor undefined in dimension 2; "
-                "supply a schouten override"
-            )
+    L = _schouten(bundle, x, schouten_override)
     l_hat_u = bundle.inverse_metric @ L @ u
     a_sq = float(a @ g @ a)
     u_lu = float(u @ L @ u)  # u . L^u = L(u, u)
@@ -212,22 +215,8 @@ def wedge_form_residual(
     """
     x, u, a = state.x, state.u, state.a
     bundle = curvature(field, x, step=curvature_step)
-    gamma = bundle.christoffel
-    if bundle.schouten is None:
-        raise ConfgeoError("wedge form needs dimension >= 3")
-    l_hat_u = bundle.inverse_metric @ bundle.schouten @ u
-
-    u_dot = a - np.einsum("mab,a,b->m", gamma, u, u)
-    da = np.asarray(da, float)
-    B = np.outer(u, a) - np.outer(a, u)
-    dB = (np.outer(u_dot, a) + np.outer(u, da)) - (
-        np.outer(a, u_dot) + np.outer(da, u)
-    )
-    cov = (
-        dB
-        + np.einsum("mrs,r,sn->mn", gamma, u, B)
-        + np.einsum("nrs,r,ms->mn", gamma, u, B)
-    )
+    l_hat_u = bundle.inverse_metric @ _schouten(bundle, x, None) @ u
+    _, cov = _covariant_wedge(bundle.christoffel, u, a, da)
     rhs = np.outer(u, l_hat_u) - np.outer(l_hat_u, u)
     return Bivector(cov - rhs, x)
 
@@ -249,34 +238,14 @@ def unparam_residual(
     x, v, b = state.x, state.v, state.b
     bundle = curvature(field, x, step=curvature_step)
     g = bundle.metric
-    gamma = bundle.christoffel
     speed2 = float(v @ g @ v)
     if speed2 <= 0.0:
         raise ImmersionError("unparametrized state has |v| = 0")
     speed = np.sqrt(speed2)
 
-    if schouten_override is not None:
-        L = np.asarray(schouten_override(x), float)
-    else:
-        L = bundle.schouten
-        if L is None:
-            raise ConfgeoError(
-                "Schouten tensor undefined in dimension 2; "
-                "supply a schouten override"
-            )
+    L = _schouten(bundle, x, schouten_override)
     l_hat_v = bundle.inverse_metric @ L @ v
-
-    v_dot = b - np.einsum("mab,a,b->m", gamma, v, v)
-    db = np.asarray(db, float)
-    S = np.outer(v, b) - np.outer(b, v)
-    dS = (np.outer(v_dot, b) + np.outer(v, db)) - (
-        np.outer(b, v_dot) + np.outer(db, v)
-    )
-    cov_S = (
-        dS
-        + np.einsum("mrs,r,sn->mn", gamma, v, S)
-        + np.einsum("nrs,r,ms->mn", gamma, v, S)
-    )
+    S, cov_S = _covariant_wedge(bundle.christoffel, v, b, db)
     dspeed = float(v @ g @ b) / speed
     cov_W = cov_S / speed**3 - 3.0 * S * dspeed / speed**4
     rhs = (np.outer(v, l_hat_v) - np.outer(l_hat_v, v)) / speed
@@ -296,11 +265,14 @@ def unparam_residual_scale(
     the individual terms blow up like e^(1/t) while their sum vanishes.
     """
     x, v, b = state.x, state.v, state.b
-    g = field(x)
+    if schouten_override is None:
+        bundle = curvature(field, x, step=curvature_step)
+        g, ginv = bundle.metric, bundle.inverse_metric
+    else:
+        bundle, g = None, field(x)
+        ginv = _checked_inverse(g, x)
     speed = np.sqrt(float(v @ g @ v))
-    L = _schouten_at(field, x, curvature_step, schouten_override)
-    ginv = field.inverse(x)
-    l_hat_v = ginv @ L @ v
+    l_hat_v = ginv @ _schouten(bundle, x, schouten_override) @ v
     db = np.asarray(db, float)
     S = np.abs(np.outer(v, b) - np.outer(b, v)).max()
     pieces = [
@@ -417,10 +389,12 @@ def integrate(
             return np.nan
         return float(np.linalg.norm(field.chart.embed(state.x) - marked))
 
+    g = field(initial.x)
+    sp_prev = np.sqrt(float(initial.u @ g @ initial.u))  # |u|_g for the arc trapezoid
     s_vals = [s0]
     states = [GeodesicState(initial.x, initial.u, initial.a, s0)]
     arc = [0.0]
-    gauge = [max(initial.gauge_residuals(field))]
+    gauge = [max(initial.gauge_residuals(g))]
     proj = [0.0]
     dist = [diag_distance(initial)]
     status, message = "ok", ""
@@ -501,9 +475,9 @@ def integrate(
         if err <= 1.0:
             s_new = s + h
             st_new = _unpack(y_new.copy(), n, s_new)
+            g = field(st_new.x)
             proj_size = 0.0
             if config.renormalize:
-                g = field(st_new.x)
                 u = st_new.u
                 nu = np.sqrt(float(u @ g @ u))
                 u_new = u / nu
@@ -517,15 +491,13 @@ def integrate(
                 y_new = _pack(st_new)
 
             # arc length: trapezoid of |u|_g over the step
-            g_prev = field(states[-1].x)
-            g_here = field(st_new.x)
-            sp_prev = np.sqrt(float(states[-1].u @ g_prev @ states[-1].u))
-            sp_here = np.sqrt(float(st_new.u @ g_here @ st_new.u))
+            sp_here = np.sqrt(float(st_new.u @ g @ st_new.u))
             arc.append(arc[-1] + 0.5 * (sp_prev + sp_here) * abs(h))
+            sp_prev = sp_here
 
             s_vals.append(s_new)
             states.append(st_new)
-            gauge.append(max(st_new.gauge_residuals(field)))
+            gauge.append(max(st_new.gauge_residuals(g)))
             proj.append(proj_size)
             dist.append(diag_distance(st_new))
 

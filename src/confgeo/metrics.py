@@ -140,18 +140,7 @@ class MetricField:
             raise DomainError(f"point {point} outside domain of '{self.name}'")
 
     def inverse(self, point) -> np.ndarray:
-        g = self(point)
-        try:
-            ginv = np.linalg.inv(g)
-        except np.linalg.LinAlgError as exc:
-            raise DegenerateMetricError(f"metric singular at {point}") from exc
-        if not np.all(np.isfinite(ginv)):
-            raise DegenerateMetricError(f"metric singular at {point}")
-        # inv() can succeed on nearly singular matrices; check the residual.
-        eye = np.eye(self.dimension)
-        if np.max(np.abs(g @ ginv - eye)) > 1e-8:
-            raise DegenerateMetricError(f"metric ill-conditioned at {point}")
-        return ginv
+        return _checked_inverse(self(point), point)
 
     def inner(self, point, u, w) -> float:
         g = self(point)
@@ -159,6 +148,20 @@ class MetricField:
 
     def norm(self, point, u) -> float:
         return float(np.sqrt(max(self.inner(point, u, u), 0.0)))
+
+
+def _checked_inverse(g: np.ndarray, point) -> np.ndarray:
+    """Inverse of the metric matrix g at a point, rejecting degenerate g."""
+    try:
+        ginv = np.linalg.inv(g)
+    except np.linalg.LinAlgError as exc:
+        raise DegenerateMetricError(f"metric singular at {point}") from exc
+    if not np.all(np.isfinite(ginv)):
+        raise DegenerateMetricError(f"metric singular at {point}")
+    # inv() can succeed on nearly singular matrices; check the residual.
+    if np.max(np.abs(g @ ginv - np.eye(len(g)))) > 1e-8:
+        raise DegenerateMetricError(f"metric ill-conditioned at {point}")
+    return ginv
 
 
 # ---------------------------------------------------------------------------

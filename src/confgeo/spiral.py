@@ -232,11 +232,6 @@ def m_covariant(r: float, dimension: int = 2) -> np.ndarray:
     return M
 
 
-def m_frame() -> np.ndarray:
-    """Components of M in the orthonormal polar co-frame."""
-    return np.array([[0.0, 1.0], [1.0, 0.0]])
-
-
 # ---------------------------------------------------------------------------
 # the spiral curve
 # ---------------------------------------------------------------------------
@@ -282,17 +277,6 @@ def spiral_acceleration_dot(t, dimension: int = 3) -> np.ndarray:
     if dimension == 3:
         db.append(0.0)
     return np.array(db)
-
-
-def spiral_frame_velocity(t) -> np.ndarray:
-    """Velocity in the orthonormal polar frame: (1, -t f)."""
-    return np.array([1.0, -float(t) * f(t)])
-
-
-def spiral_frame_acceleration(t) -> np.ndarray:
-    """Acceleration in the orthonormal polar frame: (-t f^2, -(t f' + 2 f))."""
-    t = float(t)
-    return np.array([-t * f(t) ** 2, -(t * f_dot(t) + 2.0 * f(t))])
 
 
 def spiral_state(t, dimension: int = 3) -> UnparamState:
@@ -367,15 +351,3 @@ def example_metric(chart: str = "cylindrical") -> MetricField:
             cartesian_chart(3), _cartesian_evaluate, name="example_cartesian"
         )
     raise ValueError("chart must be 'cylindrical' or 'cartesian'")
-
-
-def cylindrical_to_cartesian(points) -> np.ndarray:
-    points = np.asarray(points, dtype=float)
-    r, phi, z = points[..., 0], points[..., 1], points[..., 2]
-    return np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=-1)
-
-
-def cartesian_to_cylindrical(points) -> np.ndarray:
-    points = np.asarray(points, dtype=float)
-    x, y, z = points[..., 0], points[..., 1], points[..., 2]
-    return np.stack([np.hypot(x, y), np.arctan2(y, x), z], axis=-1)

@@ -64,6 +64,20 @@ def test_verify_invalid_selection_usage_error(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["trace", "--seed", "1"],
+        ["curvature", "--seed", "1"],
+        ["curvature", "--out", "somewhere"],
+    ],
+)
+def test_flags_without_effect_are_rejected(argv, capsys):
+    # --seed belongs to verify only; curvature prints and writes no files.
+    assert main(argv) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_trace_spiral_csv_and_golden_match(tmp_path):
     out = tmp_path / "t"
     t0, t_end, tol = 0.8, 0.7, 1e-8

@@ -10,10 +10,8 @@ from confgeo import (
     curvature,
     euclidean_metric,
     flat_polar_metric,
-    hat_apply,
     kulkarni_nomizu,
     metric_derivatives,
-    raise_index,
     round_sphere_metric,
 )
 from confgeo.curvature import _metric_jets
@@ -247,7 +245,7 @@ def test_analytic_partials_used_when_available():
 
 
 # ---------------------------------------------------------------------------
-# kulkarni-nomizu and index raising
+# kulkarni-nomizu and the hat map
 # ---------------------------------------------------------------------------
 
 
@@ -277,25 +275,6 @@ def test_kulkarni_nomizu_dimension_mismatch():
         kulkarni_nomizu(np.eye(3), np.eye(2))
 
 
-def test_raise_index_flat_is_identity():
-    field = euclidean_metric(3)
-    T = np.arange(9.0).reshape(3, 3)
-    x = np.zeros(3)
-    np.testing.assert_allclose(raise_index(field, x, T), T)
-    np.testing.assert_allclose(raise_index(field, x, T, slots=(0, 1)), T)
-
-
-def test_raise_then_lower_roundtrip():
-    field = RandomMetricSpec(seed=8).build()
-    x = np.array([0.3, 0.2, -0.4])
-    g = field(x)
-    rng = np.random.default_rng(8)
-    T = rng.standard_normal((3, 3))
-    up = raise_index(field, x, T, slots=(0, 1))
-    back = g @ up @ g.T
-    np.testing.assert_allclose(back, T, atol=1e-13)
-
-
 def test_hat_map_matches_frame_swap_for_m_tensor():
     # Oracle: direct matrix computation g^-1 M v in polar coordinates,
     # compared against the orthonormal-frame swap (alpha, beta) ->
@@ -310,6 +289,6 @@ def test_hat_map_matches_frame_swap_for_m_tensor():
     for _ in range(5):
         alpha, beta = rng.standard_normal(2)
         v_coord = np.array([alpha, beta / r])  # frame (alpha, beta)
-        mv = hat_apply(field, x, M, v_coord)
+        mv = field.inverse(x) @ M @ v_coord
         frame = np.array([mv[0], r * mv[1]])
         np.testing.assert_allclose(frame, [beta, alpha], atol=1e-14)

@@ -1,4 +1,6 @@
 """Right-hand sides, residuals, the integrator, arc length, spiral detection."""
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from confgeo import (
     UnparamState,
     arc_length,
     circle_state,
+    curvature,
     detect_spiral,
     euclidean_metric,
     example_metric,
@@ -62,13 +65,51 @@ def test_rhs_spiral_state_stays_planar():
     assert abs(da[2]) < 1e-12
 
 
-def test_rhs_needs_schouten_in_dimension_two():
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda fld, x, u, a: propertime_rhs(fld, GeodesicState(x, u, a)),
+        lambda fld, x, u, a: wedge_form_residual(
+            fld, GeodesicState(x, u, a), np.zeros(2)
+        ),
+        lambda fld, x, u, a: unparam_residual(
+            fld, UnparamState(x, u, a), np.zeros(2)
+        ),
+    ],
+    ids=["propertime_rhs", "wedge_form_residual", "unparam_residual"],
+)
+def test_rhs_needs_schouten_in_dimension_two(call):
     field = flat_polar_metric()
-    st = GeodesicState(
-        x=np.array([1.0, 0.0]), u=np.array([1.0, 0.0]), a=np.array([0.0, 1.0])
-    )
-    with pytest.raises(ConfgeoError):
-        propertime_rhs(field, st)
+    x, u, a = np.array([1.0, 0.0]), np.array([1.0, 0.0]), np.array([0.0, 1.0])
+    with pytest.raises(ConfgeoError, match="Schouten tensor undefined in dimension 2"):
+        call(field, x, u, a)
+
+
+def _counting(field):
+    """The field with its evaluate wrapped in a call counter."""
+    calls = []
+
+    def evaluate(points):
+        calls.append(1)
+        return field.evaluate(points)
+
+    return dataclasses.replace(field, evaluate=evaluate), calls
+
+
+def test_metric_evaluation_counts():
+    # curvature() takes g, g^-1 and the jet from one evaluation: the FD
+    # stencil, or g beside closed-form partials.
+    for base in (example_metric("cylindrical"), example_metric("cartesian"), FLAT3):
+        field, calls = _counting(base)
+        curvature(field, np.array([0.5, 0.3, 0.2]))
+        assert len(calls) == 1, base.name
+    # integrate: one per RHS, one per accepted state (renormalization,
+    # arc length and gauge share it) and one for the initial gauge check.
+    field, calls = _counting(FLAT3)
+    cfg = IntegratorConfig(rtol=1e-8, atol=1e-8)
+    traj = integrate(field, circle_state(1.0), (0.0, 2.0), cfg)
+    assert len(traj) > 2
+    assert len(calls) == traj.rhs_evaluations + len(traj) + 1
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ from confgeo import (
     h_profile,
     k_exact,
     m_covariant,
-    m_frame,
     spiral_acceleration,
     spiral_point,
     spiral_state,
@@ -28,8 +27,6 @@ from confgeo.spiral import (
     CHI_OUTER,
     h_over_r2,
     m_wedge_coeff,
-    spiral_frame_acceleration,
-    spiral_frame_velocity,
 )
 
 E = np.e
@@ -219,7 +216,6 @@ def test_m_tensor_trace_free_and_bounded():
         ginv = field.inverse(np.array([r, 0.0]))
         assert abs(np.einsum("ab,ab->", ginv, M)) < 1e-15
         assert np.max(np.abs(M)) == r  # bounded coordinate components
-    np.testing.assert_allclose(m_frame(), [[0, 1], [1, 0]])
 
 
 # ---------------------------------------------------------------------------
@@ -257,20 +253,10 @@ def test_spiral_acceleration_is_covariant_acceleration():
 
 
 def test_spiral_frame_components():
-    # v = e_r - t f e_phi and b = -t f^2 e_r - (t f' + 2 f) e_phi
-    for t in (0.5, 1.0):
-        v = spiral_velocity(t, 2)
-        b = spiral_acceleration(t, 2)
-        r = t
-        np.testing.assert_allclose(
-            spiral_frame_velocity(t), [v[0], r * v[1]], rtol=1e-14
-        )
-        np.testing.assert_allclose(
-            spiral_frame_acceleration(t), [b[0], r * b[1]], rtol=1e-14
-        )
-    np.testing.assert_allclose(
-        spiral_frame_acceleration(1.0), [-E**2, E], rtol=1e-13
-    )
+    # In the orthonormal polar frame (b^r, r b^phi) = (-t f^2, -(t f' + 2 f)).
+    # At t = r = 1 (f = e, f' = -3e) the frame components equal the
+    # coordinate ones and are (-e^2, e).
+    np.testing.assert_allclose(spiral_acceleration(1.0, 2), [-E**2, E], rtol=1e-13)
 
 
 def test_spiral_state_domain():
