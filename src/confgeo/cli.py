@@ -362,8 +362,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    level = os.environ.get("CONFGEO_LOG", "WARNING").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING))
+    level = logging.getLevelName(os.environ.get("CONFGEO_LOG", "WARNING").upper())
+    if not isinstance(level, int):
+        level = logging.WARNING
+    # basicConfig does nothing when the root logger already has handlers,
+    # so the package logger gets the level itself.
+    logging.basicConfig(level=level)
+    log.setLevel(level)
 
     parser = build_parser()
     try:

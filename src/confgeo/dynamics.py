@@ -18,6 +18,7 @@ verifier on given curves.
 """
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -30,6 +31,8 @@ from .errors import ConfgeoError, ImmersionError
 from .metrics import MetricField, _checked_inverse
 
 GAUGE_TOL = 1e-9
+
+log = logging.getLogger(__name__)
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +367,9 @@ def integrate(
 
     On step underflow, leaving the metric domain, or exceeding
     ``max_steps``, the partial trajectory is returned with a diagnostic
-    status instead of raising.
+    status instead of raising.  Each call logs one INFO summary on the
+    ``confgeo.dynamics`` logger: status, accepted and rejected steps,
+    domain shrinks, RHS evaluations and the range of accepted |h|.
     """
     config = config or IntegratorConfig()
     n = field.dimension
@@ -398,8 +403,23 @@ def integrate(
     proj = [0.0]
     dist = [diag_distance(initial)]
     status, message = "ok", ""
+    steps = rejected = shrinks = 0
+    h_lo, h_hi = np.inf, 0.0  # range of accepted |h|
 
     def finish():
+        log.info(
+            "integrate %s: %s%s; %d accepted, %d rejected, %d domain shrinks, "
+            "%d RHS evaluations, accepted |h| in [%.3g, %.3g]",
+            field.name,
+            status,
+            f" ({message})" if message else "",
+            steps,
+            rejected,
+            shrinks,
+            counter["rhs"],
+            h_lo if steps else np.nan,
+            h_hi if steps else np.nan,
+        )
         return Trajectory(
             field=field,
             s=np.array(s_vals),
@@ -436,7 +456,6 @@ def integrate(
     h = direction * min(h, span, config.max_step)
 
     eps = np.finfo(float).eps
-    steps = 0
     K = np.empty((7, y.size))
 
     while direction * (s1 - s) > 0.0:
@@ -461,6 +480,7 @@ def integrate(
 
         if failed_domain:
             # shrink toward the domain boundary; give up when h underflows
+            shrinks += 1
             h *= 0.5
             if abs(h) < max(config.min_step, 16.0 * eps * max(abs(s), 1.0)):
                 status, message = "left_domain", str(domain_exc)
@@ -503,6 +523,7 @@ def integrate(
 
             s, y = s_new, y_new
             steps += 1
+            h_lo, h_hi = min(h_lo, abs(h)), max(h_hi, abs(h))
 
             if stop is not None and stop(st_new):
                 status, message = "stopped", "stop condition met"
@@ -520,6 +541,7 @@ def integrate(
 
             factor = 0.9 * err ** -0.2 if err > 0.0 else 5.0
         else:
+            rejected += 1
             factor = max(0.2, 0.9 * err ** -0.2)
 
         h *= min(5.0, max(0.2, factor))

@@ -21,6 +21,7 @@ curve into an unparametrized conformal geodesic of the 3D space.
 """
 from __future__ import annotations
 
+import math
 import warnings
 
 import numpy as np
@@ -138,6 +139,16 @@ def accel_wedge_coeff_prime(t):
     return float(out) if scalar else out
 
 
+def _k_closed(t, q):
+    """k(t) from t and q = t e^(-1/t), for floats or arrays alike.
+
+    The one copy of the closed form; with q == 0 it returns (-)0.
+    """
+    q2 = q * q
+    num = t * t + (2.0 + 3.0 * t + 4.0 * t * t) * q2 - (1.0 + 3.0 * t) * q2 * q2
+    return -q * num / (t**4 * (1.0 + q2) ** 2 * (1.0 - q2))
+
+
 def k_exact(t):
     """The forcing scalar k(t) = A'(t) / B(t) on (0, t*).
 
@@ -160,11 +171,46 @@ def k_exact(t):
     q = tv * np.exp(-1.0 / tv)
     out = np.zeros_like(tv)
     m = q > 0.0  # q == 0 means |k| is far below double precision
-    tm, qm = tv[m], q[m]
-    q2 = qm * qm
-    num = tm * tm + (2.0 + 3.0 * tm + 4.0 * tm * tm) * q2 - (1.0 + 3.0 * tm) * q2 * q2
-    out[m] = -qm * num / (tm**4 * (1.0 + q2) ** 2 * (1.0 - q2))
+    out[m] = _k_closed(tv[m], q[m])
     return float(out[0]) if scalar else out.reshape(arr.shape)
+
+
+def _k_jet(t: float) -> tuple[float, float, float]:
+    """(k, k', k'') at one t in (0, t*), in float arithmetic.
+
+    With q' = q (1 + t)/t^2 and q'' = q/t^4, write k = -P/D for
+    P = q N(t, q^2) and D = t^4 (1 + q^2)^2 (1 - q^2); differentiating
+    k D = -P twice gives k' = -(P' + k D')/D and
+    k'' = -(P'' + 2 k' D' + k D'')/D, with D'/D and D''/D taken from
+    the logarithmic derivative of D.
+    """
+    q = t * math.exp(-1.0 / t)
+    k = _k_closed(t, q)
+    q1 = q * (1.0 + t) / (t * t)
+    q2 = q / t**4
+    Q, Q1, Q2 = q * q, 2.0 * q * q1, 2.0 * (q1 * q1 + q * q2)
+    c, c1 = 2.0 + 3.0 * t + 4.0 * t * t, 3.0 + 8.0 * t  # c'' = 8
+    e = 1.0 + 3.0 * t  # e' = 3
+    N = t * t + c * Q - e * Q * Q
+    N1 = 2.0 * t + c1 * Q + c * Q1 - 3.0 * Q * Q - 2.0 * e * Q * Q1
+    N2 = (
+        2.0 + 8.0 * Q + 2.0 * c1 * Q1 + c * Q2
+        - 12.0 * Q * Q1 - 2.0 * e * (Q1 * Q1 + Q * Q2)
+    )
+    P1 = q1 * N + q * N1
+    P2 = q2 * N + 2.0 * q1 * N1 + q * N2
+    D = t**4 * (1.0 + Q) ** 2 * (1.0 - Q)
+    up, dn = 1.0 + Q, 1.0 - Q
+    l1 = 4.0 / t + 2.0 * Q1 / up - Q1 / dn  # D'/D
+    l1_prime = (
+        -4.0 / (t * t)
+        + 2.0 * (Q2 * up - Q1 * Q1) / (up * up)
+        - (Q2 * dn + Q1 * Q1) / (dn * dn)
+    )
+    l2 = l1_prime + l1 * l1  # D''/D
+    k1 = -P1 / D - k * l1
+    k2 = -P2 / D - 2.0 * k1 * l1 - k * l2
+    return k, k1, k2
 
 
 # ---------------------------------------------------------------------------
@@ -173,10 +219,11 @@ def k_exact(t):
 
 
 def _bump(x):
-    """e^(-1/x) on x > 0, 0 elsewhere; the building block of smooth cutoffs."""
-    x = np.asarray(x, dtype=float)
-    safe = np.where(x > 0.0, x, 1.0)
-    return np.where(x > 0.0, np.exp(-1.0 / safe), 0.0)
+    """e^(-1/x) on x > 0, 0 elsewhere; the building block of smooth cutoffs.
+
+    x <= 0 is clamped to 1e-300, where e^(-1/x) is already exactly 0.
+    """
+    return np.exp(-1.0 / np.maximum(x, 1e-300))
 
 
 def cutoff_chi(r):
@@ -184,9 +231,49 @@ def cutoff_chi(r):
     r, scalar = _as_float_array(r)
     s = (CHI_OUTER - r) / (CHI_OUTER - CHI_INNER)
     up = _bump(s)
-    denom = up + _bump(1.0 - s)
-    out = up / np.where(denom == 0.0, 1.0, denom)
+    out = up / (up + _bump(1.0 - s))  # s and 1 - s are never both <= 0
     return float(out) if scalar else out
+
+
+def _chi_jet(r: float) -> tuple[float, float, float]:
+    """(chi, chi', chi'') at one r < CHI_OUTER.
+
+    chi = b(s) / (b(s) + b(1 - s)) with b(x) = e^(-1/x), b' = b/x^2,
+    b'' = b (1 - 2x)/x^4 and ds/dr = -1/(CHI_OUTER - CHI_INNER).
+    """
+    s = (CHI_OUTER - r) / (CHI_OUTER - CHI_INNER)
+    m = 1.0 - s
+    if m <= 0.0:
+        return 1.0, 0.0, 0.0
+    b1, b2 = math.exp(-1.0 / s), math.exp(-1.0 / m)
+    b1_s, b1_ss = b1 / (s * s), b1 * (1.0 - 2.0 * s) / s**4
+    b2_s, b2_ss = -b2 / (m * m), b2 * (1.0 - 2.0 * m) / m**4  # of b(1 - s)
+    total = b1 + b2
+    num = b1_s * b2 - b1 * b2_s
+    chi_s = num / total**2
+    chi_ss = (
+        (b1_ss * b2 - b1 * b2_ss) / total**2
+        - 2.0 * num * (b1_s + b2_s) / total**3
+    )
+    ds_dr = -1.0 / (CHI_OUTER - CHI_INNER)
+    return b1 / total, chi_s * ds_dr, chi_ss * ds_dr * ds_dr
+
+
+# Below _R_FLAT, q = r e^(-1/r) underflows to exactly 0 (e^(-1000) is below
+# the smallest double), so h and all its derivatives are exactly 0 there.
+_R_FLAT = 1e-3
+
+
+def _profile_pass(r: np.ndarray):
+    """(t, h) over an array of radii in one pass without masks.
+
+    t equals r where h can be nonzero and 1 elsewhere, so every
+    division stays finite; h is 0 off that support.
+    """
+    support = (r > _R_FLAT) & (r < CHI_OUTER)
+    t = np.where(support, r, 1.0)
+    h = -0.5 * _k_closed(t, t * np.exp(-1.0 / t)) * cutoff_chi(t)
+    return t, np.where(support, h, 0.0)
 
 
 def h_profile(r):
@@ -196,23 +283,29 @@ def h_profile(r):
     positive in between, flat to all orders at r = 0.
     """
     arr, scalar = _as_float_array(r)
-    rv = np.atleast_1d(arr)
-    out = np.zeros_like(rv)
-    m = (rv > 0.0) & (rv < CHI_OUTER)
-    if np.any(m):
-        out[m] = -0.5 * k_exact(rv[m]) * cutoff_chi(rv[m])
-    return float(out[0]) if scalar else out.reshape(arr.shape)
+    h = _profile_pass(arr)[1]
+    return float(h) if scalar else h
 
 
 def h_over_r2(r):
     """h(r) / r^2, extended by 0 through r <= 0 (it is flat there)."""
     arr, scalar = _as_float_array(r)
-    rv = np.atleast_1d(arr)
-    out = np.zeros_like(rv)
-    m = (rv > 0.0) & (rv < CHI_OUTER)
-    if np.any(m):
-        out[m] = h_profile(rv[m]) / rv[m] ** 2
-    return float(out[0]) if scalar else out.reshape(arr.shape)
+    t, h = _profile_pass(arr)
+    out = h / (t * t)
+    return float(out) if scalar else out
+
+
+def _h_jet(r: float) -> tuple[float, float, float]:
+    """(h, h', h'') at one radius, exactly 0 off (_R_FLAT, CHI_OUTER)."""
+    if not _R_FLAT < r < CHI_OUTER:
+        return 0.0, 0.0, 0.0
+    k, k1, k2 = _k_jet(r)
+    chi, chi1, chi2 = _chi_jet(r)
+    return (
+        -0.5 * k * chi,
+        -0.5 * (k1 * chi + k * chi1),
+        -0.5 * (k2 * chi + 2.0 * k1 * chi1 + k * chi2),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -331,6 +424,123 @@ def _cartesian_evaluate(points):
     return g
 
 
+def _partials_from_rows(g00, g11, g01):
+    """(dg, d2g) from the jet rows of the only varying components.
+
+    Both charts vary only in g_00, g_11 and g_01 = g_10.  A row holds
+    the component's partials d_0, d_1, d_2, then d_a d_b for (a, b) in
+    row-major order.
+    """
+    out = np.zeros((12, 9))  # [partial, flat (i, j)]
+    out[:, 0] = g00
+    out[:, 4] = g11
+    out[:, 1] = out[:, 3] = g01
+    return out[:3].reshape(3, 3, 3), out[3:].reshape(3, 3, 3, 3)
+
+
+def _cylindrical_partials(point):
+    """Closed-form partials of the cylindrical components; only r and z enter."""
+    r, z = float(point[0]), float(point[2])
+    h, h1, h2 = _h_jet(r)
+    z2 = z * z
+    # w = h z^2 and W = w^2, with their partials along r and z
+    w, w_r, w_z = h * z2, h1 * z2, 2.0 * h * z
+    w_rr, w_rz, w_zz = h2 * z2, 2.0 * h1 * z, 2.0 * h
+    W = w * w
+    W_r, W_z = 2.0 * w * w_r, 2.0 * w * w_z
+    W_rr = 2.0 * (w_r * w_r + w * w_rr)
+    W_rz = 2.0 * (w_r * w_z + w * w_rz)
+    W_zz = 2.0 * (w_z * w_z + w * w_zz)
+    r2 = r * r
+    g11_rz = 2.0 * r * W_z + r2 * W_rz  # g_phiphi = r^2 (1 + W)
+    g01_rz = 2.0 * (w_z + r * w_rz)  # g_rphi = 2 r w
+    return _partials_from_rows(
+        [W_r, 0.0, W_z, W_rr, 0.0, W_rz, 0.0, 0.0, 0.0, W_rz, 0.0, W_zz],
+        [
+            2.0 * r * (1.0 + W) + r2 * W_r, 0.0, r2 * W_z,
+            2.0 * (1.0 + W) + 4.0 * r * W_r + r2 * W_rr, 0.0, g11_rz,
+            0.0, 0.0, 0.0,
+            g11_rz, 0.0, r2 * W_zz,
+        ],
+        [
+            2.0 * (w + r * w_r), 0.0, 2.0 * r * w_z,
+            2.0 * (2.0 * w_r + r * w_rr), 0.0, g01_rz,
+            0.0, 0.0, 0.0,
+            g01_rz, 0.0, 2.0 * r * w_zz,
+        ],
+    )
+
+
+def _radial_times_z2(f, f1, f2, r, x, y, z):
+    """Partials of f(r) z^2 in (x, y, z), r = hypot(x, y) > 0.
+
+    Returns (value, d_x, d_y, d_z, d_xx, d_xy, d_xz, d_yy, d_yz, d_zz),
+    from d_a f = (f'/r) x_a and d_a d_b f = ((f'' - f'/r)/r^2) x_a x_b
+    + (f'/r) delta_ab for a, b in {x, y}.
+    """
+    z2 = z * z
+    fp = f1 / r
+    fq = (f2 - fp) / (r * r)
+    fxz, fyz = 2.0 * fp * x * z, 2.0 * fp * y * z
+    return (
+        f * z2, fp * x * z2, fp * y * z2, 2.0 * f * z,
+        (fq * x * x + fp) * z2, fq * x * y * z2, fxz,
+        (fq * y * y + fp) * z2, fyz, 2.0 * f,
+    )
+
+
+def _cartesian_partials(point):
+    """Closed-form partials of the cartesian components.
+
+    With F = h/r^2: g_xx = 1 + w^2 - c xy, g_yy = 1 + w^2 + c xy and
+    g_xy = c (x^2 - y^2)/2 for w = h z^2 and c = 4 z^2 F.  On the flat
+    core r <= _R_FLAT, the axis included, every partial is exactly 0.
+    """
+    x, y, z = float(point[0]), float(point[1]), float(point[2])
+    r = math.hypot(x, y)
+    h, h1, h2 = _h_jet(r)
+    if h == 0.0 and h1 == 0.0 and h2 == 0.0:
+        return np.zeros((3, 3, 3)), np.zeros((3, 3, 3, 3))
+    r2 = r * r
+    F = h / r2
+    F1 = h1 / r2 - 2.0 * h / (r2 * r)
+    F2 = h2 / r2 - 4.0 * h1 / (r2 * r) + 6.0 * h / (r2 * r2)
+    w, w0, w1, w2, w00, w01, w02, w11, w12, w22 = _radial_times_z2(
+        h, h1, h2, r, x, y, z
+    )
+    c, c0, c1, c2, c00, c01, c02, c11, c12, c22 = _radial_times_z2(
+        4.0 * F, 4.0 * F1, 4.0 * F2, r, x, y, z
+    )
+    # W = w^2
+    W0, W1, W2 = 2.0 * w * w0, 2.0 * w * w1, 2.0 * w * w2
+    W00, W11 = 2.0 * (w0 * w0 + w * w00), 2.0 * (w1 * w1 + w * w11)
+    W22, W01 = 2.0 * (w2 * w2 + w * w22), 2.0 * (w0 * w1 + w * w01)
+    W02, W12 = 2.0 * (w0 * w2 + w * w02), 2.0 * (w1 * w2 + w * w12)
+    # P = c p with p = xy
+    p = x * y
+    P0, P1, P2 = c0 * p + c * y, c1 * p + c * x, c2 * p
+    P00, P11, P22 = c00 * p + 2.0 * c0 * y, c11 * p + 2.0 * c1 * x, c22 * p
+    P01, P02, P12 = c01 * p + c0 * x + c1 * y + c, c02 * p + c2 * y, c12 * p + c2 * x
+    # M = c m with m = (x^2 - y^2)/2
+    m = 0.5 * (x * x - y * y)
+    M0, M1, M2 = c0 * m + c * x, c1 * m - c * y, c2 * m
+    M00, M11, M22 = c00 * m + 2.0 * c0 * x + c, c11 * m - 2.0 * c1 * y - c, c22 * m
+    M01, M02, M12 = c01 * m - c0 * y + c1 * x, c02 * m + c2 * x, c12 * m - c2 * y
+    xx_01, xx_02, xx_12 = W01 - P01, W02 - P02, W12 - P12
+    yy_01, yy_02, yy_12 = W01 + P01, W02 + P02, W12 + P12
+    return _partials_from_rows(
+        [
+            W0 - P0, W1 - P1, W2 - P2,
+            W00 - P00, xx_01, xx_02, xx_01, W11 - P11, xx_12, xx_02, xx_12, W22 - P22,
+        ],
+        [
+            W0 + P0, W1 + P1, W2 + P2,
+            W00 + P00, yy_01, yy_02, yy_01, W11 + P11, yy_12, yy_02, yy_12, W22 + P22,
+        ],
+        [M0, M1, M2, M00, M01, M02, M01, M11, M12, M02, M12, M22],
+    )
+
+
 def example_metric(chart: str = "cylindrical") -> MetricField:
     """The 3D metric whose z = 0 plane carries the spiral.
 
@@ -341,13 +551,21 @@ def example_metric(chart: str = "cylindrical") -> MetricField:
     with h = h_profile.  The cylindrical chart rejects r < 1e-6; near
     the axis use the cartesian chart, where every component is a smooth
     function of (x, y, z) because h/r^2 and h^2 extend smoothly by zero.
+    Both charts carry closed-form first and second partials built from
+    h, h' and h'', so curvature() evaluates the metric at one point.
     """
     if chart == "cylindrical":
         return MetricField(
-            cylindrical_chart(), _cylindrical_evaluate, name="example_cylindrical"
+            cylindrical_chart(),
+            _cylindrical_evaluate,
+            analytic_partials=_cylindrical_partials,
+            name="example_cylindrical",
         )
     if chart == "cartesian":
         return MetricField(
-            cartesian_chart(3), _cartesian_evaluate, name="example_cartesian"
+            cartesian_chart(3),
+            _cartesian_evaluate,
+            analytic_partials=_cartesian_partials,
+            name="example_cartesian",
         )
     raise ValueError("chart must be 'cylindrical' or 'cartesian'")

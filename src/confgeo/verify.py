@@ -447,7 +447,7 @@ def check_lemma5(
     """Curvature structure of the example metric on the plane z = 0.
 
     At each sample radius: induced metric flat, first z-derivatives
-    vanish, finite-difference Ricci equals -2 h(r) M, finite-difference
+    vanish, Ricci from the metric's closed-form jet equals -2 h(r) M,
     Riemann equals -2 dz^2 o (h M), and M is trace-free with vanishing
     contractions against dz^2.
     """
@@ -548,10 +548,10 @@ def spiral_tracking_run(
 
     Proper time increases outward along the curve, so the inward run
     integrates toward negative s until the radius reaches t_end.  The
-    z = 0 plane is an exact invariant of the flow, and on it the finite
-    differences of the metric are exact for moderate steps (the only
-    r-dependence at z = 0 is the flat r^2 and the z-polynomial
-    coefficients), hence the enlarged default curvature step.
+    example metric carries closed-form partials, with which the z = 0
+    plane is an exact invariant of the computed flow (max |z| is 0).
+    ``curvature_step`` is the finite-difference step and applies only
+    to a ``metric`` without closed-form partials.
     Returns (trajectory, max tracking error, max |z|).
     """
     fld = metric if metric is not None else example_metric("cylindrical")
@@ -597,7 +597,7 @@ def check_proposition(
     max_identity = 0.0
     for t in np.linspace(0.3, 1.0, 8):
         st = spiral_state(float(t))
-        bundle = curvature(fld, st.x, step=1e-2)
+        bundle = curvature(fld, st.x)
         w_l = wedge(st.v, bundle.inverse_metric @ bundle.schouten @ st.v, st.x)
         w_r = wedge(st.v, bundle.inverse_metric @ bundle.ricci @ st.v, st.x)
         max_identity = max(

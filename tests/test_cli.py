@@ -1,5 +1,7 @@
 """Exit codes, file outputs, and the thin-adapter property of the CLI."""
 import json
+import logging
+import re
 from pathlib import Path
 
 import numpy as np
@@ -307,8 +309,21 @@ def test_malformed_config_rejected(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_log_verbosity_from_environment(tmp_path, monkeypatch, capsys):
+def test_log_verbosity_from_environment(tmp_path, monkeypatch, capsys, caplog):
+    # main() sets the level of the "confgeo" logger; caplog restores it.
+    caplog.set_level(logging.DEBUG, logger="confgeo")
+    argv = ["trace", "--circle", "1.0", "--out", str(tmp_path / "o")]
+
     monkeypatch.setenv("CONFGEO_LOG", "DEBUG")
-    out = tmp_path / "o"
-    assert main(["verify", "lemma5", "--out", str(out)]) == 0
+    assert main(argv) == 0
+    records = [r for r in caplog.records if r.name.startswith("confgeo")]
+    assert [(r.name, r.levelno) for r in records] == [
+        ("confgeo.dynamics", logging.INFO)
+    ]
+    assert re.search(r": ok; \d+ accepted, 0 rejected", records[0].getMessage())
+
+    caplog.clear()
+    monkeypatch.setenv("CONFGEO_LOG", "WARNING")
+    assert main(argv) == 0
+    assert not [r for r in caplog.records if r.name.startswith("confgeo")]
     capsys.readouterr()

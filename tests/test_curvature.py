@@ -189,12 +189,17 @@ def _battery():
         yield RandomMetricSpec(seed=seed).build(), np.random.default_rng(
             seed
         ).uniform(-0.6, 0.6, size=(3, 3))
-    yield example_metric("cylindrical"), np.array(
-        [[0.4, 0.3, 0.0], [0.9, 1.0, 0.4], [1.2, 2.0, -0.6]]
-    )
-    yield example_metric("cartesian"), np.array(
-        [[0.5, 0.1, 0.2], [-0.8, 0.6, -0.9], [1.1, -0.4, 1.3]]
-    )
+    for chart, points in (
+        ("cylindrical", [[0.4, 0.3, 0.0], [0.9, 1.0, 0.4], [1.2, 2.0, -0.6]]),
+        ("cartesian", [[0.5, 0.1, 0.2], [-0.8, 0.6, -0.9], [1.1, -0.4, 1.3]]),
+    ):
+        field = example_metric(chart)
+        yield field, np.array(points)
+        # the same chart through the finite-difference stencil
+        stencil = dataclasses.replace(
+            field, analytic_partials=None, name=f"{field.name}_fd"
+        )
+        yield stencil, np.array(points)
 
 
 @pytest.mark.parametrize(

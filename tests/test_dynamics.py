@@ -1,5 +1,7 @@
 """Right-hand sides, residuals, the integrator, arc length, spiral detection."""
 import dataclasses
+import logging
+import re
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from confgeo import (
     detect_spiral,
     euclidean_metric,
     example_metric,
+    flat_cylindrical_metric,
     flat_polar_metric,
     from_unparametrized,
     integrate,
@@ -110,6 +113,37 @@ def test_metric_evaluation_counts():
     traj = integrate(field, circle_state(1.0), (0.0, 2.0), cfg)
     assert len(traj) > 2
     assert len(calls) == traj.rhs_evaluations + len(traj) + 1
+
+
+def test_integrate_logs_one_summary(caplog):
+    caplog.set_level(logging.INFO, logger="confgeo.dynamics")
+    toward_axis = GeodesicState(
+        np.array([0.5, 0.0, 0.0]), np.array([-1.0, 0.0, 0.0]), np.zeros(3)
+    )
+    runs = [
+        (FLAT3, circle_state(1.0), "ok", False),
+        (flat_cylindrical_metric(), toward_axis, "left_domain", True),
+    ]
+    cfg = IntegratorConfig(rtol=1e-8, atol=1e-8)
+    for field, initial, status, shrinks in runs:
+        caplog.clear()
+        traj = integrate(field, initial, (0.0, 2.0), cfg)
+        assert traj.status == status
+        (record,) = [r for r in caplog.records if r.name == "confgeo.dynamics"]
+        assert record.levelno == logging.INFO
+        m = re.search(
+            r"integrate (\S+): (\w+).*; (\d+) accepted, (\d+) rejected, (\d+) domain "
+            r"shrinks, (\d+) RHS evaluations, accepted \|h\| in \[(\S+), (\S+)\]",
+            record.getMessage(),
+        )
+        assert m is not None, record.getMessage()
+        assert (m[1], m[2]) == (field.name, status)
+        assert int(m[3]) == len(traj) - 1
+        assert int(m[6]) == traj.rhs_evaluations
+        assert (int(m[5]) > 0) == shrinks
+        steps = np.abs(np.diff(traj.s))
+        assert float(m[7]) == pytest.approx(steps.min(), rel=1e-2)
+        assert float(m[8]) == pytest.approx(steps.max(), rel=1e-2)
 
 
 # ---------------------------------------------------------------------------

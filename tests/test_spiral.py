@@ -366,10 +366,13 @@ def test_example_metric_smooth_across_axis():
 def test_example_metric_derivatives_continuous_across_axis():
     # Grid refinement: stencil derivatives of the cartesian components
     # up to third order stay bounded and converge to the axis values as
-    # the evaluation point approaches x = y = 0.
+    # the evaluation point approaches x = y = 0.  The closed-form partials
+    # are stripped so that the step of 1e-3 is the one in use.
+    import dataclasses
+
     from confgeo.curvature import _metric_jets
 
-    cart = example_metric("cartesian")
+    cart = dataclasses.replace(example_metric("cartesian"), analytic_partials=None)
     z = 1.2
 
     def jet_at(radius):
