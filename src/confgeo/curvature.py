@@ -102,8 +102,9 @@ def metric_derivatives(field: MetricField, point, order: int, step=None):
 def _connection(ginv: np.ndarray, dg: np.ndarray):
     """(T, Gamma) with T[s, a, b] = d_a g_sb + d_b g_sa - d_s g_ab and
     Gamma^m_ab = 1/2 g^ms T[s, a, b]."""
-    T = np.einsum("asb->sab", dg) + np.einsum("bsa->sab", dg) - dg
-    return T, 0.5 * np.einsum("ms,sab->mab", ginv, T)
+    n = ginv.shape[0]
+    T = dg.transpose(1, 0, 2) + dg.transpose(1, 2, 0) - dg
+    return T, 0.5 * (ginv @ T.reshape(n, n * n)).reshape(n, n, n)
 
 
 def christoffel(field: MetricField, point, step=None) -> np.ndarray:
@@ -144,27 +145,25 @@ def curvature(field: MetricField, point, step=None) -> CurvatureBundle:
     ginv = _checked_inverse(g, point)
     T, gamma = _connection(ginv, dg)
 
-    dginv = -np.einsum("mr,crt,ts->cms", ginv, dg, ginv)
-    dT = (
-        np.einsum("casb->csab", d2g)
-        + np.einsum("cbsa->csab", d2g)
-        - np.einsum("csab->csab", d2g)
-    )
-    dgamma = 0.5 * (
-        np.einsum("cms,sab->cmab", dginv, T) + np.einsum("ms,csab->cmab", ginv, dT)
-    )
-
-    riemann = (
-        np.einsum("amnb->mnab", dgamma)
-        - np.einsum("bmna->mnab", dgamma)
-        + np.einsum("msa,snb->mnab", gamma, gamma)
-        - np.einsum("msb,sna->mnab", gamma, gamma)
-    )
-    riemann_lowered = np.einsum("ms,snab->mnab", g, riemann)
-    ricci = np.einsum("mnmb->nb", riemann)
-    scalar = float(np.einsum("ab,ab->", ginv, ricci))
-
     n = point.size
+    # d_c g^ms, then d_c T[s, a, b] and d_c Gamma^m_ab by the product rule
+    dginv = -(ginv @ dg @ ginv)
+    dT = d2g.transpose(0, 2, 1, 3) + d2g.transpose(0, 2, 3, 1) - d2g
+    dgamma = 0.5 * (
+        (dginv @ T.reshape(n, n * n)) + (ginv @ dT.reshape(n, n, n * n))
+    ).reshape(n, n, n, n)
+
+    # X[m, n, a, b] = d_a Gamma^m_nb + Gamma^m_sa Gamma^s_nb; the Riemann
+    # tensor is X minus its a <-> b swap.
+    gamma_gamma = (
+        gamma.transpose(0, 2, 1).reshape(n * n, n) @ gamma.reshape(n, n * n)
+    ).reshape(n, n, n, n)
+    X = dgamma.transpose(1, 2, 0, 3) + gamma_gamma.transpose(0, 2, 1, 3)
+    riemann = X - X.transpose(0, 1, 3, 2)
+    riemann_lowered = (g @ riemann.reshape(n, n**3)).reshape(n, n, n, n)
+    ricci = np.trace(riemann, axis1=0, axis2=2)
+    scalar = float(np.vdot(ginv, ricci))
+
     if n >= 3:
         schouten = (ricci - scalar / (2.0 * (n - 1)) * g) / (n - 2)
     else:

@@ -26,7 +26,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .bivectors import Bivector, _transport
-from .curvature import curvature
+from .curvature import CurvatureBundle, curvature
 from .errors import ConfgeoError, ImmersionError
 from .metrics import MetricField, _checked_inverse
 
@@ -177,15 +177,26 @@ def propertime_rhs(
     state: GeodesicState,
     curvature_step: Optional[float] = None,
     schouten_override: Optional[Callable] = None,
+    *,
+    bundle: Optional[CurvatureBundle] = None,
 ):
     """Coordinate derivatives (dx, du, da) of the proper-time system.
 
     dx = u, du = a - Gamma(u, u), and da converts nabla_u a to the plain
     parameter derivative of the components of a.
+
+    ``bundle`` is the curvature bundle at ``state.x`` when the caller
+    already has it; it must be at exactly that point (ValueError
+    otherwise), and ``curvature_step`` is then unused.  Without it the
+    bundle is computed here.
     """
     x, u, a = state.x, state.u, state.a
-    field.check_point(x)
-    bundle = curvature(field, x, step=curvature_step)
+    if bundle is None:
+        bundle = curvature(field, x, step=curvature_step)
+    elif not np.array_equal(bundle.point, x):
+        raise ValueError(
+            f"curvature bundle is at {bundle.point}, not at the state's point {x}"
+        )
     gamma = bundle.christoffel
     g = bundle.metric
     L = _schouten(bundle, x, schouten_override)
@@ -326,7 +337,6 @@ _DP_A = [
     np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
     np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
 ]
-_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
 _DP_ERR = np.array(
     [
         71 / 57600,
@@ -365,11 +375,20 @@ def integrate(
     metric size of that projection is recorded per sample so silent
     drift cannot hide an equation violation.
 
+    One curvature bundle serves each distinct point.  DP5(4) is FSAL
+    (first same as last): the 5th-order solution is the 7th stage's
+    point, so that stage's bundle also serves the FSAL refresh after a
+    renormalisation (which moves u and a, not x) and supplies g for the
+    renormalisation, the arc-length trapezoid and the gauge residual of
+    the accepted state.
+
     On step underflow, leaving the metric domain, or exceeding
     ``max_steps``, the partial trajectory is returned with a diagnostic
     status instead of raising.  Each call logs one INFO summary on the
     ``confgeo.dynamics`` logger: status, accepted and rejected steps,
-    domain shrinks, RHS evaluations and the range of accepted |h|.
+    domain shrinks, RHS evaluations, the range of accepted |h| and the
+    curvature evaluations; and one DEBUG record per rejected step (s, h,
+    error norm) and per domain shrink (s, h, exception).
     """
     config = config or IntegratorConfig()
     n = field.dimension
@@ -379,13 +398,18 @@ def integrate(
     direction = 1.0 if s1 >= s0 else -1.0
     span = abs(s1 - s0)
 
-    counter = {"rhs": 0}
+    counter = {"rhs": 0, "curvature": 0}
 
-    def rhs(y):
+    def rhs(y, bundle=None):
+        """(dy/ds, curvature bundle at y's point); pass the bundle when it
+        is already known at that point."""
         counter["rhs"] += 1
         st = _unpack(y, n, 0.0)
-        dx, du, da = propertime_rhs(field, st, curvature_step=config.curvature_step)
-        return np.concatenate([dx, du, da])
+        if bundle is None:
+            counter["curvature"] += 1
+            bundle = curvature(field, st.x, step=config.curvature_step)
+        dx, du, da = propertime_rhs(field, st, bundle=bundle)
+        return np.concatenate([dx, du, da]), bundle
 
     marked = None if marked_point is None else np.asarray(marked_point, float)
 
@@ -409,7 +433,8 @@ def integrate(
     def finish():
         log.info(
             "integrate %s: %s%s; %d accepted, %d rejected, %d domain shrinks, "
-            "%d RHS evaluations, accepted |h| in [%.3g, %.3g]",
+            "%d RHS evaluations, accepted |h| in [%.3g, %.3g], "
+            "%d curvature evaluations",
             field.name,
             status,
             f" ({message})" if message else "",
@@ -419,6 +444,7 @@ def integrate(
             counter["rhs"],
             h_lo if steps else np.nan,
             h_hi if steps else np.nan,
+            counter["curvature"],
         )
         return Trajectory(
             field=field,
@@ -443,7 +469,7 @@ def integrate(
     y = _pack(initial)
     s = s0
     try:
-        k1 = rhs(y)
+        k1, _ = rhs(y)
     except ConfgeoError as exc:
         status, message = "left_domain", str(exc)
         return finish()
@@ -473,7 +499,7 @@ def integrate(
         try:
             for i in range(1, 7):
                 yi = y + h * (K[:i].T @ _DP_A[i])
-                K[i] = rhs(yi)
+                K[i], bundle = rhs(yi)
         except ConfgeoError as exc:
             failed_domain = True
             domain_exc = exc
@@ -481,13 +507,16 @@ def integrate(
         if failed_domain:
             # shrink toward the domain boundary; give up when h underflows
             shrinks += 1
+            log.debug("domain shrink at s=%.17g, h=%.6g: %s", s, h, domain_exc)
             h *= 0.5
             if abs(h) < max(config.min_step, 16.0 * eps * max(abs(s), 1.0)):
                 status, message = "left_domain", str(domain_exc)
                 break
             continue
 
-        y_new = y + h * (K.T @ _DP_B5)
+        # FSAL: the 5th-order solution is the last stage's point, and
+        # ``bundle`` is the curvature there.
+        y_new = yi
         err_vec = h * (K.T @ _DP_ERR)
         sc = config.atol + config.rtol * np.maximum(np.abs(y), np.abs(y_new))
         err = np.sqrt(np.mean((err_vec / sc) ** 2))
@@ -495,7 +524,7 @@ def integrate(
         if err <= 1.0:
             s_new = s + h
             st_new = _unpack(y_new.copy(), n, s_new)
-            g = field(st_new.x)
+            g = bundle.metric
             proj_size = 0.0
             if config.renormalize:
                 u = st_new.u
@@ -529,19 +558,17 @@ def integrate(
                 status, message = "stopped", "stop condition met"
                 break
 
-            # FSAL is invalidated by renormalization; recompute k1 then.
+            # Renormalization invalidates FSAL: recompute k1 at the same
+            # x, with the bundle already there.
             if config.renormalize and proj_size > 0.0:
-                try:
-                    k1 = rhs(y)
-                except ConfgeoError as exc:
-                    status, message = "left_domain", str(exc)
-                    break
+                k1, _ = rhs(y, bundle)
             else:
                 k1 = K[6]
 
             factor = 0.9 * err ** -0.2 if err > 0.0 else 5.0
         else:
             rejected += 1
+            log.debug("rejected step at s=%.17g, h=%.6g: err=%.3g", s, h, err)
             factor = max(0.2, 0.9 * err ** -0.2)
 
         h *= min(5.0, max(0.2, factor))

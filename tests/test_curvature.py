@@ -228,6 +228,91 @@ def test_curvature_algebraic_invariants_battery(field, points):
             np.testing.assert_allclose(b.schouten, expected, atol=1e-12)
 
 
+def _einsum_curvature(g, dg, d2g):
+    """The einsum formulation of curvature()'s algebra, kept as an index
+    convention oracle.  Returns ({name: tensor}, {name: scale}), where a
+    scale bounds the terms that cancel inside each tensor."""
+    ginv = np.linalg.inv(g)
+    T = np.einsum("asb->sab", dg) + np.einsum("bsa->sab", dg) - dg
+    gamma = 0.5 * np.einsum("ms,sab->mab", ginv, T)
+    dginv = -np.einsum("mr,crt,ts->cms", ginv, dg, ginv)
+    dT = (
+        np.einsum("casb->csab", d2g)
+        + np.einsum("cbsa->csab", d2g)
+        - np.einsum("csab->csab", d2g)
+    )
+    dgamma = 0.5 * (
+        np.einsum("cms,sab->cmab", dginv, T) + np.einsum("ms,csab->cmab", ginv, dT)
+    )
+    riemann = (
+        np.einsum("amnb->mnab", dgamma)
+        - np.einsum("bmna->mnab", dgamma)
+        + np.einsum("msa,snb->mnab", gamma, gamma)
+        - np.einsum("msb,sna->mnab", gamma, gamma)
+    )
+    riemann_lowered = np.einsum("ms,snab->mnab", g, riemann)
+    ricci = np.einsum("mnmb->nb", riemann)
+    scalar = float(np.einsum("ab,ab->", ginv, ricci))
+    n = len(g)
+    tensors = {
+        "christoffel": gamma,
+        "riemann": riemann,
+        "riemann_lowered": riemann_lowered,
+        "ricci": ricci,
+        "scalar": scalar,
+    }
+    big = lambda t: float(np.max(np.abs(t)))  # noqa: E731
+    riemann_scale = 2.0 * (big(dgamma) + n * big(gamma) ** 2)
+    scales = {
+        "christoffel": n * big(ginv) * big(T),
+        "riemann": riemann_scale,
+        "riemann_lowered": n * big(g) * riemann_scale,
+        "ricci": n * riemann_scale,
+        "scalar": n * n * big(ginv) * n * riemann_scale,
+    }
+    if n >= 3:
+        tensors["schouten"] = (ricci - scalar / (2.0 * (n - 1)) * g) / (n - 2)
+        scales["schouten"] = scales["ricci"] + scales["scalar"] * big(g)
+    return tensors, scales
+
+
+def _oracle_cases():
+    from confgeo import example_metric
+
+    rng = np.random.default_rng(8)
+    for seed in (1, 2, 3):
+        for dim in (2, 3):
+            field = RandomMetricSpec(seed=seed, dimension=dim).build()
+            yield field, rng.uniform(-0.6, 0.6, size=(4, dim))
+    yield round_sphere_metric(), np.array([[np.pi / 3, 0.4], [1.0, -2.0], [2.5, 0.7]])
+    cyl = np.column_stack(
+        [rng.uniform(0.2, 1.6, 8), rng.uniform(-3.0, 3.0, 8), rng.uniform(-0.8, 0.8, 8)]
+    )
+    yield example_metric("cylindrical"), cyl
+    yield example_metric("cartesian"), rng.uniform(-1.2, 1.2, size=(8, 3))
+
+
+@pytest.mark.parametrize(
+    "field,points",
+    list(_oracle_cases()),
+    ids=lambda v: getattr(v, "name", ""),
+)
+def test_curvature_matches_einsum_formulation(field, points):
+    # A wrong transpose in curvature()'s kernel moves some entry by the
+    # size of the terms it combines; rounding moves none by more than
+    # ~1e-16 of them.
+    for x in points:
+        b = curvature(field, x)
+        g, dg, d2g = _metric_jets(field, x)
+        expected, scales = _einsum_curvature(g, dg, d2g)
+        if len(x) < 3:
+            assert b.schouten is None
+        for name, ref in expected.items():
+            got = getattr(b, name)
+            err = float(np.max(np.abs(np.asarray(got) - ref)))
+            assert err <= 1e-13 * scales[name], (name, x, err, scales[name])
+
+
 def test_analytic_and_fd_curvature_agree():
     field = RandomMetricSpec(seed=21).build()
     x = np.array([0.15, 0.4, -0.2])

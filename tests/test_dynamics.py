@@ -30,7 +30,8 @@ from confgeo import (
     unparam_residual,
     wedge_form_residual,
 )
-from confgeo.verify import RandomMetricSpec, random_gauge_state
+from confgeo import dynamics
+from confgeo.verify import RandomMetricSpec, random_gauge_state, spiral_tracking_run
 
 FLAT3 = euclidean_metric(3)
 
@@ -88,6 +89,50 @@ def test_rhs_needs_schouten_in_dimension_two(call):
         call(field, x, u, a)
 
 
+def _rhs_cases():
+    rng = np.random.default_rng(6)
+    yield FLAT3, random_gauge_state(FLAT3, rng)
+    for chart in ("cylindrical", "cartesian"):
+        field = example_metric(chart)
+        yield field, from_unparametrized(field, spiral_state(0.7))
+    for seed in (1, 2):
+        field = RandomMetricSpec(seed=seed).build()
+        yield field, random_gauge_state(field, rng)
+
+
+@pytest.mark.parametrize(
+    "field,state", list(_rhs_cases()), ids=lambda v: getattr(v, "name", "")
+)
+def test_rhs_with_given_bundle_is_bit_identical(field, state):
+    plain = propertime_rhs(field, state)
+    given = propertime_rhs(field, state, bundle=curvature(field, state.x))
+    for p, q in zip(plain, given):
+        assert np.array_equal(p, q)
+
+
+def test_rhs_rejects_a_bundle_at_another_point():
+    st = circle_state(1.0)
+    elsewhere = curvature(FLAT3, st.x + np.array([0.0, 0.0, 1e-12]))
+    with pytest.raises(ValueError, match="not at the state's point"):
+        propertime_rhs(FLAT3, st, bundle=elsewhere)
+
+
+def test_schouten_override_takes_precedence_over_the_bundle():
+    field = flat_polar_metric()
+    st = GeodesicState(
+        np.array([1.0, 0.0]), np.array([1.0, 0.0]), np.array([0.0, 1.0])
+    )
+    override = lambda x: np.diag([0.5, 0.25])  # noqa: E731
+    bundle = curvature(field, st.x)
+    assert bundle.schouten is None
+    given = propertime_rhs(field, st, schouten_override=override, bundle=bundle)
+    plain = propertime_rhs(field, st, schouten_override=override)
+    for p, q in zip(plain, given):
+        assert np.array_equal(p, q)
+    # da_r = -|a|^2 u_r - L(u, u) u_r + (g^-1 L u)_r = -1 - 0.5 + 0.5
+    assert given[2][0] == pytest.approx(-1.0)
+
+
 def _counting(field):
     """The field with its evaluate wrapped in a call counter."""
     calls = []
@@ -106,13 +151,38 @@ def test_metric_evaluation_counts():
         field, calls = _counting(base)
         curvature(field, np.array([0.5, 0.3, 0.2]))
         assert len(calls) == 1, base.name
-    # integrate: one per RHS, one per accepted state (renormalization,
-    # arc length and gauge share it) and one for the initial gauge check.
+    # integrate: one per curvature bundle, which the FSAL refresh and the
+    # accepted-state diagnostics reuse, and two at the initial state.
     field, calls = _counting(FLAT3)
     cfg = IntegratorConfig(rtol=1e-8, atol=1e-8)
     traj = integrate(field, circle_state(1.0), (0.0, 2.0), cfg)
-    assert len(traj) > 2
-    assert len(calls) == traj.rhs_evaluations + len(traj) + 1
+    assert len(traj) > 2 and _refreshes(traj) > 0
+    assert len(calls) == traj.rhs_evaluations - _refreshes(traj) + 2
+
+
+def _refreshes(traj):
+    """FSAL refreshes of an integration: accepted steps whose
+    renormalisation moved the state, except one that met the stop
+    condition (integrate returns before refreshing after it)."""
+    moved = traj.projection[1:] > 0.0
+    return int(np.count_nonzero(moved)) - int(traj.status == "stopped" and moved[-1])
+
+
+def test_one_curvature_per_distinct_point(monkeypatch):
+    points = []
+    original = dynamics.curvature
+
+    def counting(field, point, *args, **kwargs):
+        points.append(np.asarray(point, float).tobytes())
+        return original(field, point, *args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "curvature", counting)
+    traj, track_err, _ = spiral_tracking_run(t0=0.8, t_end=0.3)
+    assert len(set(points)) == len(points)
+    assert (len(traj), traj.rhs_evaluations, _refreshes(traj)) == (262, 1827, 260)
+    assert len(points) == 1827 - 260
+    # the trajectory of the run that recomputed the bundle at each refresh
+    assert track_err == pytest.approx(1.916786583351105e-08, rel=1e-9)
 
 
 def test_integrate_logs_one_summary(caplog):
@@ -144,6 +214,43 @@ def test_integrate_logs_one_summary(caplog):
         steps = np.abs(np.diff(traj.s))
         assert float(m[7]) == pytest.approx(steps.min(), rel=1e-2)
         assert float(m[8]) == pytest.approx(steps.max(), rel=1e-2)
+        # appended after the |h| range
+        curv = re.search(r"\], (\d+) curvature evaluations$", record.getMessage())
+        assert curv is not None, record.getMessage()
+        assert int(curv[1]) == traj.rhs_evaluations - _refreshes(traj)
+
+
+def test_integrate_logs_each_rejection_and_shrink_at_debug(caplog):
+    caplog.set_level(logging.DEBUG, logger="confgeo.dynamics")
+    field = flat_cylindrical_metric()
+    toward_axis = GeodesicState(
+        np.array([0.5, 0.0, 0.0]), np.array([-1.0, 0.0, 0.0]), np.zeros(3)
+    )
+    spiral_data = from_unparametrized(field, spiral_state(0.8))
+    cfg = IntegratorConfig(rtol=1e-8, atol=1e-8)
+    seen = {"rejected": 0, "shrinks": 0}
+    for initial, s_end in ((toward_axis, 2.0), (spiral_data, -3.0)):
+        caplog.clear()
+        traj = integrate(field, initial, (0.0, s_end), cfg)
+        records = [r for r in caplog.records if r.name == "confgeo.dynamics"]
+        (summary,) = [r for r in records if r.levelno == logging.INFO]
+        m = re.search(r"(\d+) rejected, (\d+) domain shrinks", summary.getMessage())
+        debug = [r.getMessage() for r in records if r.levelno == logging.DEBUG]
+        assert len(debug) == len(records) - 1
+        shrinks = [d for d in debug if d.startswith("domain shrink at ")]
+        rejected = [d for d in debug if d.startswith("rejected step at ")]
+        assert len(shrinks) + len(rejected) == len(debug)
+        assert (len(rejected), len(shrinks)) == (int(m[1]), int(m[2]))
+        for msg in shrinks:
+            assert re.fullmatch(r"domain shrink at s=\S+, h=\S+: .+", msg), msg
+        for msg in rejected:
+            assert re.fullmatch(r"rejected step at s=\S+, h=\S+: err=\S+", msg), msg
+        if traj.status == "left_domain":
+            # the last shrink is the one whose step underflowed
+            assert shrinks[-1].endswith(traj.message)
+        seen["rejected"] += len(rejected)
+        seen["shrinks"] += len(shrinks)
+    assert seen["rejected"] > 0 and seen["shrinks"] > 0
 
 
 # ---------------------------------------------------------------------------
