@@ -3,8 +3,8 @@
 A metric field is just a chart name plus a callable returning the
 matrix g_ij at a point.  Everything else (Christoffel symbols, Riemann,
 Ricci, scalar and Schouten) comes out of 4th-order stencils, or out of
-closed-form partials when the metric carries them, as the 3D example
-metric at the end does.
+a closed-form jet (g and its partials) when the metric carries one, as
+the 3D example metric at the end does.
 """
 import numpy as np
 

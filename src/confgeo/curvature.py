@@ -1,11 +1,11 @@
 """Pointwise differential geometry: metric derivatives, Christoffel
 symbols, Riemann/Ricci/scalar curvature and the Schouten tensor.
 
-Derivatives come from the metric's closed-form partials when it has
-them, otherwise from central finite differences: 4th-order stencils for
-first derivatives and symmetric 4th-order stencils (5-point diagonal,
-composed 4x4 cross) for second derivatives.  All tensors are dense; the
-dimensions here are 2 or 3.
+The metric and its derivatives come from the metric's closed-form jet
+when it has one, otherwise from central finite differences: 4th-order
+stencils for first derivatives and symmetric 4th-order stencils
+(5-point diagonal, composed 4x4 cross) for second derivatives.  All
+tensors are dense; the dimensions here are 2 or 3.
 """
 from __future__ import annotations
 
@@ -84,9 +84,9 @@ def _fd_metric_derivatives(field: MetricField, point: np.ndarray, h: np.ndarray)
 def _metric_jets(field: MetricField, point, step=None):
     point = np.asarray(point, dtype=float)
     field.check_point(point)
-    if field.analytic_partials is not None:
-        dg, d2g = field.analytic_partials(point)
-        return field(point), np.asarray(dg, float), np.asarray(d2g, float)
+    if field.analytic_jet is not None:
+        g, dg, d2g = field.analytic_jet(point)
+        return np.asarray(g, float), np.asarray(dg, float), np.asarray(d2g, float)
     h = _fd_steps(point, step)
     return _fd_metric_derivatives(field, point, h)
 
@@ -124,7 +124,8 @@ class CurvatureBundle:
     n >= 3 the Schouten tensor
     schouten = (ricci - scalar/(2(n-1)) g) / (n-2).
     With these signs the unit round sphere has ricci = g and scalar 2.
-    For dimension 2 ``schouten`` is None.
+    For dimension 2 ``schouten`` is None.  ``riemann_lowered``
+    (R_mnab = g_ms R^s_nab) is computed on first access.
     """
 
     point: np.ndarray
@@ -132,10 +133,14 @@ class CurvatureBundle:
     inverse_metric: np.ndarray
     christoffel: np.ndarray
     riemann: np.ndarray
-    riemann_lowered: np.ndarray
     ricci: np.ndarray
     scalar: float
     schouten: Optional[np.ndarray]
+
+    @functools.cached_property
+    def riemann_lowered(self) -> np.ndarray:
+        n = len(self.metric)
+        return (self.metric @ self.riemann.reshape(n, n**3)).reshape(n, n, n, n)
 
 
 def curvature(field: MetricField, point, step=None) -> CurvatureBundle:
@@ -160,7 +165,6 @@ def curvature(field: MetricField, point, step=None) -> CurvatureBundle:
     ).reshape(n, n, n, n)
     X = dgamma.transpose(1, 2, 0, 3) + gamma_gamma.transpose(0, 2, 1, 3)
     riemann = X - X.transpose(0, 1, 3, 2)
-    riemann_lowered = (g @ riemann.reshape(n, n**3)).reshape(n, n, n, n)
     ricci = np.trace(riemann, axis1=0, axis2=2)
     scalar = float(np.vdot(ginv, ricci))
 
@@ -175,7 +179,6 @@ def curvature(field: MetricField, point, step=None) -> CurvatureBundle:
         inverse_metric=ginv,
         christoffel=gamma,
         riemann=riemann,
-        riemann_lowered=riemann_lowered,
         ricci=ricci,
         scalar=scalar,
         schouten=schouten,

@@ -60,8 +60,9 @@ class GeodesicState:
             abs(float(self.u @ g @ self.a)),
         )
 
-    def require_gauge(self, field: MetricField, tol: float = GAUGE_TOL):
-        e_norm, e_orth = self.gauge_residuals(field(self.x))
+    def require_gauge(self, g: np.ndarray, tol: float = GAUGE_TOL):
+        """Raise unless both gauge residuals for the metric matrix g are within tol."""
+        e_norm, e_orth = self.gauge_residuals(g)
         if e_norm > tol or e_orth > tol:
             raise ConfgeoError(
                 f"state violates proper-time gauge: | |u|^2-1 |={e_norm:.3e}, "
@@ -117,8 +118,6 @@ class Trajectory:
     projection: np.ndarray
     status: str = "ok"
     message: str = ""
-    marked_point: Optional[np.ndarray] = None
-    marked_distance: Optional[np.ndarray] = None
     rhs_evaluations: int = 0
 
     def __len__(self):
@@ -204,13 +203,10 @@ def propertime_rhs(
     a_sq = float(a @ g @ a)
     u_lu = float(u @ L @ u)  # u . L^u = L(u, u)
 
+    gamma_u = gamma @ u  # Gamma^m_ab u^b; Gamma is symmetric in a, b
     dx = u.copy()
-    du = a - np.einsum("mab,a,b->m", gamma, u, u)
-    da = (
-        -np.einsum("mab,a,b->m", gamma, u, a)
-        + (-a_sq - u_lu) * u
-        + l_hat_u
-    )
+    du = a - gamma_u @ u
+    da = -(gamma_u @ a) + (-a_sq - u_lu) * u + l_hat_u
     return dx, du, da
 
 
@@ -364,7 +360,6 @@ def integrate(
     s_span: tuple[float, float],
     config: Optional[IntegratorConfig] = None,
     stop: Optional[Callable[[GeodesicState], bool]] = None,
-    marked_point=None,
 ) -> Trajectory:
     """Integrate the proper-time conformal geodesic equation.
 
@@ -380,7 +375,9 @@ def integrate(
     point, so that stage's bundle also serves the FSAL refresh after a
     renormalisation (which moves u and a, not x) and supplies g for the
     renormalisation, the arc-length trapezoid and the gauge residual of
-    the accepted state.
+    the accepted state.  No refresh is computed after the last accepted
+    step.  The initial state's g is evaluated once, for its gauge check
+    and its diagnostics.
 
     On step underflow, leaving the metric domain, or exceeding
     ``max_steps``, the partial trajectory is returned with a diagnostic
@@ -392,7 +389,8 @@ def integrate(
     """
     config = config or IntegratorConfig()
     n = field.dimension
-    initial.require_gauge(field, tol=1e-6)
+    g = field(initial.x)
+    initial.require_gauge(g, tol=1e-6)
 
     s0, s1 = float(s_span[0]), float(s_span[1])
     direction = 1.0 if s1 >= s0 else -1.0
@@ -411,21 +409,12 @@ def integrate(
         dx, du, da = propertime_rhs(field, st, bundle=bundle)
         return np.concatenate([dx, du, da]), bundle
 
-    marked = None if marked_point is None else np.asarray(marked_point, float)
-
-    def diag_distance(state):
-        if marked is None:
-            return np.nan
-        return float(np.linalg.norm(field.chart.embed(state.x) - marked))
-
-    g = field(initial.x)
     sp_prev = np.sqrt(float(initial.u @ g @ initial.u))  # |u|_g for the arc trapezoid
     s_vals = [s0]
     states = [GeodesicState(initial.x, initial.u, initial.a, s0)]
     arc = [0.0]
     gauge = [max(initial.gauge_residuals(g))]
     proj = [0.0]
-    dist = [diag_distance(initial)]
     status, message = "ok", ""
     steps = rejected = shrinks = 0
     h_lo, h_hi = np.inf, 0.0  # range of accepted |h|
@@ -455,8 +444,6 @@ def integrate(
             projection=np.array(proj),
             status=status,
             message=message,
-            marked_point=marked,
-            marked_distance=np.array(dist) if marked is not None else None,
             rhs_evaluations=counter["rhs"],
         )
 
@@ -548,7 +535,6 @@ def integrate(
             states.append(st_new)
             gauge.append(max(st_new.gauge_residuals(g)))
             proj.append(proj_size)
-            dist.append(diag_distance(st_new))
 
             s, y = s_new, y_new
             steps += 1
@@ -557,6 +543,8 @@ def integrate(
             if stop is not None and stop(st_new):
                 status, message = "stopped", "stop condition met"
                 break
+            if direction * (s1 - s) <= 0.0:
+                break  # the end of s_span: no further step needs k1
 
             # Renormalization invalidates FSAL: recompute k1 at the same
             # x, with the bundle already there.

@@ -9,6 +9,7 @@ curvature, geodesic integration) consumes these two types.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -112,14 +113,16 @@ class MetricField:
     matrices of shape (..., dim, dim); all built-in metrics are
     vectorized so that finite-difference stencils evaluate in one call.
 
-    ``analytic_partials``, when given, maps a single point of shape
-    (dim,) to the pair ``(dg, d2g)`` with ``dg[a, i, j] = d_a g_ij`` and
-    ``d2g[a, b, i, j] = d_a d_b g_ij``.
+    ``analytic_jet``, when given, maps a single point of shape (dim,)
+    to the triple ``(g, dg, d2g)`` with ``g[i, j] = g_ij``,
+    ``dg[a, i, j] = d_a g_ij`` and ``d2g[a, b, i, j] = d_a d_b g_ij``;
+    its g must agree with ``evaluate`` at that point (to rounding).
+    Curvature then takes the whole jet from this one call.
     """
 
     chart: Chart
     evaluate: Callable[[np.ndarray], np.ndarray]
-    analytic_partials: Optional[Callable[[np.ndarray], tuple]] = None
+    analytic_jet: Optional[Callable[[np.ndarray], tuple]] = None
     domain_predicate: Optional[Callable[[np.ndarray], np.ndarray]] = None
     name: str = ""
 
@@ -150,23 +153,74 @@ class MetricField:
         return float(np.sqrt(max(self.inner(point, u, u), 0.0)))
 
 
+# Condition number |g| |g^-1| (max row sums) above which a metric is
+# rejected: its inverse then carries relative errors up to cond * eps,
+# about 2e-7.
+MAX_CONDITION = 1e9
+
+
+def _adjugate(rows):
+    """(adjugate, determinant) of a 2x2 or 3x3 matrix given as nested lists."""
+    if len(rows) == 2:
+        (a, b), (c, d) = rows
+        return [[d, -b], [-c, a]], a * d - b * c
+    (a, b, c), (d, e, f), (g, h, i) = rows
+    A, B, C = e * i - f * h, f * g - d * i, d * h - e * g
+    adjugate = [
+        [A, c * h - b * i, b * f - c * e],
+        [B, a * i - c * g, c * d - a * f],
+        [C, b * g - a * h, a * e - b * d],
+    ]
+    return adjugate, a * A + b * B + c * C
+
+
+def _row_sum_norm(rows) -> float:
+    return max(sum(map(abs, row)) for row in rows)
+
+
 def _checked_inverse(g: np.ndarray, point) -> np.ndarray:
-    """Inverse of the metric matrix g at a point, rejecting degenerate g."""
-    try:
-        ginv = np.linalg.inv(g)
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateMetricError(f"metric singular at {point}") from exc
-    if not np.all(np.isfinite(ginv)):
+    """Inverse of the metric matrix g at a point, rejecting degenerate g.
+
+    Dimensions 2 and 3 use the adjugate over the determinant, computed
+    on g times the power of two that brings its largest entry into
+    [0.5, 1), which is exact and keeps the determinant in range; larger
+    dimensions use np.linalg.inv.  g is rejected when it is singular or
+    not finite, or when its condition number exceeds MAX_CONDITION; the
+    condition number does not depend on g's scale.
+    """
+    n = len(g)
+    if n <= 3:
+        rows = g.tolist()
+        s = math.ldexp(1.0, -math.frexp(max(abs(v) for row in rows for v in row))[1])
+        adjugate, det = _adjugate([[v * s for v in row] for row in rows])
+        if det == 0.0 or not math.isfinite(det):  # a nan or inf entry makes det so
+            raise DegenerateMetricError(f"metric singular at {point}")
+        inverse = [[v / det * s for v in row] for row in adjugate]
+        cond = _row_sum_norm(rows) * _row_sum_norm(inverse)
+        ginv = np.array(inverse)
+    else:
+        try:
+            ginv = np.linalg.inv(g)
+        except np.linalg.LinAlgError as exc:
+            raise DegenerateMetricError(f"metric singular at {point}") from exc
+        cond = float(np.linalg.norm(g, np.inf) * np.linalg.norm(ginv, np.inf))
+    if not math.isfinite(cond):
         raise DegenerateMetricError(f"metric singular at {point}")
-    # inv() can succeed on nearly singular matrices; check the residual.
-    if np.max(np.abs(g @ ginv - np.eye(len(g)))) > 1e-8:
-        raise DegenerateMetricError(f"metric ill-conditioned at {point}")
+    if cond > MAX_CONDITION:
+        raise DegenerateMetricError(
+            f"metric ill-conditioned at {point} (condition number {cond:.3g})"
+        )
     return ginv
 
 
 # ---------------------------------------------------------------------------
 # standard metrics
 # ---------------------------------------------------------------------------
+
+
+def _jet(evaluate, partials):
+    """analytic_jet from a vectorized evaluate and a point -> (dg, d2g) map."""
+    return lambda point: (evaluate(point), *partials(point))
 
 
 def _constant_partials(dim):
@@ -186,7 +240,9 @@ def euclidean_metric(dimension: int = 3, analytic: bool = True) -> MetricField:
     return MetricField(
         cartesian_chart(dimension),
         evaluate,
-        analytic_partials=_constant_partials(dimension) if analytic else None,
+        analytic_jet=(
+            _jet(evaluate, _constant_partials(dimension)) if analytic else None
+        ),
         name=f"euclidean{dimension}d",
     )
 
@@ -213,7 +269,7 @@ def flat_polar_metric(analytic: bool = True) -> MetricField:
     return MetricField(
         polar_chart(),
         evaluate,
-        analytic_partials=partials if analytic else None,
+        analytic_jet=_jet(evaluate, partials) if analytic else None,
         name="flat_polar",
     )
 
@@ -241,7 +297,7 @@ def flat_cylindrical_metric(analytic: bool = True) -> MetricField:
     return MetricField(
         cylindrical_chart(),
         evaluate,
-        analytic_partials=partials if analytic else None,
+        analytic_jet=_jet(evaluate, partials) if analytic else None,
         name="flat_cylindrical",
     )
 
@@ -249,7 +305,7 @@ def flat_cylindrical_metric(analytic: bool = True) -> MetricField:
 def round_sphere_metric(radius: float = 1.0) -> MetricField:
     """Round 2-sphere of the given radius, g = R^2 (dtheta^2 + sin^2 theta dphi^2).
 
-    No analytic partials: this metric is the standard target for
+    No analytic jet: this metric is the standard target for
     finite-difference convergence tests.
     """
 
@@ -322,5 +378,8 @@ def polynomial_metric(
         return dg, d2g
 
     return MetricField(
-        cartesian_chart(dimension), evaluate, analytic_partials=partials, name=name
+        cartesian_chart(dimension),
+        evaluate,
+        analytic_jet=_jet(evaluate, partials),
+        name=name,
     )

@@ -424,22 +424,23 @@ def _cartesian_evaluate(points):
     return g
 
 
-def _partials_from_rows(g00, g11, g01):
-    """(dg, d2g) from the jet rows of the only varying components.
+def _jet_from_rows(g00, g11, g01):
+    """(g, dg, d2g) from the jet rows of the only varying components.
 
-    Both charts vary only in g_00, g_11 and g_01 = g_10.  A row holds
-    the component's partials d_0, d_1, d_2, then d_a d_b for (a, b) in
-    row-major order.
+    Both charts vary only in g_00, g_11 and g_01 = g_10, and g_22 = 1.
+    A row holds the component's value, its partials d_0, d_1, d_2, then
+    d_a d_b for (a, b) in row-major order.
     """
-    out = np.zeros((12, 9))  # [partial, flat (i, j)]
+    out = np.zeros((13, 9))  # [value or partial, flat (i, j)]
     out[:, 0] = g00
     out[:, 4] = g11
     out[:, 1] = out[:, 3] = g01
-    return out[:3].reshape(3, 3, 3), out[3:].reshape(3, 3, 3, 3)
+    out[0, 8] = 1.0
+    return out[0].reshape(3, 3), out[1:4].reshape(3, 3, 3), out[4:].reshape(3, 3, 3, 3)
 
 
-def _cylindrical_partials(point):
-    """Closed-form partials of the cylindrical components; only r and z enter."""
+def _cylindrical_jet(point):
+    """Closed-form jet of the cylindrical components; only r and z enter."""
     r, z = float(point[0]), float(point[2])
     h, h1, h2 = _h_jet(r)
     z2 = z * z
@@ -454,16 +455,16 @@ def _cylindrical_partials(point):
     r2 = r * r
     g11_rz = 2.0 * r * W_z + r2 * W_rz  # g_phiphi = r^2 (1 + W)
     g01_rz = 2.0 * (w_z + r * w_rz)  # g_rphi = 2 r w
-    return _partials_from_rows(
-        [W_r, 0.0, W_z, W_rr, 0.0, W_rz, 0.0, 0.0, 0.0, W_rz, 0.0, W_zz],
+    return _jet_from_rows(
+        [1.0 + W, W_r, 0.0, W_z, W_rr, 0.0, W_rz, 0.0, 0.0, 0.0, W_rz, 0.0, W_zz],
         [
-            2.0 * r * (1.0 + W) + r2 * W_r, 0.0, r2 * W_z,
+            r2 * (1.0 + W), 2.0 * r * (1.0 + W) + r2 * W_r, 0.0, r2 * W_z,
             2.0 * (1.0 + W) + 4.0 * r * W_r + r2 * W_rr, 0.0, g11_rz,
             0.0, 0.0, 0.0,
             g11_rz, 0.0, r2 * W_zz,
         ],
         [
-            2.0 * (w + r * w_r), 0.0, 2.0 * r * w_z,
+            2.0 * w * r, 2.0 * (w + r * w_r), 0.0, 2.0 * r * w_z,
             2.0 * (2.0 * w_r + r * w_rr), 0.0, g01_rz,
             0.0, 0.0, 0.0,
             g01_rz, 0.0, 2.0 * r * w_zz,
@@ -489,18 +490,19 @@ def _radial_times_z2(f, f1, f2, r, x, y, z):
     )
 
 
-def _cartesian_partials(point):
-    """Closed-form partials of the cartesian components.
+def _cartesian_jet(point):
+    """Closed-form jet of the cartesian components.
 
     With F = h/r^2: g_xx = 1 + w^2 - c xy, g_yy = 1 + w^2 + c xy and
     g_xy = c (x^2 - y^2)/2 for w = h z^2 and c = 4 z^2 F.  On the flat
-    core r <= _R_FLAT, the axis included, every partial is exactly 0.
+    core r <= _R_FLAT, the axis included, g is exactly the identity and
+    every partial exactly 0.
     """
     x, y, z = float(point[0]), float(point[1]), float(point[2])
     r = math.hypot(x, y)
     h, h1, h2 = _h_jet(r)
     if h == 0.0 and h1 == 0.0 and h2 == 0.0:
-        return np.zeros((3, 3, 3)), np.zeros((3, 3, 3, 3))
+        return np.eye(3), np.zeros((3, 3, 3)), np.zeros((3, 3, 3, 3))
     r2 = r * r
     F = h / r2
     F1 = h1 / r2 - 2.0 * h / (r2 * r)
@@ -512,32 +514,35 @@ def _cartesian_partials(point):
         4.0 * F, 4.0 * F1, 4.0 * F2, r, x, y, z
     )
     # W = w^2
+    W = w * w
     W0, W1, W2 = 2.0 * w * w0, 2.0 * w * w1, 2.0 * w * w2
     W00, W11 = 2.0 * (w0 * w0 + w * w00), 2.0 * (w1 * w1 + w * w11)
     W22, W01 = 2.0 * (w2 * w2 + w * w22), 2.0 * (w0 * w1 + w * w01)
     W02, W12 = 2.0 * (w0 * w2 + w * w02), 2.0 * (w1 * w2 + w * w12)
     # P = c p with p = xy
     p = x * y
+    P = c * p
     P0, P1, P2 = c0 * p + c * y, c1 * p + c * x, c2 * p
     P00, P11, P22 = c00 * p + 2.0 * c0 * y, c11 * p + 2.0 * c1 * x, c22 * p
     P01, P02, P12 = c01 * p + c0 * x + c1 * y + c, c02 * p + c2 * y, c12 * p + c2 * x
     # M = c m with m = (x^2 - y^2)/2
     m = 0.5 * (x * x - y * y)
+    M = c * m
     M0, M1, M2 = c0 * m + c * x, c1 * m - c * y, c2 * m
     M00, M11, M22 = c00 * m + 2.0 * c0 * x + c, c11 * m - 2.0 * c1 * y - c, c22 * m
     M01, M02, M12 = c01 * m - c0 * y + c1 * x, c02 * m + c2 * x, c12 * m - c2 * y
     xx_01, xx_02, xx_12 = W01 - P01, W02 - P02, W12 - P12
     yy_01, yy_02, yy_12 = W01 + P01, W02 + P02, W12 + P12
-    return _partials_from_rows(
+    return _jet_from_rows(
         [
-            W0 - P0, W1 - P1, W2 - P2,
+            1.0 + W - P, W0 - P0, W1 - P1, W2 - P2,
             W00 - P00, xx_01, xx_02, xx_01, W11 - P11, xx_12, xx_02, xx_12, W22 - P22,
         ],
         [
-            W0 + P0, W1 + P1, W2 + P2,
+            1.0 + W + P, W0 + P0, W1 + P1, W2 + P2,
             W00 + P00, yy_01, yy_02, yy_01, W11 + P11, yy_12, yy_02, yy_12, W22 + P22,
         ],
-        [M0, M1, M2, M00, M01, M02, M01, M11, M12, M02, M12, M22],
+        [M, M0, M1, M2, M00, M01, M02, M01, M11, M12, M02, M12, M22],
     )
 
 
@@ -551,21 +556,22 @@ def example_metric(chart: str = "cylindrical") -> MetricField:
     with h = h_profile.  The cylindrical chart rejects r < 1e-6; near
     the axis use the cartesian chart, where every component is a smooth
     function of (x, y, z) because h/r^2 and h^2 extend smoothly by zero.
-    Both charts carry closed-form first and second partials built from
-    h, h' and h'', so curvature() evaluates the metric at one point.
+    Both charts carry a closed-form jet: g and its first and second
+    partials, all built from the same h, h' and h'' at the point's
+    radius, so curvature() never evaluates the metric array path.
     """
     if chart == "cylindrical":
         return MetricField(
             cylindrical_chart(),
             _cylindrical_evaluate,
-            analytic_partials=_cylindrical_partials,
+            analytic_jet=_cylindrical_jet,
             name="example_cylindrical",
         )
     if chart == "cartesian":
         return MetricField(
             cartesian_chart(3),
             _cartesian_evaluate,
-            analytic_partials=_cartesian_partials,
+            analytic_jet=_cartesian_jet,
             name="example_cartesian",
         )
     raise ValueError("chart must be 'cylindrical' or 'cartesian'")

@@ -548,10 +548,10 @@ def spiral_tracking_run(
 
     Proper time increases outward along the curve, so the inward run
     integrates toward negative s until the radius reaches t_end.  The
-    example metric carries closed-form partials, with which the z = 0
+    example metric carries a closed-form jet, with which the z = 0
     plane is an exact invariant of the computed flow (max |z| is 0).
     ``curvature_step`` is the finite-difference step and applies only
-    to a ``metric`` without closed-form partials.
+    to a ``metric`` without a closed-form jet.
     Returns (trajectory, max tracking error, max |z|).
     """
     fld = metric if metric is not None else example_metric("cylindrical")
@@ -568,7 +568,6 @@ def spiral_tracking_run(
         (0.0, -s_bound),
         cfg,
         stop=lambda st: st.x[0] <= t_end,
-        marked_point=np.zeros(3),
     )
     errors, max_z = spiral_tracking_errors(traj)
     return traj, float(np.max(errors)), max_z

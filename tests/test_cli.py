@@ -116,7 +116,6 @@ def test_trace_spiral_csv_and_golden_match(tmp_path):
         (0.0, -80.0),
         config,
         stop=lambda st: st.x[0] <= t_end,
-        marked_point=np.zeros(3),
     )
     assert len(traj) == len(data)
     np.testing.assert_array_equal(data[:, 0], traj.s)

@@ -22,7 +22,7 @@ FD_TOL = 1e-6
 
 
 def strip_partials(field):
-    return dataclasses.replace(field, analytic_partials=None)
+    return dataclasses.replace(field, analytic_jet=None)
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +197,7 @@ def _battery():
         yield field, np.array(points)
         # the same chart through the finite-difference stencil
         stencil = dataclasses.replace(
-            field, analytic_partials=None, name=f"{field.name}_fd"
+            field, analytic_jet=None, name=f"{field.name}_fd"
         )
         yield stencil, np.array(points)
 

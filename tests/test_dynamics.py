@@ -30,7 +30,7 @@ from confgeo import (
     unparam_residual,
     wedge_form_residual,
 )
-from confgeo import dynamics
+from confgeo import MetricField, dynamics
 from confgeo.verify import RandomMetricSpec, random_gauge_state, spiral_tracking_run
 
 FLAT3 = euclidean_metric(3)
@@ -133,39 +133,66 @@ def test_schouten_override_takes_precedence_over_the_bundle():
     assert given[2][0] == pytest.approx(-1.0)
 
 
-def _counting(field):
-    """The field with its evaluate wrapped in a call counter."""
+def _counting(monkeypatch):
+    """The list that grows by one at each MetricField.__call__."""
     calls = []
+    original = MetricField.__call__
 
-    def evaluate(points):
+    def counted(self, points):
         calls.append(1)
-        return field.evaluate(points)
+        return original(self, points)
 
-    return dataclasses.replace(field, evaluate=evaluate), calls
+    monkeypatch.setattr(MetricField, "__call__", counted)
+    return calls
 
 
-def test_metric_evaluation_counts():
-    # curvature() takes g, g^-1 and the jet from one evaluation: the FD
-    # stencil, or g beside closed-form partials.
-    for base in (example_metric("cylindrical"), example_metric("cartesian"), FLAT3):
-        field, calls = _counting(base)
-        curvature(field, np.array([0.5, 0.3, 0.2]))
-        assert len(calls) == 1, base.name
-    # integrate: one per curvature bundle, which the FSAL refresh and the
-    # accepted-state diagnostics reuse, and two at the initial state.
-    field, calls = _counting(FLAT3)
+def test_metric_evaluation_counts(monkeypatch):
+    # curvature() takes g beside the partials from a closed-form jet, so
+    # it evaluates no metric; the FD stencil is one batched evaluation.
+    calls = _counting(monkeypatch)
+    x3 = np.array([0.5, 0.3, 0.2])
+    cases = [
+        (example_metric("cylindrical"), x3),
+        (example_metric("cartesian"), x3),
+        (FLAT3, x3),
+        (flat_cylindrical_metric(), x3),
+        (flat_polar_metric(), np.array([0.5, 0.3])),
+    ]
+    for field, x in cases:
+        curvature(field, x)
+        assert not calls, field.name
+        curvature(dataclasses.replace(field, analytic_jet=None), x)
+        assert len(calls) == 1, field.name
+        calls.clear()
+    # integrate: one evaluation, of the initial state's g for its gauge
+    # check and diagnostics; every later g comes from a curvature bundle,
+    # one per RHS except at the FSAL refreshes.
+    curvatures = []
+    original = dynamics.curvature
+
+    def counted_curvature(*args, **kwargs):
+        curvatures.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "curvature", counted_curvature)
     cfg = IntegratorConfig(rtol=1e-8, atol=1e-8)
-    traj = integrate(field, circle_state(1.0), (0.0, 2.0), cfg)
-    assert len(traj) > 2 and _refreshes(traj) > 0
-    assert len(calls) == traj.rhs_evaluations - _refreshes(traj) + 2
+    traj = integrate(FLAT3, circle_state(1.0), (0.0, 2.0), cfg)
+    assert traj.status == "ok" and len(calls) == 1
+    # every step's renormalisation moved the state, and the one at the
+    # end of s_span needs no refresh
+    assert np.all(traj.projection[1:] > 0.0)
+    assert _refreshes(traj) == len(traj) - 2 > 0
+    assert len(curvatures) == traj.rhs_evaluations - _refreshes(traj)
 
 
 def _refreshes(traj):
     """FSAL refreshes of an integration: accepted steps whose
-    renormalisation moved the state, except one that met the stop
-    condition (integrate returns before refreshing after it)."""
+    renormalisation moved the state, except the last one when the run
+    ended by its stop condition or at the end of s_span (integrate
+    computes no refresh after either)."""
     moved = traj.projection[1:] > 0.0
-    return int(np.count_nonzero(moved)) - int(traj.status == "stopped" and moved[-1])
+    ended = moved.size > 0 and moved[-1] and traj.status in ("stopped", "ok")
+    return int(np.count_nonzero(moved)) - int(ended)
 
 
 def test_one_curvature_per_distinct_point(monkeypatch):
@@ -181,8 +208,9 @@ def test_one_curvature_per_distinct_point(monkeypatch):
     assert len(set(points)) == len(points)
     assert (len(traj), traj.rhs_evaluations, _refreshes(traj)) == (262, 1827, 260)
     assert len(points) == 1827 - 260
-    # the trajectory of the run that recomputed the bundle at each refresh
-    assert track_err == pytest.approx(1.916786583351105e-08, rel=1e-9)
+    # the trajectory to rounding; abs=0 because approx's default absolute
+    # tolerance, 1e-12, is 5e-5 of this value
+    assert track_err == pytest.approx(1.9167931688468834e-08, rel=1e-9, abs=0.0)
 
 
 def test_integrate_logs_one_summary(caplog):
@@ -393,7 +421,7 @@ def test_from_unparametrized_spiral_closed_form():
     vb = float(st.v @ g @ st.b)
     a_oracle = (st.b - vb / speed**2 * st.v) / speed**2
     np.testing.assert_allclose(geo.a, a_oracle, rtol=1e-13)
-    geo.require_gauge(field, tol=1e-12)
+    geo.require_gauge(g, tol=1e-12)
 
 
 def test_from_unparametrized_rejects_zero_velocity():
@@ -502,15 +530,9 @@ def test_integrate_stop_condition():
 
 
 def test_integrate_marked_point_distance():
-    st = circle_state(1.0)
-    traj = integrate(
-        FLAT3,
-        st,
-        (0.0, np.pi),
-        IntegratorConfig(),
-        marked_point=np.zeros(3),
-    )
-    np.testing.assert_allclose(traj.marked_distance, 1.0, atol=1e-8)
+    traj = integrate(FLAT3, circle_state(1.0), (0.0, np.pi), IntegratorConfig())
+    distance = np.linalg.norm(traj.cartesian_positions(), axis=1)
+    np.testing.assert_allclose(distance, 1.0, atol=1e-8)
 
 
 def test_integrate_rejects_bad_gauge():

@@ -1,11 +1,12 @@
 """Closed-form metric jets of the example metric, against sympy and the stencil.
 
-The example metric carries exact first and second partials in both
-charts.  The oracle here differentiates the metric components
-symbolically with sympy: k and the cutoff are differentiated in r, and
-each component is differentiated with h replaced by its second-order
-Taylor polynomial about the point's radius (first and second partials
-at a point only see h, h' and h'' there), then evaluated to 30 digits.
+The example metric carries an exact jet (g and its first and second
+partials) in both charts.  The oracle here differentiates the metric
+components symbolically with sympy: k and the cutoff are differentiated
+in r, and each component is differentiated with h replaced by its
+second-order Taylor polynomial about the point's radius (the value and
+the first and second partials at a point only see h, h' and h'' there),
+then evaluated to 30 digits.
 """
 import dataclasses
 import functools
@@ -104,8 +105,8 @@ def _profile_jet(sp, radius):
 
 
 @functools.lru_cache(maxsize=None)
-def _component_partials(sp, chart):
-    """Partials of g_00, g_11 and g_01 as one mpmath function of
+def _component_jets(sp, chart):
+    """Values and partials of g_00, g_11 and g_01 as one mpmath function of
     (point, r0, h0, h1, h2), with h replaced by its Taylor polynomial
     h0 + h1 (r - r0) + h2 (r - r0)^2 / 2 about r0."""
     r0, h0, h1, h2 = sp.symbols("r0 h0 h1 h2", real=True)
@@ -130,31 +131,33 @@ def _component_partials(sp, chart):
     exprs = []
     for g in components:
         first = [sp.diff(g, a) for a in coords]
-        exprs += first + [sp.diff(da, b) for da in first for b in coords]
+        exprs += [g, *first] + [sp.diff(da, b) for da in first for b in coords]
     return sp.lambdify([*coords, r0, h0, h1, h2], exprs, "mpmath")
 
 
 def _oracle(sp, chart, point):
-    """(dg, d2g) of the example metric at ``point`` to DIGITS digits."""
+    """(g, dg, d2g) of the example metric at ``point`` to DIGITS digits."""
     import mpmath
 
     radius = point[0] if chart == "cylindrical" else float(np.hypot(*point[:2]))
+    g = np.eye(3)
     dg = np.zeros((3, 3, 3))
     d2g = np.zeros((3, 3, 3, 3))
     if radius == 0.0:
         # h vanishes to all orders at r = 0, so g is flat to second order there
-        return dg, d2g
+        return g, dg, d2g
     with mpmath.workdps(DIGITS):
         jet = _profile_jet(sp, radius)
-        values = _component_partials(sp, chart)(
+        values = _component_jets(sp, chart)(
             *(mpmath.mpf(v) for v in point), mpmath.mpf(radius), *jet
         )
-    rows = np.array([float(v) for v in values]).reshape(3, 12)
+    rows = np.array([float(v) for v in values]).reshape(3, 13)
     for row, pairs in zip(rows, [[(0, 0)], [(1, 1)], [(0, 1), (1, 0)]]):
         for i, j in pairs:
-            dg[:, i, j] = row[:3]
-            d2g[:, :, i, j] = row[3:].reshape(3, 3)
-    return dg, d2g
+            g[i, j] = row[0]
+            dg[:, i, j] = row[1:4]
+            d2g[:, :, i, j] = row[4:].reshape(3, 3)
+    return g, dg, d2g
 
 
 def _assert_matches(actual, expected, rel=1e-12):
@@ -166,18 +169,26 @@ def _assert_matches(actual, expected, rel=1e-12):
             np.testing.assert_allclose(a, e, rtol=0.0, atol=rel * scale)
 
 
+def _assert_jet_matches(sp, chart, point):
+    """The jet at ``point`` against the oracle, and its g against the
+    metric's array path to a few ulps of g's largest entry."""
+    field = example_metric(chart)
+    g, dg, d2g = field.analytic_jet(np.array(point))
+    g_exact, dg_exact, d2g_exact = _oracle(sp, chart, point)
+    _assert_matches((dg, d2g), (dg_exact, d2g_exact))
+    _assert_matches((g,), (g_exact,), rel=4 * np.finfo(float).eps)
+    evaluated = field(np.array(point))
+    assert np.max(np.abs(g - evaluated)) <= 4 * np.spacing(np.max(np.abs(evaluated)))
+
+
 @pytest.mark.parametrize("point", CYLINDRICAL_POINTS, ids=str)
 def test_cylindrical_partials_match_sympy(sp, point):
-    field = example_metric("cylindrical")
-    exact = _oracle(sp, "cylindrical", point)
-    _assert_matches(field.analytic_partials(np.array(point)), exact)
+    _assert_jet_matches(sp, "cylindrical", point)
 
 
 @pytest.mark.parametrize("point", CARTESIAN_POINTS, ids=str)
 def test_cartesian_partials_match_sympy(sp, point):
-    field = example_metric("cartesian")
-    exact = _oracle(sp, "cartesian", point)
-    _assert_matches(field.analytic_partials(np.array(point)), exact)
+    _assert_jet_matches(sp, "cartesian", point)
 
 
 @pytest.mark.parametrize(
@@ -195,7 +206,7 @@ def test_cartesian_partials_match_sympy(sp, point):
 )
 def test_closed_form_partials_agree_with_the_stencil(chart, points):
     field = example_metric(chart)
-    stencil = dataclasses.replace(field, analytic_partials=None)
+    stencil = dataclasses.replace(field, analytic_jet=None)
     for point in np.array(points):
         for order in (1, 2):
             exact = metric_derivatives(field, point, order)

@@ -7,6 +7,10 @@ import pytest
 from confgeo import (
     Chart,
     ChartSingularityError,
+    DegenerateMetricError,
+    MetricField,
+    cartesian_chart,
+    curvature,
     cylindrical_chart,
     euclidean_metric,
     flat_cylindrical_metric,
@@ -20,7 +24,7 @@ from confgeo.verify import RandomMetricSpec
 
 def strip_partials(field):
     """Force the finite-difference route of a metric with analytic partials."""
-    return dataclasses.replace(field, analytic_partials=None)
+    return dataclasses.replace(field, analytic_jet=None)
 
 
 def test_chart_validation():
@@ -106,3 +110,58 @@ def test_metric_inverse_helpers():
     np.testing.assert_allclose(ginv, np.diag([1.0, 0.25]), atol=1e-15)
     assert field.norm(x, np.array([0.0, 1.0])) == pytest.approx(2.0)
     assert field.inner(x, np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# the checked inverse, behind MetricField.inverse and curvature()
+# ---------------------------------------------------------------------------
+
+
+def _constant_metric(G):
+    n = len(G)
+    return MetricField(
+        cartesian_chart(n),
+        lambda p: np.broadcast_to(G, np.shape(p)[:-1] + G.shape).copy(),
+        analytic_jet=lambda p: (G, np.zeros((n,) * 3), np.zeros((n,) * 4)),
+        name=f"constant{n}d",
+    )
+
+
+def _well_conditioned(n):
+    rng = np.random.default_rng(n)
+    A = rng.uniform(-0.3, 0.3, size=(n, n))
+    return np.eye(n) + 0.5 * (A + A.T)
+
+
+def _degenerate(kind, n):
+    G = _well_conditioned(n)
+    if kind == "singular":
+        G[-1], G[:, -1] = G[0], G[:, 0]  # the last row and column repeat the first
+    elif kind == "condition_1e12":
+        q, _ = np.linalg.qr(np.random.default_rng(n).normal(size=(n, n)))
+        G = (q * np.logspace(0, -12, n)) @ q.T
+    else:
+        G[0, -1] = G[-1, 0] = {"nan": np.nan, "inf": np.inf}[kind]
+    return G
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("kind", ["singular", "condition_1e12", "nan", "inf"])
+def test_degenerate_metric_is_rejected(kind, n):
+    field = _constant_metric(_degenerate(kind, n))
+    x = np.full(n, 0.1)
+    with pytest.raises(DegenerateMetricError):
+        field.inverse(x)
+    with pytest.raises(DegenerateMetricError):
+        curvature(field, x)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+def test_well_conditioned_metric_is_inverted_at_any_scale(scale, n):
+    G = scale * _well_conditioned(n)
+    field = _constant_metric(G)
+    x = np.full(n, 0.1)
+    for ginv in (field.inverse(x), curvature(field, x).inverse_metric):
+        np.testing.assert_allclose(ginv @ G, np.eye(n), rtol=0.0, atol=1e-14)
+        np.testing.assert_allclose(ginv, np.linalg.inv(G), rtol=1e-14)

@@ -372,7 +372,7 @@ def test_example_metric_derivatives_continuous_across_axis():
 
     from confgeo.curvature import _metric_jets
 
-    cart = dataclasses.replace(example_metric("cartesian"), analytic_partials=None)
+    cart = dataclasses.replace(example_metric("cartesian"), analytic_jet=None)
     z = 1.2
 
     def jet_at(radius):
