@@ -60,14 +60,16 @@ class GeodesicState:
             abs(float(self.u @ g @ self.a)),
         )
 
-    def require_gauge(self, g: np.ndarray, tol: float = GAUGE_TOL):
-        """Raise unless both gauge residuals for the metric matrix g are within tol."""
+    def require_gauge(self, field: MetricField, tol: float = GAUGE_TOL) -> np.ndarray:
+        """Raise unless both gauge residuals are within tol; return g at x."""
+        g = field(self.x)
         e_norm, e_orth = self.gauge_residuals(g)
         if e_norm > tol or e_orth > tol:
             raise ConfgeoError(
                 f"state violates proper-time gauge: | |u|^2-1 |={e_norm:.3e}, "
                 f"|g(u,a)|={e_orth:.3e}"
             )
+        return g
 
 
 @dataclass(frozen=True)
@@ -389,8 +391,7 @@ def integrate(
     """
     config = config or IntegratorConfig()
     n = field.dimension
-    g = field(initial.x)
-    initial.require_gauge(g, tol=1e-6)
+    g = initial.require_gauge(field, tol=1e-6)
 
     s0, s1 = float(s_span[0]), float(s_span[1])
     direction = 1.0 if s1 >= s0 else -1.0

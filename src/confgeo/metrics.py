@@ -9,7 +9,6 @@ curvature, geodesic integration) consumes these two types.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -153,59 +152,28 @@ class MetricField:
         return float(np.sqrt(max(self.inner(point, u, u), 0.0)))
 
 
-# Condition number |g| |g^-1| (max row sums) above which a metric is
-# rejected: its inverse then carries relative errors up to cond * eps,
-# about 2e-7.
+# Largest max_i g_ii (g^-1)_ii accepted by _checked_inverse.
 MAX_CONDITION = 1e9
-
-
-def _adjugate(rows):
-    """(adjugate, determinant) of a 2x2 or 3x3 matrix given as nested lists."""
-    if len(rows) == 2:
-        (a, b), (c, d) = rows
-        return [[d, -b], [-c, a]], a * d - b * c
-    (a, b, c), (d, e, f), (g, h, i) = rows
-    A, B, C = e * i - f * h, f * g - d * i, d * h - e * g
-    adjugate = [
-        [A, c * h - b * i, b * f - c * e],
-        [B, a * i - c * g, c * d - a * f],
-        [C, b * g - a * h, a * e - b * d],
-    ]
-    return adjugate, a * A + b * B + c * C
-
-
-def _row_sum_norm(rows) -> float:
-    return max(sum(map(abs, row)) for row in rows)
 
 
 def _checked_inverse(g: np.ndarray, point) -> np.ndarray:
     """Inverse of the metric matrix g at a point, rejecting degenerate g.
 
-    Dimensions 2 and 3 use the adjugate over the determinant, computed
-    on g times the power of two that brings its largest entry into
-    [0.5, 1), which is exact and keeps the determinant in range; larger
-    dimensions use np.linalg.inv.  g is rejected when it is singular or
-    not finite, or when its condition number exceeds MAX_CONDITION; the
-    condition number does not depend on g's scale.
+    g is rejected when it is singular or not finite, or when
+    cond = max_i g_ii (g^-1)_ii exceeds MAX_CONDITION.  cond is the
+    largest diagonal entry of the inverse of D^-1/2 g D^-1/2 (D = diag g),
+    the metric with every coordinate rescaled to unit length, so it is 1
+    for any diagonal g, near a chart's axis too, and does not change when
+    a coordinate is rescaled.  For positive-definite g it bounds the
+    2-norm condition number k of D^-1/2 g D^-1/2 as k / n^2 <= cond <= k.
     """
-    n = len(g)
-    if n <= 3:
-        rows = g.tolist()
-        s = math.ldexp(1.0, -math.frexp(max(abs(v) for row in rows for v in row))[1])
-        adjugate, det = _adjugate([[v * s for v in row] for row in rows])
-        if det == 0.0 or not math.isfinite(det):  # a nan or inf entry makes det so
-            raise DegenerateMetricError(f"metric singular at {point}")
-        inverse = [[v / det * s for v in row] for row in adjugate]
-        cond = _row_sum_norm(rows) * _row_sum_norm(inverse)
-        ginv = np.array(inverse)
-    else:
-        try:
-            ginv = np.linalg.inv(g)
-        except np.linalg.LinAlgError as exc:
-            raise DegenerateMetricError(f"metric singular at {point}") from exc
-        cond = float(np.linalg.norm(g, np.inf) * np.linalg.norm(ginv, np.inf))
-    if not math.isfinite(cond):
-        raise DegenerateMetricError(f"metric singular at {point}")
+    try:
+        ginv = np.linalg.inv(g)
+    except np.linalg.LinAlgError as exc:
+        raise DegenerateMetricError(f"metric singular at {point}") from exc
+    if not (np.isfinite(g).all() and np.isfinite(ginv).all()):
+        raise DegenerateMetricError(f"metric not finite at {point}")
+    cond = float((g.diagonal() * ginv.diagonal()).max())
     if cond > MAX_CONDITION:
         raise DegenerateMetricError(
             f"metric ill-conditioned at {point} (condition number {cond:.3g})"

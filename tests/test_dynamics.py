@@ -147,9 +147,20 @@ def _counting(monkeypatch):
 
 
 def test_metric_evaluation_counts(monkeypatch):
-    # curvature() takes g beside the partials from a closed-form jet, so
-    # it evaluates no metric; the FD stencil is one batched evaluation.
+    # curvature() on an analytic metric takes g beside the partials from
+    # its jet and makes no MetricField.__call__; the FD stencil is one
+    # batched call.  The flat metrics' jets still evaluate g, through the
+    # evaluate function they close over, which that count does not see.
     calls = _counting(monkeypatch)
+    evaluations = []
+
+    def counted(field):
+        def evaluate(points):
+            evaluations.append(1)
+            return field.evaluate(points)
+
+        return dataclasses.replace(field, evaluate=evaluate)
+
     x3 = np.array([0.5, 0.3, 0.2])
     cases = [
         (example_metric("cylindrical"), x3),
@@ -164,9 +175,18 @@ def test_metric_evaluation_counts(monkeypatch):
         curvature(dataclasses.replace(field, analytic_jet=None), x)
         assert len(calls) == 1, field.name
         calls.clear()
-    # integrate: one evaluation, of the initial state's g for its gauge
-    # check and diagnostics; every later g comes from a curvature bundle,
-    # one per RHS except at the FSAL refreshes.
+    # The example charts' jets build g from h, h', h'' and call no
+    # evaluate function at all.
+    for field in (example_metric("cylindrical"), example_metric("cartesian")):
+        curvature(counted(field), x3)
+        assert not evaluations, field.name
+        curvature(counted(dataclasses.replace(field, analytic_jet=None)), x3)
+        assert len(evaluations) == 1, field.name
+        evaluations.clear()
+    calls.clear()
+    # integrate: one MetricField.__call__, for the initial state's g (its
+    # gauge check and diagnostics); every later g comes from a curvature
+    # bundle, one per RHS except at the FSAL refreshes.
     curvatures = []
     original = dynamics.curvature
 
@@ -421,7 +441,7 @@ def test_from_unparametrized_spiral_closed_form():
     vb = float(st.v @ g @ st.b)
     a_oracle = (st.b - vb / speed**2 * st.v) / speed**2
     np.testing.assert_allclose(geo.a, a_oracle, rtol=1e-13)
-    geo.require_gauge(g, tol=1e-12)
+    np.testing.assert_array_equal(geo.require_gauge(field, tol=1e-12), g)
 
 
 def test_from_unparametrized_rejects_zero_velocity():

@@ -157,11 +157,34 @@ def test_degenerate_metric_is_rejected(kind, n):
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
-@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3, (1e-5, 1e5)])
 def test_well_conditioned_metric_is_inverted_at_any_scale(scale, n):
-    G = scale * _well_conditioned(n)
+    # g_ij times s_i s_j: every coordinate alike (g times 1e-6, 1, 1e6), or
+    # by 1e-5 and 1e5 in turn, which makes |g| |g^-1| about 1e20 while the
+    # metric is as well conditioned as before.
+    s = np.resize(scale, n)
+    G = _well_conditioned(n) * np.outer(s, s)
     field = _constant_metric(G)
     x = np.full(n, 0.1)
+    expected = np.linalg.inv(_well_conditioned(n)) / np.outer(s, s)
     for ginv in (field.inverse(x), curvature(field, x).inverse_metric):
-        np.testing.assert_allclose(ginv @ G, np.eye(n), rtol=0.0, atol=1e-14)
-        np.testing.assert_allclose(ginv, np.linalg.inv(G), rtol=1e-14)
+        np.testing.assert_allclose(ginv, expected, rtol=1e-13)
+
+
+@pytest.mark.parametrize(
+    "field, x",
+    [
+        (flat_cylindrical_metric(), [2e-6, 0.3, 0.1]),
+        (flat_polar_metric(), [2e-6, 0.3]),
+        (round_sphere_metric(), [2e-6, 0.3]),
+        (round_sphere_metric(), [np.pi - 2e-6, 0.3]),
+    ],
+)
+def test_metric_next_to_the_chart_axis_is_inverted(field, x):
+    # g = diag(1, r^2, ...) with r just above AXIS_TOL: |g| |g^-1| = 1/r^2
+    # exceeds MAX_CONDITION, but a diagonal g is inverted exactly.
+    x = np.array(x)
+    g = field(x)
+    assert np.linalg.norm(g, np.inf) * np.linalg.norm(np.linalg.inv(g), np.inf) > 1e10
+    for ginv in (field.inverse(x), curvature(field, x).inverse_metric):
+        np.testing.assert_array_equal(ginv, np.diag(1.0 / g.diagonal()))
