@@ -28,7 +28,7 @@ from scipy.integrate import quad
 from .bivectors import Bivector, _transport
 from .curvature import CurvatureBundle, curvature
 from .errors import ConfgeoError, ImmersionError
-from .metrics import MetricField, _checked_inverse
+from .metrics import MetricField
 
 GAUGE_TOL = 1e-9
 
@@ -161,6 +161,18 @@ def _schouten(bundle, x, override):
     return bundle.schouten
 
 
+def _bundle_at(field, x, bundle, curvature_step):
+    """The caller's curvature bundle at x, checked to sit exactly there,
+    or a new one computed at x when the caller has none."""
+    if bundle is None:
+        return curvature(field, x, step=curvature_step)
+    if not np.array_equal(bundle.point, x):
+        raise ValueError(
+            f"curvature bundle is at {bundle.point}, not at the state's point {x}"
+        )
+    return bundle
+
+
 def _covariant_wedge(gamma, v, b, db):
     """(S, nabla_v S) for S = v ^ b, where b = nabla_v v and db is the
     parameter derivative of the components of b."""
@@ -192,12 +204,7 @@ def propertime_rhs(
     bundle is computed here.
     """
     x, u, a = state.x, state.u, state.a
-    if bundle is None:
-        bundle = curvature(field, x, step=curvature_step)
-    elif not np.array_equal(bundle.point, x):
-        raise ValueError(
-            f"curvature bundle is at {bundle.point}, not at the state's point {x}"
-        )
+    bundle = _bundle_at(field, x, bundle, curvature_step)
     gamma = bundle.christoffel
     g = bundle.metric
     L = _schouten(bundle, x, schouten_override)
@@ -217,6 +224,8 @@ def wedge_form_residual(
     state: GeodesicState,
     da: np.ndarray,
     curvature_step: Optional[float] = None,
+    *,
+    bundle: Optional[CurvatureBundle] = None,
 ) -> Bivector:
     """Residual of the wedge form nabla_u(u ^ a) = u ^ L^u.
 
@@ -224,9 +233,11 @@ def wedge_form_residual(
     The residual vanishes exactly when da agrees with the proper-time
     right-hand side up to a multiple of u (the wedge is blind to
     tangential differences, which the gauge conditions determine).
+    ``bundle`` is the curvature bundle at ``state.x`` when the caller
+    already has it, as in ``propertime_rhs``.
     """
     x, u, a = state.x, state.u, state.a
-    bundle = curvature(field, x, step=curvature_step)
+    bundle = _bundle_at(field, x, bundle, curvature_step)
     l_hat_u = bundle.inverse_metric @ _schouten(bundle, x, None) @ u
     _, cov = _covariant_wedge(bundle.christoffel, u, a, da)
     rhs = np.outer(u, l_hat_u) - np.outer(l_hat_u, u)
@@ -239,16 +250,19 @@ def unparam_residual(
     db: np.ndarray,
     curvature_step: Optional[float] = None,
     schouten_override: Optional[Callable] = None,
+    *,
+    bundle: Optional[CurvatureBundle] = None,
 ) -> Bivector:
     """Residual of nabla_v (v ^ b / |v|^3) = (v ^ L^v) / |v|.
 
     Zero (to rounding) for any parametrization of a conformal geodesic.
     ``db`` is the parameter derivative of the components of b; the
     normalized bivector is differentiated by the quotient rule using
-    d|v|/dt = g(v, b) / |v|.
+    d|v|/dt = g(v, b) / |v|.  ``bundle`` is the curvature bundle at
+    ``state.x`` when the caller already has it, as in ``propertime_rhs``.
     """
     x, v, b = state.x, state.v, state.b
-    bundle = curvature(field, x, step=curvature_step)
+    bundle = _bundle_at(field, x, bundle, curvature_step)
     g = bundle.metric
     speed2 = float(v @ g @ v)
     if speed2 <= 0.0:
@@ -270,19 +284,19 @@ def unparam_residual_scale(
     db: np.ndarray,
     curvature_step: Optional[float] = None,
     schouten_override: Optional[Callable] = None,
+    *,
+    bundle: Optional[CurvatureBundle] = None,
 ) -> float:
     """Magnitude of the terms that cancel inside unparam_residual.
 
     Residuals are best judged relative to this: for the spiral curve
     the individual terms blow up like e^(1/t) while their sum vanishes.
+    ``bundle`` is the curvature bundle at ``state.x`` when the caller
+    already has it, as in ``propertime_rhs``; g and g^-1 come from it.
     """
     x, v, b = state.x, state.v, state.b
-    if schouten_override is None:
-        bundle = curvature(field, x, step=curvature_step)
-        g, ginv = bundle.metric, bundle.inverse_metric
-    else:
-        bundle, g = None, field(x)
-        ginv = _checked_inverse(g, x)
+    bundle = _bundle_at(field, x, bundle, curvature_step)
+    g, ginv = bundle.metric, bundle.inverse_metric
     speed = np.sqrt(float(v @ g @ v))
     l_hat_v = ginv @ _schouten(bundle, x, schouten_override) @ v
     db = np.asarray(db, float)

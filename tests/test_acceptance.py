@@ -29,6 +29,7 @@ import pytest
 from confgeo import (
     IntegratorConfig,
     circle_state,
+    curvature,
     euclidean_metric,
     example_metric,
     flat_cylindrical_metric,
@@ -459,7 +460,8 @@ def test_criterion_9_negative_controls():
     res_da = wedge_form_residual(field, st, da + 1e-3 * w).norm(field)
 
     # broken reparametrization data: unparametrized residual must fire
-    ust, db = _reparametrized(field, st, da, 1.7, 0.3, -0.2)
+    gamma = curvature(field, st.x).christoffel
+    ust, db = _reparametrized(gamma, st, da, 1.7, 0.3, -0.2)
     wv = _orthogonal_direction(field(st.x), ust.v, rng)
     res_rep = unparam_residual(field, ust, db + 1e-3 * wv).norm(field)
 

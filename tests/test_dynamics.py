@@ -31,6 +31,7 @@ from confgeo import (
     wedge_form_residual,
 )
 from confgeo import MetricField, dynamics
+from confgeo.dynamics import unparam_residual_scale
 from confgeo.verify import RandomMetricSpec, random_gauge_state, spiral_tracking_run
 
 FLAT3 = euclidean_metric(3)
@@ -104,17 +105,42 @@ def _rhs_cases():
     "field,state", list(_rhs_cases()), ids=lambda v: getattr(v, "name", "")
 )
 def test_rhs_with_given_bundle_is_bit_identical(field, state):
+    bundle = curvature(field, state.x)
     plain = propertime_rhs(field, state)
-    given = propertime_rhs(field, state, bundle=curvature(field, state.x))
+    given = propertime_rhs(field, state, bundle=bundle)
     for p, q in zip(plain, given):
         assert np.array_equal(p, q)
+    # the residuals take the caller's bundle the same way
+    da = plain[2] + 0.1 * state.u
+    ust = UnparamState(state.x, 1.7 * state.u, state.a)
+    for residual, st, d in (
+        (wedge_form_residual, state, da),
+        (unparam_residual, ust, da),
+    ):
+        p, q = residual(field, st, d), residual(field, st, d, bundle=bundle)
+        assert np.array_equal(p.components, q.components)
+    assert unparam_residual_scale(field, ust, da) == unparam_residual_scale(
+        field, ust, da, bundle=bundle
+    )
+
+
+def _bundle_takers():
+    """Each function that takes a caller's bundle, called at a state."""
+    zeros = np.zeros(3)
+    yield lambda st, **kw: propertime_rhs(FLAT3, st, **kw)
+    yield lambda st, **kw: wedge_form_residual(FLAT3, st, zeros, **kw)
+    for residual in (unparam_residual, unparam_residual_scale):
+        yield lambda st, residual=residual, **kw: residual(
+            FLAT3, UnparamState(st.x, st.u, st.a), zeros, **kw
+        )
 
 
 def test_rhs_rejects_a_bundle_at_another_point():
     st = circle_state(1.0)
     elsewhere = curvature(FLAT3, st.x + np.array([0.0, 0.0, 1e-12]))
-    with pytest.raises(ValueError, match="not at the state's point"):
-        propertime_rhs(FLAT3, st, bundle=elsewhere)
+    for call in _bundle_takers():
+        with pytest.raises(ValueError, match="not at the state's point"):
+            call(st, bundle=elsewhere)
 
 
 def test_schouten_override_takes_precedence_over_the_bundle():

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from confgeo import dynamics, verify
 from confgeo.verify import (
     RandomMetricSpec,
     check_lemma1,
@@ -76,6 +77,29 @@ def test_random_metric_spec_deterministic():
     f2 = RandomMetricSpec(seed=77).build()
     pts = np.random.default_rng(0).uniform(-1, 1, size=(5, 3))
     np.testing.assert_array_equal(f1(pts), f2(pts))
+    # the exponent table is built once per (dimension, degree) and shared
+    exps = verify._monomial_exponents(3, 3)
+    assert exps is verify._monomial_exponents(3, 3) and not exps.flags.writeable
+    assert exps.shape == (20, 3) and exps.sum(axis=1).max() == 3
+
+
+def test_one_curvature_bundle_per_random_instance(monkeypatch):
+    # Every residual of a check takes the bundle its instance already
+    # has, so the checks build one curvature() bundle per random point.
+    calls = []
+    original = dynamics.curvature
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "curvature", counted)
+    monkeypatch.setattr(verify, "curvature", counted)
+    assert check_lemma1(trials=3, seed=5).passed
+    assert len(calls) == 3
+    calls.clear()
+    assert check_lemma2(trials=2, reparams=4, seed=6).passed
+    assert len(calls) == 2
 
 
 def test_run_checks_selection():
