@@ -31,12 +31,12 @@ class Bivector:
         if np.max(np.abs(comp + comp.T)) > 1e-6 * (1.0 + np.max(np.abs(comp))):
             raise ValueError("bivector components must be antisymmetric")
 
-    def norm(self, field: MetricField) -> float:
-        """Metric norm |B| = sqrt(1/2 B^mn B^ab g_ma g_nb).
+    def norm(self, g: np.ndarray) -> float:
+        """Metric norm |B| = sqrt(1/2 B^mn B^ab g_ma g_nb) for the metric
+        matrix g at the base point.
 
         The 1/2 makes |u ^ w| = |u| |w| sin(angle) for unit bivectors.
         """
-        g = field(self.base_point)
         low = g @ self.components @ g.T
         return float(np.sqrt(max(0.5 * np.sum(self.components * low), 0.0)))
 
@@ -48,7 +48,7 @@ def wedge(u, w, base_point) -> Bivector:
     """(u ^ w)^mn = u^m w^n - u^n w^m."""
     u = np.asarray(u, dtype=float)
     w = np.asarray(w, dtype=float)
-    return Bivector(np.outer(u, w) - np.outer(w, u), base_point)
+    return Bivector(u[:, None] * w - w[:, None] * u, base_point)
 
 
 def bivector_covariant_derivative(

@@ -85,8 +85,9 @@ class UnparamState:
         for name in ("x", "v", "b"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), float))
 
-    def speed(self, field: MetricField) -> float:
-        return field.norm(self.x, self.v)
+    def speed(self, g: np.ndarray) -> float:
+        """|v| for the metric matrix g at the state's point."""
+        return float(np.sqrt(max(float(self.v @ g @ self.v), 0.0)))
 
 
 @dataclass(frozen=True)
@@ -178,9 +179,9 @@ def _covariant_wedge(gamma, v, b, db):
     parameter derivative of the components of b."""
     v_dot = b - np.einsum("mab,a,b->m", gamma, v, v)
     db = np.asarray(db, float)
-    S = np.outer(v, b) - np.outer(b, v)
-    dS = (np.outer(v_dot, b) + np.outer(v, db)) - (
-        np.outer(b, v_dot) + np.outer(db, v)
+    S = v[:, None] * b - b[:, None] * v
+    dS = (v_dot[:, None] * b + v[:, None] * db) - (
+        b[:, None] * v_dot + db[:, None] * v
     )
     return S, _transport(gamma, v, S, dS)
 
@@ -240,7 +241,7 @@ def wedge_form_residual(
     bundle = _bundle_at(field, x, bundle, curvature_step)
     l_hat_u = bundle.inverse_metric @ _schouten(bundle, x, None) @ u
     _, cov = _covariant_wedge(bundle.christoffel, u, a, da)
-    rhs = np.outer(u, l_hat_u) - np.outer(l_hat_u, u)
+    rhs = u[:, None] * l_hat_u - l_hat_u[:, None] * u
     return Bivector(cov - rhs, x)
 
 
@@ -274,7 +275,7 @@ def unparam_residual(
     S, cov_S = _covariant_wedge(bundle.christoffel, v, b, db)
     dspeed = float(v @ g @ b) / speed
     cov_W = cov_S / speed**3 - 3.0 * S * dspeed / speed**4
-    rhs = (np.outer(v, l_hat_v) - np.outer(l_hat_v, v)) / speed
+    rhs = (v[:, None] * l_hat_v - l_hat_v[:, None] * v) / speed
     return Bivector(cov_W - rhs, x)
 
 
@@ -300,11 +301,11 @@ def unparam_residual_scale(
     speed = np.sqrt(float(v @ g @ v))
     l_hat_v = ginv @ _schouten(bundle, x, schouten_override) @ v
     db = np.asarray(db, float)
-    S = np.abs(np.outer(v, b) - np.outer(b, v)).max()
+    S = np.abs(v[:, None] * b - b[:, None] * v).max()
     pieces = [
-        np.abs(np.outer(v, db) - np.outer(db, v)).max() / speed**3,
+        np.abs(v[:, None] * db - db[:, None] * v).max() / speed**3,
         3.0 * S * abs(float(v @ g @ b)) / speed**4,
-        np.abs(np.outer(v, l_hat_v) - np.outer(l_hat_v, v)).max() / speed,
+        np.abs(v[:, None] * l_hat_v - l_hat_v[:, None] * v).max() / speed,
     ]
     return max(max(pieces), 1e-300)
 

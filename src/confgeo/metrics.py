@@ -9,6 +9,7 @@ curvature, geodesic integration) consumes these two types.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -288,6 +289,55 @@ def round_sphere_metric(radius: float = 1.0) -> MetricField:
     return MetricField(sphere_chart(), evaluate, name=f"sphere(R={radius})")
 
 
+@functools.lru_cache(maxsize=64)
+def _power_rule_tables(shape, data):
+    """The power-rule jet of the exponent table ``data`` (int64 bytes of
+    the given (m, dim) shape), coefficient-free, as K = 1 + dim + dim^2
+    tables zero-padded to a common length m_max.
+
+    Table 0 is the polynomial itself, table 1 + a its d_a partial and
+    table 1 + dim + dim a + b its d_a d_b partial, by d_a (x^e) =
+    e_a x^(e - 1_a).  Returns read-only arrays (index, n_powers, slots,
+    rows, first, second): monomial j of table k is the product over a of
+    entries index[k, j, a] of the flattened (dim, n_powers) table of
+    x_a^p, p < n_powers; the entries that are not padding sit at the flat
+    positions ``slots`` of the (K, m_max) tables, and each is coefficient
+    row ``rows`` of the polynomial times ``first`` and then ``second``
+    (the factors of the first and the second derivative, in the order the
+    rule applies them; 1 where there is none).
+    """
+    dim = shape[1]
+    exps = np.frombuffer(data, dtype=np.int64).reshape(shape)
+
+    def derive(table, axis, order):
+        e, rows, factors = table
+        mask = e[:, axis] > 0
+        e, factors = e[mask].copy(), factors[mask].copy()
+        factors[:, order] = e[:, axis]
+        e[:, axis] -= 1
+        return e, rows[mask], factors
+
+    base = (exps, np.arange(len(exps)), np.ones((len(exps), 2)))
+    first = [derive(base, a, 0) for a in range(dim)]
+    tables = [base, *first]
+    tables += [derive(first[a], b, 1) for a in range(dim) for b in range(dim)]
+
+    m_max = max(len(rows) for _, rows, _ in tables)
+    n_powers = int(exps.max(initial=0)) + 1
+    index = np.zeros((len(tables), m_max, dim), dtype=np.int64)
+    for k, (e, _, _) in enumerate(tables):
+        index[k, : len(e)] = e
+    index += np.arange(dim) * n_powers
+    slots = np.concatenate(
+        [k * m_max + np.arange(len(rows)) for k, (_, rows, _) in enumerate(tables)]
+    )
+    rows = np.concatenate([rows for _, rows, _ in tables])
+    factors = np.concatenate([factors for _, _, factors in tables])
+    for arr in (index, slots, rows, factors):
+        arr.flags.writeable = False
+    return index, n_powers, slots, rows, factors[:, :1], factors[:, 1:]
+
+
 def polynomial_metric(
     exponents: np.ndarray,
     coefficients: np.ndarray,
@@ -298,56 +348,72 @@ def polynomial_metric(
 
     ``exponents`` has shape (m, dim) with non-negative integer entries,
     ``coefficients`` has shape (m, dim, dim) and is symmetric in its last
-    two indices.  The entry g_ij(x) is delta_ij + sum_k c[k, i, j] x^e[k].
-    Exact first and second partials follow from the power rule, which
-    makes these metrics a cross-check for the finite-difference pipeline.
-    """
-    exponents = np.asarray(exponents, dtype=int)
-    coefficients = np.asarray(coefficients, dtype=float)
-    eye = np.eye(dimension)
+    two indices (ValueError otherwise).  The entry g_ij(x) is
+    delta_ij + sum_k c[k, i, j] x^e[k].  Exact first and second partials
+    follow from the power rule, which makes these metrics a cross-check
+    for the finite-difference pipeline.
 
-    def monomials(points, exps):
-        # points (..., dim), exps (m, dim) -> (..., m)
-        return np.prod(points[..., None, :] ** exps, axis=-1)
+    The whole jet (g, dg, d2g) is one contraction per point: every
+    monomial of g and of its partials is a product of the entries x_a^k
+    of one power table, left to right as ``np.prod`` takes them, against
+    a coefficient table stacked over g and its partials and built here.
+    """
+    exponents = np.asarray(exponents)
+    coefficients = np.asarray(coefficients, dtype=float)
+    if (
+        exponents.ndim != 2
+        or exponents.shape[1] != dimension
+        or exponents.dtype.kind not in "iu"
+        or (exponents < 0).any()
+    ):
+        raise ValueError(
+            f"exponents must be an (m, {dimension}) array of non-negative integers"
+        )
+    exponents = exponents.astype(np.int64)
+    m = len(exponents)
+    if coefficients.shape != (m, dimension, dimension):
+        raise ValueError(
+            f"coefficients must have shape {(m, dimension, dimension)}, "
+            f"not {coefficients.shape}"
+        )
+    if not (
+        np.isfinite(coefficients).all()
+        and np.array_equal(coefficients, coefficients.transpose(0, 2, 1))
+    ):
+        raise ValueError(
+            "coefficients must be finite and symmetric in their last two indices"
+        )
+    n = dimension
+    eye = np.eye(n)
 
     def evaluate(points):
+        # points (..., dim), exponents (m, dim) -> monomials (..., m)
         points = np.asarray(points, dtype=float)
-        mono = monomials(points, exponents)
+        mono = np.prod(points[..., None, :] ** exponents, axis=-1)
         return eye + np.einsum("...m,mij->...ij", mono, coefficients)
 
-    # Precompute derivative tables: d/dx_a (x^e) = e_a x^(e - 1_a).
-    def derive(exps, coefs, axis):
-        mask = exps[:, axis] > 0
-        new_exps = exps[mask].copy()
-        new_coefs = coefs[mask] * new_exps[:, axis, None, None]
-        new_exps[:, axis] -= 1
-        return new_exps, new_coefs
+    index, n_powers, slots, rows, first, second = _power_rule_tables(
+        exponents.shape, exponents.tobytes()
+    )
+    powers = np.arange(n_powers)
+    table = np.zeros(index.shape[:2] + (n * n,))
+    table.reshape(-1, n * n)[slots] = (
+        coefficients.reshape(m, n * n)[rows] * first
+    ) * second
 
-    first = [derive(exponents, coefficients, a) for a in range(dimension)]
-    second = [
-        [derive(first[a][0], first[a][1], b) for b in range(dimension)]
-        for a in range(dimension)
-    ]
-
-    def partials(point):
+    def jet(point):
         point = np.asarray(point, dtype=float)
-        dg = np.zeros((dimension, dimension, dimension))
-        d2g = np.zeros((dimension, dimension, dimension, dimension))
-        for a in range(dimension):
-            exps, coefs = first[a]
-            if len(exps):
-                dg[a] = np.einsum("m,mij->ij", monomials(point, exps), coefs)
-            for b in range(dimension):
-                exps2, coefs2 = second[a][b]
-                if len(exps2):
-                    d2g[a, b] = np.einsum(
-                        "m,mij->ij", monomials(point, exps2), coefs2
-                    )
-        return dg, d2g
+        mono = np.prod((point[:, None] ** powers).take(index), axis=-1)
+        out = np.einsum("km,kmx->kx", mono, table)
+        return (
+            eye + out[0].reshape(n, n),
+            out[1 : 1 + n].reshape(n, n, n),
+            out[1 + n :].reshape(n, n, n, n),
+        )
 
     return MetricField(
         cartesian_chart(dimension),
         evaluate,
-        analytic_jet=_jet(evaluate, partials),
+        analytic_jet=jet,
         name=name,
     )

@@ -146,6 +146,35 @@ def _monomial_exponents(dimension: int, degree: int) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=None)
+def _grid_monomials(dimension: int, degree: int) -> np.ndarray:
+    """The monomials of ``_monomial_exponents(dimension, degree)`` at the
+    5^dimension points of the positivity grid on [-1, 1]^dimension, shape
+    (5^dimension, m); shared between calls and read-only."""
+    grid_1d = np.linspace(-1.0, 1.0, 5)
+    grid = np.stack(
+        np.meshgrid(*([grid_1d] * dimension), indexing="ij"), axis=-1
+    ).reshape(-1, dimension)
+    out = np.prod(grid[:, None, :] ** _monomial_exponents(dimension, degree), axis=-1)
+    out.flags.writeable = False
+    return out
+
+
+def _positive_on_grid(coefs: np.ndarray, dimension: int, degree: int) -> bool:
+    """Whether every eigenvalue of g exceeds 0.05 at every point of the
+    5^dimension grid on [-1, 1]^dimension, for the polynomial metric with
+    exponents ``_monomial_exponents(dimension, degree)`` and these
+    coefficients: g - 0.05 I has a Cholesky factor exactly when it is
+    positive definite, so one batched factorisation makes the test."""
+    mono = _grid_monomials(dimension, degree)
+    g = np.eye(dimension) + np.einsum("pm,mij->pij", mono, coefs)
+    try:
+        np.linalg.cholesky(g - 0.05 * np.eye(dimension))
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 @dataclass(frozen=True)
 class RandomMetricSpec:
     """Flat metric plus a seeded polynomial perturbation, PD on the unit box."""
@@ -163,19 +192,13 @@ class RandomMetricSpec:
         # resampling loop terminates quickly; each coefficient still
         # respects the stated bound.
         amp = min(self.eps, 0.015)
-        grid_1d = np.linspace(-1.0, 1.0, 5)
-        grid = np.stack(
-            np.meshgrid(*([grid_1d] * self.dimension), indexing="ij"), axis=-1
-        ).reshape(-1, self.dimension)
         for _ in range(max_resample):
             coefs = rng.uniform(-amp, amp, size=(m, self.dimension, self.dimension))
             coefs = 0.5 * (coefs + coefs.transpose(0, 2, 1))
-            fld = polynomial_metric(
-                exps, coefs, self.dimension, name=f"random(seed={self.seed})"
-            )
-            eigs = np.linalg.eigvalsh(fld(grid))
-            if eigs.min() > 0.05:
-                return fld
+            if _positive_on_grid(coefs, self.dimension, self.degree):
+                return polynomial_metric(
+                    exps, coefs, self.dimension, name=f"random(seed={self.seed})"
+                )
         raise RuntimeError("could not sample a positive-definite metric")
 
 
@@ -233,12 +256,13 @@ def check_lemma1(trials: int = 100, seed: int = 42, tol: float = 1e-9) -> CheckR
         fld = random_metric(rng)
         st = random_gauge_state(fld, rng)
         bundle = curvature(fld, st.x)
+        g = bundle.metric
         _, _, da = propertime_rhs(fld, st, bundle=bundle)
-        res = wedge_form_residual(fld, st, da, bundle=bundle).norm(fld)
+        res = wedge_form_residual(fld, st, da, bundle=bundle).norm(g)
         max_residual = max(max_residual, res)
 
         l_hat_u = bundle.inverse_metric @ bundle.schouten @ st.u
-        c = -float(st.a @ bundle.metric @ st.a) - float(st.u @ bundle.schouten @ st.u)
+        c = -float(st.a @ g @ st.a) - float(st.u @ bundle.schouten @ st.u)
         da_converse = (
             -np.einsum("mab,a,b->m", bundle.christoffel, st.u, st.a)
             + c * st.u
@@ -247,8 +271,8 @@ def check_lemma1(trials: int = 100, seed: int = 42, tol: float = 1e-9) -> CheckR
         dev = np.max(np.abs(da - da_converse)) / max(1.0, np.max(np.abs(da)))
         max_converse = max(max_converse, dev)
 
-        w = _orthogonal_direction(bundle.metric, st.u, rng)
-        res_neg = wedge_form_residual(fld, st, da + 1e-3 * w, bundle=bundle).norm(fld)
+        w = _orthogonal_direction(g, st.u, rng)
+        res_neg = wedge_form_residual(fld, st, da + 1e-3 * w, bundle=bundle).norm(g)
         min_negative = min(min_negative, res_neg)
 
     passed = max_residual <= tol and max_converse <= 1e-12 and min_negative > tol
@@ -303,23 +327,24 @@ def check_lemma2(
         fld = random_metric(rng)
         st = random_gauge_state(fld, rng)
         bundle = curvature(fld, st.x)
+        g = bundle.metric
         _, _, da = propertime_rhs(fld, st, bundle=bundle)
         for _ in range(reparams):
             lam0 = float(np.exp(rng.uniform(np.log(0.2), np.log(5.0))))
             lam1 = float(rng.uniform(-1.0, 1.0))
             lam2 = float(rng.uniform(-1.0, 1.0))
             ust, db = _reparametrized(bundle.christoffel, st, da, lam0, lam1, lam2)
-            res = unparam_residual(fld, ust, db, bundle=bundle).norm(fld)
+            res = unparam_residual(fld, ust, db, bundle=bundle).norm(g)
             max_residual = max(max_residual, res)
 
-            speed = ust.speed(fld)
-            lhs = np.outer(ust.v, ust.b) - np.outer(ust.b, ust.v)
-            rhs = speed**3 * (np.outer(st.u, st.a) - np.outer(st.a, st.u))
+            speed = ust.speed(g)
+            lhs = ust.v[:, None] * ust.b - ust.b[:, None] * ust.v
+            rhs = speed**3 * (st.u[:, None] * st.a - st.a[:, None] * st.u)
             scale = max(np.max(np.abs(rhs)), 1e-300)
             max_identity = max(max_identity, np.max(np.abs(lhs - rhs)) / scale)
 
-            w = _orthogonal_direction(bundle.metric, ust.v, rng)
-            res_neg = unparam_residual(fld, ust, db + 1e-3 * w, bundle=bundle).norm(fld)
+            w = _orthogonal_direction(g, ust.v, rng)
+            res_neg = unparam_residual(fld, ust, db + 1e-3 * w, bundle=bundle).norm(g)
             min_negative = min(min_negative, res_neg)
 
     passed = max_residual <= tol and max_identity <= 1e-12 and min_negative > tol

@@ -457,13 +457,13 @@ def test_criterion_9_negative_controls():
     st = random_gauge_state(field, rng)
     _, _, da = propertime_rhs(field, st)
     w = _orthogonal_direction(field(st.x), st.u, rng)
-    res_da = wedge_form_residual(field, st, da + 1e-3 * w).norm(field)
+    res_da = wedge_form_residual(field, st, da + 1e-3 * w).norm(field(st.x))
 
     # broken reparametrization data: unparametrized residual must fire
     gamma = curvature(field, st.x).christoffel
     ust, db = _reparametrized(gamma, st, da, 1.7, 0.3, -0.2)
     wv = _orthogonal_direction(field(st.x), ust.v, rng)
-    res_rep = unparam_residual(field, ust, db + 1e-3 * wv).norm(field)
+    res_rep = unparam_residual(field, ust, db + 1e-3 * wv).norm(field(st.x))
 
     # profile switched off: the trajectory must visibly leave the spiral
     flat = flat_cylindrical_metric()

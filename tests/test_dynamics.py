@@ -338,7 +338,7 @@ def test_wedge_residual_vanishes_on_rhs_output():
         field = RandomMetricSpec(seed=seed).build()
         st = random_gauge_state(field, rng)
         _, _, da = propertime_rhs(field, st)
-        assert wedge_form_residual(field, st, da).norm(field) < 1e-10
+        assert wedge_form_residual(field, st, da).norm(field(st.x)) < 1e-10
 
 
 def test_wedge_residual_blind_to_tangential_changes_only():
@@ -350,11 +350,11 @@ def test_wedge_residual_blind_to_tangential_changes_only():
     # the right-hand side is what flags it.)
     st = circle_state(1.0)
     _, _, da = propertime_rhs(FLAT3, st)
-    assert wedge_form_residual(FLAT3, st, da + 0.37 * st.u).norm(FLAT3) < 1e-14
-    assert wedge_form_residual(FLAT3, st, np.zeros(3)).norm(FLAT3) < 1e-14
+    assert wedge_form_residual(FLAT3, st, da + 0.37 * st.u).norm(FLAT3(st.x)) < 1e-14
+    assert wedge_form_residual(FLAT3, st, np.zeros(3)).norm(FLAT3(st.x)) < 1e-14
     assert np.max(np.abs(np.zeros(3) - da)) == pytest.approx(1.0)  # |a|^2 |u|
     w = np.array([0.0, 0.0, 1.0])
-    assert wedge_form_residual(FLAT3, st, da + 1e-3 * w).norm(FLAT3) > 1e-4
+    assert wedge_form_residual(FLAT3, st, da + 1e-3 * w).norm(FLAT3(st.x)) > 1e-4
 
 
 def test_wedge_residual_matches_bivector_transport_route():
@@ -395,9 +395,9 @@ def test_wedge_residual_grows_linearly_with_orthogonal_perturbation():
     g = field(st.x)
     w = rng.standard_normal(3)
     w -= (w @ g @ st.u) * st.u
-    slope = wedge(st.u, w, st.x).norm(field)
+    slope = wedge(st.u, w, st.x).norm(field(st.x))
     for eps in (1e-4, 1e-3, 1e-2):
-        res = wedge_form_residual(field, st, da + eps * w).norm(field)
+        res = wedge_form_residual(field, st, da + eps * w).norm(field(st.x))
         assert res == pytest.approx(eps * slope, rel=1e-6)
 
 
@@ -413,7 +413,7 @@ def test_unparam_residual_on_propertime_data():
         st = random_gauge_state(field, rng)
         _, _, da = propertime_rhs(field, st)
         ust = UnparamState(x=st.x, v=st.u, b=st.a, t=0.0)
-        assert unparam_residual(field, ust, da).norm(field) < 1e-10
+        assert unparam_residual(field, ust, da).norm(field(ust.x)) < 1e-10
 
 
 def test_unparam_residual_invariant_under_constant_rescaling():
@@ -423,7 +423,7 @@ def test_unparam_residual_invariant_under_constant_rescaling():
     _, _, da = propertime_rhs(field, st)
     for c in (0.25, 3.0):
         ust = UnparamState(x=st.x, v=c * st.u, b=c * c * st.a, t=0.0)
-        res = unparam_residual(field, ust, c**3 * da).norm(field)
+        res = unparam_residual(field, ust, c**3 * da).norm(field(ust.x))
         assert res < 1e-10
 
 

@@ -16,10 +16,11 @@ from confgeo import (
     flat_cylindrical_metric,
     flat_polar_metric,
     polar_chart,
+    polynomial_metric,
     round_sphere_metric,
 )
-from confgeo.curvature import metric_derivatives
-from confgeo.verify import RandomMetricSpec
+from confgeo.curvature import _stencil_offsets, metric_derivatives
+from confgeo.verify import RandomMetricSpec, _monomial_exponents
 
 
 def strip_partials(field):
@@ -101,6 +102,111 @@ def test_polynomial_partials_match_finite_differences():
         exact = metric_derivatives(field, x, order=order)
         fd = metric_derivatives(bare, x, order=order)
         np.testing.assert_allclose(fd, exact, atol=tol)
+
+
+def _per_table_polynomial(exponents, coefficients, dimension):
+    """The power-rule jet as one monomial pass and one einsum per
+    derivative table, kept as the oracle of polynomial_metric's single
+    contraction.  Returns (evaluate, jet)."""
+    exponents = np.asarray(exponents, dtype=int)
+    coefficients = np.asarray(coefficients, dtype=float)
+    eye = np.eye(dimension)
+
+    def monomials(points, exps):
+        # points (..., dim), exps (m, dim) -> (..., m)
+        return np.prod(points[..., None, :] ** exps, axis=-1)
+
+    def evaluate(points):
+        points = np.asarray(points, dtype=float)
+        mono = monomials(points, exponents)
+        return eye + np.einsum("...m,mij->...ij", mono, coefficients)
+
+    # Precompute derivative tables: d/dx_a (x^e) = e_a x^(e - 1_a).
+    def derive(exps, coefs, axis):
+        mask = exps[:, axis] > 0
+        new_exps = exps[mask].copy()
+        new_coefs = coefs[mask] * new_exps[:, axis, None, None]
+        new_exps[:, axis] -= 1
+        return new_exps, new_coefs
+
+    first = [derive(exponents, coefficients, a) for a in range(dimension)]
+    second = [
+        [derive(first[a][0], first[a][1], b) for b in range(dimension)]
+        for a in range(dimension)
+    ]
+
+    def partials(point):
+        point = np.asarray(point, dtype=float)
+        dg = np.zeros((dimension, dimension, dimension))
+        d2g = np.zeros((dimension, dimension, dimension, dimension))
+        for a in range(dimension):
+            exps, coefs = first[a]
+            if len(exps):
+                dg[a] = np.einsum("m,mij->ij", monomials(point, exps), coefs)
+            for b in range(dimension):
+                exps2, coefs2 = second[a][b]
+                if len(exps2):
+                    d2g[a, b] = np.einsum(
+                        "m,mij->ij", monomials(point, exps2), coefs2
+                    )
+        return dg, d2g
+
+    return evaluate, lambda point: (evaluate(point), *partials(point))
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3, 4, 6])
+@pytest.mark.parametrize("dimension", [2, 3])
+def test_polynomial_jet_matches_the_per_table_power_rule(dimension, degree):
+    # The stacked, zero-padded contraction adds the same products in the
+    # same order as one einsum per table, so the two agree bit for bit
+    # (degree 1 has empty second-derivative tables; from degree 6 on, as
+    # in x^3 y^3, both power-rule factors can be odd, so the order of the
+    # two multiplications shows).
+    rng = np.random.default_rng(10 * dimension + degree)
+    exps = _monomial_exponents(dimension, degree)
+    offsets = _stencil_offsets(dimension)
+    for _ in range(10):
+        coefs = rng.uniform(-0.3, 0.3, size=(len(exps), dimension, dimension))
+        coefs = 0.5 * (coefs + coefs.transpose(0, 2, 1))
+        field = polynomial_metric(exps, coefs, dimension)
+        evaluate, jet = _per_table_polynomial(exps, coefs, dimension)
+        for x in rng.uniform(-1.5, 1.5, size=(20, dimension)):
+            for got, expected in zip(field.analytic_jet(x), jet(x)):
+                assert np.array_equal(got, expected)
+            assert np.array_equal(field(x), evaluate(x))
+        stencil = x + offsets * 1e-4
+        assert np.array_equal(field(stencil), evaluate(stencil))
+
+
+@pytest.mark.parametrize(
+    "exponents",
+    [
+        np.array([[1, 0], [0, 1]]),  # (m, 2) for a 3D metric
+        np.array([1, 0, 0]),  # not a table
+        np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),  # not integers
+        np.array([[1, 0, 0], [0, -1, 0]]),  # negative
+    ],
+)
+def test_polynomial_metric_rejects_bad_exponents(exponents):
+    with pytest.raises(ValueError, match="exponents"):
+        polynomial_metric(exponents, np.zeros((2, 3, 3)), 3)
+
+
+def test_polynomial_metric_rejects_misshapen_coefficients():
+    exps = np.array([[1, 0, 0], [0, 1, 0]])
+    for shape in [(3, 3, 3), (2, 3), (2, 2, 2), (2, 3, 2)]:
+        with pytest.raises(ValueError, match="shape"):
+            polynomial_metric(exps, np.zeros(shape), 3)
+
+
+def test_polynomial_metric_rejects_asymmetric_coefficients():
+    exps = np.array([[1, 0, 0], [0, 1, 0]])
+    coefs = np.zeros((2, 3, 3))
+    coefs[1, 0, 2] = 1e-3
+    with pytest.raises(ValueError, match="symmetric"):
+        polynomial_metric(exps, coefs, 3)
+    coefs[1, 2, 0] = 1e-3
+    polynomial_metric(exps, coefs, 3)  # symmetric again: accepted
 
 
 def test_metric_inverse_helpers():

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from confgeo import dynamics, verify
+from confgeo import MetricField, dynamics, polynomial_metric, verify
 from confgeo.verify import (
     RandomMetricSpec,
     check_lemma1,
@@ -86,20 +86,74 @@ def test_random_metric_spec_deterministic():
 def test_one_curvature_bundle_per_random_instance(monkeypatch):
     # Every residual of a check takes the bundle its instance already
     # has, so the checks build one curvature() bundle per random point.
+    # The residual norms and the speed take g from that bundle, and
+    # build() tests positivity on cached grid monomials, so the only
+    # metric evaluation per instance is random_gauge_state's.
     calls = []
+    evals = []
     original = dynamics.curvature
+    original_eval = MetricField.__call__
 
     def counted(*args, **kwargs):
         calls.append(1)
         return original(*args, **kwargs)
 
+    def counted_eval(self, points):
+        evals.append(1)
+        return original_eval(self, points)
+
     monkeypatch.setattr(dynamics, "curvature", counted)
     monkeypatch.setattr(verify, "curvature", counted)
+    monkeypatch.setattr(MetricField, "__call__", counted_eval)
+    RandomMetricSpec(seed=3).build()
+    assert evals == []
     assert check_lemma1(trials=3, seed=5).passed
-    assert len(calls) == 3
+    assert len(calls) == 3 and len(evals) == 3
     calls.clear()
+    evals.clear()
     assert check_lemma2(trials=2, reparams=4, seed=6).passed
-    assert len(calls) == 2
+    assert len(calls) == 2 and len(evals) == 2
+
+
+def _explicit_grid(dimension):
+    grid_1d = np.linspace(-1.0, 1.0, 5)
+    return np.stack(
+        np.meshgrid(*([grid_1d] * dimension), indexing="ij"), axis=-1
+    ).reshape(-1, dimension)
+
+
+def test_grid_positivity_is_the_eigenvalue_test():
+    # One batched Cholesky factorisation of g - 0.05 I accepts exactly the
+    # coefficient tables whose metric has eigvalsh(g).min() > 0.05 on the
+    # grid; the amplitudes straddle the threshold so both answers occur.
+    exps = verify._monomial_exponents(3, 3)
+    grid = _explicit_grid(3)
+    outcomes = set()
+    for seed in range(500):
+        rng = np.random.default_rng(seed)
+        amp = rng.uniform(0.0, 0.12)
+        coefs = rng.uniform(-amp, amp, size=(len(exps), 3, 3))
+        coefs = 0.5 * (coefs + coefs.transpose(0, 2, 1))
+        field = polynomial_metric(exps, coefs, 3)
+        expected = np.linalg.eigvalsh(field(grid)).min() > 0.05
+        assert verify._positive_on_grid(coefs, 3, 3) == expected, seed
+        outcomes.add(bool(expected))
+    assert outcomes == {True, False}
+    mono = verify._grid_monomials(3, 3)
+    assert mono is verify._grid_monomials(3, 3) and not mono.flags.writeable
+
+
+def test_grid_positivity_rejects_one_bad_grid_point():
+    # g_00 = 1 - c (x + y + z) is smallest at the grid corner (1, 1, 1)
+    # alone: 1 - 3c there, at least 1 - 2.5c at every other grid point.
+    exps = verify._monomial_exponents(3, 3)
+    linear = [i for i, e in enumerate(exps) if e.sum() == 1]
+    coefs = np.zeros((len(exps), 3, 3))
+    for c, accepted in ((0.32, False), (0.31, True)):  # 1 - 3c = 0.04, 0.07
+        coefs[linear, 0, 0] = -c
+        assert verify._positive_on_grid(coefs, 3, 3) is accepted
+        g = polynomial_metric(exps, coefs, 3)(_explicit_grid(3))
+        assert (np.linalg.eigvalsh(g).min(axis=1) <= 0.05).sum() == (not accepted)
 
 
 def test_run_checks_selection():
