@@ -5,6 +5,9 @@ Riemannian metrics, integrating the conformal geodesic equation with an
 adaptive embedded Runge-Kutta scheme, and reproducing an explicit
 3-dimensional metric whose flat z = 0 plane carries a conformal geodesic
 that spirals into the origin with infinite proper length.
+
+Importing the package loads numpy only; scipy is imported on the first
+``arc_length`` call.
 """
 
 from .bivectors import Bivector, bivector_covariant_derivative, wedge

@@ -67,13 +67,30 @@ _CONFIG_TYPES = {
     "format": str,
 }
 
+# Allowed values of the flags that have them; the parser and the config
+# file check against the same lists.
+_CHOICES = {
+    "metric": ("example", "flat"),
+    "chart": ("cartesian", "cylindrical"),
+    "format": ("text", "json"),
+}
+
 
 def _apply_config(args: argparse.Namespace) -> argparse.Namespace:
-    """Fill flag values left at None from the config file, then defaults."""
+    """Fill flag values left at None from the config file, then defaults.
+
+    Only keys of the subcommand's own flags are taken, and a value
+    outside a flag's choices raises ValueError, as the flag would.
+    """
     config = _load_config(args.config) if args.config else {}
     for key, caster in _CONFIG_TYPES.items():
-        if getattr(args, key, None) is None and key in config:
-            setattr(args, key, caster(config[key]))
+        if hasattr(args, key) and getattr(args, key) is None and key in config:
+            value = caster(config[key])
+            if key in _CHOICES and value not in _CHOICES[key]:
+                raise ValueError(
+                    f"{key} = {value!r} is not one of {', '.join(_CHOICES[key])}"
+                )
+            setattr(args, key, value)
     return args
 
 
@@ -230,6 +247,9 @@ def cmd_trace(args) -> int:
         for row in rows:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
     _write_gnuplot(out_dir / "trace.gnuplot", csv_path.name)
+    (out_dir / "run_stats.json").write_text(
+        json.dumps(traj.stats, sort_keys=True, indent=2) + "\n"
+    )
     print(f"trace written to {csv_path}")
 
     if traj.status in ("step_underflow", "max_steps", "left_domain"):
@@ -333,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_trace.add_argument("--t0", type=float, default=None)
     p_trace.add_argument("--t-end", dest="t_end", type=float, default=None)
     p_trace.add_argument("--tol", type=float, default=None)
-    p_trace.add_argument("--metric", choices=["example", "flat"], default=None)
+    p_trace.add_argument("--metric", choices=_CHOICES["metric"], default=None)
     p_trace.add_argument(
         "--circle",
         type=float,
@@ -352,10 +372,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_trace.add_argument("--config", type=str, default=None)
 
     p_curv = sub.add_parser("curvature", help="print the curvature bundle at a point")
-    p_curv.add_argument("--metric", choices=["flat", "example"], default=None)
-    p_curv.add_argument("--chart", choices=["cartesian", "cylindrical"], default=None)
+    p_curv.add_argument("--metric", choices=_CHOICES["metric"], default=None)
+    p_curv.add_argument("--chart", choices=_CHOICES["chart"], default=None)
     p_curv.add_argument("--point", type=str, default=None, help="comma-separated")
-    p_curv.add_argument("--format", choices=["text", "json"], default=None)
+    p_curv.add_argument("--format", choices=_CHOICES["format"], default=None)
     p_curv.add_argument("--config", type=str, default=None)
 
     return parser

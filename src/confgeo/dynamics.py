@@ -19,11 +19,10 @@ verifier on given curves.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import quad
 
 from .bivectors import Bivector, _transport
 from .curvature import CurvatureBundle, curvature
@@ -101,8 +100,12 @@ class IntegratorConfig:
     curvature_step: Optional[float] = None  # None: finite-difference default
 
     def __post_init__(self):
-        if self.rtol <= 0.0 or self.atol <= 0.0:
+        if not (self.rtol > 0.0 and self.atol > 0.0):
             raise ValueError("tolerances must be positive")
+        if not self.max_step > 0.0:
+            raise ValueError(f"max_step must be positive, got {self.max_step}")
+        if not self.min_step >= 0.0:
+            raise ValueError(f"min_step must be non-negative, got {self.min_step}")
         if self.min_step > self.max_step:
             raise ValueError("min_step must not exceed max_step")
         if self.max_steps < 1:
@@ -111,7 +114,13 @@ class IntegratorConfig:
 
 @dataclass
 class Trajectory:
-    """Accepted integration samples plus per-sample diagnostics."""
+    """Accepted integration samples plus per-sample diagnostics.
+
+    ``stats`` holds the run's counters as ``integrate`` logs them:
+    status and message (the stop reason), accepted and rejected steps,
+    domain shrinks, RHS and curvature evaluations, and the smallest and
+    largest accepted |h| (None before the first accepted step).
+    """
 
     field: MetricField
     s: np.ndarray
@@ -122,6 +131,7 @@ class Trajectory:
     status: str = "ok"
     message: str = ""
     rhs_evaluations: int = 0
+    stats: dict = dataclass_field(default_factory=dict)
 
     def __len__(self):
         return len(self.states)
@@ -436,6 +446,17 @@ def integrate(
     h_lo, h_hi = np.inf, 0.0  # range of accepted |h|
 
     def finish():
+        stats = {
+            "status": status,
+            "message": message,
+            "accepted": steps,
+            "rejected": rejected,
+            "domain_shrinks": shrinks,
+            "rhs_evaluations": counter["rhs"],
+            "curvature_evaluations": counter["curvature"],
+            "h_min": float(h_lo) if steps else None,
+            "h_max": float(h_hi) if steps else None,
+        }
         log.info(
             "integrate %s: %s%s; %d accepted, %d rejected, %d domain shrinks, "
             "%d RHS evaluations, accepted |h| in [%.3g, %.3g], "
@@ -461,6 +482,7 @@ def integrate(
             status=status,
             message=message,
             rhs_evaluations=counter["rhs"],
+            stats=stats,
         )
 
     if stop is not None and stop(states[0]):
@@ -607,7 +629,11 @@ def arc_length(
     """Adaptive quadrature of |curve'(t)|_g over the span.
 
     Velocity defaults to a 4th-order finite difference of the curve.
+    scipy is imported here, on the first call, and nowhere else in the
+    package, so ``import confgeo`` loads numpy only.
     """
+    from scipy.integrate import quad
+
     t0, t1 = float(t_span[0]), float(t_span[1])
 
     if velocity is None:

@@ -25,7 +25,6 @@ import math
 import warnings
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .dynamics import UnparamState
 from .metrics import MetricField, cartesian_chart, cylindrical_chart
@@ -85,20 +84,19 @@ def inverse_speed_scale(t):
     return float(out) if scalar else out
 
 
-_T_STAR = None
-
-
 def t_star() -> float:
     """First positive root of t f(t) = 1, equivalently e^(1/t) = t.
 
-    This is where v ^ M^v changes sign and k acquires a pole.
+    This is where v ^ M^v changes sign and k acquires a pole.  In closed
+    form t* = 1/W(1) = 1/Omega, with Omega = W(1) the omega constant,
+    the root of s e^s = 1.  Newton's method on s - e^(-s) = 0 from
+    s = 0.5 reaches a fixed point after four steps; the result is the
+    correctly rounded t* = 1.76322283435189671...
     """
-    global _T_STAR
-    if _T_STAR is None:
-        _T_STAR = brentq(
-            lambda t: t * np.exp(-1.0 / t) - 1.0, 1.0, 2.0, xtol=1e-15, rtol=1e-15
-        )
-    return _T_STAR
+    s = 0.5
+    for _ in range(6):
+        s -= (s - math.exp(-s)) / (1.0 + s)
+    return 1.0 / s
 
 
 def accel_wedge_coeff(t):
@@ -162,9 +160,10 @@ def k_exact(t):
     """
     arr, scalar = _as_float_array(t)
     tv = np.atleast_1d(arr)
-    if np.any(tv <= 0.0) or np.any(tv >= t_star()):
-        raise ValueError(f"k_exact defined on (0, t*) with t* = {t_star():.6f}")
-    if np.any(tv > 0.95 * t_star()):
+    ts = t_star()
+    if np.any(tv <= 0.0) or np.any(tv >= ts):
+        raise ValueError(f"k_exact defined on (0, t*) with t* = {ts:.6f}")
+    if np.any(tv > 0.95 * ts):
         warnings.warn(
             "k_exact evaluated within 5% of its pole at t*", RuntimeWarning
         )

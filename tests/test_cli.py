@@ -17,6 +17,7 @@ from confgeo import (
     spiral_state,
 )
 from confgeo.cli import CSV_HEADER, main
+from confgeo.verify import spiral_tracking_run
 
 
 def _read_csv(path):
@@ -305,6 +306,56 @@ def test_malformed_config_rejected(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("not a pair\n")
     assert main(["verify", "lemma5", "--config", str(cfg)]) == 2
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (["curvature"], "chart = polar"),
+        (["curvature"], "metric = sphere"),
+        (["curvature"], "format = yaml"),
+        (["trace", "--t0", "0.8", "--t-end", "0.79"], "metric = sphere"),
+    ],
+)
+def test_config_values_outside_the_flag_choices_rejected(tmp_path, capsys, argv, line):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    out = tmp_path / "o"
+    out_args = ["--out", str(out)] if argv[0] == "trace" else []
+    assert main(argv + out_args + ["--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: " + line.split(" = ")[0])
+    assert captured.out == ""
+    assert not out.exists()  # nothing integrated, nothing echoed
+
+
+def test_config_values_inside_the_flag_choices_apply(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("metric = flat\nchart = cartesian\nformat = json\npoint = 1,2,3\n")
+    assert main(["curvature", "--config", str(cfg)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["point"] == [1.0, 2.0, 3.0]
+    assert payload["scalar"] == 0.0
+
+
+def test_trace_writes_run_stats(tmp_path, capsys):
+    out = tmp_path / "t"
+    args = ["trace", "--t0", "0.8", "--t-end", "0.7", "--tol", "1e-8"]
+    assert main(args + ["--out", str(out)]) == 0
+    stats = json.loads((out / "run_stats.json").read_text())
+    traj, _, _ = spiral_tracking_run(
+        t0=0.8, t_end=0.7, integrator_tol=1e-8, max_steps=500_000, s_bound=80.0
+    )
+    assert stats == traj.stats
+    assert stats["status"] == "stopped"
+    assert stats["accepted"] == len(_read_csv(out / "trace.csv")) - 1
+
+    circle = tmp_path / "c"
+    assert main(["trace", "--circle", "1.0", "--out", str(circle)]) == 0
+    stats = json.loads((circle / "run_stats.json").read_text())
+    assert stats["status"] == "ok"
+    assert stats["accepted"] == len(_read_csv(circle / "trace.csv")) - 1
     capsys.readouterr()
 
 

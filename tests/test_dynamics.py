@@ -294,6 +294,59 @@ def test_integrate_logs_one_summary(caplog):
         assert int(curv[1]) == traj.rhs_evaluations - _refreshes(traj)
 
 
+def test_trajectory_stats_are_the_logged_summary(caplog):
+    caplog.set_level(logging.INFO, logger="confgeo.dynamics")
+    toward_axis = GeodesicState(
+        np.array([0.5, 0.0, 0.0]), np.array([-1.0, 0.0, 0.0]), np.zeros(3)
+    )
+    spiral_data = from_unparametrized(flat_cylindrical_metric(), spiral_state(0.8))
+    cfg = IntegratorConfig(rtol=1e-8, atol=1e-8)
+    runs = [
+        (FLAT3, circle_state(1.0), (0.0, 2.0), None),
+        (flat_cylindrical_metric(), toward_axis, (0.0, 2.0), None),
+        (flat_cylindrical_metric(), spiral_data, (0.0, -3.0), None),
+        (FLAT3, circle_state(1.0), (0.0, 2.0), lambda st: st.s > 0.5),
+        (FLAT3, circle_state(1.0), (0.0, 0.0), None),
+    ]
+    seen = set()
+    for field, initial, span, stop in runs:
+        caplog.clear()
+        traj = integrate(field, initial, span, cfg, stop=stop)
+        (record,) = [r for r in caplog.records if r.name == "confgeo.dynamics"]
+        m = re.fullmatch(
+            r"integrate \S+: (\w+)(?: \((.*)\))?; (\d+) accepted, (\d+) rejected, "
+            r"(\d+) domain shrinks, (\d+) RHS evaluations, accepted \|h\| in "
+            r"\[(\S+), (\S+)\], (\d+) curvature evaluations",
+            record.getMessage(),
+        )
+        assert m is not None, record.getMessage()
+        stats = traj.stats
+        assert (stats["status"], stats["message"]) == (traj.status, traj.message)
+        assert (m[1], m[2] or "") == (stats["status"], stats["message"])
+        counts = ("accepted", "rejected", "domain_shrinks", "rhs_evaluations")
+        assert [int(m[i]) for i in (3, 4, 5, 6)] == [stats[k] for k in counts]
+        assert int(m[9]) == stats["curvature_evaluations"]
+        assert stats["accepted"] == len(traj) - 1
+        assert stats["rhs_evaluations"] == traj.rhs_evaluations
+        assert stats["curvature_evaluations"] == traj.rhs_evaluations - _refreshes(traj)
+        if stats["accepted"]:
+            steps = np.abs(np.diff(traj.s))
+            assert stats["h_min"] == pytest.approx(steps.min(), rel=1e-12)
+            assert stats["h_max"] == pytest.approx(steps.max(), rel=1e-12)
+            assert (float(m[7]), float(m[8])) == pytest.approx(
+                (stats["h_min"], stats["h_max"]), rel=1e-2
+            )
+        else:
+            assert (stats["h_min"], stats["h_max"]) == (None, None)
+            assert (m[7], m[8]) == ("nan", "nan")
+        seen.add(stats["status"])
+        if stats["rejected"]:
+            seen.add("rejected")
+        if stats["domain_shrinks"]:
+            seen.add("shrinks")
+    assert seen == {"ok", "left_domain", "stopped", "rejected", "shrinks"}
+
+
 def test_integrate_logs_each_rejection_and_shrink_at_debug(caplog):
     caplog.set_level(logging.DEBUG, logger="confgeo.dynamics")
     field = flat_cylindrical_metric()
@@ -483,10 +536,27 @@ def test_from_unparametrized_rejects_zero_velocity():
 def test_config_validation():
     with pytest.raises(ValueError):
         IntegratorConfig(rtol=0.0)
+    with pytest.raises(ValueError, match="tolerances"):
+        IntegratorConfig(atol=float("nan"))
     with pytest.raises(ValueError):
         IntegratorConfig(min_step=1.0, max_step=0.5)
     with pytest.raises(ValueError):
         IntegratorConfig(max_steps=0)
+
+
+@pytest.mark.parametrize(
+    "kwargs, name",
+    [
+        ({"max_step": 0.0}, "max_step"),
+        ({"max_step": -1.0}, "max_step"),
+        ({"max_step": float("nan")}, "max_step"),
+        ({"min_step": -1e-3}, "min_step"),
+        ({"min_step": -1.0, "max_step": -0.5}, "max_step"),
+    ],
+)
+def test_config_rejects_nonpositive_step_bounds_by_name(kwargs, name):
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        IntegratorConfig(**kwargs)
 
 
 def test_integrate_straight_line_exact():

@@ -90,6 +90,13 @@ def test_t_star_against_bisection_oracle():
     assert t_star() == pytest.approx(1.7632, abs=1e-4)
 
 
+def test_t_star_is_one_over_omega_to_one_ulp():
+    # 1/W(1) = 1/Omega to 30 digits (Corless et al. 1996)
+    exact = 1.76322283435189671022520177695
+    assert abs(t_star() - exact) <= np.spacing(exact)
+    assert np.exp(1.0 / t_star()) == pytest.approx(t_star(), rel=4e-16)
+
+
 def test_coefficients_match_unscaled_formulas():
     # The shipped q-scaled forms against the direct f-based expressions
     # (which are safe at moderate t).
