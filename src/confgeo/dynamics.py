@@ -8,9 +8,10 @@ with L the Schouten tensor.  This module provides its right-hand side as
 a first-order system in (x, u, a), the equivalent bivector-valued
 residuals (proper-time wedge form and the reparametrization-invariant
 unparametrized form), conversion from arbitrary parametrizations to the
-proper-time gauge, an embedded Dormand-Prince 5(4) integrator with
-optional per-step gauge renormalization, arc-length quadrature, and a
-containment-based spiral detector.
+proper-time gauge, an adaptive Dormand-Prince 8(5,3) integrator (DOP853
+of Hairer, Norsett & Wanner, Solving Ordinary Differential Equations I,
+2nd ed., Sec. II.10) with optional per-step gauge renormalization,
+arc-length quadrature, and a containment-based spiral detector.
 
 Only the proper-time system is integrated; the unparametrized equation
 has a parametrization gauge freedom and is used here as a residual
@@ -348,27 +349,177 @@ def circle_state(radius: float, dimension: int = 3) -> GeodesicState:
 
 
 # ---------------------------------------------------------------------------
-# Dormand-Prince 5(4) integration
+# Dormand-Prince 8(5,3) integration
 # ---------------------------------------------------------------------------
 
-_DP_A = [
-    np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
-]
-_DP_ERR = np.array(
+# The DOP853 tableau of Hairer, Norsett & Wanner, Solving Ordinary
+# Differential Equations I (2nd ed., Springer 1993), Sec. II.10, with the
+# digits of their dop853.f: 12 stages, nodes _C, stage rows _A (row i has
+# i entries), 8th-order weights _B, and the 5th- and 3rd-order error
+# weights _E5 and _E3 of the combined error estimate.
+_C = np.array(
     [
-        71 / 57600,
         0.0,
-        -71 / 16695,
-        71 / 1920,
-        -17253 / 339200,
-        22 / 525,
-        -1 / 40,
+        0.526001519587677318785587544488e-01,
+        0.789002279381515978178381316732e-01,
+        0.118350341907227396726757197510,
+        0.281649658092772603273242802490,
+        0.333333333333333333333333333333,
+        0.25,
+        0.307692307692307692307692307692,
+        0.651282051282051282051282051282,
+        0.6,
+        0.857142857142857142857142857142,
+        1.0,
+    ]
+)
+_A = [
+    np.array([]),
+    np.array([5.26001519587677318785587544488e-2]),
+    np.array([1.97250569845378994544595329183e-2, 5.91751709536136983633785987549e-2]),
+    np.array(
+        [2.95875854768068491816892993775e-2, 0.0, 8.87627564304205475450678981324e-2]
+    ),
+    np.array(
+        [
+            2.41365134159266685502369798665e-1,
+            0.0,
+            -8.84549479328286085344864962717e-1,
+            9.24834003261792003115737966543e-1,
+        ]
+    ),
+    np.array(
+        [
+            3.7037037037037037037037037037e-2,
+            0.0,
+            0.0,
+            1.70828608729473871279604482173e-1,
+            1.25467687566822425016691814123e-1,
+        ]
+    ),
+    np.array(
+        [
+            3.7109375e-2,
+            0.0,
+            0.0,
+            1.70252211019544039314978060272e-1,
+            6.02165389804559606850219397283e-2,
+            -1.7578125e-2,
+        ]
+    ),
+    np.array(
+        [
+            3.70920001185047927108779319836e-2,
+            0.0,
+            0.0,
+            1.70383925712239993810214054705e-1,
+            1.07262030446373284651809199168e-1,
+            -1.53194377486244017527936158236e-2,
+            8.27378916381402288758473766002e-3,
+        ]
+    ),
+    np.array(
+        [
+            6.24110958716075717114429577812e-1,
+            0.0,
+            0.0,
+            -3.36089262944694129406857109825,
+            -8.68219346841726006818189891453e-1,
+            2.75920996994467083049415600797e1,
+            2.01540675504778934086186788979e1,
+            -4.34898841810699588477366255144e1,
+        ]
+    ),
+    np.array(
+        [
+            4.77662536438264365890433908527e-1,
+            0.0,
+            0.0,
+            -2.48811461997166764192642586468,
+            -5.90290826836842996371446475743e-1,
+            2.12300514481811942347288949897e1,
+            1.52792336328824235832596922938e1,
+            -3.32882109689848629194453265587e1,
+            -2.03312017085086261358222928593e-2,
+        ]
+    ),
+    np.array(
+        [
+            -9.3714243008598732571704021658e-1,
+            0.0,
+            0.0,
+            5.18637242884406370830023853209,
+            1.09143734899672957818500254654,
+            -8.14978701074692612513997267357,
+            -1.85200656599969598641566180701e1,
+            2.27394870993505042818970056734e1,
+            2.49360555267965238987089396762,
+            -3.0467644718982195003823669022,
+        ]
+    ),
+    np.array(
+        [
+            2.27331014751653820792359768449,
+            0.0,
+            0.0,
+            -1.05344954667372501984066689879e1,
+            -2.00087205822486249909675718444,
+            -1.79589318631187989172765950534e1,
+            2.79488845294199600508499808837e1,
+            -2.85899827713502369474065508674,
+            -8.87285693353062954433549289258,
+            1.23605671757943030647266201528e1,
+            6.43392746015763530355970484046e-1,
+        ]
+    ),
+]
+_B = np.array(
+    [
+        5.42937341165687622380535766363e-2,
+        0.0,
+        0.0,
+        0.0,
+        0.0,
+        4.45031289275240888144113950566,
+        1.89151789931450038304281599044,
+        -5.8012039600105847814672114227,
+        3.1116436695781989440891606237e-1,
+        -1.52160949662516078556178806805e-1,
+        2.01365400804030348374776537501e-1,
+        4.47106157277725905176885569043e-2,
+    ]
+)
+_E5 = np.array(
+    [
+        0.1312004499419488073250102996e-1,
+        0.0,
+        0.0,
+        0.0,
+        0.0,
+        -0.1225156446376204440720569753e1,
+        -0.4957589496572501915214079952,
+        0.1664377182454986536961530415e1,
+        -0.3503288487499736816886487290,
+        0.3341791187130174790297318841,
+        0.8192320648511571246570742613e-1,
+        -0.2235530786388629525884427845e-1,
+    ]
+)
+# _B minus the weights of the embedded 3rd-order solution
+_E3 = _B - np.array(
+    [
+        0.244094488188976377952755905512,
+        0.0,
+        0.0,
+        0.0,
+        0.0,
+        0.0,
+        0.0,
+        0.0,
+        0.733846688281611857341361741547,
+        0.0,
+        0.0,
+        0.220588235294117647058823529412e-1,
     ]
 )
 
@@ -390,21 +541,26 @@ def integrate(
 ) -> Trajectory:
     """Integrate the proper-time conformal geodesic equation.
 
-    Adaptive embedded Dormand-Prince 5(4) on the first-order system in
-    (x, u, a); the 5th-order solution is propagated.  Runs in either
-    s-direction.  With ``renormalize`` on, each accepted step projects u
-    back to unit norm and a to the orthogonal complement of u, and the
-    metric size of that projection is recorded per sample so silent
-    drift cannot hide an equation violation.
+    Adaptive Dormand-Prince 8(5,3) (DOP853; Hairer, Norsett & Wanner,
+    Solving Ordinary Differential Equations I, 2nd ed., Sec. II.10) on
+    the first-order system in (x, u, a); the 8th-order solution is
+    propagated, and the step size follows Hairer's combined 5th/3rd-order
+    error estimate.  Runs in either s-direction.  With ``renormalize``
+    on, each accepted step projects u back to unit norm and a to the
+    orthogonal complement of u, and the metric size of that projection
+    is recorded per sample so silent drift cannot hide an equation
+    violation.
 
-    One curvature bundle serves each distinct point.  DP5(4) is FSAL
-    (first same as last): the 5th-order solution is the 7th stage's
-    point, so that stage's bundle also serves the FSAL refresh after a
-    renormalisation (which moves u and a, not x) and supplies g for the
-    renormalisation, the arc-length trapezoid and the gauge residual of
-    the accepted state.  No refresh is computed after the last accepted
-    step.  The initial state's g is evaluated once, for its gauge check
-    and its diagnostics.
+    One curvature bundle serves each distinct point.  Each step attempt
+    evaluates the 12 stages and then the RHS at the new solution y_new,
+    whose derivative is the next step's first stage (FSAL, first same as
+    last).  That 13th evaluation's bundle also serves the FSAL refresh
+    after a renormalisation (which moves u and a, not x) and supplies g
+    for the renormalisation, the arc-length trapezoid and the gauge
+    residual of the accepted state.  So an accepted step costs 12
+    curvature evaluations and, with its refresh, 13 RHS evaluations.  No
+    refresh is computed after the last accepted step.  The initial
+    state's g is evaluated once, for its gauge check and its diagnostics.
 
     On step underflow, leaving the metric domain, or exceeding
     ``max_steps``, the partial trajectory is returned with a diagnostic
@@ -507,7 +663,7 @@ def integrate(
     h = direction * min(h, span, config.max_step)
 
     eps = np.finfo(float).eps
-    K = np.empty((7, y.size))
+    K = np.empty((13, y.size))  # the 12 stages, then the RHS at y_new
 
     while direction * (s1 - s) > 0.0:
         if steps >= config.max_steps:
@@ -522,9 +678,10 @@ def integrate(
         K[0] = k1
         failed_domain = False
         try:
-            for i in range(1, 7):
-                yi = y + h * (K[:i].T @ _DP_A[i])
-                K[i], bundle = rhs(yi)
+            for i in range(1, 12):
+                K[i], _ = rhs(y + h * (K[:i].T @ _A[i]))
+            y_new = y + h * (K[:12].T @ _B)
+            K[12], bundle = rhs(y_new)
         except ConfgeoError as exc:
             failed_domain = True
             domain_exc = exc
@@ -539,12 +696,17 @@ def integrate(
                 break
             continue
 
-        # FSAL: the 5th-order solution is the last stage's point, and
-        # ``bundle`` is the curvature there.
-        y_new = yi
-        err_vec = h * (K.T @ _DP_ERR)
+        # Hairer's error norm: the 5th-order estimate e5 scaled by
+        # |e5| / hypot(|e5|, 0.1 |e3|), e3 the 3rd-order one, so that it
+        # shrinks like h^8 (hence the exponent -1/8 below).  ``bundle`` is
+        # the curvature at y_new.
         sc = config.atol + config.rtol * np.maximum(np.abs(y), np.abs(y_new))
-        err = np.sqrt(np.mean((err_vec / sc) ** 2))
+        e5 = (K[:12].T @ _E5) / sc
+        e3 = (K[:12].T @ _E3) / sc
+        e5_sq, e3_sq = float(e5 @ e5), float(e3 @ e3)
+        err = 0.0
+        if e5_sq > 0.0:
+            err = abs(h) * e5_sq / np.sqrt((e5_sq + 0.01 * e3_sq) * y.size)
 
         if err <= 1.0:
             s_new = s + h
@@ -589,15 +751,15 @@ def integrate(
             if config.renormalize and proj_size > 0.0:
                 k1, _ = rhs(y, bundle)
             else:
-                k1 = K[6]
+                k1 = K[12]
 
-            factor = 0.9 * err ** -0.2 if err > 0.0 else 5.0
+            factor = 0.9 * err ** -0.125 if err > 0.0 else 10.0
         else:
             rejected += 1
             log.debug("rejected step at s=%.17g, h=%.6g: err=%.3g", s, h, err)
-            factor = max(0.2, 0.9 * err ** -0.2)
+            factor = 0.9 * err ** -0.125
 
-        h *= min(5.0, max(0.2, factor))
+        h *= min(10.0, max(0.2, factor))
         if abs(h) > config.max_step:
             h = direction * config.max_step
 

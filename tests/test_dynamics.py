@@ -252,11 +252,27 @@ def test_one_curvature_per_distinct_point(monkeypatch):
     monkeypatch.setattr(dynamics, "curvature", counting)
     traj, track_err, _ = spiral_tracking_run(t0=0.8, t_end=0.3)
     assert len(set(points)) == len(points)
-    assert (len(traj), traj.rhs_evaluations, _refreshes(traj)) == (262, 1827, 260)
-    assert len(points) == 1827 - 260
+    assert (len(traj), traj.rhs_evaluations, _refreshes(traj)) == (77, 988, 75)
+    assert len(points) == 988 - 75
     # the trajectory to rounding; abs=0 because approx's default absolute
-    # tolerance, 1e-12, is 5e-5 of this value
-    assert track_err == pytest.approx(1.9167931688468834e-08, rel=1e-9, abs=0.0)
+    # tolerance, 1e-12, is 1e-3 of this value
+    assert track_err == pytest.approx(1.0390736583715194e-09, rel=1e-9, abs=0.0)
+
+
+def test_stats_count_one_rhs_per_stage_plus_the_refreshes():
+    # DOP853: one RHS for the first stage, then 11 stages and the RHS at
+    # y_new per attempt, accepted or rejected, plus the FSAL refreshes;
+    # only the refreshes reuse a bundle.
+    field = flat_cylindrical_metric()
+    spiral_data = from_unparametrized(field, spiral_state(0.8))
+    cfg = IntegratorConfig(rtol=1e-8, atol=1e-8)
+    traj = integrate(field, spiral_data, (0.0, -3.0), cfg)
+    stats = traj.stats
+    assert stats["domain_shrinks"] == 0 and stats["rejected"] >= 1
+    attempts = stats["accepted"] + stats["rejected"]
+    refreshes = _refreshes(traj)
+    assert stats["rhs_evaluations"] == 1 + 12 * attempts + refreshes
+    assert stats["curvature_evaluations"] == stats["rhs_evaluations"] - refreshes
 
 
 def test_integrate_logs_one_summary(caplog):
@@ -557,6 +573,23 @@ def test_config_validation():
 def test_config_rejects_nonpositive_step_bounds_by_name(kwargs, name):
     with pytest.raises(ValueError, match=f"^{name} must be"):
         IntegratorConfig(**kwargs)
+
+
+def test_dop853_tableau_is_consistent():
+    # Each stage's row sums to its node, the 8th-order weights integrate
+    # c^k exactly for k <= 7 (and not for k = 8), and both error weight
+    # vectors sum to 0; a mistyped digit breaks one of these.
+    A, B, C = dynamics._A, dynamics._B, dynamics._C
+    eps = np.finfo(float).eps
+    assert len(A) == C.size == B.size == dynamics._E3.size == dynamics._E5.size == 12
+    for i, row in enumerate(A):
+        assert row.size == i
+        assert abs(row.sum() - C[i]) <= 4 * eps * np.abs(row).sum()
+    for k in range(8):
+        assert abs(B @ C**k - 1.0 / (k + 1)) <= 4 * eps * np.abs(B).sum()
+    assert abs(B @ C**8 - 1.0 / 9) > 1e-6
+    for weights in (dynamics._E3, dynamics._E5):
+        assert abs(weights.sum()) <= 4 * eps * np.abs(weights).sum()
 
 
 def test_integrate_straight_line_exact():
