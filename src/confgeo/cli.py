@@ -34,10 +34,6 @@ log = logging.getLogger("confgeo")
 CSV_HEADER = "s,t_param,x,y,z,r,phi,arc_length,track_err,z_err"
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def _load_config(path: str) -> dict:
     """Parse a KEY = VALUE config file; '#' starts a comment."""
     values = {}
@@ -60,7 +56,6 @@ _CONFIG_TYPES = {
     "circle": float,
     "max_steps": int,
     "out": str,
-    "selection": str,
     "metric": str,
     "chart": str,
     "point": str,
@@ -153,43 +148,22 @@ def _write_gnuplot(path: Path, csv_name: str):
     )
 
 
-def _trace_rows_spiral(traj):
-    pos = traj.positions()
+def _trace_columns(traj, t_param, r, phi, track_err) -> np.ndarray:
+    """The CSV_HEADER columns, one row per sample; the modes differ only
+    in the parameter, the polar coordinates and the tracking error."""
     cart = traj.cartesian_positions()
-    r = pos[:, 0]
-    track, _ = spiral_tracking_errors(traj)
-    for i in range(len(traj)):
-        yield (
-            traj.s[i],
-            r[i],
-            cart[i, 0],
-            cart[i, 1],
-            cart[i, 2],
-            r[i],
-            pos[i, 1],
-            traj.arc_length[i],
-            track[i],
-            abs(pos[i, 2]),
-        )
-
-
-def _trace_rows_circle(traj, radius):
-    pos = traj.positions()
-    for i in range(len(traj)):
-        x, y, z = pos[i]
-        rr = float(np.hypot(x, y))
-        yield (
-            traj.s[i],
-            traj.s[i],
-            x,
-            y,
-            z,
-            rr,
-            float(np.arctan2(y, x)),
-            traj.arc_length[i],
-            abs(rr - radius),
-            abs(z),
-        )
+    return np.column_stack(
+        [
+            traj.s,
+            t_param,
+            cart,
+            r,
+            phi,
+            traj.arc_length,
+            track_err,
+            np.abs(traj.positions()[:, 2]),
+        ]
+    )
 
 
 def cmd_trace(args) -> int:
@@ -218,10 +192,12 @@ def cmd_trace(args) -> int:
         initial = circle_state(radius)
         config = IntegratorConfig(rtol=tol, atol=tol, max_steps=max_steps)
         traj = integrate(field, initial, (0.0, 2.0 * np.pi * radius), config)
-        rows = list(_trace_rows_circle(traj, radius))
-        closure = float(
-            np.linalg.norm(traj.states[-1].x - traj.states[0].x)
+        pos = traj.positions()
+        r = np.hypot(pos[:, 0], pos[:, 1])
+        columns = _trace_columns(
+            traj, traj.s, r, np.arctan2(pos[:, 1], pos[:, 0]), np.abs(r - radius)
         )
+        closure = float(np.linalg.norm(pos[-1] - pos[0]))
         print(f"circle R={radius}: {len(traj)} samples, closure error {closure:.3e}")
     else:
         if not 0.0 < t_end <= t0 <= 1.0:
@@ -233,19 +209,18 @@ def cmd_trace(args) -> int:
             integrator_tol=tol,
             metric=flat_cylindrical_metric() if metric_name == "flat" else None,
             max_steps=max_steps,
-            s_bound=80.0,
         )
-        rows = list(_trace_rows_spiral(traj))
+        r, phi, _ = traj.positions().T
+        columns = _trace_columns(traj, r, r, phi, spiral_tracking_errors(traj)[0])
         print(
-            f"spiral t0={t0} -> r={traj.states[-1].x[0]:.4f}: "
+            f"spiral t0={t0} -> r={r[-1]:.4f}: "
             f"{len(traj)} samples, status {traj.status}"
         )
 
     csv_path = out_dir / "trace.csv"
-    with csv_path.open("w") as fh:
-        fh.write(CSV_HEADER + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+    np.savetxt(
+        csv_path, columns, fmt="%.17g", delimiter=",", header=CSV_HEADER, comments=""
+    )
     _write_gnuplot(out_dir / "trace.gnuplot", csv_path.name)
     (out_dir / "run_stats.json").write_text(
         json.dumps(traj.stats, sort_keys=True, indent=2) + "\n"

@@ -113,10 +113,15 @@ class IntegratorConfig:
             raise ValueError("max_steps must be at least 1")
 
 
+def _unpack(y: np.ndarray, n: int, s: float) -> GeodesicState:
+    return GeodesicState(x=y[:n], u=y[n : 2 * n], a=y[2 * n :], s=s)
+
+
 @dataclass
 class Trajectory:
     """Accepted integration samples plus per-sample diagnostics.
 
+    Row i of the (N, 3n) array ``y`` is sample i's state (x, u, a) at s[i].
     ``stats`` holds the run's counters as ``integrate`` logs them:
     status and message (the stop reason), accepted and rejected steps,
     domain shrinks, RHS and curvature evaluations, and the smallest and
@@ -125,7 +130,7 @@ class Trajectory:
 
     field: MetricField
     s: np.ndarray
-    states: list[GeodesicState]
+    y: np.ndarray
     arc_length: np.ndarray
     gauge_error: np.ndarray
     projection: np.ndarray
@@ -135,17 +140,25 @@ class Trajectory:
     stats: dict = dataclass_field(default_factory=dict)
 
     def __len__(self):
-        return len(self.states)
+        return len(self.y)
 
     def positions(self) -> np.ndarray:
-        return np.array([st.x for st in self.states])
+        return self.y[:, : self.field.dimension]
 
     def cartesian_positions(self) -> np.ndarray:
         return self.field.chart.embed(self.positions())
 
+    def state(self, i: int) -> GeodesicState:
+        """Sample i as a GeodesicState (views into ``y``)."""
+        return _unpack(self.y[i], self.field.dimension, float(self.s[i]))
+
+    @property
+    def states(self) -> list[GeodesicState]:
+        return [self.state(i) for i in range(len(self))]
+
     @property
     def final_state(self) -> GeodesicState:
-        return self.states[-1]
+        return self.state(-1)
 
     @property
     def max_projection(self) -> float:
@@ -173,7 +186,7 @@ def _schouten(bundle, x, override):
     return bundle.schouten
 
 
-def _bundle_at(field, x, bundle, curvature_step):
+def _bundle_at(field, x, bundle, curvature_step=None):
     """The caller's curvature bundle at x, checked to sit exactly there,
     or a new one computed at x when the caller has none."""
     if bundle is None:
@@ -235,7 +248,6 @@ def wedge_form_residual(
     field: MetricField,
     state: GeodesicState,
     da: np.ndarray,
-    curvature_step: Optional[float] = None,
     *,
     bundle: Optional[CurvatureBundle] = None,
 ) -> Bivector:
@@ -249,7 +261,7 @@ def wedge_form_residual(
     already has it, as in ``propertime_rhs``.
     """
     x, u, a = state.x, state.u, state.a
-    bundle = _bundle_at(field, x, bundle, curvature_step)
+    bundle = _bundle_at(field, x, bundle)
     l_hat_u = bundle.inverse_metric @ _schouten(bundle, x, None) @ u
     _, cov = _covariant_wedge(bundle.christoffel, u, a, da)
     rhs = u[:, None] * l_hat_u - l_hat_u[:, None] * u
@@ -260,7 +272,6 @@ def unparam_residual(
     field: MetricField,
     state: UnparamState,
     db: np.ndarray,
-    curvature_step: Optional[float] = None,
     schouten_override: Optional[Callable] = None,
     *,
     bundle: Optional[CurvatureBundle] = None,
@@ -274,7 +285,7 @@ def unparam_residual(
     ``state.x`` when the caller already has it, as in ``propertime_rhs``.
     """
     x, v, b = state.x, state.v, state.b
-    bundle = _bundle_at(field, x, bundle, curvature_step)
+    bundle = _bundle_at(field, x, bundle)
     g = bundle.metric
     speed2 = float(v @ g @ v)
     if speed2 <= 0.0:
@@ -294,7 +305,6 @@ def unparam_residual_scale(
     field: MetricField,
     state: UnparamState,
     db: np.ndarray,
-    curvature_step: Optional[float] = None,
     schouten_override: Optional[Callable] = None,
     *,
     bundle: Optional[CurvatureBundle] = None,
@@ -307,7 +317,7 @@ def unparam_residual_scale(
     already has it, as in ``propertime_rhs``; g and g^-1 come from it.
     """
     x, v, b = state.x, state.v, state.b
-    bundle = _bundle_at(field, x, bundle, curvature_step)
+    bundle = _bundle_at(field, x, bundle)
     g, ginv = bundle.metric, bundle.inverse_metric
     speed = np.sqrt(float(v @ g @ v))
     l_hat_v = ginv @ _schouten(bundle, x, schouten_override) @ v
@@ -524,14 +534,6 @@ _E3 = _B - np.array(
 )
 
 
-def _pack(state: GeodesicState) -> np.ndarray:
-    return np.concatenate([state.x, state.u, state.a])
-
-
-def _unpack(y: np.ndarray, n: int, s: float) -> GeodesicState:
-    return GeodesicState(x=y[:n], u=y[n : 2 * n], a=y[2 * n :], s=s)
-
-
 def integrate(
     field: MetricField,
     initial: GeodesicState,
@@ -592,8 +594,9 @@ def integrate(
         return np.concatenate([dx, du, da]), bundle
 
     sp_prev = np.sqrt(float(initial.u @ g @ initial.u))  # |u|_g for the arc trapezoid
+    y = np.concatenate([initial.x, initial.u, initial.a])
     s_vals = [s0]
-    states = [GeodesicState(initial.x, initial.u, initial.a, s0)]
+    rows = [y]
     arc = [0.0]
     gauge = [max(initial.gauge_residuals(g))]
     proj = [0.0]
@@ -631,7 +634,7 @@ def integrate(
         return Trajectory(
             field=field,
             s=np.array(s_vals),
-            states=states,
+            y=np.array(rows),
             arc_length=np.array(arc),
             gauge_error=np.array(gauge),
             projection=np.array(proj),
@@ -641,13 +644,12 @@ def integrate(
             stats=stats,
         )
 
-    if stop is not None and stop(states[0]):
+    if stop is not None and stop(_unpack(y, n, s0)):
         status, message = "stopped", "stop condition met at the initial state"
         return finish()
     if span == 0.0:
         return finish()
 
-    y = _pack(initial)
     s = s0
     try:
         k1, _ = rhs(y)
@@ -710,21 +712,18 @@ def integrate(
 
         if err <= 1.0:
             s_new = s + h
-            st_new = _unpack(y_new.copy(), n, s_new)
             g = bundle.metric
             proj_size = 0.0
             if config.renormalize:
-                u = st_new.u
-                nu = np.sqrt(float(u @ g @ u))
-                u_new = u / nu
-                a = st_new.a
+                u, a = y_new[n : 2 * n], y_new[2 * n :]
+                u_new = u / np.sqrt(float(u @ g @ u))
                 a_new = a - float(u_new @ g @ a) * u_new
                 du, da_ = u_new - u, a_new - a
                 proj_size = float(
                     np.sqrt(max(du @ g @ du, 0.0)) + np.sqrt(max(da_ @ g @ da_, 0.0))
                 )
-                st_new = GeodesicState(st_new.x, u_new, a_new, s_new)
-                y_new = _pack(st_new)
+                y_new[n : 2 * n], y_new[2 * n :] = u_new, a_new
+            st_new = _unpack(y_new, n, s_new)
 
             # arc length: trapezoid of |u|_g over the step
             sp_here = np.sqrt(float(st_new.u @ g @ st_new.u))
@@ -732,7 +731,7 @@ def integrate(
             sp_prev = sp_here
 
             s_vals.append(s_new)
-            states.append(st_new)
+            rows.append(y_new)
             gauge.append(max(st_new.gauge_residuals(g)))
             proj.append(proj_size)
 

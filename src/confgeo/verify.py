@@ -585,12 +585,12 @@ def spiral_tracking_run(
     curvature_step: float = 1e-2,
     metric: Optional[MetricField] = None,
     max_steps: int = 400_000,
-    s_bound: float = 60.0,
 ) -> tuple[Trajectory, float, float]:
     """Integrate the conformal geodesic from the spiral's data inward.
 
     Proper time increases outward along the curve, so the inward run
-    integrates toward negative s until the radius reaches t_end.  The
+    integrates toward negative s until the radius reaches t_end, with no
+    bound on s: only the stop radius or ``max_steps`` ends the run.  The
     example metric carries a closed-form jet, with which the z = 0
     plane is an exact invariant of the computed flow (max |z| is 0).
     ``curvature_step`` is the finite-difference step and applies only
@@ -608,7 +608,7 @@ def spiral_tracking_run(
     traj = integrate(
         fld,
         initial,
-        (0.0, -s_bound),
+        (0.0, -np.inf),
         cfg,
         stop=lambda st: st.x[0] <= t_end,
     )
@@ -652,8 +652,8 @@ def check_proposition(
     reached = traj.status == "stopped"
 
     report = detect_spiral(traj, np.zeros(3), (0.8, 0.6, 0.4))
-    start = traj.field.chart.embed(traj.states[0].x)
-    end = traj.field.chart.embed(traj.states[-1].x)
+    start = traj.field.chart.embed(traj.state(0).x)
+    end = traj.field.chart.embed(traj.final_state.x)
     chord = float(np.linalg.norm(end - start))
     arc_total = float(traj.arc_length[-1])
     arc_factor = arc_total / chord if chord > 0 else np.inf

@@ -9,6 +9,7 @@ import pytest
 
 from confgeo import (
     IntegratorConfig,
+    circle_state,
     curvature,
     euclidean_metric,
     example_metric,
@@ -17,13 +18,22 @@ from confgeo import (
     spiral_state,
 )
 from confgeo.cli import CSV_HEADER, main
-from confgeo.verify import spiral_tracking_run
+from confgeo.verify import spiral_tracking_errors, spiral_tracking_run
 
 
 def _read_csv(path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == CSV_HEADER
     return np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+
+
+def _assert_columns(data, expected):
+    """Each CSV column equals, bit for bit, its entry in ``expected``."""
+    names = CSV_HEADER.split(",")
+    assert sorted(expected) == sorted(names)
+    assert data.shape == (len(expected["s"]), len(names))
+    for j, name in enumerate(names):
+        np.testing.assert_array_equal(data[:, j], expected[name], err_msg=name)
 
 
 def test_verify_single_check_writes_reports(tmp_path):
@@ -114,19 +124,27 @@ def test_trace_spiral_csv_and_golden_match(tmp_path):
     traj = integrate(
         field,
         initial,
-        (0.0, -80.0),
+        (0.0, -np.inf),
         config,
         stop=lambda st: st.x[0] <= t_end,
     )
-    assert len(traj) == len(data)
-    np.testing.assert_array_equal(data[:, 0], traj.s)
     pos = traj.positions()
-    np.testing.assert_array_equal(data[:, 5], pos[:, 0])
-    np.testing.assert_array_equal(data[:, 6], pos[:, 1])
-    np.testing.assert_array_equal(data[:, 7], traj.arc_length)
     cart = traj.cartesian_positions()
-    np.testing.assert_array_equal(data[:, 2], cart[:, 0])
-    np.testing.assert_array_equal(data[:, 3], cart[:, 1])
+    _assert_columns(
+        data,
+        {
+            "s": traj.s,
+            "t_param": pos[:, 0],
+            "x": cart[:, 0],
+            "y": cart[:, 1],
+            "z": cart[:, 2],
+            "r": pos[:, 0],
+            "phi": pos[:, 1],
+            "arc_length": traj.arc_length,
+            "track_err": spiral_tracking_errors(traj)[0],
+            "z_err": np.abs(pos[:, 2]),
+        },
+    )
 
 
 def test_trace_byte_identical_reruns(tmp_path):
@@ -226,6 +244,30 @@ def test_trace_circle_mode_closes(tmp_path):
     endpoint_error = np.linalg.norm(data[-1, 2:5] - data[0, 2:5])
     assert endpoint_error < 1e-6
     assert np.max(np.abs(data[:, 5] - 1.0)) < 1e-6  # radial deviation
+
+    # golden comparison, as for the spiral: the flat circle of radius 1
+    # over one period, with its parameter in t_param
+    config = IntegratorConfig(rtol=1e-10, atol=1e-10, max_steps=500_000)
+    traj = integrate(
+        euclidean_metric(3), circle_state(1.0), (0.0, 2.0 * np.pi), config
+    )
+    x, y, z = traj.positions().T
+    r = np.hypot(x, y)
+    _assert_columns(
+        data,
+        {
+            "s": traj.s,
+            "t_param": traj.s,
+            "x": x,
+            "y": y,
+            "z": z,
+            "r": r,
+            "phi": np.arctan2(y, x),
+            "arc_length": traj.arc_length,
+            "track_err": np.abs(r - 1.0),
+            "z_err": np.abs(z),
+        },
+    )
 
 
 def test_curvature_json_matches_module(capsys):
@@ -345,7 +387,7 @@ def test_trace_writes_run_stats(tmp_path, capsys):
     assert main(args + ["--out", str(out)]) == 0
     stats = json.loads((out / "run_stats.json").read_text())
     traj, _, _ = spiral_tracking_run(
-        t0=0.8, t_end=0.7, integrator_tol=1e-8, max_steps=500_000, s_bound=80.0
+        t0=0.8, t_end=0.7, integrator_tol=1e-8, max_steps=500_000
     )
     assert stats == traj.stats
     assert stats["status"] == "stopped"

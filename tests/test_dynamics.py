@@ -633,6 +633,24 @@ def test_integrate_backward_direction():
     assert np.all(np.diff(traj.arc_length) > 0.0)  # length grows either way
 
 
+def test_trajectory_states_are_rows_of_one_sample_array():
+    st = circle_state(1.0)
+    traj = integrate(FLAT3, st, (0.0, 1.5), IntegratorConfig())
+    n = FLAT3.dimension
+    assert traj.y.shape == (len(traj), 3 * n)
+    assert len(traj) == len(traj.s) == len(traj.states) > 2
+    np.testing.assert_array_equal(traj.positions(), traj.y[:, :n])
+    np.testing.assert_array_equal(traj.y[0], np.concatenate([st.x, st.u, st.a]))
+    for i, state in [(0, traj.state(0)), (len(traj) - 1, traj.final_state)]:
+        np.testing.assert_array_equal(
+            np.concatenate([state.x, state.u, state.a]), traj.y[i]
+        )
+        assert state.s == traj.s[i]
+    # the gauge error is that of the stored, renormalised row
+    for i, state in enumerate(traj.states):
+        assert traj.gauge_error[i] == max(state.gauge_residuals(FLAT3(state.x)))
+
+
 def test_gauge_preservation_without_renormalization():
     # The gauge quantities are conserved by the equation; any drift is
     # integrator error and must stay below 100x the tolerance.
@@ -763,14 +781,11 @@ def test_arc_length_rejects_degenerate_curve():
 def _fake_trajectory(points, field=FLAT3):
     points = np.asarray(points, float)
     n = len(points)
-    states = [
-        GeodesicState(p, np.array([1.0, 0.0, 0.0]), np.zeros(3), float(i))
-        for i, p in enumerate(points)
-    ]
+    u = np.tile([1.0, 0.0, 0.0], (n, 1))
     return Trajectory(
         field=field,
         s=np.arange(n, dtype=float),
-        states=states,
+        y=np.hstack([points, u, np.zeros((n, 3))]),
         arc_length=np.linspace(0.0, 1.0, n),
         gauge_error=np.zeros(n),
         projection=np.zeros(n),

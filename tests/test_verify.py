@@ -181,3 +181,11 @@ def test_tracking_run_reaches_radius_and_stays_planar():
     assert max_z < 1e-10
     # radius decreases monotonically along the inward run
     assert np.all(np.diff(traj.positions()[:, 0]) < 0.0)
+
+
+def test_tracking_run_deep_into_the_spiral_is_not_cut_short():
+    # Proper time runs to -143 before r = 0.15, so any fixed bound on s
+    # would end this run early; only the stop radius may end it.
+    traj, _, _ = spiral_tracking_run(t0=0.8, t_end=0.15, integrator_tol=1e-8)
+    assert traj.status == "stopped"
+    assert traj.final_state.x[0] <= 0.15
