@@ -73,8 +73,5 @@ def bivector_covariant_derivative(
 def _transport(gamma, v, S, dS_dt) -> np.ndarray:
     """Components of nabla_v S from those of S and dS/dt; the connection
     terms are those of bivector_covariant_derivative."""
-    return (
-        np.asarray(dS_dt, dtype=float)
-        + np.einsum("mrs,r,sn->mn", gamma, v, S)
-        + np.einsum("nrs,r,ms->mn", gamma, v, S)
-    )
+    gamma_v = v @ gamma  # [m, s] = Gamma^m_rs v^r
+    return np.asarray(dS_dt, dtype=float) + gamma_v @ S + S @ gamma_v.T

@@ -227,7 +227,7 @@ def cmd_trace(args) -> int:
     )
     print(f"trace written to {csv_path}")
 
-    if traj.status in ("step_underflow", "max_steps", "left_domain"):
+    if traj.status in ("step_underflow", "max_steps", "left_domain", "turned_outward"):
         print(f"integration incomplete: {traj.status}: {traj.message}", file=sys.stderr)
         return 3
     return 0

@@ -5,12 +5,13 @@ The metric and its derivatives come from the metric's closed-form jet
 when it has one, otherwise from central finite differences: 4th-order
 stencils for first derivatives and symmetric 4th-order stencils
 (5-point diagonal, composed 4x4 cross) for second derivatives.  All
-tensors are dense; the dimensions here are 2 or 3.
+tensors are dense and every kernel takes any dimension n >= 2; the
+package uses 2 and 3, and the tests also check 4.
 """
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 from typing import Optional
 
 import numpy as np
@@ -99,19 +100,48 @@ def metric_derivatives(field: MetricField, point, order: int, step=None):
     return dg if order == 1 else d2g
 
 
-def _connection(ginv: np.ndarray, dg: np.ndarray):
-    """(T, Gamma) with T[s, a, b] = d_a g_sb + d_b g_sa - d_s g_ab and
-    Gamma^m_ab = 1/2 g^ms T[s, a, b]."""
+@functools.lru_cache(maxsize=None)
+def _contraction_maps(n: int):
+    """Constant maps of the curvature kernel in dimension n.  Each is the
+    kernel's formula applied to a basis, so its entries are exact (0,
+    +-1/2 or +-1); they are read-only.
+
+    - ``sym`` (n^3, n^3): dg.ravel() @ sym is T/2 with
+      T[s, a, b] = d_a g_sb + d_b g_sa - d_s g_ab; the same map takes
+      each slice d2g[c] = d_c dg to d_c T/2.
+    - ``ric_lin`` (n^4, n^2): dgamma.ravel() @ ric_lin is
+      d_m Gamma^m_ab - d_b Gamma^m_am, for dgamma[c, m, a, b] = d_c Gamma^m_ab.
+    - ``ric_quad`` (n^3, n^5): G @ (G @ ric_quad).reshape(n^3, n^2), with
+      G = Gamma.ravel(), is Gamma^m_ms Gamma^s_ab - Gamma^m_sb Gamma^s_am.
+      It has n^8 entries: 0.5 MB at n = 4.
+    """
+    e3 = np.eye(n**3).reshape(n**3, n, n, n)
+    T = e3.transpose(0, 2, 1, 3) + e3.transpose(0, 2, 3, 1) - e3
+    sym = 0.5 * T.reshape(n**3, n**3)
+    e4 = np.eye(n**4).reshape(n**4, n, n, n, n)
+    ric_lin = np.einsum("kmmab->kab", e4) - np.einsum("kbmam->kab", e4)
+    ric_quad = np.einsum("imms,jsab->ijab", e3, e3) - np.einsum(
+        "imsb,jsam->ijab", e3, e3
+    )
+    maps = (sym, ric_lin.reshape(n**4, n * n), ric_quad.reshape(n**3, n**5))
+    for m in maps:
+        m.flags.writeable = False
+    return maps
+
+
+def _connection(ginv: np.ndarray, dg: np.ndarray, sym: np.ndarray) -> np.ndarray:
+    """Gamma^m_ab = g^ms T[s, a, b] / 2 as an (n, n*n) array."""
     n = ginv.shape[0]
-    T = dg.transpose(1, 0, 2) + dg.transpose(1, 2, 0) - dg
-    return T, 0.5 * (ginv @ T.reshape(n, n * n)).reshape(n, n, n)
+    return ginv @ (dg.reshape(n**3) @ sym).reshape(n, n * n)
 
 
 def christoffel(field: MetricField, point, step=None) -> np.ndarray:
     """Levi-Civita connection coefficients Gamma[m, a, b] = Gamma^m_ab."""
     point = np.asarray(point, dtype=float)
     g, dg, _ = _metric_jets(field, point, step)
-    return _connection(_checked_inverse(g, point), dg)[1]
+    n = point.size
+    gamma = _connection(_checked_inverse(g, point), dg, _contraction_maps(n)[0])
+    return gamma.reshape(n, n, n)
 
 
 @dataclass(frozen=True)
@@ -124,18 +154,34 @@ class CurvatureBundle:
     n >= 3 the Schouten tensor
     schouten = (ricci - scalar/(2(n-1)) g) / (n-2).
     With these signs the unit round sphere has ricci = g and scalar 2.
-    For dimension 2 ``schouten`` is None.  ``riemann_lowered``
-    (R_mnab = g_ms R^s_nab) is computed on first access.
+    For dimension 2 ``schouten`` is None.
+
+    ``curvature`` contracts Ricci straight from the partials of Gamma and
+    from Gamma, so it builds no Riemann tensor.  ``riemann`` and
+    ``riemann_lowered`` (R_mnab = g_ms R^s_nab) are built on first access,
+    ``riemann`` from the partials of Gamma the bundle keeps for it.
     """
 
     point: np.ndarray
     metric: np.ndarray
     inverse_metric: np.ndarray
     christoffel: np.ndarray
-    riemann: np.ndarray
     ricci: np.ndarray
     scalar: float
     schouten: Optional[np.ndarray]
+    _dgamma: np.ndarray = dataclass_field(repr=False)  # [c, m, a, b] = d_c Gamma^m_ab
+
+    @functools.cached_property
+    def riemann(self) -> np.ndarray:
+        n = len(self.metric)
+        gamma = self.christoffel
+        # X[m, n, a, b] = d_a Gamma^m_nb + Gamma^m_sa Gamma^s_nb; the
+        # Riemann tensor is X minus its a <-> b swap.
+        gamma_gamma = (
+            gamma.transpose(0, 2, 1).reshape(n * n, n) @ gamma.reshape(n, n * n)
+        ).reshape(n, n, n, n)
+        X = self._dgamma.transpose(1, 2, 0, 3) + gamma_gamma.transpose(0, 2, 1, 3)
+        return X - X.transpose(0, 1, 3, 2)
 
     @functools.cached_property
     def riemann_lowered(self) -> np.ndarray:
@@ -156,24 +202,18 @@ def curvature(field: MetricField, point, step=None) -> CurvatureBundle:
     point = np.asarray(point, dtype=float)
     g, dg, d2g = _metric_jets(field, point, step)
     ginv = _checked_inverse(g, point)
-    T, gamma = _connection(ginv, dg)
-
     n = point.size
-    # d_c g^ms, then d_c T[s, a, b] and d_c Gamma^m_ab by the product rule
-    dginv = -(ginv @ dg @ ginv)
-    dT = d2g.transpose(0, 2, 1, 3) + d2g.transpose(0, 2, 3, 1) - d2g
-    dgamma = 0.5 * (
-        (dginv @ T.reshape(n, n * n)) + (ginv @ dT.reshape(n, n, n * n))
-    ).reshape(n, n, n, n)
+    sym, ric_lin, ric_quad = _contraction_maps(n)
+    gamma = _connection(ginv, dg, sym)
 
-    # X[m, n, a, b] = d_a Gamma^m_nb + Gamma^m_sa Gamma^s_nb; the Riemann
-    # tensor is X minus its a <-> b swap.
-    gamma_gamma = (
-        gamma.transpose(0, 2, 1).reshape(n * n, n) @ gamma.reshape(n, n * n)
-    ).reshape(n, n, n, n)
-    X = dgamma.transpose(1, 2, 0, 3) + gamma_gamma.transpose(0, 2, 1, 3)
-    riemann = X - X.transpose(0, 1, 3, 2)
-    ricci = np.trace(riemann, axis1=0, axis2=2)
+    # d_c Gamma = g^-1 (d_c T/2 - d_c g Gamma), as d_c g^-1 = -g^-1 d_c g g^-1
+    half_dT = (d2g.reshape(n, n**3) @ sym).reshape(n, n, n * n)
+    dgamma = ginv @ (half_dT - dg @ gamma)
+
+    flat = gamma.reshape(n**3)
+    ricci = (
+        dgamma.reshape(n**4) @ ric_lin + flat @ (flat @ ric_quad).reshape(n**3, n * n)
+    ).reshape(n, n)
     scalar = float(np.vdot(ginv, ricci))
 
     if n >= 3:
@@ -185,11 +225,11 @@ def curvature(field: MetricField, point, step=None) -> CurvatureBundle:
         point=point,
         metric=g,
         inverse_metric=ginv,
-        christoffel=gamma,
-        riemann=riemann,
+        christoffel=gamma.reshape(n, n, n),
         ricci=ricci,
         scalar=scalar,
         schouten=schouten,
+        _dgamma=dgamma.reshape(n, n, n, n),
     )
 
 

@@ -191,7 +191,8 @@ def _bundle_at(field, x, bundle, curvature_step=None):
     or a new one computed at x when the caller has none."""
     if bundle is None:
         return curvature(field, x, step=curvature_step)
-    if not np.array_equal(bundle.point, x):
+    # integrate passes each stage the bundle computed from that very array
+    if bundle.point is not x and not np.array_equal(bundle.point, x):
         raise ValueError(
             f"curvature bundle is at {bundle.point}, not at the state's point {x}"
         )
@@ -201,7 +202,7 @@ def _bundle_at(field, x, bundle, curvature_step=None):
 def _covariant_wedge(gamma, v, b, db):
     """(S, nabla_v S) for S = v ^ b, where b = nabla_v v and db is the
     parameter derivative of the components of b."""
-    v_dot = b - np.einsum("mab,a,b->m", gamma, v, v)
+    v_dot = b - (v @ gamma) @ v
     db = np.asarray(db, float)
     S = v[:, None] * b - b[:, None] * v
     dS = (v_dot[:, None] * b + v[:, None] * db) - (

@@ -50,7 +50,7 @@ class Chart:
         return np.asarray(self.singular_mask(points))
 
     def require_regular(self, points):
-        if np.any(self.is_singular(points)):
+        if self.is_singular(points).any():
             raise ChartSingularityError(
                 f"point on the singular locus of chart '{self.name}'"
             )

@@ -590,8 +590,13 @@ def spiral_tracking_run(
 
     Proper time increases outward along the curve, so the inward run
     integrates toward negative s until the radius reaches t_end, with no
-    bound on s: only the stop radius or ``max_steps`` ends the run.  The
-    example metric carries a closed-form jet, with which the z = 0
+    bound on s.  A curve whose radius climbs back above t0 (a circle in
+    a flat ``metric`` does) would never reach t_end, so the run also
+    ends there, with status "turned_outward"; otherwise only the stop
+    radius or ``max_steps`` ends it.  The radius is tested rather than
+    the sign of u^r, which on the spiral shrinks toward the tolerance
+    as r -> 0.
+    The example metric carries a closed-form jet, with which the z = 0
     plane is an exact invariant of the computed flow (max |z| is 0).
     ``curvature_step`` is the finite-difference step and applies only
     to a ``metric`` without a closed-form jet.
@@ -610,8 +615,13 @@ def spiral_tracking_run(
         initial,
         (0.0, -np.inf),
         cfg,
-        stop=lambda st: st.x[0] <= t_end,
+        stop=lambda st: not t_end < st.x[0] <= t0,
     )
+    r_final = float(traj.y[-1, 0])
+    if traj.status == "stopped" and r_final > t0:
+        traj.status = "turned_outward"
+        traj.message = f"radius climbed back above t0 = {t0} (r = {r_final:.6g})"
+        traj.stats.update(status=traj.status, message=traj.message)
     errors, max_z = spiral_tracking_errors(traj)
     return traj, float(np.max(errors)), max_z
 

@@ -191,6 +191,20 @@ def test_trace_exhausted_step_budget_partial_csv_exit_three(tmp_path, capsys):
     assert "incomplete" in captured.err
 
 
+def test_trace_flat_spiral_that_turns_outward_exits_three(tmp_path, capsys):
+    # In flat space the spiral's data give a circle with 0.69 <= r <= 1.15:
+    # it never reaches r = 0.3, so the run ends once r climbs back above t0.
+    out = tmp_path / "t"
+    args = ["trace", "--metric", "flat", "--t0", "0.8", "--t-end", "0.3"]
+    assert main(args + ["--out", str(out)]) == 3
+    r = _read_csv(out / "trace.csv")[:, 5]
+    assert r[-1] > 0.8 and np.all(r[1:-1] <= 0.8) and r.min() < 0.7
+    stats = json.loads((out / "run_stats.json").read_text())
+    assert stats["status"] == "turned_outward"
+    assert stats["accepted"] == len(r) - 1
+    assert "turned_outward" in capsys.readouterr().err
+
+
 def test_module_entry_point(tmp_path):
     import os
     import subprocess

@@ -284,6 +284,7 @@ def _oracle_cases():
         for dim in (2, 3):
             field = RandomMetricSpec(seed=seed, dimension=dim).build()
             yield field, rng.uniform(-0.6, 0.6, size=(4, dim))
+    yield RandomMetricSpec(seed=4, dimension=4).build(), rng.uniform(-0.6, 0.6, (4, 4))
     yield round_sphere_metric(), np.array([[np.pi / 3, 0.4], [1.0, -2.0], [2.5, 0.7]])
     cyl = np.column_stack(
         [rng.uniform(0.2, 1.6, 8), rng.uniform(-3.0, 3.0, 8), rng.uniform(-0.8, 0.8, 8)]

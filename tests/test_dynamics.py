@@ -242,21 +242,25 @@ def _refreshes(traj):
 
 
 def test_one_curvature_per_distinct_point(monkeypatch):
-    points = []
+    points, bundles = [], []
     original = dynamics.curvature
 
     def counting(field, point, *args, **kwargs):
         points.append(np.asarray(point, float).tobytes())
-        return original(field, point, *args, **kwargs)
+        bundles.append(original(field, point, *args, **kwargs))
+        return bundles[-1]
 
     monkeypatch.setattr(dynamics, "curvature", counting)
     traj, track_err, _ = spiral_tracking_run(t0=0.8, t_end=0.3)
     assert len(set(points)) == len(points)
     assert (len(traj), traj.rhs_evaluations, _refreshes(traj)) == (77, 988, 75)
     assert len(points) == 988 - 75
+    # the RHS needs Ricci only: no Riemann tensor is ever built
+    built = [b for b in bundles if {"riemann", "riemann_lowered"} & vars(b).keys()]
+    assert built == []
     # the trajectory to rounding; abs=0 because approx's default absolute
     # tolerance, 1e-12, is 1e-3 of this value
-    assert track_err == pytest.approx(1.0390736583715194e-09, rel=1e-9, abs=0.0)
+    assert track_err == pytest.approx(1.0392758518131363e-09, rel=1e-9, abs=0.0)
 
 
 def test_stats_count_one_rhs_per_stage_plus_the_refreshes():
