@@ -129,22 +129,12 @@ def _contraction_maps(n: int):
     return maps
 
 
-def _connection(ginv: np.ndarray, dg: np.ndarray, sym: np.ndarray) -> np.ndarray:
-    """Gamma^m_ab = g^ms T[s, a, b] / 2 as an (n, n*n) array."""
-    n = ginv.shape[0]
-    return ginv @ (dg.reshape(n**3) @ sym).reshape(n, n * n)
-
-
 def christoffel(field: MetricField, point, step=None) -> np.ndarray:
     """Levi-Civita connection coefficients Gamma[m, a, b] = Gamma^m_ab."""
-    point = np.asarray(point, dtype=float)
-    g, dg, _ = _metric_jets(field, point, step)
-    n = point.size
-    gamma = _connection(_checked_inverse(g, point), dg, _contraction_maps(n)[0])
-    return gamma.reshape(n, n, n)
+    return curvature(field, point, step).christoffel
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class CurvatureBundle:
     """All pointwise curvature data derived from one metric jet.
 
@@ -160,6 +150,10 @@ class CurvatureBundle:
     from Gamma, so it builds no Riemann tensor.  ``riemann`` and
     ``riemann_lowered`` (R_mnab = g_ms R^s_nab) are built on first access,
     ``riemann`` from the partials of Gamma the bundle keeps for it.
+
+    A bundle of points stacked over leading axes (the private
+    ``_curvature_kernel``) carries those axes in front of every field:
+    ``point`` (..., n), ``scalar`` (...), ``ricci`` (..., n, n) and so on.
     """
 
     point: np.ndarray
@@ -171,22 +165,98 @@ class CurvatureBundle:
     schouten: Optional[np.ndarray]
     _dgamma: np.ndarray = dataclass_field(repr=False)  # [c, m, a, b] = d_c Gamma^m_ab
 
+    def __init__(
+        self,
+        point,
+        metric,
+        inverse_metric,
+        christoffel,
+        ricci,
+        scalar,
+        schouten,
+        _dgamma,
+    ):
+        # One update of the instance dict: the __init__ a frozen dataclass
+        # generates makes an object.__setattr__ call per field, ~1 us more
+        # per curvature() call.
+        self.__dict__.update(
+            point=point,
+            metric=metric,
+            inverse_metric=inverse_metric,
+            christoffel=christoffel,
+            ricci=ricci,
+            scalar=scalar,
+            schouten=schouten,
+            _dgamma=_dgamma,
+        )
+
     @functools.cached_property
     def riemann(self) -> np.ndarray:
-        n = len(self.metric)
         gamma = self.christoffel
+        lead, n = gamma.shape[:-3], gamma.shape[-1]
         # X[m, n, a, b] = d_a Gamma^m_nb + Gamma^m_sa Gamma^s_nb; the
         # Riemann tensor is X minus its a <-> b swap.
         gamma_gamma = (
-            gamma.transpose(0, 2, 1).reshape(n * n, n) @ gamma.reshape(n, n * n)
-        ).reshape(n, n, n, n)
-        X = self._dgamma.transpose(1, 2, 0, 3) + gamma_gamma.transpose(0, 2, 1, 3)
-        return X - X.transpose(0, 1, 3, 2)
+            gamma.swapaxes(-1, -2).reshape(lead + (n * n, n))
+            @ gamma.reshape(lead + (n, n * n))
+        ).reshape(lead + (n, n, n, n))
+        dgamma = self._dgamma.swapaxes(-4, -3).swapaxes(-3, -2)  # [m, a, c, b]
+        X = dgamma + gamma_gamma.swapaxes(-3, -2)
+        return X - X.swapaxes(-1, -2)
 
     @functools.cached_property
     def riemann_lowered(self) -> np.ndarray:
-        n = len(self.metric)
-        return (self.metric @ self.riemann.reshape(n, n**3)).reshape(n, n, n, n)
+        lead, n = self.metric.shape[:-2], self.metric.shape[-1]
+        return (self.metric @ self.riemann.reshape(lead + (n, n**3))).reshape(
+            lead + (n, n, n, n)
+        )
+
+
+def _curvature_kernel(point, g, dg, d2g) -> CurvatureBundle:
+    """The curvature bundle of metric jets stacked over any leading axes.
+
+    ``point`` is (..., n) and g, dg, d2g are (..., n, n), (..., n, n, n)
+    and (..., n, n, n, n) with the layout of ``_metric_jets``.  Every
+    product acts on one instance's matrices and vectors (``@`` on
+    matrices, ``np.vecmat`` and ``np.vecdot`` on vectors, which round as
+    the 1-D ``@`` does), so each instance of a stack gets the bits a
+    single-point call gives it.  A degenerate metric raises as
+    ``_checked_inverse`` does, naming the first degenerate instance's point.
+    """
+    ginv = _checked_inverse(g, point)
+    lead, n = g.shape[:-2], g.shape[-1]
+    sym, ric_lin, ric_quad = _contraction_maps(n)
+    # Gamma^m_ab = g^ms T[s, a, b] / 2, as (..., n, n*n)
+    gamma = ginv @ np.vecmat(dg.reshape(lead + (n**3,)), sym).reshape(lead + (n, n * n))
+
+    # d_c Gamma = g^-1 (d_c T/2 - d_c g Gamma), as d_c g^-1 = -g^-1 d_c g g^-1;
+    # the n products d_c g Gamma as one (n^2, n) @ (n, n^2) product
+    half_dT = (d2g.reshape(lead + (n, n**3)) @ sym).reshape(lead + (n, n, n * n))
+    dg_gamma = (dg.reshape(lead + (n * n, n)) @ gamma).reshape(lead + (n, n, n * n))
+    dgamma = ginv[..., None, :, :] @ (half_dT - dg_gamma)
+
+    flat = gamma.reshape(lead + (n**3,))
+    ricci_flat = np.vecmat(dgamma.reshape(lead + (n**4,)), ric_lin) + np.vecmat(
+        flat, np.vecmat(flat, ric_quad).reshape(lead + (n**3, n * n))
+    )
+    ricci = ricci_flat.reshape(lead + (n, n))
+    scalar = np.vecdot(ginv.reshape(lead + (n * n,)), ricci_flat)
+
+    if n >= 3:
+        schouten = (ricci - (scalar / (2.0 * (n - 1)))[..., None, None] * g) / (n - 2)
+    else:
+        schouten = None
+
+    return CurvatureBundle(
+        point=point,
+        metric=g,
+        inverse_metric=ginv,
+        christoffel=gamma.reshape(lead + (n, n, n)),
+        ricci=ricci,
+        scalar=scalar,
+        schouten=schouten,
+        _dgamma=dgamma.reshape(lead + (n, n, n, n)),
+    )
 
 
 def curvature(field: MetricField, point, step=None) -> CurvatureBundle:
@@ -200,37 +270,7 @@ def curvature(field: MetricField, point, step=None) -> CurvatureBundle:
     Closed-form jets do not have this problem.
     """
     point = np.asarray(point, dtype=float)
-    g, dg, d2g = _metric_jets(field, point, step)
-    ginv = _checked_inverse(g, point)
-    n = point.size
-    sym, ric_lin, ric_quad = _contraction_maps(n)
-    gamma = _connection(ginv, dg, sym)
-
-    # d_c Gamma = g^-1 (d_c T/2 - d_c g Gamma), as d_c g^-1 = -g^-1 d_c g g^-1
-    half_dT = (d2g.reshape(n, n**3) @ sym).reshape(n, n, n * n)
-    dgamma = ginv @ (half_dT - dg @ gamma)
-
-    flat = gamma.reshape(n**3)
-    ricci = (
-        dgamma.reshape(n**4) @ ric_lin + flat @ (flat @ ric_quad).reshape(n**3, n * n)
-    ).reshape(n, n)
-    scalar = float(np.vdot(ginv, ricci))
-
-    if n >= 3:
-        schouten = (ricci - scalar / (2.0 * (n - 1)) * g) / (n - 2)
-    else:
-        schouten = None
-
-    return CurvatureBundle(
-        point=point,
-        metric=g,
-        inverse_metric=ginv,
-        christoffel=gamma.reshape(n, n, n),
-        ricci=ricci,
-        scalar=scalar,
-        schouten=schouten,
-        _dgamma=dgamma.reshape(n, n, n, n),
-    )
+    return _curvature_kernel(point, *_metric_jets(field, point, step))
 
 
 def kulkarni_nomizu(A: np.ndarray, B: np.ndarray) -> np.ndarray:

@@ -25,10 +25,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .bivectors import Bivector, _transport
+from .bivectors import Bivector, _connection_along, _max_abs, _transport, _wedge
 from .curvature import CurvatureBundle, curvature
 from .errors import ConfgeoError, ImmersionError
-from .metrics import MetricField
+from .metrics import MetricField, _first_point
 
 GAUGE_TOL = 1e-9
 
@@ -40,7 +40,13 @@ log = logging.getLogger(__name__)
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+# The states, like CurvatureBundle, are frozen dataclasses whose __init__
+# fills the instance dict in one update: the generated one would make an
+# object.__setattr__ call per field, and ``integrate`` builds a state for
+# every RHS (~1.5 us more each).
+
+
+@dataclass(frozen=True, init=False)
 class GeodesicState:
     """Proper-time state (position, unit velocity, orthogonal acceleration)."""
 
@@ -49,9 +55,10 @@ class GeodesicState:
     a: np.ndarray
     s: float = 0.0
 
-    def __post_init__(self):
-        for name in ("x", "u", "a"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), float))
+    def __init__(self, x, u, a, s=0.0):
+        self.__dict__.update(
+            x=np.asarray(x, float), u=np.asarray(u, float), a=np.asarray(a, float), s=s
+        )
 
     def gauge_residuals(self, g: np.ndarray) -> tuple[float, float]:
         """(| |u|^2 - 1 |, |g(u, a)|) for the metric matrix g at the state's point."""
@@ -72,7 +79,7 @@ class GeodesicState:
         return g
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class UnparamState:
     """Arbitrary-parameter state with velocity v and acceleration b = nabla_v v."""
 
@@ -81,13 +88,10 @@ class UnparamState:
     b: np.ndarray
     t: float = 0.0
 
-    def __post_init__(self):
-        for name in ("x", "v", "b"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), float))
-
-    def speed(self, g: np.ndarray) -> float:
-        """|v| for the metric matrix g at the state's point."""
-        return float(np.sqrt(max(float(self.v @ g @ self.v), 0.0)))
+    def __init__(self, x, v, b, t=0.0):
+        self.__dict__.update(
+            x=np.asarray(x, float), v=np.asarray(v, float), b=np.asarray(b, float), t=t
+        )
 
 
 @dataclass(frozen=True)
@@ -199,16 +203,64 @@ def _bundle_at(field, x, bundle, curvature_step=None):
     return bundle
 
 
+def _pow(x, p):
+    """x ** p elementwise, rounded as a scalar power rounds.
+
+    A scalar power calls the C library's pow, while numpy's array power
+    computes x * x for p = 2 and a vectorised pow otherwise; the two
+    differ in the last bit for some arguments (about 1 in 20 for p = 3
+    with numpy 2.4 on AVX-512 x86-64).  Taking each power as a scalar
+    keeps every instance of a stack bit-identical to a single evaluation.
+    """
+    x = np.asarray(x, dtype=float)
+    return np.array([v**p for v in x.ravel().tolist()]).reshape(x.shape)
+
+
+# The kernels below take vectors (..., n) and matrices (..., n, n) stacked
+# over matching or broadcasting leading axes.  np.matvec, np.vecmat and
+# np.vecdot round as the 1-D ``@`` products do, so every instance of a
+# stack gets the bits of a single evaluation.
+
+
+def _quadratic(p, M, q):
+    """p . M . q, as the 1-D ``p @ M @ q``."""
+    return np.vecdot(np.vecmat(p, M), q)
+
+
+def _raise_index(ginv, L, v):
+    """L^v = g^-1 L v."""
+    return np.matvec(ginv @ L, v)
+
+
 def _covariant_wedge(gamma, v, b, db):
     """(S, nabla_v S) for S = v ^ b, where b = nabla_v v and db is the
-    parameter derivative of the components of b."""
-    v_dot = b - (v @ gamma) @ v
+    parameter derivative of the components of b; all stacked over the
+    same leading axes."""
+    gamma_v = _connection_along(gamma, v)
+    v_dot = b - np.matvec(gamma_v, v)
     db = np.asarray(db, float)
-    S = v[:, None] * b - b[:, None] * v
-    dS = (v_dot[:, None] * b + v[:, None] * db) - (
-        b[:, None] * v_dot + db[:, None] * v
+    vc, vr, bc, br = v[..., :, None], v[..., None, :], b[..., :, None], b[..., None, :]
+    dS = (v_dot[..., :, None] * br + vc * db[..., None, :]) - (
+        bc * v_dot[..., None, :] + db[..., :, None] * vr
     )
-    return S, _transport(gamma, v, S, dS)
+    S = _wedge(v, b)
+    return S, _transport(gamma_v, S, dS)
+
+
+def _propertime_derivatives(gamma, g, ginv, L, u, a):
+    """(du, da) of the proper-time system for stacks of states, from the
+    Christoffel symbols, g, g^-1 and L at their points:
+    du = a - Gamma(u, u) and da = -Gamma(u, a) + (-|a|^2 - L(u, u)) u + L^u.
+    ``integrate`` evaluates it at every stage, so _raise_index and
+    _quadratic are written out here."""
+    l_hat_u = np.matvec(ginv @ L, u)
+    a_sq = np.vecdot(np.vecmat(a, g), a)
+    u_lu = np.vecdot(np.vecmat(u, L), u)  # u . L^u = L(u, u)
+
+    gamma_u = np.matvec(gamma, u[..., None, :])  # Gamma^m_ab u^b
+    du = a - np.matvec(gamma_u, u)
+    da = -np.matvec(gamma_u, a) + (-a_sq - u_lu)[..., None] * u + l_hat_u
+    return du, da
 
 
 def propertime_rhs(
@@ -229,20 +281,19 @@ def propertime_rhs(
     otherwise), and ``curvature_step`` is then unused.  Without it the
     bundle is computed here.
     """
-    x, u, a = state.x, state.u, state.a
+    x, u = state.x, state.u
     bundle = _bundle_at(field, x, bundle, curvature_step)
-    gamma = bundle.christoffel
-    g = bundle.metric
     L = _schouten(bundle, x, schouten_override)
-    l_hat_u = bundle.inverse_metric @ L @ u
-    a_sq = float(a @ g @ a)
-    u_lu = float(u @ L @ u)  # u . L^u = L(u, u)
+    du, da = _propertime_derivatives(
+        bundle.christoffel, bundle.metric, bundle.inverse_metric, L, u, state.a
+    )
+    return u.copy(), du, da
 
-    gamma_u = gamma @ u  # Gamma^m_ab u^b; Gamma is symmetric in a, b
-    dx = u.copy()
-    du = a - gamma_u @ u
-    da = -(gamma_u @ a) + (-a_sq - u_lu) * u + l_hat_u
-    return dx, du, da
+
+def _wedge_residual(x, gamma, ginv, L, u, a, da) -> Bivector:
+    """nabla_u(u ^ a) - u ^ L^u at points x, for stacks of states."""
+    _, cov = _covariant_wedge(gamma, u, a, da)
+    return Bivector(cov - _wedge(u, _raise_index(ginv, L, u)), x)
 
 
 def wedge_form_residual(
@@ -261,12 +312,28 @@ def wedge_form_residual(
     ``bundle`` is the curvature bundle at ``state.x`` when the caller
     already has it, as in ``propertime_rhs``.
     """
-    x, u, a = state.x, state.u, state.a
+    x = state.x
     bundle = _bundle_at(field, x, bundle)
-    l_hat_u = bundle.inverse_metric @ _schouten(bundle, x, None) @ u
-    _, cov = _covariant_wedge(bundle.christoffel, u, a, da)
-    rhs = u[:, None] * l_hat_u - l_hat_u[:, None] * u
-    return Bivector(cov - rhs, x)
+    L = _schouten(bundle, x, None)
+    return _wedge_residual(
+        x, bundle.christoffel, bundle.inverse_metric, L, state.u, state.a, da
+    )
+
+
+def _unparam_residual(x, gamma, g, ginv, L, v, b, db) -> Bivector:
+    """nabla_v (v ^ b / |v|^3) - (v ^ L^v) / |v| at points x, for stacks of
+    states; ImmersionError names the first point where |v| = 0."""
+    speed2 = _quadratic(v, g, v)
+    if np.count_nonzero(speed2 <= 0.0):
+        at = _first_point(speed2 <= 0.0, x)
+        raise ImmersionError(f"unparametrized state has |v| = 0 at {at}")
+    speed = np.sqrt(speed2)[..., None, None]
+
+    S, cov_S = _covariant_wedge(gamma, v, b, db)
+    dspeed = _quadratic(v, g, b)[..., None, None] / speed
+    cov_W = cov_S / _pow(speed, 3) - 3.0 * S * dspeed / _pow(speed, 4)
+    rhs = _wedge(v, _raise_index(ginv, L, v)) / speed
+    return Bivector(cov_W - rhs, x)
 
 
 def unparam_residual(
@@ -285,21 +352,23 @@ def unparam_residual(
     d|v|/dt = g(v, b) / |v|.  ``bundle`` is the curvature bundle at
     ``state.x`` when the caller already has it, as in ``propertime_rhs``.
     """
-    x, v, b = state.x, state.v, state.b
+    x = state.x
     bundle = _bundle_at(field, x, bundle)
-    g = bundle.metric
-    speed2 = float(v @ g @ v)
-    if speed2 <= 0.0:
-        raise ImmersionError("unparametrized state has |v| = 0")
-    speed = np.sqrt(speed2)
-
     L = _schouten(bundle, x, schouten_override)
-    l_hat_v = bundle.inverse_metric @ L @ v
-    S, cov_S = _covariant_wedge(bundle.christoffel, v, b, db)
-    dspeed = float(v @ g @ b) / speed
-    cov_W = cov_S / speed**3 - 3.0 * S * dspeed / speed**4
-    rhs = (v[:, None] * l_hat_v - l_hat_v[:, None] * v) / speed
-    return Bivector(cov_W - rhs, x)
+    gamma, g, ginv = bundle.christoffel, bundle.metric, bundle.inverse_metric
+    return _unparam_residual(x, gamma, g, ginv, L, state.v, state.b, db)
+
+
+def _unparam_scale(g, ginv, L, v, b, db):
+    """The magnitude ``unparam_residual_scale`` reports, for stacks of states."""
+    speed = np.sqrt(_quadratic(v, g, v))
+    S = _max_abs(_wedge(v, b))
+    db = np.asarray(db, float)
+    derivative = _max_abs(_wedge(v, db)) / _pow(speed, 3)
+    quotient = 3.0 * S * np.abs(_quadratic(v, g, b)) / _pow(speed, 4)
+    forcing = _max_abs(_wedge(v, _raise_index(ginv, L, v))) / speed
+    largest = np.maximum(np.maximum(derivative, quotient), forcing)
+    return np.maximum(largest, 1e-300)
 
 
 def unparam_residual_scale(
@@ -317,19 +386,10 @@ def unparam_residual_scale(
     ``bundle`` is the curvature bundle at ``state.x`` when the caller
     already has it, as in ``propertime_rhs``; g and g^-1 come from it.
     """
-    x, v, b = state.x, state.v, state.b
+    x = state.x
     bundle = _bundle_at(field, x, bundle)
-    g, ginv = bundle.metric, bundle.inverse_metric
-    speed = np.sqrt(float(v @ g @ v))
-    l_hat_v = ginv @ _schouten(bundle, x, schouten_override) @ v
-    db = np.asarray(db, float)
-    S = np.abs(v[:, None] * b - b[:, None] * v).max()
-    pieces = [
-        np.abs(v[:, None] * db - db[:, None] * v).max() / speed**3,
-        3.0 * S * abs(float(v @ g @ b)) / speed**4,
-        np.abs(v[:, None] * l_hat_v - l_hat_v[:, None] * v).max() / speed,
-    ]
-    return max(max(pieces), 1e-300)
+    L = _schouten(bundle, x, schouten_override)
+    return _unparam_scale(bundle.metric, bundle.inverse_metric, L, state.v, state.b, db)
 
 
 def from_unparametrized(field: MetricField, state: UnparamState) -> GeodesicState:

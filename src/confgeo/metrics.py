@@ -50,7 +50,9 @@ class Chart:
         return np.asarray(self.singular_mask(points))
 
     def require_regular(self, points):
-        if self.is_singular(points).any():
+        if self.singular_mask is not None and np.count_nonzero(
+            self.is_singular(points)
+        ):
             raise ChartSingularityError(
                 f"point on the singular locus of chart '{self.name}'"
             )
@@ -157,6 +159,16 @@ class MetricField:
 MAX_CONDITION = 1e9
 
 
+def _first_point(mask, points) -> np.ndarray:
+    """The point of the first flagged instance of a stack: ``mask`` has the
+    stack's leading shape (() for a single instance) and ``points`` is
+    (..., n), broadcast against it."""
+    mask = np.asarray(mask)
+    index = np.unravel_index(np.argmax(mask), mask.shape)
+    points = np.asarray(points)
+    return np.broadcast_to(points, mask.shape + points.shape[-1:])[index]
+
+
 def _checked_inverse(g: np.ndarray, point) -> np.ndarray:
     """Inverse of the metric matrix g at a point, rejecting degenerate g.
 
@@ -167,17 +179,39 @@ def _checked_inverse(g: np.ndarray, point) -> np.ndarray:
     for any diagonal g, near a chart's axis too, and does not change when
     a coordinate is rescaled.  For positive-definite g it bounds the
     2-norm condition number k of D^-1/2 g D^-1/2 as k / n^2 <= cond <= k.
+
+    g may be a stack (..., n, n) of metrics at the points (..., n); the
+    error then names the point of the first degenerate instance.
     """
     try:
         ginv = np.linalg.inv(g)
     except np.linalg.LinAlgError as exc:
-        raise DegenerateMetricError(f"metric singular at {point}") from exc
-    if not (np.isfinite(g).all() and np.isfinite(ginv).all()):
-        raise DegenerateMetricError(f"metric not finite at {point}")
-    cond = float((g.diagonal() * ginv.diagonal()).max())
-    if cond > MAX_CONDITION:
+        for index in np.ndindex(g.shape[:-2]):  # the first singular instance
+            try:
+                np.linalg.inv(g[index])
+            except np.linalg.LinAlgError:
+                at = np.broadcast_to(point, g.shape[:-1])[index]
+                raise DegenerateMetricError(f"metric singular at {at}") from exc
+        raise
+    # Each test runs on the whole stack; the failing instance is looked
+    # up only after one fails.
+    finite_entries = np.count_nonzero(np.isfinite(g)) + np.count_nonzero(
+        np.isfinite(ginv)
+    )
+    if finite_entries < 2 * g.size:
+        finite = np.isfinite(g).all(axis=(-2, -1)) & np.isfinite(ginv).all(
+            axis=(-2, -1)
+        )
         raise DegenerateMetricError(
-            f"metric ill-conditioned at {point} (condition number {cond:.3g})"
+            f"metric not finite at {_first_point(~finite, point)}"
+        )
+    cond = (g * ginv).diagonal(0, -2, -1)  # g_ii (g^-1)_ii
+    if float(cond.max()) > MAX_CONDITION:
+        cond = cond.max(axis=-1)
+        ill = cond > MAX_CONDITION
+        raise DegenerateMetricError(
+            f"metric ill-conditioned at {_first_point(ill, point)} "
+            f"(condition number {np.asarray(cond)[ill][0]:.3g})"
         )
     return ginv
 

@@ -26,7 +26,7 @@ import warnings
 
 import numpy as np
 
-from .dynamics import UnparamState
+from .dynamics import UnparamState, _pow
 from .metrics import MetricField, cartesian_chart, cylindrical_chart
 
 # The cutoff is 1 on r <= CHI_INNER (which contains the curve, r <= 1)
@@ -312,38 +312,46 @@ def _h_jet(r: float) -> tuple[float, float, float]:
 # ---------------------------------------------------------------------------
 
 
-def m_covariant(r: float, dimension: int = 2) -> np.ndarray:
+def m_covariant(r, dimension: int = 2) -> np.ndarray:
     """Coordinate components of M in polar/cylindrical coordinates.
 
     M_{r phi} = M_{phi r} = r, all other entries 0.  Trace-free with
     respect to the flat metric; in the orthonormal polar frame its hat
-    map simply swaps the two frame components.
+    map simply swaps the two frame components.  For an array of radii
+    the result is one matrix per radius, shape r.shape + (dim, dim).
     """
-    M = np.zeros((dimension, dimension))
-    M[0, 1] = M[1, 0] = float(r)
+    r = np.asarray(r, dtype=float)
+    M = np.zeros(r.shape + (dimension, dimension))
+    M[..., 0, 1] = M[..., 1, 0] = r
     return M
 
 
 # ---------------------------------------------------------------------------
 # the spiral curve
 # ---------------------------------------------------------------------------
+# Each function takes a parameter t or an array of them and returns one
+# vector per t, shape t.shape + (dimension,).  Squares are taken with
+# ``_pow``, so an entry of an array result has the bits of a scalar call.
+
+
+def _components(t, dimension, r_part, phi_part):
+    """One vector (r_part, phi_part[, 0]) per entry of t."""
+    out = np.zeros(t.shape + (dimension,))
+    out[..., 0] = r_part
+    out[..., 1] = phi_part
+    return out
 
 
 def spiral_point(t, dimension: int = 3) -> np.ndarray:
     """Position (r, phi[, z]) = (t, e^(1/t)[, 0]) of the curve."""
-    t = float(t)
-    p = [t, np.exp(1.0 / t)]
-    if dimension == 3:
-        p.append(0.0)
-    return np.array(p)
+    t = np.asarray(t, dtype=float)
+    return _components(t, dimension, t, np.exp(1.0 / t))
 
 
 def spiral_velocity(t, dimension: int = 3) -> np.ndarray:
     """Coordinate velocity (dr/dt, dphi/dt[, dz/dt]) = (1, -f[, 0])."""
-    v = [1.0, -f(t)]
-    if dimension == 3:
-        v.append(0.0)
-    return np.array(v)
+    t = np.asarray(t, dtype=float)
+    return _components(t, dimension, 1.0, -f(t))
 
 
 def spiral_acceleration(t, dimension: int = 3) -> np.ndarray:
@@ -352,23 +360,21 @@ def spiral_acceleration(t, dimension: int = 3) -> np.ndarray:
     b^r = -t f^2 (the centripetal term), b^phi = -f' - 2 f / t (the
     angular part including the connection term 2 v^r v^phi / r).
     """
-    t = float(t)
-    b = [-t * f(t) ** 2, -f_dot(t) - 2.0 * f(t) / t]
-    if dimension == 3:
-        b.append(0.0)
-    return np.array(b)
+    t = np.asarray(t, dtype=float)
+    ft = f(t)
+    return _components(t, dimension, -t * _pow(ft, 2), -f_dot(t) - 2.0 * ft / t)
 
 
 def spiral_acceleration_dot(t, dimension: int = 3) -> np.ndarray:
     """Plain parameter derivative of the coordinate components of b."""
-    t = float(t)
-    db = [
-        -f(t) ** 2 - 2.0 * t * f(t) * f_dot(t),
-        -f_ddot(t) - 2.0 * f_dot(t) / t + 2.0 * f(t) / t**2,
-    ]
-    if dimension == 3:
-        db.append(0.0)
-    return np.array(db)
+    t = np.asarray(t, dtype=float)
+    ft, ft_dot = f(t), f_dot(t)
+    return _components(
+        t,
+        dimension,
+        -_pow(ft, 2) - 2.0 * t * ft * ft_dot,
+        -f_ddot(t) - 2.0 * ft_dot / t + 2.0 * ft / _pow(t, 2),
+    )
 
 
 def spiral_state(t, dimension: int = 3) -> UnparamState:
@@ -433,7 +439,8 @@ def _jet_from_rows(g00, g11, g01):
     out = np.zeros((13, 9))  # [value or partial, flat (i, j)]
     out[:, 0] = g00
     out[:, 4] = g11
-    out[:, 1] = out[:, 3] = g01
+    out[:, 1] = g01
+    out[:, 3] = out[:, 1]
     out[0, 8] = 1.0
     return out[0].reshape(3, 3), out[1:4].reshape(3, 3, 3), out[4:].reshape(3, 3, 3, 3)
 

@@ -7,6 +7,15 @@ broken input that must be flagged (so a vacuous pass cannot slip
 through).  Reports serialize to stable JSON: identical seeds and
 tolerances give byte-identical JSON (wall time is reported only in the
 human-readable rendering).
+
+check_lemma1, check_lemma2 and lemma3's forcing sweep draw every random
+instance first, in the generator's order (metric, state, speeds, control
+directions), and build each instance's metric jet as they go; then they
+evaluate all instances as one stack, through one curvature kernel
+evaluation and one call of each residual kernel.  The kernels give each
+instance of a stack the bits a one-instance evaluation gives it, so the
+draws and the reports are the same as when each instance was evaluated
+on its own.
 """
 from __future__ import annotations
 
@@ -18,21 +27,31 @@ from typing import Optional
 
 import numpy as np
 
-from .bivectors import wedge
-from .curvature import curvature, kulkarni_nomizu, metric_derivatives
+from .bivectors import _max_abs, _wedge, wedge
+from .curvature import (
+    _curvature_kernel,
+    _metric_jets,
+    curvature,
+    kulkarni_nomizu,
+    metric_derivatives,
+)
 from .dynamics import (
     GeodesicState,
     IntegratorConfig,
     Trajectory,
     UnparamState,
+    _pow,
+    _propertime_derivatives,
+    _quadratic,
+    _raise_index,
+    _schouten,
+    _unparam_residual,
+    _unparam_scale,
+    _wedge_residual,
     arc_length,
     detect_spiral,
     from_unparametrized,
     integrate,
-    propertime_rhs,
-    unparam_residual,
-    unparam_residual_scale,
-    wedge_form_residual,
 )
 from .metrics import (
     MetricField,
@@ -45,6 +64,7 @@ from .spiral import (
     h_profile,
     k_exact,
     m_covariant,
+    spiral_acceleration,
     spiral_acceleration_dot,
     spiral_point,
     spiral_state,
@@ -228,6 +248,34 @@ def _orthogonal_direction(g, u, rng):
     return w / np.sqrt(w @ g @ w)
 
 
+def _stacked_bundle(points, jets):
+    """One ``_curvature_kernel`` evaluation over the jets of the points
+    (..., n), listed in the points' order."""
+    lead = points.shape[:-1]
+    return _curvature_kernel(
+        points, *(np.array(j).reshape(lead + j[0].shape) for j in zip(*jets))
+    )
+
+
+def _random_instance(rng):
+    """A random metric's proper-time state and the metric's jet there."""
+    fld = random_metric(rng)
+    st = random_gauge_state(fld, rng)
+    return st, _metric_jets(fld, st.x)
+
+
+def _evaluate_stack(states, jets):
+    """(x, u, a, bundle, da) of stacked instances: the states' arrays, one
+    curvature kernel evaluation over their jets, and the da of the
+    proper-time right-hand side."""
+    x, u, a = (np.array([getattr(st, k) for st in states]) for k in "xua")
+    bundle = _stacked_bundle(x, jets)
+    _, da = _propertime_derivatives(
+        bundle.christoffel, bundle.metric, bundle.inverse_metric, bundle.schouten, u, a
+    )
+    return x, u, a, bundle, da
+
+
 # ---------------------------------------------------------------------------
 # check 'lemma1': wedge form of the proper-time equation
 # ---------------------------------------------------------------------------
@@ -241,40 +289,44 @@ def check_lemma1(trials: int = 100, seed: int = 42, tol: float = 1e-9) -> CheckR
     the acceleration derivative from the wedge form's tangential
     completion c = -|a|^2 - u.L^u reproduces the right-hand side.
 
-    One curvature bundle per instance serves the right-hand side, both
-    residuals and the converse.  ``curvature()`` is deterministic, so a
-    second bundle at the same point would repeat the same bits; the
-    converse's independence is its own contraction of that bundle, not
-    a second bundle.
+    Every instance is drawn first, in the generator's order (metric,
+    state, control direction), with its metric jet; then one curvature
+    kernel evaluation over the stack of jets serves the right-hand side,
+    both residuals and the converse of all instances at once, and each
+    instance gets the bits a single-instance evaluation gives it.  The
+    converse's independence is its own contraction of the same
+    curvature, not a second one.
     """
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
-    max_residual = 0.0
-    max_converse = 0.0
-    min_negative = np.inf
+    states, jets, controls = [], [], []
     for _ in range(trials):
-        fld = random_metric(rng)
-        st = random_gauge_state(fld, rng)
-        bundle = curvature(fld, st.x)
-        g = bundle.metric
-        _, _, da = propertime_rhs(fld, st, bundle=bundle)
-        res = wedge_form_residual(fld, st, da, bundle=bundle).norm(g)
-        max_residual = max(max_residual, res)
+        st, jet = _random_instance(rng)
+        states.append(st)
+        jets.append(jet)
+        controls.append(_orthogonal_direction(jet[0], st.u, rng))
+    x, u, a, bundle, da = _evaluate_stack(states, jets)
+    g, ginv, gamma = bundle.metric, bundle.inverse_metric, bundle.christoffel
+    L = bundle.schouten
+    res = _wedge_residual(x, gamma, ginv, L, u, a, da).norm(g)
 
-        l_hat_u = bundle.inverse_metric @ bundle.schouten @ st.u
-        c = -float(st.a @ g @ st.a) - float(st.u @ bundle.schouten @ st.u)
-        da_converse = (
-            -np.einsum("mab,a,b->m", bundle.christoffel, st.u, st.a)
-            + c * st.u
-            + l_hat_u
-        )
-        dev = np.max(np.abs(da - da_converse)) / max(1.0, np.max(np.abs(da)))
-        max_converse = max(max_converse, dev)
+    c = -_quadratic(a, g, a) - _quadratic(u, L, u)
+    da_converse = (
+        -np.einsum("...mab,...a,...b->...m", gamma, u, a)
+        + c[:, None] * u
+        + _raise_index(ginv, L, u)
+    )
+    dev = np.abs(da - da_converse).max(axis=-1) / np.maximum(
+        1.0, np.abs(da).max(axis=-1)
+    )
 
-        w = _orthogonal_direction(g, st.u, rng)
-        res_neg = wedge_form_residual(fld, st, da + 1e-3 * w, bundle=bundle).norm(g)
-        min_negative = min(min_negative, res_neg)
+    res_neg = _wedge_residual(
+        x, gamma, ginv, L, u, a, da + 1e-3 * np.array(controls)
+    ).norm(g)
 
+    max_residual = float(np.max(res, initial=0.0))
+    max_converse = float(np.max(dev, initial=0.0))
+    min_negative = float(np.min(res_neg, initial=np.inf))
     passed = max_residual <= tol and max_converse <= 1e-12 and min_negative > tol
     return _report(
         "lemma1",
@@ -299,12 +351,14 @@ def check_lemma1(trials: int = 100, seed: int = 42, tol: float = 1e-9) -> CheckR
 def _reparametrized(gamma, st, da, lam0, lam1, lam2):
     """State and db for the same curve traversed with speed lam0 = ds/dt.
 
-    ``gamma`` is the Christoffel symbols Gamma[m, a, b] at ``st.x``.
+    ``gamma`` is the Christoffel symbols Gamma[..., m, a, b] at ``st.x``.
+    The state, ``da`` and the speeds may be stacks that broadcast together.
     """
-    u_dot = st.a - np.einsum("mab,a,b->m", gamma, st.u, st.u)
-    v = lam0 * st.u
-    b = lam1 * st.u + lam0**2 * st.a
-    db = lam2 * st.u + lam1 * lam0 * u_dot + 2.0 * lam0 * lam1 * st.a + lam0**3 * da
+    u, a = st.u, st.a
+    u_dot = a - np.einsum("...mab,...a,...b->...m", gamma, u, u)
+    v = lam0 * u
+    b = lam1 * u + _pow(lam0, 2) * a
+    db = lam2 * u + lam1 * lam0 * u_dot + 2.0 * lam0 * lam1 * a + _pow(lam0, 3) * da
     return UnparamState(x=st.x, v=v, b=b, t=0.0), db
 
 
@@ -315,38 +369,53 @@ def check_lemma2(
 
     Conformal geodesic data is rebuilt under random parameter changes
     with speeds ds/dt in [0.2, 5]; the unparametrized residual must stay
-    zero and the identity v ^ b = |v|^3 u ^ a must hold.  One curvature
-    bundle per instance serves every reparametrization at its point.
+    zero and the identity v ^ b = |v|^3 u ^ a must hold.  Every instance
+    is drawn first, in the generator's order (metric, state, then each
+    reparametrization's speeds and control direction), with its metric
+    jet; one curvature kernel evaluation over the stack of jets then
+    serves every reparametrization of every instance, evaluated as one
+    (trials, reparams) stack.
     """
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
-    max_residual = 0.0
-    max_identity = 0.0
-    min_negative = np.inf
+    states, jets, speeds, controls = [], [], [], []
     for _ in range(trials):
-        fld = random_metric(rng)
-        st = random_gauge_state(fld, rng)
-        bundle = curvature(fld, st.x)
-        g = bundle.metric
-        _, _, da = propertime_rhs(fld, st, bundle=bundle)
+        st, jet = _random_instance(rng)
+        states.append(st)
+        jets.append(jet)
         for _ in range(reparams):
             lam0 = float(np.exp(rng.uniform(np.log(0.2), np.log(5.0))))
             lam1 = float(rng.uniform(-1.0, 1.0))
             lam2 = float(rng.uniform(-1.0, 1.0))
-            ust, db = _reparametrized(bundle.christoffel, st, da, lam0, lam1, lam2)
-            res = unparam_residual(fld, ust, db, bundle=bundle).norm(g)
-            max_residual = max(max_residual, res)
+            speeds.append((lam0, lam1, lam2))
+            controls.append(_orthogonal_direction(jet[0], lam0 * st.u, rng))
+    x, u, a, bundle, da = _evaluate_stack(states, jets)
 
-            speed = ust.speed(g)
-            lhs = ust.v[:, None] * ust.b - ust.b[:, None] * ust.v
-            rhs = speed**3 * (st.u[:, None] * st.a - st.a[:, None] * st.u)
-            scale = max(np.max(np.abs(rhs)), 1e-300)
-            max_identity = max(max_identity, np.max(np.abs(lhs - rhs)) / scale)
+    # (trials, reparams, ...): each instance's data broadcast over its
+    # reparametrizations
+    speeds = np.array(speeds).reshape(trials, reparams, 3)
+    lam0, lam1, lam2 = (speeds[..., k, None] for k in range(3))
+    g, ginv, gamma = bundle.metric, bundle.inverse_metric, bundle.christoffel
+    g, ginv, gamma, L, x, u, a, da = (
+        arr[:, None] for arr in (g, ginv, gamma, bundle.schouten, x, u, a, da)
+    )
+    ust, db = _reparametrized(gamma, GeodesicState(x, u, a), da, lam0, lam1, lam2)
+    v, b = ust.v, ust.b
+    x = np.broadcast_to(x, v.shape)
 
-            w = _orthogonal_direction(g, ust.v, rng)
-            res_neg = unparam_residual(fld, ust, db + 1e-3 * w, bundle=bundle).norm(g)
-            min_negative = min(min_negative, res_neg)
+    res = _unparam_residual(x, gamma, g, ginv, L, v, b, db).norm(g)
 
+    speed = np.sqrt(np.maximum(_quadratic(v, g, v), 0.0))
+    lhs = _wedge(v, b)
+    rhs = _pow(speed, 3)[..., None, None] * _wedge(u, a)
+    identity = _max_abs(lhs - rhs) / np.maximum(_max_abs(rhs), 1e-300)
+
+    w = np.array(controls).reshape(v.shape)
+    res_neg = _unparam_residual(x, gamma, g, ginv, L, v, b, db + 1e-3 * w).norm(g)
+
+    max_residual = float(np.max(res, initial=0.0))
+    max_identity = float(np.max(identity, initial=0.0))
+    min_negative = float(np.min(res_neg, initial=np.inf))
     passed = max_residual <= tol and max_identity <= 1e-12 and min_negative > tol
     return _report(
         "lemma2",
@@ -371,22 +440,32 @@ def check_lemma2(
 FLATNESS_GRID = (0.2, 0.15, 0.1, 0.07, 0.05)
 
 
-def forcing_residual_relative(t: float, k_override=None) -> float:
-    """Relative residual of nabla_v(v^b/|v|^3) = k (v^M^v)/|v| on the flat plane."""
+def forcing_residual_relative(t, k_override=None):
+    """Relative residual of nabla_v(v^b/|v|^3) = k (v^M^v)/|v| on the flat plane.
+
+    ``t`` is a spiral parameter in (0, 1] or an array of them; an array
+    is evaluated as one stack (one metric jet per point, one curvature
+    kernel evaluation) and gives one residual per entry, each with the
+    bits of a scalar call.
+    """
     fld = flat_polar_metric()
-    st = spiral_state(t, dimension=2)
-    db = spiral_acceleration_dot(t, dimension=2)
+    t = np.asarray(t, dtype=float)
+    if not np.all((t > 0.0) & (t <= 1.0)):
+        raise ValueError("spiral parameter must lie in (0, 1]")
+    x = spiral_point(t, 2)
+    v, b = spiral_velocity(t, 2), spiral_acceleration(t, 2)
+    db = spiral_acceleration_dot(t, 2)
     kfun = k_override if k_override is not None else k_exact
 
-    def override(x):
-        return kfun(x[0]) * m_covariant(x[0], 2)
+    def override(points):
+        r = points[..., 0]
+        return np.asarray(kfun(r))[..., None, None] * m_covariant(r, 2)
 
-    bundle = curvature(fld, st.x)
-    res = unparam_residual(fld, st, db, schouten_override=override, bundle=bundle)
-    scale = unparam_residual_scale(
-        fld, st, db, schouten_override=override, bundle=bundle
-    )
-    return res.max_abs() / scale
+    bundle = _stacked_bundle(x, [_metric_jets(fld, p) for p in x.reshape(-1, 2)])
+    g, ginv = bundle.metric, bundle.inverse_metric
+    L = _schouten(bundle, x, override)
+    res = _unparam_residual(x, bundle.christoffel, g, ginv, L, v, b, db).max_abs()
+    return res / _unparam_scale(g, ginv, L, v, b, db)
 
 
 def flatness_table(grid=FLATNESS_GRID, n_max: int = 8) -> np.ndarray:
@@ -411,7 +490,7 @@ def check_lemma3(
     """
     t0 = time.perf_counter()
     ts = np.linspace(0.3, 1.0, grid_points)
-    residuals = np.array([forcing_residual_relative(t) for t in ts])
+    residuals = forcing_residual_relative(ts)
     max_residual = float(residuals.max())
 
     # flatness against the leading-term oracle

@@ -1,0 +1,202 @@
+"""Stacked evaluation: the broadcasting kernels over N instances give, bit
+for bit, what N single-instance calls give, and one bad instance in a
+stack raises the single call's error, naming that instance's point."""
+import numpy as np
+import pytest
+
+from confgeo import (
+    Bivector,
+    DegenerateMetricError,
+    GeodesicState,
+    ImmersionError,
+    UnparamState,
+    curvature,
+    propertime_rhs,
+    spiral_acceleration,
+    spiral_acceleration_dot,
+    spiral_point,
+    spiral_velocity,
+    unparam_residual,
+    wedge_form_residual,
+)
+from confgeo.curvature import _curvature_kernel, _metric_jets
+from confgeo.dynamics import (
+    _propertime_derivatives,
+    _unparam_residual,
+    _unparam_scale,
+    _wedge_residual,
+    unparam_residual_scale,
+)
+from confgeo.verify import RandomMetricSpec, forcing_residual_relative
+
+N = 12
+
+
+def _override(x):
+    """A symmetric stand-in for L in dimension 2, for one point or a stack."""
+    x = np.asarray(x, float)
+    L = np.empty(x.shape[:-1] + (2, 2))
+    L[..., 0, 0] = 1.0 + x[..., 0] ** 2
+    L[..., 1, 1] = 0.5 - x[..., 1]
+    L[..., 0, 1] = L[..., 1, 0] = 0.3 * x[..., 0] * x[..., 1]
+    return L
+
+
+def _instances(n, seed=0):
+    """N random polynomial metrics of dimension n, each with a point and
+    three vectors (u, a and d, the latter as da or db)."""
+    rng = np.random.default_rng(seed)
+    seeds = rng.integers(2**31, size=N)
+    fields = [RandomMetricSpec(seed=int(s), dimension=n).build() for s in seeds]
+    x = rng.uniform(-0.5, 0.5, size=(N, n))
+    u, a, d = rng.standard_normal((3, N, n))
+    return fields, x, u, a, d
+
+
+def _stack(fields, x):
+    jets = [_metric_jets(f, p) for f, p in zip(fields, x)]
+    return _curvature_kernel(x, *(np.array(j) for j in zip(*jets)))
+
+
+def _same(a, b):
+    return np.array_equal(np.asarray(a), np.asarray(b))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_curvature_kernel_stack_equals_single_calls(n):
+    fields, x, *_ = _instances(n)
+    stacked = _stack(fields, x)
+    for i, (f, p) in enumerate(zip(fields, x)):
+        single = curvature(f, p)
+        for name in (
+            "metric", "inverse_metric", "christoffel", "ricci", "scalar", "riemann"
+        ):
+            assert _same(getattr(stacked, name)[i], getattr(single, name)), (n, i, name)
+        if n == 2:
+            assert stacked.schouten is None and single.schouten is None
+        else:
+            assert _same(stacked.schouten[i], single.schouten), (n, i)
+    assert stacked.scalar.shape == (N,) and stacked.riemann.shape == (N,) + (n,) * 4
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_rhs_and_residuals_stack_equal_single_calls(n):
+    fields, x, u, a, d = _instances(n, seed=n)
+    bundle = _stack(fields, x)
+    gamma, g, ginv = bundle.christoffel, bundle.metric, bundle.inverse_metric
+    override = _override if n == 2 else None
+    L = _override(x) if n == 2 else bundle.schouten
+
+    du, da = _propertime_derivatives(gamma, g, ginv, L, u, a)
+    unparam = _unparam_residual(x, gamma, g, ginv, L, u, a, d)
+    scale = _unparam_scale(g, ginv, L, u, a, d)
+    norms = unparam.norm(g)
+    if n == 3:
+        wedge = _wedge_residual(x, gamma, ginv, L, u, a, d)
+    for i, f in enumerate(fields):
+        single = curvature(f, x[i])
+        state = GeodesicState(x[i], u[i], a[i])
+        ustate = UnparamState(x[i], u[i], a[i])
+        dx_i, du_i, da_i = propertime_rhs(
+            f, state, schouten_override=override, bundle=single
+        )
+        assert _same(dx_i, u[i]) and _same(du_i, du[i]) and _same(da_i, da[i]), i
+        res = unparam_residual(f, ustate, d[i], override, bundle=single)
+        assert _same(res.components, unparam.components[i]), i
+        assert _same(res.norm(single.metric), norms[i]), i
+        alone = unparam_residual_scale(f, ustate, d[i], override, bundle=single)
+        assert _same(alone, scale[i]), i
+        if n == 3:
+            w = wedge_form_residual(f, state, d[i], bundle=single)
+            assert _same(w.components, wedge.components[i]), i
+            assert _same(w.max_abs(), wedge.max_abs()[i]), i
+
+
+def test_spiral_curve_and_forcing_residual_take_arrays_of_t():
+    ts = np.linspace(0.3, 1.0, 9)
+    for fn in (
+        spiral_point,
+        spiral_velocity,
+        spiral_acceleration,
+        spiral_acceleration_dot,
+    ):
+        for dim in (2, 3):
+            stacked = fn(ts, dim)
+            assert stacked.shape == (len(ts), dim)
+            for i, t in enumerate(ts):
+                assert _same(stacked[i], fn(float(t), dim)), (fn.__name__, dim, t)
+    residuals = forcing_residual_relative(ts)
+    for r, t in zip(residuals, ts):
+        assert _same(r, forcing_residual_relative(float(t))), t
+
+
+def test_a_singular_instance_fails_the_stack_as_it_fails_alone():
+    fields, x, *_ = _instances(3)
+    jets = [list(_metric_jets(f, p)) for f, p in zip(fields, x)]
+    jets[5][0] = np.zeros((3, 3))
+    g, dg, d2g = (np.array(j) for j in zip(*jets))
+    with pytest.raises(DegenerateMetricError, match="singular") as alone:
+        _curvature_kernel(x[5], g[5], dg[5], d2g[5])
+    with pytest.raises(DegenerateMetricError, match="singular") as stacked:
+        _curvature_kernel(x, g, dg, d2g)
+    assert str(stacked.value) == str(alone.value)
+    assert str(x[5]) in str(stacked.value)
+
+
+# cond = g_ii (g^-1)_ii ~ 5e10, above MAX_CONDITION
+NEARLY_SINGULAR = np.array(
+    [[1.0, 1.0 - 1e-11, 0.0], [1.0 - 1e-11, 1.0, 0.0], [0.0, 0.0, 1.0]]
+)
+
+
+@pytest.mark.parametrize(
+    "bad, match",
+    [
+        (np.diag([1.0, np.inf, 1.0]), "not finite"),
+        (NEARLY_SINGULAR, "ill-conditioned"),
+    ],
+)
+def test_a_degenerate_instance_fails_the_stack_as_it_fails_alone(bad, match):
+    fields, x, *_ = _instances(3)
+    jets = [list(_metric_jets(f, p)) for f, p in zip(fields, x)]
+    jets[7][0] = bad
+    g, dg, d2g = (np.array(j) for j in zip(*jets))
+    with pytest.raises(DegenerateMetricError, match=match) as alone:
+        _curvature_kernel(x[7], g[7], dg[7], d2g[7])
+    with pytest.raises(DegenerateMetricError, match=match) as stacked:
+        _curvature_kernel(x, g, dg, d2g)
+    assert str(stacked.value) == str(alone.value)
+    assert str(x[7]) in str(stacked.value)
+
+
+def test_a_zero_velocity_fails_the_stack_as_it_fails_alone():
+    fields, x, u, a, d = _instances(3)
+    bundle = _stack(fields, x)
+    geometry = (
+        bundle.christoffel, bundle.metric, bundle.inverse_metric, bundle.schouten
+    )
+    u[4] = 0.0
+    with pytest.raises(ImmersionError) as alone:
+        unparam_residual(fields[4], UnparamState(x[4], u[4], a[4]), d[4])
+    with pytest.raises(ImmersionError) as stacked:
+        _unparam_residual(x, *geometry, u, a, d)
+    assert str(stacked.value) == str(alone.value)
+    assert str(x[4]) in str(stacked.value)
+
+
+def test_a_skew_failing_instance_fails_the_stack_as_it_fails_alone():
+    rng = np.random.default_rng(3)
+    comps = rng.standard_normal((N, 3, 3))
+    comps = comps - comps.swapaxes(-1, -2)
+    points = rng.standard_normal((N, 3))
+    stack = Bivector(comps, points)
+    g = np.eye(3) + 0.1 * np.diag(rng.uniform(size=3))
+    for i in range(N):
+        assert _same(stack.norm(g)[i], Bivector(comps[i], points[i]).norm(g))
+    comps[2, 0, 1] += 1.0
+    with pytest.raises(ValueError, match="antisymmetric") as alone:
+        Bivector(comps[2], points[2])
+    with pytest.raises(ValueError, match="antisymmetric") as stacked:
+        Bivector(comps, points)
+    assert str(stacked.value) == str(alone.value)
+    assert str(points[2]) in str(stacked.value)

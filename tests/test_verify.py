@@ -4,7 +4,14 @@ import json
 import numpy as np
 import pytest
 
-from confgeo import MetricField, dynamics, polynomial_metric, verify
+from confgeo import (
+    MetricField,
+    curvature,
+    dynamics,
+    example_metric,
+    polynomial_metric,
+    verify,
+)
 from confgeo.verify import (
     RandomMetricSpec,
     check_lemma1,
@@ -83,36 +90,106 @@ def test_random_metric_spec_deterministic():
     assert exps.shape == (20, 3) and exps.sum(axis=1).max() == 3
 
 
-def test_one_curvature_bundle_per_random_instance(monkeypatch):
-    # Every residual of a check takes the bundle its instance already
-    # has, so the checks build one curvature() bundle per random point.
-    # The residual norms and the speed take g from that bundle, and
-    # build() tests positivity on cached grid monomials, so the only
-    # metric evaluation per instance is random_gauge_state's.
-    calls = []
-    evals = []
+def test_one_curvature_kernel_evaluation_per_check(monkeypatch):
+    # A check draws its instances first: one metric evaluation each, in
+    # random_gauge_state (the residual norms and the speed take g from the
+    # jets, and build() tests positivity on cached grid monomials).  Then
+    # one curvature kernel evaluation covers all of them; lemma1, lemma2
+    # and lemma3's forcing sweep never call the public curvature(), and
+    # lemma5 stays on it, one call per radius.
+    kernels, publics, evals = [], [], []
+    original_kernel = verify._curvature_kernel
     original = dynamics.curvature
     original_eval = MetricField.__call__
 
+    def counted_kernel(point, *jets):
+        kernels.append(np.shape(point)[:-1])
+        return original_kernel(point, *jets)
+
     def counted(*args, **kwargs):
-        calls.append(1)
+        publics.append(1)
         return original(*args, **kwargs)
 
     def counted_eval(self, points):
         evals.append(1)
         return original_eval(self, points)
 
+    monkeypatch.setattr(verify, "_curvature_kernel", counted_kernel)
     monkeypatch.setattr(dynamics, "curvature", counted)
     monkeypatch.setattr(verify, "curvature", counted)
     monkeypatch.setattr(MetricField, "__call__", counted_eval)
     RandomMetricSpec(seed=3).build()
     assert evals == []
     assert check_lemma1(trials=3, seed=5).passed
-    assert len(calls) == 3 and len(evals) == 3
-    calls.clear()
+    assert (kernels, publics, len(evals)) == ([(3,)], [], 3)
+    kernels.clear()
     evals.clear()
     assert check_lemma2(trials=2, reparams=4, seed=6).passed
-    assert len(calls) == 2 and len(evals) == 2
+    assert (kernels, publics, len(evals)) == ([(2,)], [], 2)
+    kernels.clear()
+    # the sweep, then the negative control at one point
+    assert check_lemma3(grid_points=7).passed
+    assert kernels == [(7,), ()] and publics == []
+    kernels.clear()
+    assert check_lemma5(radii=(0.3, 0.6)).passed
+    assert kernels == [] and len(publics) == 2
+
+
+# Every float metric of lemma1 and lemma2, and lemma3's residuals, at two
+# check seeds, as evaluating each instance on its own gives them.  The
+# residuals sit at the rounding level, so any change to the order of the
+# arithmetic of an instance moves them.
+PINNED_METRICS = {
+    42: {
+        "lemma1": {
+            "max_wedge_residual": 3.2377253713738837e-16,
+            "max_converse_deviation": 2.7755575615628914e-17,
+            "min_negative_control_residual": 0.0009999999999996793,
+        },
+        "lemma2": {
+            "max_unparam_residual": 5.3228429805685165e-14,
+            "max_wedge_identity_deviation": 3.1236975758320853e-15,
+            "min_negative_control_residual": 4.130972701519888e-05,
+        },
+        "lemma3": {
+            "max_forcing_residual_rel": 2.0214152347461624e-16,
+            "negative_control_residual": 8.193205435912413e-06,
+        },
+    },
+    1597683656: {
+        "lemma1": {
+            "max_wedge_residual": 2.4256685632225546e-16,
+            "max_converse_deviation": 8.80550586382225e-17,
+            "min_negative_control_residual": 0.0009999999999998198,
+        },
+        "lemma2": {
+            "max_unparam_residual": 3.480959131216624e-14,
+            "max_wedge_identity_deviation": 3.7023584697169085e-15,
+            "min_negative_control_residual": 4.12211758691882e-05,
+        },
+        "lemma3": {
+            "max_forcing_residual_rel": 2.0214152347461624e-16,
+            "negative_control_residual": 8.193205435912413e-06,
+        },
+    },
+}
+
+
+@pytest.mark.parametrize("seed", sorted(PINNED_METRICS))
+def test_check_metrics_are_pinned_bit_for_bit(seed):
+    reports = {r.name: r for r in run_checks("all", seed=seed)}
+    for name, pinned in PINNED_METRICS[seed].items():
+        got = {key: reports[name].metrics[key] for key in pinned}
+        assert got == pinned, name
+
+
+def test_the_library_prints_nothing_to_stdout(capsys):
+    # A benchmark run's last line of standard output is its JSON result,
+    # so the library itself must not print.
+    run_checks("all", seed=42)
+    spiral_tracking_run(t_end=0.3)
+    curvature(example_metric("cylindrical"), np.array([0.5, 0.3, 0.1]))
+    assert capsys.readouterr().out == ""
 
 
 def _explicit_grid(dimension):
