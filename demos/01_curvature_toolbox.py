@@ -9,17 +9,20 @@ the 3D example metric at the end does.
 import numpy as np
 
 from confgeo import (
+    MetricField,
     curvature,
     example_metric,
     flat_polar_metric,
     h_profile,
     kulkarni_nomizu,
     m_covariant,
+    polar_chart,
     round_sphere_metric,
 )
 
 print("=== flat plane in polar coordinates ===")
-field = flat_polar_metric(analytic=False)  # force the stencil route
+# a chart plus the matrix g_ij, with no closed-form jet: the stencil route
+field = MetricField(polar_chart(), flat_polar_metric().evaluate)
 for r in (0.1, 1.0, 2.0):
     bundle = curvature(field, np.array([r, 0.4]))
     print(f"r = {r:4}: max |Riemann| = {np.max(np.abs(bundle.riemann)):.2e} "

@@ -39,7 +39,6 @@ from .errors import (
     ChartSingularityError,
     ConfgeoError,
     DegenerateMetricError,
-    DomainError,
     ImmersionError,
     StepSizeError,
 )

@@ -102,7 +102,14 @@ def _echo_config(out_dir: Path, args: argparse.Namespace, effective: dict):
 # ---------------------------------------------------------------------------
 
 
+def _positive(value: float) -> bool:
+    return bool(np.isfinite(value) and value > 0.0)
+
+
 def cmd_verify(args) -> int:
+    if args.tol is not None and not _positive(args.tol):
+        print("verify requires a positive finite --tol", file=sys.stderr)
+        return 2
     out_dir = Path(args.out or "confgeo_out")
     out_dir.mkdir(parents=True, exist_ok=True)
     seed = 42 if args.seed is None else args.seed
@@ -167,27 +174,36 @@ def _trace_columns(traj, t_param, r, phi, track_err) -> np.ndarray:
 
 
 def cmd_trace(args) -> int:
-    out_dir = Path(args.out or "confgeo_out")
-    out_dir.mkdir(parents=True, exist_ok=True)
     tol = 1e-10 if args.tol is None else args.tol
     metric_name = args.metric or "example"
     t0 = 0.8 if args.t0 is None else args.t0
     t_end = 0.4 if args.t_end is None else args.t_end
     max_steps = 500_000 if args.max_steps is None else args.max_steps
+    radius = args.circle
+    for bad, need in (
+        (not _positive(tol), "a positive finite --tol"),
+        (max_steps < 1, "--max-steps >= 1"),
+        (radius is not None and not _positive(radius), "a positive finite --circle"),
+        (radius is None and not 0.0 < t_end <= t0 <= 1.0, "0 < t_end <= t0 <= 1"),
+    ):
+        if bad:
+            print(f"trace requires {need}", file=sys.stderr)
+            return 2
+    out_dir = Path(args.out or "confgeo_out")
+    out_dir.mkdir(parents=True, exist_ok=True)
     _echo_config(
         out_dir,
         args,
         {
             "metric": metric_name,
-            "circle": args.circle,
+            "circle": radius,
             "t0": t0,
             "t_end": t_end,
             "tol": tol,
             "max_steps": max_steps,
         },
     )
-    if args.circle is not None:
-        radius = args.circle
+    if radius is not None:
         field = euclidean_metric(3)
         initial = circle_state(radius)
         config = IntegratorConfig(rtol=tol, atol=tol, max_steps=max_steps)
@@ -200,9 +216,6 @@ def cmd_trace(args) -> int:
         closure = float(np.linalg.norm(pos[-1] - pos[0]))
         print(f"circle R={radius}: {len(traj)} samples, closure error {closure:.3e}")
     else:
-        if not 0.0 < t_end <= t0 <= 1.0:
-            print("trace requires 0 < t_end <= t0 <= 1", file=sys.stderr)
-            return 2
         traj, _, _ = spiral_tracking_run(
             t0=t0,
             t_end=t_end,

@@ -84,7 +84,7 @@ def _fd_metric_derivatives(field: MetricField, point: np.ndarray, h: np.ndarray)
 
 def _metric_jets(field: MetricField, point, step=None):
     point = np.asarray(point, dtype=float)
-    field.check_point(point)
+    field.chart.require_regular(point)
     if field.analytic_jet is not None:
         g, dg, d2g = field.analytic_jet(point)
         return np.asarray(g, float), np.asarray(dg, float), np.asarray(d2g, float)

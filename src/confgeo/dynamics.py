@@ -178,15 +178,10 @@ class Trajectory:
 # ---------------------------------------------------------------------------
 
 
-def _schouten(bundle, x, override):
-    """L at x: the override when given, else the bundle's Schouten tensor."""
-    if override is not None:
-        return np.asarray(override(x), float)
+def _schouten(bundle):
+    """The bundle's Schouten tensor, which dimension 2 does not define."""
     if bundle.schouten is None:
-        raise ConfgeoError(
-            "Schouten tensor undefined in dimension 2; "
-            "propertime_rhs and unparam_residual take a schouten_override"
-        )
+        raise ConfgeoError("Schouten tensor undefined in dimension 2")
     return bundle.schouten
 
 
@@ -267,7 +262,6 @@ def propertime_rhs(
     field: MetricField,
     state: GeodesicState,
     curvature_step: Optional[float] = None,
-    schouten_override: Optional[Callable] = None,
     *,
     bundle: Optional[CurvatureBundle] = None,
 ):
@@ -283,7 +277,7 @@ def propertime_rhs(
     """
     x, u = state.x, state.u
     bundle = _bundle_at(field, x, bundle, curvature_step)
-    L = _schouten(bundle, x, schouten_override)
+    L = _schouten(bundle)
     du, da = _propertime_derivatives(
         bundle.christoffel, bundle.metric, bundle.inverse_metric, L, u, state.a
     )
@@ -314,7 +308,7 @@ def wedge_form_residual(
     """
     x = state.x
     bundle = _bundle_at(field, x, bundle)
-    L = _schouten(bundle, x, None)
+    L = _schouten(bundle)
     return _wedge_residual(
         x, bundle.christoffel, bundle.inverse_metric, L, state.u, state.a, da
     )
@@ -340,7 +334,6 @@ def unparam_residual(
     field: MetricField,
     state: UnparamState,
     db: np.ndarray,
-    schouten_override: Optional[Callable] = None,
     *,
     bundle: Optional[CurvatureBundle] = None,
 ) -> Bivector:
@@ -354,7 +347,7 @@ def unparam_residual(
     """
     x = state.x
     bundle = _bundle_at(field, x, bundle)
-    L = _schouten(bundle, x, schouten_override)
+    L = _schouten(bundle)
     gamma, g, ginv = bundle.christoffel, bundle.metric, bundle.inverse_metric
     return _unparam_residual(x, gamma, g, ginv, L, state.v, state.b, db)
 
@@ -375,7 +368,6 @@ def unparam_residual_scale(
     field: MetricField,
     state: UnparamState,
     db: np.ndarray,
-    schouten_override: Optional[Callable] = None,
     *,
     bundle: Optional[CurvatureBundle] = None,
 ) -> float:
@@ -388,7 +380,7 @@ def unparam_residual_scale(
     """
     x = state.x
     bundle = _bundle_at(field, x, bundle)
-    L = _schouten(bundle, x, schouten_override)
+    L = _schouten(bundle)
     return _unparam_scale(bundle.metric, bundle.inverse_metric, L, state.v, state.b, db)
 
 
@@ -408,15 +400,13 @@ def from_unparametrized(field: MetricField, state: UnparamState) -> GeodesicStat
     return GeodesicState(x=x, u=u, a=a, s=0.0)
 
 
-def circle_state(radius: float, dimension: int = 3) -> GeodesicState:
-    """Proper-time initial data of a circle in flat space (z = 0 plane)."""
-    x = np.zeros(dimension)
-    u = np.zeros(dimension)
-    a = np.zeros(dimension)
-    x[0] = radius
-    u[1] = 1.0
-    a[0] = -1.0 / radius
-    return GeodesicState(x=x, u=u, a=a, s=0.0)
+def circle_state(radius: float) -> GeodesicState:
+    """Proper-time initial data of a circle in flat 3-space (z = 0 plane)."""
+    if not (np.isfinite(radius) and radius > 0.0):
+        raise ValueError(f"circle radius must be positive and finite, got {radius}")
+    x = np.array([radius, 0.0, 0.0])
+    a = np.array([-1.0 / radius, 0.0, 0.0])
+    return GeodesicState(x=x, u=np.array([0.0, 1.0, 0.0]), a=a, s=0.0)
 
 
 # ---------------------------------------------------------------------------

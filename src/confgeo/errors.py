@@ -9,10 +9,6 @@ class ChartSingularityError(ConfgeoError):
     """A point lies on (or too close to) the singular locus of a chart."""
 
 
-class DomainError(ConfgeoError):
-    """A point lies outside the domain of a metric field."""
-
-
 class StepSizeError(ConfgeoError):
     """A finite-difference step is non-positive or underflows the point scale."""
 

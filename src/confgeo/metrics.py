@@ -15,7 +15,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ChartSingularityError, DegenerateMetricError, DomainError
+from .errors import ChartSingularityError, DegenerateMetricError
 
 # Points closer to a coordinate singularity than this are rejected.
 AXIS_TOL = 1e-6
@@ -119,13 +119,14 @@ class MetricField:
     to the triple ``(g, dg, d2g)`` with ``g[i, j] = g_ij``,
     ``dg[a, i, j] = d_a g_ij`` and ``d2g[a, b, i, j] = d_a d_b g_ij``;
     its g must agree with ``evaluate`` at that point (to rounding).
-    Curvature then takes the whole jet from this one call.
+    Curvature then takes the whole jet from this one call; a field
+    without one takes its partials by finite differences of ``evaluate``
+    (``dataclasses.replace(field, analytic_jet=None)`` forces that route).
     """
 
     chart: Chart
     evaluate: Callable[[np.ndarray], np.ndarray]
     analytic_jet: Optional[Callable[[np.ndarray], tuple]] = None
-    domain_predicate: Optional[Callable[[np.ndarray], np.ndarray]] = None
     name: str = ""
 
     @property
@@ -135,24 +136,8 @@ class MetricField:
     def __call__(self, points) -> np.ndarray:
         return np.asarray(self.evaluate(np.asarray(points, dtype=float)))
 
-    def check_point(self, point):
-        """Reject chart-singular or out-of-domain points."""
-        point = np.asarray(point, dtype=float)
-        self.chart.require_regular(point)
-        if self.domain_predicate is not None and not np.all(
-            self.domain_predicate(point)
-        ):
-            raise DomainError(f"point {point} outside domain of '{self.name}'")
-
     def inverse(self, point) -> np.ndarray:
         return _checked_inverse(self(point), point)
-
-    def inner(self, point, u, w) -> float:
-        g = self(point)
-        return float(np.asarray(u) @ g @ np.asarray(w))
-
-    def norm(self, point, u) -> float:
-        return float(np.sqrt(max(self.inner(point, u, u), 0.0)))
 
 
 # Largest max_i g_ii (g^-1)_ii accepted by _checked_inverse.
@@ -221,20 +206,11 @@ def _checked_inverse(g: np.ndarray, point) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _jet(evaluate, partials):
-    """analytic_jet from a vectorized evaluate and a point -> (dg, d2g) map."""
-    return lambda point: (evaluate(point), *partials(point))
-
-
-def _constant_partials(dim):
-    dg = np.zeros((dim, dim, dim))
-    d2g = np.zeros((dim, dim, dim, dim))
-    return lambda point: (dg, d2g)
-
-
-def euclidean_metric(dimension: int = 3, analytic: bool = True) -> MetricField:
+def euclidean_metric(dimension: int = 3) -> MetricField:
     """Flat metric in Cartesian coordinates."""
     eye = np.eye(dimension)
+    dg = np.zeros((dimension,) * 3)
+    d2g = np.zeros((dimension,) * 4)
 
     def evaluate(points):
         points = np.asarray(points, dtype=float)
@@ -243,66 +219,43 @@ def euclidean_metric(dimension: int = 3, analytic: bool = True) -> MetricField:
     return MetricField(
         cartesian_chart(dimension),
         evaluate,
-        analytic_jet=(
-            _jet(evaluate, _constant_partials(dimension)) if analytic else None
-        ),
+        analytic_jet=lambda point: (evaluate(point), dg, d2g),
         name=f"euclidean{dimension}d",
     )
 
 
-def flat_polar_metric(analytic: bool = True) -> MetricField:
+def _flat_polar(chart: Chart, name: str) -> MetricField:
+    """Flat metric dr^2 + r^2 dphi^2 (+ dz^2) in a chart (r, phi[, z])."""
+    n = chart.dimension
+    eye_z = np.eye(n - 2)
+
+    def evaluate(points):
+        points = np.asarray(points, dtype=float)
+        r = points[..., 0]
+        g = np.zeros(points.shape[:-1] + (n, n))
+        g[..., 0, 0] = 1.0
+        g[..., 1, 1] = r * r
+        g[..., 2:, 2:] = eye_z
+        return g
+
+    def jet(point):
+        dg = np.zeros((n,) * 3)
+        d2g = np.zeros((n,) * 4)
+        dg[0, 1, 1] = 2.0 * float(point[0])
+        d2g[0, 0, 1, 1] = 2.0
+        return evaluate(point), dg, d2g
+
+    return MetricField(chart, evaluate, analytic_jet=jet, name=name)
+
+
+def flat_polar_metric() -> MetricField:
     """Flat 2D metric dr^2 + r^2 dphi^2."""
-
-    def evaluate(points):
-        points = np.asarray(points, dtype=float)
-        r = points[..., 0]
-        g = np.zeros(points.shape[:-1] + (2, 2))
-        g[..., 0, 0] = 1.0
-        g[..., 1, 1] = r * r
-        return g
-
-    def partials(point):
-        r = float(point[0])
-        dg = np.zeros((2, 2, 2))
-        d2g = np.zeros((2, 2, 2, 2))
-        dg[0, 1, 1] = 2.0 * r
-        d2g[0, 0, 1, 1] = 2.0
-        return dg, d2g
-
-    return MetricField(
-        polar_chart(),
-        evaluate,
-        analytic_jet=_jet(evaluate, partials) if analytic else None,
-        name="flat_polar",
-    )
+    return _flat_polar(polar_chart(), "flat_polar")
 
 
-def flat_cylindrical_metric(analytic: bool = True) -> MetricField:
+def flat_cylindrical_metric() -> MetricField:
     """Flat 3D metric dr^2 + r^2 dphi^2 + dz^2."""
-
-    def evaluate(points):
-        points = np.asarray(points, dtype=float)
-        r = points[..., 0]
-        g = np.zeros(points.shape[:-1] + (3, 3))
-        g[..., 0, 0] = 1.0
-        g[..., 1, 1] = r * r
-        g[..., 2, 2] = 1.0
-        return g
-
-    def partials(point):
-        r = float(point[0])
-        dg = np.zeros((3, 3, 3))
-        d2g = np.zeros((3, 3, 3, 3))
-        dg[0, 1, 1] = 2.0 * r
-        d2g[0, 0, 1, 1] = 2.0
-        return dg, d2g
-
-    return MetricField(
-        cylindrical_chart(),
-        evaluate,
-        analytic_jet=_jet(evaluate, partials) if analytic else None,
-        name="flat_cylindrical",
-    )
+    return _flat_polar(cylindrical_chart(), "flat_cylindrical")
 
 
 def round_sphere_metric(radius: float = 1.0) -> MetricField:

@@ -78,6 +78,29 @@ def test_verify_invalid_selection_usage_error(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["verify", "lemma5", "--tol", "0"], "--tol"),
+        (["verify", "lemma5", "--tol=-1e-9"], "--tol"),
+        (["trace", "--circle", "0"], "--circle"),
+        (["trace", "--circle", "-1"], "--circle"),
+        (["trace", "--max-steps", "0"], "--max-steps"),
+        (["trace", "--tol", "0"], "--tol"),
+        (["trace", "--tol", "-1"], "--tol"),
+        (["trace", "--t0", "0.5", "--t-end", "0.6"], "t_end <= t0"),
+    ],
+)
+def test_out_of_range_values_are_usage_errors(tmp_path, capsys, argv, named):
+    # one line on stderr, no traceback, and nothing written or integrated
+    out = tmp_path / "o"
+    assert main(argv + ["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and named in captured.err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["trace", "--seed", "1"],

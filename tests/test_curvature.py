@@ -31,14 +31,14 @@ def strip_partials(field):
 
 
 def test_flat_cartesian_derivatives_vanish():
-    field = euclidean_metric(3, analytic=False)
+    field = strip_partials(euclidean_metric(3))
     x = np.array([0.3, -1.2, 0.8])
     assert np.max(np.abs(metric_derivatives(field, x, order=1))) < 1e-12
     assert np.max(np.abs(metric_derivatives(field, x, order=2))) < 1e-8
 
 
 def test_polar_radial_derivative():
-    field = flat_polar_metric(analytic=False)
+    field = strip_partials(flat_polar_metric())
     dg = metric_derivatives(field, np.array([2.0, 0.1]), order=1)
     assert dg[0, 1, 1] == pytest.approx(4.0, abs=1e-10)
 
@@ -60,7 +60,7 @@ def test_second_derivatives_symmetric_in_derivative_indices():
 
 
 def test_step_underflow_rejected():
-    field = euclidean_metric(3, analytic=False)
+    field = strip_partials(euclidean_metric(3))
     with pytest.raises(StepSizeError):
         metric_derivatives(field, np.zeros(3), order=1, step=1e-16)
     with pytest.raises(StepSizeError):
@@ -79,7 +79,7 @@ def test_christoffel_flat_cartesian_zero():
 
 @pytest.mark.parametrize("analytic", [True, False])
 def test_christoffel_flat_polar(analytic):
-    field = flat_polar_metric(analytic=analytic)
+    field = flat_polar_metric() if analytic else strip_partials(flat_polar_metric())
     r = 1.7
     gam = christoffel(field, np.array([r, 0.3]))
     expected = np.zeros((2, 2, 2))
@@ -118,7 +118,7 @@ def test_flat_metrics_have_zero_curvature():
 
 
 def test_flat_polar_curvature_by_finite_differences():
-    field = flat_polar_metric(analytic=False)
+    field = strip_partials(flat_polar_metric())
     for r in (0.1, 0.5, 1.0, 2.0):
         b = curvature(field, np.array([r, 0.2]))
         assert np.max(np.abs(b.ricci)) < FD_TOL
@@ -182,8 +182,8 @@ def _battery():
     from confgeo import example_metric
 
     rng = np.random.default_rng(0)
-    yield euclidean_metric(3, analytic=False), rng.uniform(-1.5, 1.5, size=(3, 3))
-    yield flat_polar_metric(analytic=False), np.array([[0.4, 0.2], [1.7, 2.0]])
+    yield strip_partials(euclidean_metric(3)), rng.uniform(-1.5, 1.5, size=(3, 3))
+    yield strip_partials(flat_polar_metric()), np.array([[0.4, 0.2], [1.7, 2.0]])
     yield round_sphere_metric(), np.array([[np.pi / 3, 0.1], [2.0, 1.5]])
     for seed in (1, 2, 3):
         yield RandomMetricSpec(seed=seed).build(), np.random.default_rng(
@@ -329,7 +329,7 @@ def test_schouten_none_in_dimension_two():
 
 
 def test_analytic_partials_used_when_available():
-    field = flat_polar_metric(analytic=True)
+    field = flat_polar_metric()
     g, dg, d2g = _metric_jets(field, np.array([2.0, 0.0]))
     assert dg[0, 1, 1] == 4.0  # exact, not a stencil value
     assert d2g[0, 0, 1, 1] == 2.0

@@ -143,22 +143,6 @@ def test_rhs_rejects_a_bundle_at_another_point():
             call(st, bundle=elsewhere)
 
 
-def test_schouten_override_takes_precedence_over_the_bundle():
-    field = flat_polar_metric()
-    st = GeodesicState(
-        np.array([1.0, 0.0]), np.array([1.0, 0.0]), np.array([0.0, 1.0])
-    )
-    override = lambda x: np.diag([0.5, 0.25])  # noqa: E731
-    bundle = curvature(field, st.x)
-    assert bundle.schouten is None
-    given = propertime_rhs(field, st, schouten_override=override, bundle=bundle)
-    plain = propertime_rhs(field, st, schouten_override=override)
-    for p, q in zip(plain, given):
-        assert np.array_equal(p, q)
-    # da_r = -|a|^2 u_r - L(u, u) u_r + (g^-1 L u)_r = -1 - 0.5 + 0.5
-    assert given[2][0] == pytest.approx(-1.0)
-
-
 def _counting(monkeypatch):
     """The list that grows by one at each MetricField.__call__."""
     calls = []
@@ -615,6 +599,12 @@ def test_integrate_circle_closes(radius):
     radial = np.abs(np.linalg.norm(traj.positions()[:, :2], axis=1) - radius)
     assert radial.max() < 1e-7
     assert traj.arc_length[-1] == pytest.approx(2.0 * np.pi * radius, rel=1e-7)
+
+
+@pytest.mark.parametrize("radius", [0.0, -1.0, np.inf, np.nan])
+def test_circle_state_rejects_a_radius_that_is_not_positive(radius):
+    with pytest.raises(ValueError, match="radius must be positive"):
+        circle_state(radius)
 
 
 def test_integrate_reversibility():

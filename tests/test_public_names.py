@@ -1,0 +1,85 @@
+"""The names ``confgeo`` exports are its contract: a change to this list
+is a deliberate change to the public interface."""
+import types
+
+import confgeo
+
+PUBLIC_NAMES = [
+    "ArcLengthResult",
+    "BasePointMismatchError",
+    "Bivector",
+    "Chart",
+    "ChartSingularityError",
+    "CheckReport",
+    "ConfgeoError",
+    "CurvatureBundle",
+    "DegenerateMetricError",
+    "GeodesicState",
+    "ImmersionError",
+    "IntegratorConfig",
+    "MetricField",
+    "RandomMetricSpec",
+    "SpiralReport",
+    "StepSizeError",
+    "Trajectory",
+    "UnparamState",
+    "accel_wedge_coeff",
+    "accel_wedge_coeff_prime",
+    "arc_length",
+    "bivector_covariant_derivative",
+    "cartesian_chart",
+    "check_lemma1",
+    "check_lemma2",
+    "check_lemma3",
+    "check_lemma5",
+    "check_proposition",
+    "christoffel",
+    "circle_state",
+    "curvature",
+    "cutoff_chi",
+    "cylindrical_chart",
+    "detect_spiral",
+    "euclidean_metric",
+    "example_metric",
+    "f",
+    "f_ddot",
+    "f_dot",
+    "flat_cylindrical_metric",
+    "flat_polar_metric",
+    "from_unparametrized",
+    "h_profile",
+    "integrate",
+    "k_exact",
+    "kulkarni_nomizu",
+    "m_covariant",
+    "metric_derivatives",
+    "polar_chart",
+    "polynomial_metric",
+    "propertime_rhs",
+    "random_gauge_state",
+    "random_metric",
+    "round_sphere_metric",
+    "run_checks",
+    "sphere_chart",
+    "spiral_acceleration",
+    "spiral_acceleration_dot",
+    "spiral_point",
+    "spiral_state",
+    "spiral_tracking_run",
+    "spiral_velocity",
+    "t_star",
+    "unparam_residual",
+    "wedge",
+    "wedge_form_residual",
+]
+
+
+def test_public_names_are_pinned():
+    # Submodules are left out: which of them are attributes of the
+    # package depends on what has been imported so far.
+    names = sorted(
+        name
+        for name, value in vars(confgeo).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    )
+    assert names == PUBLIC_NAMES

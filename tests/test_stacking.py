@@ -32,7 +32,7 @@ from confgeo.verify import RandomMetricSpec, forcing_residual_relative
 N = 12
 
 
-def _override(x):
+def _stand_in_schouten(x):
     """A symmetric stand-in for L in dimension 2, for one point or a stack."""
     x = np.asarray(x, float)
     L = np.empty(x.shape[:-1] + (2, 2))
@@ -84,8 +84,7 @@ def test_rhs_and_residuals_stack_equal_single_calls(n):
     fields, x, u, a, d = _instances(n, seed=n)
     bundle = _stack(fields, x)
     gamma, g, ginv = bundle.christoffel, bundle.metric, bundle.inverse_metric
-    override = _override if n == 2 else None
-    L = _override(x) if n == 2 else bundle.schouten
+    L = _stand_in_schouten(x) if n == 2 else bundle.schouten
 
     du, da = _propertime_derivatives(gamma, g, ginv, L, u, a)
     unparam = _unparam_residual(x, gamma, g, ginv, L, u, a, d)
@@ -95,16 +94,27 @@ def test_rhs_and_residuals_stack_equal_single_calls(n):
         wedge = _wedge_residual(x, gamma, ginv, L, u, a, d)
     for i, f in enumerate(fields):
         single = curvature(f, x[i])
-        state = GeodesicState(x[i], u[i], a[i])
-        ustate = UnparamState(x[i], u[i], a[i])
-        dx_i, du_i, da_i = propertime_rhs(
-            f, state, schouten_override=override, bundle=single
-        )
-        assert _same(dx_i, u[i]) and _same(du_i, du[i]) and _same(da_i, da[i]), i
-        res = unparam_residual(f, ustate, d[i], override, bundle=single)
+        if n == 2:
+            # dimension 2 has no Schouten tensor, so no public call takes
+            # the instance: the one-instance kernels get its L instead
+            g_i, ginv_i, L_i = single.metric, single.inverse_metric, L[i]
+            du_i, da_i = _propertime_derivatives(
+                single.christoffel, g_i, ginv_i, L_i, u[i], a[i]
+            )
+            res = _unparam_residual(
+                x[i], single.christoffel, g_i, ginv_i, L_i, u[i], a[i], d[i]
+            )
+            alone = _unparam_scale(g_i, ginv_i, L_i, u[i], a[i], d[i])
+        else:
+            state = GeodesicState(x[i], u[i], a[i])
+            ustate = UnparamState(x[i], u[i], a[i])
+            dx_i, du_i, da_i = propertime_rhs(f, state, bundle=single)
+            assert _same(dx_i, u[i]), i
+            res = unparam_residual(f, ustate, d[i], bundle=single)
+            alone = unparam_residual_scale(f, ustate, d[i], bundle=single)
+        assert _same(du_i, du[i]) and _same(da_i, da[i]), i
         assert _same(res.components, unparam.components[i]), i
         assert _same(res.norm(single.metric), norms[i]), i
-        alone = unparam_residual_scale(f, ustate, d[i], override, bundle=single)
         assert _same(alone, scale[i]), i
         if n == 3:
             w = wedge_form_residual(f, state, d[i], bundle=single)

@@ -240,6 +240,13 @@ def test_run_checks_selection():
     assert len(reports) == 1 and reports[0].name == "lemma5"
 
 
+@pytest.mark.parametrize("tol", [0.0, -1e-9, np.nan, np.inf])
+def test_run_checks_rejects_a_tolerance_that_is_not_positive_and_finite(tol):
+    # 0.0 is falsy and must not fall back to the default tolerance
+    with pytest.raises(ValueError, match="positive and finite"):
+        run_checks("lemma5", tol=tol)
+
+
 def test_proposition_check_passes():
     rep = check_proposition()
     assert rep.passed, rep.metrics
@@ -266,3 +273,10 @@ def test_tracking_run_deep_into_the_spiral_is_not_cut_short():
     traj, _, _ = spiral_tracking_run(t0=0.8, t_end=0.15, integrator_tol=1e-8)
     assert traj.status == "stopped"
     assert traj.final_state.x[0] <= 0.15
+
+
+def test_tracking_run_rejects_a_metric_in_another_chart():
+    # The spiral's data are cylindrical (r, phi, z); a cartesian metric
+    # would read them as (x, y, z) and stop after a few samples.
+    with pytest.raises(ValueError, match="cylindrical"):
+        spiral_tracking_run(t_end=0.2, metric=example_metric("cartesian"))
