@@ -7,15 +7,15 @@ period, for any radius, and running time backward must undo the run.
 """
 import numpy as np
 
-from confgeo import IntegratorConfig, circle_state, euclidean_metric, integrate
+from confgeo import circle_state, euclidean_metric, integrate
 
 field = euclidean_metric(3)
-config = IntegratorConfig(rtol=1e-10, atol=1e-10)
+tol = 1e-10
 
 print("=== one full period, three radii ===")
 for radius in (0.1, 1.0, 10.0):
     start = circle_state(radius)
-    traj = integrate(field, start, (0.0, 2.0 * np.pi * radius), config)
+    traj = integrate(field, start, (0.0, 2.0 * np.pi * radius), tol=tol)
     closure = np.linalg.norm(traj.final_state.x - start.x)
     radial = np.max(np.abs(np.linalg.norm(traj.positions()[:, :2], axis=1) - radius))
     print(f"R = {radius:5}: {len(traj):4d} samples, closure error {closure:.2e}, "
@@ -25,8 +25,8 @@ for radius in (0.1, 1.0, 10.0):
 print()
 print("=== reversibility ===")
 start = circle_state(1.0)
-fwd = integrate(field, start, (0.0, 2.5), config)
-back = integrate(field, fwd.final_state, (fwd.s[-1], 0.0), config)
+fwd = integrate(field, start, (0.0, 2.5), tol=tol)
+back = integrate(field, fwd.final_state, (fwd.s[-1], 0.0), tol=tol)
 recovered = back.final_state
 print(f"forward 2.5 units of proper time, then backward:")
 print(f"  position error {np.max(np.abs(recovered.x - start.x)):.2e}")
@@ -37,9 +37,8 @@ print("=== gauge diagnostics ===")
 print("|u| = 1 and g(u, a) = 0 are conserved by the equation; the")
 print("integrator tracks how much its optional per-step projection has")
 print("to fix, so silent drift cannot hide an equation violation.")
-traj = integrate(field, start, (0.0, 2.0 * np.pi), config)
+traj = integrate(field, start, (0.0, 2.0 * np.pi), tol=tol)
 print(f"  max gauge error (renormalization on):  {traj.max_gauge_error:.2e}")
 print(f"  max projection applied per step:       {traj.max_projection:.2e}")
-loose = IntegratorConfig(rtol=1e-10, atol=1e-10, renormalize=False)
-traj = integrate(field, start, (0.0, 2.0 * np.pi), loose)
+traj = integrate(field, start, (0.0, 2.0 * np.pi), tol=tol, renormalize=False)
 print(f"  max gauge drift (renormalization off): {traj.max_gauge_error:.2e}")

@@ -25,8 +25,8 @@ traj, max_err, max_z = spiral_tracking_run(
 print(f"  {len(traj)} accepted steps, status '{traj.status}'")
 print(f"  proper time elapsed:   {abs(traj.s[-1]):.4f}")
 print(f"  arc length:            {traj.arc_length[-1]:.4f}")
-start = traj.field.chart.embed(traj.states[0].x)
-end = traj.field.chart.embed(traj.states[-1].x)
+start = traj.field.chart.embed(traj.state(0).x)
+end = traj.field.chart.embed(traj.final_state.x)
 print(f"  straight-line chord:   {np.linalg.norm(end - start):.4f}")
 phi0, phi1 = traj.positions()[0, 1], traj.positions()[-1, 1]
 print(f"  winding accumulated:   {abs(phi1 - phi0) / (2*np.pi):.2f} turns")

@@ -21,7 +21,6 @@ from .curvature import (
 from .dynamics import (
     ArcLengthResult,
     GeodesicState,
-    IntegratorConfig,
     SpiralReport,
     Trajectory,
     UnparamState,

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .curvature import curvature
-from .dynamics import IntegratorConfig, circle_state, integrate
+from .dynamics import circle_state, integrate
 from .errors import ChartSingularityError, ConfgeoError
 from .metrics import euclidean_metric, flat_cylindrical_metric
 from .spiral import example_metric
@@ -206,8 +206,9 @@ def cmd_trace(args) -> int:
     if radius is not None:
         field = euclidean_metric(3)
         initial = circle_state(radius)
-        config = IntegratorConfig(rtol=tol, atol=tol, max_steps=max_steps)
-        traj = integrate(field, initial, (0.0, 2.0 * np.pi * radius), config)
+        traj = integrate(
+            field, initial, (0.0, 2.0 * np.pi * radius), tol=tol, max_steps=max_steps
+        )
         pos = traj.positions()
         r = np.hypot(pos[:, 0], pos[:, 1])
         columns = _trace_columns(
@@ -279,8 +280,8 @@ def cmd_curvature(args) -> int:
     except ValueError:
         print("could not parse --point; expected comma-separated floats", file=sys.stderr)
         return 2
-    if point.size != field.dimension:
-        print(f"--point must have {field.dimension} components", file=sys.stderr)
+    if point.size != field.dimension or not np.all(np.isfinite(point)):
+        print(f"--point needs {field.dimension} finite components", file=sys.stderr)
         return 2
 
     try:

@@ -30,8 +30,6 @@ from .curvature import CurvatureBundle, curvature
 from .errors import ConfgeoError, ImmersionError
 from .metrics import MetricField, _first_point
 
-GAUGE_TOL = 1e-9
-
 log = logging.getLogger(__name__)
 
 
@@ -67,11 +65,11 @@ class GeodesicState:
             abs(float(self.u @ g @ self.a)),
         )
 
-    def require_gauge(self, field: MetricField, tol: float = GAUGE_TOL) -> np.ndarray:
-        """Raise unless both gauge residuals are within tol; return g at x."""
+    def require_gauge(self, field: MetricField) -> np.ndarray:
+        """Raise unless both gauge residuals are within 1e-6; return g at x."""
         g = field(self.x)
         e_norm, e_orth = self.gauge_residuals(g)
-        if e_norm > tol or e_orth > tol:
+        if e_norm > 1e-6 or e_orth > 1e-6:
             raise ConfgeoError(
                 f"state violates proper-time gauge: | |u|^2-1 |={e_norm:.3e}, "
                 f"|g(u,a)|={e_orth:.3e}"
@@ -94,29 +92,6 @@ class UnparamState:
         )
 
 
-@dataclass(frozen=True)
-class IntegratorConfig:
-    rtol: float = 1e-8
-    atol: float = 1e-8
-    max_step: float = np.inf
-    min_step: float = 0.0
-    max_steps: int = 100_000
-    renormalize: bool = True
-    curvature_step: Optional[float] = None  # None: finite-difference default
-
-    def __post_init__(self):
-        if not (self.rtol > 0.0 and self.atol > 0.0):
-            raise ValueError("tolerances must be positive")
-        if not self.max_step > 0.0:
-            raise ValueError(f"max_step must be positive, got {self.max_step}")
-        if not self.min_step >= 0.0:
-            raise ValueError(f"min_step must be non-negative, got {self.min_step}")
-        if self.min_step > self.max_step:
-            raise ValueError("min_step must not exceed max_step")
-        if self.max_steps < 1:
-            raise ValueError("max_steps must be at least 1")
-
-
 def _unpack(y: np.ndarray, n: int, s: float) -> GeodesicState:
     return GeodesicState(x=y[:n], u=y[n : 2 * n], a=y[2 * n :], s=s)
 
@@ -129,7 +104,8 @@ class Trajectory:
     ``stats`` holds the run's counters as ``integrate`` logs them:
     status and message (the stop reason), accepted and rejected steps,
     domain shrinks, RHS and curvature evaluations, and the smallest and
-    largest accepted |h| (None before the first accepted step).
+    largest accepted |h| (None before the first accepted step);
+    ``status``, ``message`` and ``rhs_evaluations`` read it.
     """
 
     field: MetricField
@@ -138,13 +114,22 @@ class Trajectory:
     arc_length: np.ndarray
     gauge_error: np.ndarray
     projection: np.ndarray
-    status: str = "ok"
-    message: str = ""
-    rhs_evaluations: int = 0
     stats: dict = dataclass_field(default_factory=dict)
 
     def __len__(self):
         return len(self.y)
+
+    @property
+    def status(self) -> str:
+        return self.stats.get("status", "ok")
+
+    @property
+    def message(self) -> str:
+        return self.stats.get("message", "")
+
+    @property
+    def rhs_evaluations(self) -> int:
+        return self.stats.get("rhs_evaluations", 0)
 
     def positions(self) -> np.ndarray:
         return self.y[:, : self.field.dimension]
@@ -585,11 +570,20 @@ _E3 = _B - np.array(
 )
 
 
+def _underflows(h: float, s: float) -> bool:
+    """Whether a step h at s is too short to move s in floating point."""
+    return abs(h) < 16.0 * np.finfo(float).eps * max(abs(s), 1.0)
+
+
 def integrate(
     field: MetricField,
     initial: GeodesicState,
     s_span: tuple[float, float],
-    config: Optional[IntegratorConfig] = None,
+    *,
+    tol: float = 1e-8,
+    max_steps: int = 100_000,
+    renormalize: bool = True,
+    curvature_step: Optional[float] = None,
     stop: Optional[Callable[[GeodesicState], bool]] = None,
 ) -> Trajectory:
     """Integrate the proper-time conformal geodesic equation.
@@ -598,11 +592,14 @@ def integrate(
     Solving Ordinary Differential Equations I, 2nd ed., Sec. II.10) on
     the first-order system in (x, u, a); the 8th-order solution is
     propagated, and the step size follows Hairer's combined 5th/3rd-order
-    error estimate.  Runs in either s-direction.  With ``renormalize``
-    on, each accepted step projects u back to unit norm and a to the
-    orthogonal complement of u, and the metric size of that projection
-    is recorded per sample so silent drift cannot hide an equation
-    violation.
+    error estimate, each component's error measured against
+    ``tol * (1 + |y|)``.  Runs in either s-direction.  With
+    ``renormalize`` on, each accepted step projects u back to unit norm
+    and a to the orthogonal complement of u, and the metric size of that
+    projection is recorded per sample so silent drift cannot hide an
+    equation violation.  ``curvature_step`` is the finite-difference
+    step of ``curvature``; ``stop`` ends the run at the first accepted
+    state it holds for, with status "stopped".
 
     One curvature bundle serves each distinct point.  Each step attempt
     evaluates the 12 stages and then the RHS at the new solution y_new,
@@ -623,9 +620,12 @@ def integrate(
     curvature evaluations; and one DEBUG record per rejected step (s, h,
     error norm) and per domain shrink (s, h, exception).
     """
-    config = config or IntegratorConfig()
+    if not (np.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be positive and finite, got {tol}")
+    if max_steps < 1:
+        raise ValueError(f"max_steps must be at least 1, got {max_steps}")
     n = field.dimension
-    g = initial.require_gauge(field, tol=1e-6)
+    g = initial.require_gauge(field)
 
     s0, s1 = float(s_span[0]), float(s_span[1])
     direction = 1.0 if s1 >= s0 else -1.0
@@ -640,7 +640,7 @@ def integrate(
         st = _unpack(y, n, 0.0)
         if bundle is None:
             counter["curvature"] += 1
-            bundle = curvature(field, st.x, step=config.curvature_step)
+            bundle = curvature(field, st.x, step=curvature_step)
         dx, du, da = propertime_rhs(field, st, bundle=bundle)
         return np.concatenate([dx, du, da]), bundle
 
@@ -689,9 +689,6 @@ def integrate(
             arc_length=np.array(arc),
             gauge_error=np.array(gauge),
             projection=np.array(proj),
-            status=status,
-            message=message,
-            rhs_evaluations=counter["rhs"],
             stats=stats,
         )
 
@@ -709,20 +706,19 @@ def integrate(
         return finish()
 
     # initial step heuristic
-    scale = config.atol + config.rtol * np.abs(y)
+    scale = tol + tol * np.abs(y)
     d0 = np.sqrt(np.mean((y / scale) ** 2))
     d1 = np.sqrt(np.mean((k1 / scale) ** 2))
     h = 0.01 * d0 / d1 if d1 > 1e-10 else 1e-6
-    h = direction * min(h, span, config.max_step)
+    h = direction * min(h, span)
 
-    eps = np.finfo(float).eps
     K = np.empty((13, y.size))  # the 12 stages, then the RHS at y_new
 
     while direction * (s1 - s) > 0.0:
-        if steps >= config.max_steps:
-            status, message = "max_steps", f"exceeded {config.max_steps} steps"
+        if steps >= max_steps:
+            status, message = "max_steps", f"exceeded {max_steps} steps"
             break
-        if abs(h) < max(config.min_step, 16.0 * eps * max(abs(s), 1.0)):
+        if _underflows(h, s):
             status, message = "step_underflow", f"step {h:.3e} underflowed at s={s:.6g}"
             break
         if direction * (s + h - s1) > 0.0:
@@ -744,7 +740,7 @@ def integrate(
             shrinks += 1
             log.debug("domain shrink at s=%.17g, h=%.6g: %s", s, h, domain_exc)
             h *= 0.5
-            if abs(h) < max(config.min_step, 16.0 * eps * max(abs(s), 1.0)):
+            if _underflows(h, s):
                 status, message = "left_domain", str(domain_exc)
                 break
             continue
@@ -753,7 +749,7 @@ def integrate(
         # |e5| / hypot(|e5|, 0.1 |e3|), e3 the 3rd-order one, so that it
         # shrinks like h^8 (hence the exponent -1/8 below).  ``bundle`` is
         # the curvature at y_new.
-        sc = config.atol + config.rtol * np.maximum(np.abs(y), np.abs(y_new))
+        sc = tol + tol * np.maximum(np.abs(y), np.abs(y_new))
         e5 = (K[:12].T @ _E5) / sc
         e3 = (K[:12].T @ _E3) / sc
         e5_sq, e3_sq = float(e5 @ e5), float(e3 @ e3)
@@ -765,7 +761,7 @@ def integrate(
             s_new = s + h
             g = bundle.metric
             proj_size = 0.0
-            if config.renormalize:
+            if renormalize:
                 u, a = y_new[n : 2 * n], y_new[2 * n :]
                 u_new = u / np.sqrt(float(u @ g @ u))
                 a_new = a - float(u_new @ g @ a) * u_new
@@ -798,7 +794,7 @@ def integrate(
 
             # Renormalization invalidates FSAL: recompute k1 at the same
             # x, with the bundle already there.
-            if config.renormalize and proj_size > 0.0:
+            if renormalize and proj_size > 0.0:
                 k1, _ = rhs(y, bundle)
             else:
                 k1 = K[12]
@@ -810,8 +806,6 @@ def integrate(
             factor = 0.9 * err ** -0.125
 
         h *= min(10.0, max(0.2, factor))
-        if abs(h) > config.max_step:
-            h = direction * config.max_step
 
     return finish()
 

@@ -209,17 +209,18 @@ def _checked_inverse(g: np.ndarray, point) -> np.ndarray:
 def euclidean_metric(dimension: int = 3) -> MetricField:
     """Flat metric in Cartesian coordinates."""
     eye = np.eye(dimension)
-    dg = np.zeros((dimension,) * 3)
-    d2g = np.zeros((dimension,) * 4)
 
     def evaluate(points):
         points = np.asarray(points, dtype=float)
         return np.broadcast_to(eye, points.shape[:-1] + eye.shape).copy()
 
+    def jet(point):  # fresh zeros per call: the caller may write into them
+        return evaluate(point), np.zeros((dimension,) * 3), np.zeros((dimension,) * 4)
+
     return MetricField(
         cartesian_chart(dimension),
         evaluate,
-        analytic_jet=lambda point: (evaluate(point), dg, d2g),
+        analytic_jet=jet,
         name=f"euclidean{dimension}d",
     )
 

@@ -37,7 +37,6 @@ from .curvature import (
 )
 from .dynamics import (
     GeodesicState,
-    IntegratorConfig,
     Trajectory,
     UnparamState,
     _pow,
@@ -259,15 +258,15 @@ def _random_instance(rng):
 
 
 def _evaluate_stack(states, jets):
-    """(x, u, a, bundle, da) of stacked instances: the states' arrays, one
-    curvature kernel evaluation over their jets, and the da of the
-    proper-time right-hand side."""
+    """(x, u, a, bundle, du, da) of stacked instances: the states' arrays,
+    one curvature kernel evaluation over their jets, and the du and da of
+    the proper-time right-hand side."""
     x, u, a = (np.array([getattr(st, k) for st in states]) for k in "xua")
     bundle = _stacked_bundle(x, jets)
-    _, da = _propertime_derivatives(
+    du, da = _propertime_derivatives(
         bundle.christoffel, bundle.metric, bundle.inverse_metric, bundle.schouten, u, a
     )
-    return x, u, a, bundle, da
+    return x, u, a, bundle, du, da
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +298,7 @@ def check_lemma1(trials: int = 100, seed: int = 42, tol: float = 1e-9) -> CheckR
         states.append(st)
         jets.append(jet)
         controls.append(_orthogonal_direction(jet[0], st.u, rng))
-    x, u, a, bundle, da = _evaluate_stack(states, jets)
+    x, u, a, bundle, _, da = _evaluate_stack(states, jets)
     g, ginv, gamma = bundle.metric, bundle.inverse_metric, bundle.christoffel
     L = bundle.schouten
     res = _wedge_residual(x, gamma, ginv, L, u, a, da).norm(g)
@@ -342,17 +341,17 @@ def check_lemma1(trials: int = 100, seed: int = 42, tol: float = 1e-9) -> CheckR
 # ---------------------------------------------------------------------------
 
 
-def _reparametrized(gamma, st, da, lam0, lam1, lam2):
+def _reparametrized(st, du, da, lam0, lam1, lam2):
     """State and db for the same curve traversed with speed lam0 = ds/dt.
 
-    ``gamma`` is the Christoffel symbols Gamma[..., m, a, b] at ``st.x``.
-    The state, ``da`` and the speeds may be stacks that broadcast together.
+    ``du`` and ``da`` are the proper-time right-hand side's derivatives
+    of u and a at ``st``.  The state, the derivatives and the speeds may
+    be stacks that broadcast together.
     """
     u, a = st.u, st.a
-    u_dot = a - np.einsum("...mab,...a,...b->...m", gamma, u, u)
     v = lam0 * u
     b = lam1 * u + _pow(lam0, 2) * a
-    db = lam2 * u + lam1 * lam0 * u_dot + 2.0 * lam0 * lam1 * a + _pow(lam0, 3) * da
+    db = lam2 * u + lam1 * lam0 * du + 2.0 * lam0 * lam1 * a + _pow(lam0, 3) * da
     return UnparamState(x=st.x, v=v, b=b, t=0.0), db
 
 
@@ -383,17 +382,17 @@ def check_lemma2(
             lam2 = float(rng.uniform(-1.0, 1.0))
             speeds.append((lam0, lam1, lam2))
             controls.append(_orthogonal_direction(jet[0], lam0 * st.u, rng))
-    x, u, a, bundle, da = _evaluate_stack(states, jets)
+    x, u, a, bundle, du, da = _evaluate_stack(states, jets)
 
     # (trials, reparams, ...): each instance's data broadcast over its
     # reparametrizations
     speeds = np.array(speeds).reshape(trials, reparams, 3)
     lam0, lam1, lam2 = (speeds[..., k, None] for k in range(3))
     g, ginv, gamma = bundle.metric, bundle.inverse_metric, bundle.christoffel
-    g, ginv, gamma, L, x, u, a, da = (
-        arr[:, None] for arr in (g, ginv, gamma, bundle.schouten, x, u, a, da)
+    g, ginv, gamma, L, x, u, a, du, da = (
+        arr[:, None] for arr in (g, ginv, gamma, bundle.schouten, x, u, a, du, da)
     )
-    ust, db = _reparametrized(gamma, GeodesicState(x, u, a), da, lam0, lam1, lam2)
+    ust, db = _reparametrized(GeodesicState(x, u, a), du, da, lam0, lam1, lam2)
     v, b = ust.v, ust.b
     x = np.broadcast_to(x, v.shape)
 
@@ -676,24 +675,21 @@ def spiral_tracking_run(
     if fld.chart.name != "cylindrical":
         raise ValueError(f"spiral run needs the cylindrical chart, not {fld.chart.name}")
     initial = from_unparametrized(fld, spiral_state(t0))
-    cfg = IntegratorConfig(
-        rtol=integrator_tol,
-        atol=integrator_tol,
-        max_steps=max_steps,
-        curvature_step=curvature_step,
-    )
     traj = integrate(
         fld,
         initial,
         (0.0, -np.inf),
-        cfg,
+        tol=integrator_tol,
+        max_steps=max_steps,
+        curvature_step=curvature_step,
         stop=lambda st: not t_end < st.x[0] <= t0,
     )
     r_final = float(traj.y[-1, 0])
     if traj.status == "stopped" and r_final > t0:
-        traj.status = "turned_outward"
-        traj.message = f"radius climbed back above t0 = {t0} (r = {r_final:.6g})"
-        traj.stats.update(status=traj.status, message=traj.message)
+        traj.stats.update(
+            status="turned_outward",
+            message=f"radius climbed back above t0 = {t0} (r = {r_final:.6g})",
+        )
     errors, max_z = spiral_tracking_errors(traj)
     return traj, float(np.max(errors)), max_z
 
@@ -744,8 +740,7 @@ def check_proposition(
     # data follows a flat-space conformal geodesic (a circle) instead
     flat = flat_cylindrical_metric()
     flat_initial = from_unparametrized(flat, spiral_state(t0))
-    flat_cfg = IntegratorConfig(rtol=1e-8, atol=1e-8, max_steps=50_000)
-    flat_traj = integrate(flat, flat_initial, (0.0, -3.0), flat_cfg)
+    flat_traj = integrate(flat, flat_initial, (0.0, -3.0), max_steps=50_000)
     flat_errors, _ = spiral_tracking_errors(flat_traj)
     departure = float(np.max(flat_errors))
 

@@ -27,9 +27,7 @@ import numpy as np
 import pytest
 
 from confgeo import (
-    IntegratorConfig,
     circle_state,
-    curvature,
     euclidean_metric,
     example_metric,
     flat_cylindrical_metric,
@@ -114,12 +112,11 @@ def test_criterion_3_flat_space_circles():
     """Circles of radius 0.1, 1, 10 close to 1e-6 over one period, < 5 s."""
     start = time.perf_counter()
     field = euclidean_metric(3)
-    config = IntegratorConfig(rtol=1e-10, atol=1e-10)
     worst_closure = 0.0
     worst_radial = 0.0
     for radius in (0.1, 1.0, 10.0):
         st = circle_state(radius)
-        traj = integrate(field, st, (0.0, 2.0 * np.pi * radius), config)
+        traj = integrate(field, st, (0.0, 2.0 * np.pi * radius), tol=1e-10)
         assert traj.status == "ok"
         closure = float(np.linalg.norm(traj.final_state.x - st.x))
         radial = float(
@@ -346,8 +343,8 @@ def test_criterion_7_wedge_identity_on_curve(proposition_runs):
 
 def test_criterion_7_arc_dwarfs_chord(proposition_runs):
     traj, _, _ = proposition_runs[1e-10]
-    start = traj.field.chart.embed(traj.states[0].x)
-    end = traj.field.chart.embed(traj.states[-1].x)
+    start = traj.field.chart.embed(traj.state(0).x)
+    end = traj.field.chart.embed(traj.final_state.x)
     factor = float(traj.arc_length[-1] / np.linalg.norm(end - start))
     _emit("criterion 7 (arc over chord)", factor >= 10.0, f"factor {factor:.1f}")
     assert factor >= 10.0
@@ -357,11 +354,15 @@ def test_criterion_7_reverse_run_returns_to_start(proposition_runs):
     """Time reversal: retracing the inward run recovers the start point."""
     traj, _, _ = proposition_runs[1e-10]
     field = traj.field
-    cfg = IntegratorConfig(
-        rtol=1e-10, atol=1e-10, max_steps=400_000, curvature_step=1e-2
+    back = integrate(
+        field,
+        traj.final_state,
+        (traj.s[-1], 0.0),
+        tol=1e-10,
+        max_steps=400_000,
+        curvature_step=1e-2,
     )
-    back = integrate(field, traj.final_state, (traj.s[-1], 0.0), cfg)
-    dev = float(np.max(np.abs(back.final_state.x - traj.states[0].x)))
+    dev = float(np.max(np.abs(back.final_state.x - traj.state(0).x)))
     _emit(
         "criterion 7 (reverse integration)",
         back.status == "ok" and dev <= 1e-5,
@@ -455,21 +456,19 @@ def test_criterion_9_negative_controls():
     # perturbed acceleration derivative: wedge residual must exceed tol
     field = random_metric(rng)
     st = random_gauge_state(field, rng)
-    _, _, da = propertime_rhs(field, st)
+    _, du, da = propertime_rhs(field, st)
     w = _orthogonal_direction(field(st.x), st.u, rng)
     res_da = wedge_form_residual(field, st, da + 1e-3 * w).norm(field(st.x))
 
     # broken reparametrization data: unparametrized residual must fire
-    gamma = curvature(field, st.x).christoffel
-    ust, db = _reparametrized(gamma, st, da, 1.7, 0.3, -0.2)
+    ust, db = _reparametrized(st, du, da, 1.7, 0.3, -0.2)
     wv = _orthogonal_direction(field(st.x), ust.v, rng)
     res_rep = unparam_residual(field, ust, db + 1e-3 * wv).norm(field(st.x))
 
     # profile switched off: the trajectory must visibly leave the spiral
     flat = flat_cylindrical_metric()
     initial = from_unparametrized(flat, spiral_state(0.8))
-    cfg = IntegratorConfig(rtol=1e-8, atol=1e-8, max_steps=50_000)
-    traj = integrate(flat, initial, (0.0, -3.0), cfg)
+    traj = integrate(flat, initial, (0.0, -3.0), tol=1e-8, max_steps=50_000)
     errors, _ = spiral_tracking_errors(traj)
     departure = float(np.max(errors))
 

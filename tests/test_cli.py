@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from confgeo import (
-    IntegratorConfig,
     circle_state,
     curvature,
     euclidean_metric,
@@ -141,14 +140,13 @@ def test_trace_spiral_csv_and_golden_match(tmp_path):
     # module computation with the same parameters
     field = example_metric("cylindrical")
     initial = from_unparametrized(field, spiral_state(t0))
-    config = IntegratorConfig(
-        rtol=tol, atol=tol, max_steps=500_000, curvature_step=1e-2
-    )
     traj = integrate(
         field,
         initial,
         (0.0, -np.inf),
-        config,
+        tol=tol,
+        max_steps=500_000,
+        curvature_step=1e-2,
         stop=lambda st: st.x[0] <= t_end,
     )
     pos = traj.positions()
@@ -284,9 +282,12 @@ def test_trace_circle_mode_closes(tmp_path):
 
     # golden comparison, as for the spiral: the flat circle of radius 1
     # over one period, with its parameter in t_param
-    config = IntegratorConfig(rtol=1e-10, atol=1e-10, max_steps=500_000)
     traj = integrate(
-        euclidean_metric(3), circle_state(1.0), (0.0, 2.0 * np.pi), config
+        euclidean_metric(3),
+        circle_state(1.0),
+        (0.0, 2.0 * np.pi),
+        tol=1e-10,
+        max_steps=500_000,
     )
     x, y, z = traj.positions().T
     r = np.hypot(x, y)
@@ -363,6 +364,23 @@ def test_curvature_singular_point_exits_three(capsys):
     assert code == 3
     err = capsys.readouterr().err
     assert "cartesian" in err  # chart-switch hint
+
+
+@pytest.mark.parametrize(
+    "metric, chart, point",
+    [
+        ("flat", "cartesian", "inf,0,0"),
+        ("flat", "cylindrical", "0.5,nan,0"),
+        ("example", "cylindrical", "nan,0,0"),
+        ("example", "cartesian", "0.5,0,-inf"),
+    ],
+)
+def test_curvature_rejects_a_point_that_is_not_finite(capsys, metric, chart, point):
+    argv = ["curvature", "--metric", metric, "--chart", chart, "--point", point]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and "finite" in err
 
 
 def test_config_file_defaults_and_flag_precedence(tmp_path, capsys):

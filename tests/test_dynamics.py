@@ -10,7 +10,6 @@ from confgeo import (
     ConfgeoError,
     GeodesicState,
     ImmersionError,
-    IntegratorConfig,
     Trajectory,
     UnparamState,
     arc_length,
@@ -205,8 +204,7 @@ def test_metric_evaluation_counts(monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(dynamics, "curvature", counted_curvature)
-    cfg = IntegratorConfig(rtol=1e-8, atol=1e-8)
-    traj = integrate(FLAT3, circle_state(1.0), (0.0, 2.0), cfg)
+    traj = integrate(FLAT3, circle_state(1.0), (0.0, 2.0))
     assert traj.status == "ok" and len(calls) == 1
     # every step's renormalisation moved the state, and the one at the
     # end of s_span needs no refresh
@@ -253,8 +251,7 @@ def test_stats_count_one_rhs_per_stage_plus_the_refreshes():
     # only the refreshes reuse a bundle.
     field = flat_cylindrical_metric()
     spiral_data = from_unparametrized(field, spiral_state(0.8))
-    cfg = IntegratorConfig(rtol=1e-8, atol=1e-8)
-    traj = integrate(field, spiral_data, (0.0, -3.0), cfg)
+    traj = integrate(field, spiral_data, (0.0, -3.0))
     stats = traj.stats
     assert stats["domain_shrinks"] == 0 and stats["rejected"] >= 1
     attempts = stats["accepted"] + stats["rejected"]
@@ -272,10 +269,9 @@ def test_integrate_logs_one_summary(caplog):
         (FLAT3, circle_state(1.0), "ok", False),
         (flat_cylindrical_metric(), toward_axis, "left_domain", True),
     ]
-    cfg = IntegratorConfig(rtol=1e-8, atol=1e-8)
     for field, initial, status, shrinks in runs:
         caplog.clear()
-        traj = integrate(field, initial, (0.0, 2.0), cfg)
+        traj = integrate(field, initial, (0.0, 2.0))
         assert traj.status == status
         (record,) = [r for r in caplog.records if r.name == "confgeo.dynamics"]
         assert record.levelno == logging.INFO
@@ -304,7 +300,6 @@ def test_trajectory_stats_are_the_logged_summary(caplog):
         np.array([0.5, 0.0, 0.0]), np.array([-1.0, 0.0, 0.0]), np.zeros(3)
     )
     spiral_data = from_unparametrized(flat_cylindrical_metric(), spiral_state(0.8))
-    cfg = IntegratorConfig(rtol=1e-8, atol=1e-8)
     runs = [
         (FLAT3, circle_state(1.0), (0.0, 2.0), None),
         (flat_cylindrical_metric(), toward_axis, (0.0, 2.0), None),
@@ -315,7 +310,7 @@ def test_trajectory_stats_are_the_logged_summary(caplog):
     seen = set()
     for field, initial, span, stop in runs:
         caplog.clear()
-        traj = integrate(field, initial, span, cfg, stop=stop)
+        traj = integrate(field, initial, span, stop=stop)
         (record,) = [r for r in caplog.records if r.name == "confgeo.dynamics"]
         m = re.fullmatch(
             r"integrate \S+: (\w+)(?: \((.*)\))?; (\d+) accepted, (\d+) rejected, "
@@ -358,11 +353,10 @@ def test_integrate_logs_each_rejection_and_shrink_at_debug(caplog):
         np.array([0.5, 0.0, 0.0]), np.array([-1.0, 0.0, 0.0]), np.zeros(3)
     )
     spiral_data = from_unparametrized(field, spiral_state(0.8))
-    cfg = IntegratorConfig(rtol=1e-8, atol=1e-8)
     seen = {"rejected": 0, "shrinks": 0}
     for initial, s_end in ((toward_axis, 2.0), (spiral_data, -3.0)):
         caplog.clear()
-        traj = integrate(field, initial, (0.0, s_end), cfg)
+        traj = integrate(field, initial, (0.0, s_end))
         records = [r for r in caplog.records if r.name == "confgeo.dynamics"]
         (summary,) = [r for r in records if r.levelno == logging.INFO]
         m = re.search(r"(\d+) rejected, (\d+) domain shrinks", summary.getMessage())
@@ -524,7 +518,8 @@ def test_from_unparametrized_spiral_closed_form():
     vb = float(st.v @ g @ st.b)
     a_oracle = (st.b - vb / speed**2 * st.v) / speed**2
     np.testing.assert_allclose(geo.a, a_oracle, rtol=1e-13)
-    np.testing.assert_array_equal(geo.require_gauge(field, tol=1e-12), g)
+    assert max(geo.gauge_residuals(g)) <= 1e-12
+    np.testing.assert_array_equal(geo.require_gauge(field), g)
 
 
 def test_from_unparametrized_rejects_zero_velocity():
@@ -537,30 +532,20 @@ def test_from_unparametrized_rejects_zero_velocity():
 # ---------------------------------------------------------------------------
 
 
-def test_config_validation():
-    with pytest.raises(ValueError):
-        IntegratorConfig(rtol=0.0)
-    with pytest.raises(ValueError, match="tolerances"):
-        IntegratorConfig(atol=float("nan"))
-    with pytest.raises(ValueError):
-        IntegratorConfig(min_step=1.0, max_step=0.5)
-    with pytest.raises(ValueError):
-        IntegratorConfig(max_steps=0)
-
-
 @pytest.mark.parametrize(
     "kwargs, name",
     [
-        ({"max_step": 0.0}, "max_step"),
-        ({"max_step": -1.0}, "max_step"),
-        ({"max_step": float("nan")}, "max_step"),
-        ({"min_step": -1e-3}, "min_step"),
-        ({"min_step": -1.0, "max_step": -0.5}, "max_step"),
+        ({"tol": 0.0}, "tol"),
+        ({"tol": -1.0}, "tol"),
+        ({"tol": float("nan")}, "tol"),
+        ({"tol": float("inf")}, "tol"),
+        ({"max_steps": 0}, "max_steps"),
     ],
+    ids=["tol=0", "tol=-1", "tol=nan", "tol=inf", "max_steps=0"],
 )
-def test_config_rejects_nonpositive_step_bounds_by_name(kwargs, name):
+def test_integrate_rejects_invalid_settings_by_name(kwargs, name):
     with pytest.raises(ValueError, match=f"^{name} must be"):
-        IntegratorConfig(**kwargs)
+        integrate(FLAT3, circle_state(1.0), (0.0, 1.0), **kwargs)
 
 
 def test_dop853_tableau_is_consistent():
@@ -582,7 +567,7 @@ def test_dop853_tableau_is_consistent():
 
 def test_integrate_straight_line_exact():
     st = GeodesicState(np.zeros(3), np.array([1.0, 0.0, 0.0]), np.zeros(3))
-    traj = integrate(FLAT3, st, (0.0, 2.0), IntegratorConfig(rtol=1e-9, atol=1e-9))
+    traj = integrate(FLAT3, st, (0.0, 2.0), tol=1e-9)
     assert traj.status == "ok"
     np.testing.assert_allclose(traj.final_state.x, [2.0, 0.0, 0.0], atol=1e-12)
     assert np.all(np.diff(traj.s) > 0.0)
@@ -591,9 +576,8 @@ def test_integrate_straight_line_exact():
 
 @pytest.mark.parametrize("radius", [0.5, 1.0])
 def test_integrate_circle_closes(radius):
-    cfg = IntegratorConfig(rtol=1e-10, atol=1e-10)
     st = circle_state(radius)
-    traj = integrate(FLAT3, st, (0.0, 2.0 * np.pi * radius), cfg)
+    traj = integrate(FLAT3, st, (0.0, 2.0 * np.pi * radius), tol=1e-10)
     assert traj.status == "ok"
     assert np.linalg.norm(traj.final_state.x - st.x) < 1e-7
     radial = np.abs(np.linalg.norm(traj.positions()[:, :2], axis=1) - radius)
@@ -608,20 +592,19 @@ def test_circle_state_rejects_a_radius_that_is_not_positive(radius):
 
 
 def test_integrate_reversibility():
-    cfg = IntegratorConfig(rtol=1e-10, atol=1e-10)
+    tol = 1e-10
     st = circle_state(1.0)
-    fwd = integrate(FLAT3, st, (0.0, 1.5), cfg)
-    back = integrate(FLAT3, fwd.final_state, (fwd.s[-1], 0.0), cfg)
+    fwd = integrate(FLAT3, st, (0.0, 1.5), tol=tol)
+    back = integrate(FLAT3, fwd.final_state, (fwd.s[-1], 0.0), tol=tol)
     end = back.final_state
-    tol = 10.0 * (cfg.atol + cfg.rtol)
-    assert np.max(np.abs(end.x - st.x)) < tol
-    assert np.max(np.abs(end.u - st.u)) < tol
-    assert np.max(np.abs(end.a - st.a)) < tol
+    assert np.max(np.abs(end.x - st.x)) < 20 * tol
+    assert np.max(np.abs(end.u - st.u)) < 20 * tol
+    assert np.max(np.abs(end.a - st.a)) < 20 * tol
 
 
 def test_integrate_backward_direction():
     st = circle_state(1.0)
-    traj = integrate(FLAT3, st, (0.0, -1.0), IntegratorConfig())
+    traj = integrate(FLAT3, st, (0.0, -1.0))
     assert traj.status == "ok"
     assert np.all(np.diff(traj.s) < 0.0)
     assert np.all(np.diff(traj.arc_length) > 0.0)  # length grows either way
@@ -629,7 +612,7 @@ def test_integrate_backward_direction():
 
 def test_trajectory_states_are_rows_of_one_sample_array():
     st = circle_state(1.0)
-    traj = integrate(FLAT3, st, (0.0, 1.5), IntegratorConfig())
+    traj = integrate(FLAT3, st, (0.0, 1.5))
     n = FLAT3.dimension
     assert traj.y.shape == (len(traj), 3 * n)
     assert len(traj) == len(traj.s) == len(traj.states) > 2
@@ -645,53 +628,59 @@ def test_trajectory_states_are_rows_of_one_sample_array():
         assert traj.gauge_error[i] == max(state.gauge_residuals(FLAT3(state.x)))
 
 
+def test_trajectory_outcome_is_read_from_stats():
+    # test_trajectory_stats_are_the_logged_summary compares the values
+    traj = integrate(FLAT3, circle_state(1.0), (0.0, 1.5))
+    with pytest.raises(AttributeError):
+        traj.status = "stopped"
+    # a trajectory built without stats reads as a clean run
+    blank = _fake_trajectory(np.zeros((2, 3)))
+    assert (blank.status, blank.message, blank.rhs_evaluations) == ("ok", "", 0)
+
+
 def test_gauge_preservation_without_renormalization():
     # The gauge quantities are conserved by the equation; any drift is
     # integrator error and must stay below 100x the tolerance.
     tol = 1e-9
-    cfg = IntegratorConfig(rtol=tol, atol=tol, renormalize=False)
-    traj = integrate(FLAT3, circle_state(1.0), (0.0, 2.0 * np.pi), cfg)
+    traj = integrate(
+        FLAT3, circle_state(1.0), (0.0, 2.0 * np.pi), tol=tol, renormalize=False
+    )
     assert traj.max_gauge_error < 100.0 * tol
     assert traj.max_projection == 0.0
 
     field = RandomMetricSpec(seed=3).build()
     st = random_gauge_state(field, np.random.default_rng(3))
-    traj = integrate(field, st, (0.0, 0.5), cfg)
+    traj = integrate(field, st, (0.0, 0.5), tol=tol, renormalize=False)
     assert traj.status == "ok"
     assert traj.max_gauge_error < 100.0 * tol
 
 
 def test_renormalization_logs_small_projections():
-    cfg = IntegratorConfig(rtol=1e-10, atol=1e-10, renormalize=True)
-    traj = integrate(FLAT3, circle_state(1.0), (0.0, 2.0 * np.pi), cfg)
+    traj = integrate(FLAT3, circle_state(1.0), (0.0, 2.0 * np.pi), tol=1e-10)
     assert traj.max_projection > 0.0
     assert traj.max_projection < 1e-6
     assert traj.max_gauge_error < 1e-9
 
 
 def test_integrate_max_steps_diagnostic():
-    cfg = IntegratorConfig(rtol=1e-10, atol=1e-10, max_steps=5)
-    traj = integrate(FLAT3, circle_state(1.0), (0.0, 2.0 * np.pi), cfg)
+    traj = integrate(
+        FLAT3, circle_state(1.0), (0.0, 2.0 * np.pi), tol=1e-10, max_steps=5
+    )
     assert traj.status == "max_steps"
     assert len(traj) == 6  # initial sample plus five accepted steps
 
 
 def test_integrate_stop_condition():
     st = GeodesicState(np.zeros(3), np.array([1.0, 0.0, 0.0]), np.zeros(3))
-    traj = integrate(
-        FLAT3,
-        st,
-        (0.0, 10.0),
-        IntegratorConfig(max_step=0.1),
-        stop=lambda s: s.x[0] >= 1.0,
-    )
+    traj = integrate(FLAT3, st, (0.0, 10.0), stop=lambda s: s.x[0] >= 1.0)
     assert traj.status == "stopped"
+    # the run ends at the first accepted state that meets the condition
     assert traj.final_state.x[0] >= 1.0
-    assert traj.final_state.x[0] < 1.3
+    assert np.all(traj.positions()[:-1, 0] < 1.0)
 
 
 def test_integrate_marked_point_distance():
-    traj = integrate(FLAT3, circle_state(1.0), (0.0, np.pi), IntegratorConfig())
+    traj = integrate(FLAT3, circle_state(1.0), (0.0, np.pi))
     distance = np.linalg.norm(traj.cartesian_positions(), axis=1)
     np.testing.assert_allclose(distance, 1.0, atol=1e-8)
 
@@ -699,7 +688,7 @@ def test_integrate_marked_point_distance():
 def test_integrate_rejects_bad_gauge():
     bad = GeodesicState(np.zeros(3), np.array([2.0, 0.0, 0.0]), np.zeros(3))
     with pytest.raises(ConfgeoError):
-        integrate(FLAT3, bad, (0.0, 1.0), IntegratorConfig())
+        integrate(FLAT3, bad, (0.0, 1.0))
 
 
 # ---------------------------------------------------------------------------

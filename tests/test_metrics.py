@@ -78,6 +78,21 @@ def test_builtin_metrics_symmetric_positive_definite(field):
     assert np.linalg.eigvalsh(g).min() > 0.0
 
 
+@pytest.mark.parametrize(
+    "make", [euclidean_metric, flat_cylindrical_metric], ids=lambda f: f.__name__
+)
+def test_flat_jets_are_fresh_arrays_on_every_call(make):
+    # a caller writing into one call's partials must not change the next
+    field, point = make(), np.full(3, 1.5)
+    metric_derivatives(field, np.full(3, 0.5), 1)[0, 0, 0] = 5.0
+    metric_derivatives(field, np.full(3, 0.5), 2)[0, 0, 0, 0] = 5.0
+    assert metric_derivatives(field, point, 1)[0, 0, 0] == 0.0
+    assert metric_derivatives(field, point, 2)[0, 0, 0, 0] == 0.0
+    np.testing.assert_array_equal(
+        curvature(field, point).christoffel, curvature(make(), point).christoffel
+    )
+
+
 def test_random_polynomial_metric_positive_definite_on_unit_box():
     rng = np.random.default_rng(123)
     grid = np.stack(

@@ -1,5 +1,6 @@
 """The names ``confgeo`` exports are its contract: a change to this list
 is a deliberate change to the public interface."""
+import inspect
 import types
 
 import confgeo
@@ -16,7 +17,6 @@ PUBLIC_NAMES = [
     "DegenerateMetricError",
     "GeodesicState",
     "ImmersionError",
-    "IntegratorConfig",
     "MetricField",
     "RandomMetricSpec",
     "SpiralReport",
@@ -83,3 +83,21 @@ def test_public_names_are_pinned():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     )
     assert names == PUBLIC_NAMES
+
+
+def test_integrate_parameters_are_pinned():
+    # Every setting of an integration is one of these keywords; adding a
+    # knob back is a deliberate change to this list.
+    params = inspect.signature(confgeo.integrate).parameters
+    assert list(params) == [
+        "field",
+        "initial",
+        "s_span",
+        "tol",
+        "max_steps",
+        "renormalize",
+        "curvature_step",
+        "stop",
+    ]
+    keyword_only = [p for p in params.values() if p.kind is p.KEYWORD_ONLY]
+    assert [p.name for p in keyword_only] == list(params)[3:]
