@@ -107,12 +107,16 @@ def _positive(value: float) -> bool:
 
 
 def cmd_verify(args) -> int:
-    if args.tol is not None and not _positive(args.tol):
-        print("verify requires a positive finite --tol", file=sys.stderr)
-        return 2
+    seed = 42 if args.seed is None else args.seed
+    for bad, need in (
+        (args.tol is not None and not _positive(args.tol), "a positive finite --tol"),
+        (seed < 0, "a non-negative --seed"),
+    ):
+        if bad:
+            print(f"verify requires {need}", file=sys.stderr)
+            return 2
     out_dir = Path(args.out or "confgeo_out")
     out_dir.mkdir(parents=True, exist_ok=True)
-    seed = 42 if args.seed is None else args.seed
     _echo_config(
         out_dir, args, {"selection": args.selection, "seed": seed, "tol": args.tol}
     )

@@ -278,14 +278,16 @@ def kulkarni_nomizu(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
     (A o B)_mnab = A_ma B_nb + A_nb B_ma - A_mb B_na - A_na B_mb.
     The result carries all algebraic symmetries of a Riemann tensor.
+    A and B may be stacks (..., n, n) of one shape; the terms are outer
+    products, so each instance gets the bits of a 2-D call.
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
-    if A.shape != B.shape or A.ndim != 2 or A.shape[0] != A.shape[1]:
+    if A.shape != B.shape or A.ndim < 2 or A.shape[-1] != A.shape[-2]:
         raise ValueError("inputs must be square matrices of equal dimension")
     return (
-        np.einsum("ma,nb->mnab", A, B)
-        + np.einsum("nb,ma->mnab", A, B)
-        - np.einsum("mb,na->mnab", A, B)
-        - np.einsum("na,mb->mnab", A, B)
+        np.einsum("...ma,...nb->...mnab", A, B)
+        + np.einsum("...nb,...ma->...mnab", A, B)
+        - np.einsum("...mb,...na->...mnab", A, B)
+        - np.einsum("...na,...mb->...mnab", A, B)
     )

@@ -66,10 +66,11 @@ class GeodesicState:
         )
 
     def require_gauge(self, field: MetricField) -> np.ndarray:
-        """Raise unless both gauge residuals are within 1e-6; return g at x."""
+        """Raise unless both gauge residuals are within 1e-6 (so neither
+        is NaN); return g at x."""
         g = field(self.x)
         e_norm, e_orth = self.gauge_residuals(g)
-        if e_norm > 1e-6 or e_orth > 1e-6:
+        if not (e_norm <= 1e-6 and e_orth <= 1e-6):
             raise ConfgeoError(
                 f"state violates proper-time gauge: | |u|^2-1 |={e_norm:.3e}, "
                 f"|g(u,a)|={e_orth:.3e}"
@@ -378,8 +379,8 @@ def from_unparametrized(field: MetricField, state: UnparamState) -> GeodesicStat
     x, v, b = state.x, state.v, state.b
     g = field(x)
     speed2 = float(v @ g @ v)
-    if speed2 <= 0.0:
-        raise ImmersionError("cannot reparametrize a state with |v| = 0")
+    if not speed2 > 0.0:
+        raise ImmersionError(f"cannot reparametrize a state with |v|^2 = {speed2}")
     u = v / np.sqrt(speed2)
     a = (b - (float(v @ g @ b) / speed2) * v) / speed2
     return GeodesicState(x=x, u=u, a=a, s=0.0)
@@ -593,7 +594,9 @@ def integrate(
     the first-order system in (x, u, a); the 8th-order solution is
     propagated, and the step size follows Hairer's combined 5th/3rd-order
     error estimate, each component's error measured against
-    ``tol * (1 + |y|)``.  Runs in either s-direction.  With
+    ``tol * (1 + |y|)``.  Runs in either s-direction, from a finite s0
+    to any s1 but NaN (an infinite s1 leaves the end to ``stop`` or
+    ``max_steps``).  With
     ``renormalize`` on, each accepted step projects u back to unit norm
     and a to the orthogonal complement of u, and the metric size of that
     projection is recorded per sample so silent drift cannot hide an
@@ -624,10 +627,12 @@ def integrate(
         raise ValueError(f"tol must be positive and finite, got {tol}")
     if max_steps < 1:
         raise ValueError(f"max_steps must be at least 1, got {max_steps}")
+    s0, s1 = float(s_span[0]), float(s_span[1])
+    if not np.isfinite(s0) or np.isnan(s1):
+        raise ValueError(f"s_span must run from a finite s to a number, got {s_span}")
     n = field.dimension
     g = initial.require_gauge(field)
 
-    s0, s1 = float(s_span[0]), float(s_span[1])
     direction = 1.0 if s1 >= s0 else -1.0
     span = abs(s1 - s0)
 

@@ -8,14 +8,14 @@ through).  Reports serialize to stable JSON: identical seeds and
 tolerances give byte-identical JSON (wall time is reported only in the
 human-readable rendering).
 
-check_lemma1, check_lemma2 and lemma3's forcing sweep draw every random
-instance first, in the generator's order (metric, state, speeds, control
-directions), and build each instance's metric jet as they go; then they
-evaluate all instances as one stack, through one curvature kernel
-evaluation and one call of each residual kernel.  The kernels give each
-instance of a stack the bits a one-instance evaluation gives it, so the
-draws and the reports are the same as when each instance was evaluated
-on its own.
+Each check runs one fixed configuration (its sample sizes are reported
+as metrics) and evaluates its points as one stack: one metric jet per
+point, drawn for lemma1, lemma2 and lemma3's forcing sweep in the
+generator's order (metric, state, speeds, control directions), then one
+curvature kernel evaluation and one call of each residual kernel.  The
+kernels give each instance of a stack the bits a one-instance
+evaluation gives it, so the draws and the reports are the same as when
+each instance was evaluated on its own.
 """
 from __future__ import annotations
 
@@ -27,14 +27,8 @@ from typing import Optional
 
 import numpy as np
 
-from .bivectors import _max_abs, _wedge, wedge
-from .curvature import (
-    _curvature_kernel,
-    _metric_jets,
-    curvature,
-    kulkarni_nomizu,
-    metric_derivatives,
-)
+from .bivectors import _max_abs, _wedge
+from .curvature import _curvature_kernel, _metric_jets, kulkarni_nomizu
 from .dynamics import (
     GeodesicState,
     Trajectory,
@@ -193,15 +187,15 @@ def _positive_on_grid(coefs: np.ndarray, dimension: int, degree: int) -> bool:
 
 @dataclass(frozen=True)
 class RandomMetricSpec:
-    """Flat metric plus a seeded polynomial perturbation, PD on the unit box."""
+    """Flat metric plus a seeded cubic polynomial perturbation, PD on the
+    unit box."""
 
     seed: int
     dimension: int = 3
-    degree: int = 3
 
     def build(self) -> MetricField:
         rng = np.random.default_rng(self.seed)
-        exps = _monomial_exponents(self.dimension, self.degree)
+        exps = _monomial_exponents(self.dimension, 3)
         m = len(exps)
         # Each coefficient is at most 0.015 in size, which keeps the whole
         # perturbation well inside the PD region: few draws are rejected.
@@ -209,7 +203,7 @@ class RandomMetricSpec:
         for _ in range(50):
             coefs = rng.uniform(-amp, amp, size=(m, self.dimension, self.dimension))
             coefs = 0.5 * (coefs + coefs.transpose(0, 2, 1))
-            if _positive_on_grid(coefs, self.dimension, self.degree):
+            if _positive_on_grid(coefs, self.dimension, 3):
                 return polynomial_metric(
                     exps, coefs, self.dimension, name=f"random(seed={self.seed})"
                 )
@@ -250,6 +244,13 @@ def _stacked_bundle(points, jets):
     )
 
 
+def _bundle_over(field, points):
+    """One metric jet of ``field`` per point of ``points`` (..., n), then
+    one ``_curvature_kernel`` evaluation over all of them."""
+    flat = points.reshape(-1, points.shape[-1])
+    return _stacked_bundle(points, [_metric_jets(field, p) for p in flat])
+
+
 def _random_instance(rng):
     """A random metric's proper-time state and the metric's jet there."""
     fld = random_metric(rng)
@@ -274,11 +275,11 @@ def _evaluate_stack(states, jets):
 # ---------------------------------------------------------------------------
 
 
-def check_lemma1(trials: int = 100, seed: int = 42, tol: float = 1e-9) -> CheckReport:
+def check_lemma1(seed: int = 42, tol: float = 1e-9) -> CheckReport:
     """Equivalence of the proper-time equation and its wedge form.
 
-    For seeded random (metric, state) pairs, (a) the wedge-form residual
-    of the equation's right-hand side vanishes, and (b) reconstructing
+    For 100 seeded random (metric, state) pairs, (a) the wedge-form
+    residual of the equation's right-hand side vanishes, and (b) reconstructing
     the acceleration derivative from the wedge form's tangential
     completion c = -|a|^2 - u.L^u reproduces the right-hand side.
 
@@ -291,6 +292,7 @@ def check_lemma1(trials: int = 100, seed: int = 42, tol: float = 1e-9) -> CheckR
     curvature, not a second one.
     """
     t0 = time.perf_counter()
+    trials = 100
     rng = np.random.default_rng(seed)
     states, jets, controls = [], [], []
     for _ in range(trials):
@@ -355,14 +357,13 @@ def _reparametrized(st, du, da, lam0, lam1, lam2):
     return UnparamState(x=st.x, v=v, b=b, t=0.0), db
 
 
-def check_lemma2(
-    trials: int = 50, reparams: int = 5, seed: int = 43, tol: float = 1e-8
-) -> CheckReport:
+def check_lemma2(seed: int = 43, tol: float = 1e-8) -> CheckReport:
     """Reparametrization invariance of the unparametrized wedge equation.
 
-    Conformal geodesic data is rebuilt under random parameter changes
-    with speeds ds/dt in [0.2, 5]; the unparametrized residual must stay
-    zero and the identity v ^ b = |v|^3 u ^ a must hold.  Every instance
+    The conformal geodesic data of 50 seeded random (metric, state)
+    pairs is rebuilt under 5 random parameter changes each, with speeds
+    ds/dt in [0.2, 5]; the unparametrized residual must stay zero and
+    the identity v ^ b = |v|^3 u ^ a must hold.  Every instance
     is drawn first, in the generator's order (metric, state, then each
     reparametrization's speeds and control direction), with its metric
     jet; one curvature kernel evaluation over the stack of jets then
@@ -370,6 +371,7 @@ def check_lemma2(
     (trials, reparams) stack.
     """
     t0 = time.perf_counter()
+    trials, reparams = 50, 5
     rng = np.random.default_rng(seed)
     states, jets, speeds, controls = [], [], [], []
     for _ in range(trials):
@@ -451,7 +453,7 @@ def forcing_residual_relative(t, k_override=None):
     kfun = k_override if k_override is not None else k_exact
     L = np.asarray(kfun(t))[..., None, None] * m_covariant(t, 2)
 
-    bundle = _stacked_bundle(x, [_metric_jets(fld, p) for p in x.reshape(-1, 2)])
+    bundle = _bundle_over(fld, x)
     g, ginv = bundle.metric, bundle.inverse_metric
     res = _unparam_residual(x, bundle.christoffel, g, ginv, L, v, b, db).max_abs()
     return res / _unparam_scale(g, ginv, L, v, b, db)
@@ -464,11 +466,11 @@ def flatness_table() -> np.ndarray:
     return np.array([kv / ts**n for n in range(1, 9)])
 
 
-def check_lemma3(
-    grid_points: int = 50, tol: float = 1e-9, seed: Optional[int] = None
-) -> CheckReport:
+def check_lemma3(tol: float = 1e-9, seed: Optional[int] = None) -> CheckReport:
     """The forcing identity, flatness of k at 0, and infinite length.
 
+    The forcing identity is evaluated at 50 spiral parameters in
+    [0.3, 1], as one stack.
     Flatness is certified against its leading-term oracle e^(-1/t)/t:
     |k| must match the oracle closely on the sample grid, decrease with
     t on the tail t <= 0.1 for every power weight t^-n with n <= 8, and
@@ -478,6 +480,7 @@ def check_lemma3(
     as a metric for reference.
     """
     t0 = time.perf_counter()
+    grid_points = 50
     ts = np.linspace(0.3, 1.0, grid_points)
     residuals = forcing_residual_relative(ts)
     max_residual = float(residuals.max())
@@ -550,55 +553,40 @@ def check_lemma3(
 # ---------------------------------------------------------------------------
 
 
-def check_lemma5(
-    radii=(0.2, 0.35, 0.5, 0.75, 1.0),
-    tol: float = 1e-6,
-    seed: Optional[int] = None,
-) -> CheckReport:
+def check_lemma5(tol: float = 1e-6, seed: Optional[int] = None) -> CheckReport:
     """Curvature structure of the example metric on the plane z = 0.
 
     At each sample radius: induced metric flat, first z-derivatives
     vanish, Ricci from the metric's closed-form jet equals -2 h(r) M,
     Riemann equals -2 dz^2 o (h M), and M is trace-free with vanishing
-    contractions against dz^2.
+    contractions against dz^2.  One jet per radius gives g, its partials
+    and, through one curvature kernel evaluation over all radii, the
+    curvature.
     """
     t0 = time.perf_counter()
+    r = np.array([0.2, 0.35, 0.5, 0.75, 1.0])
+    x = np.outer(r, [1.0, 0.0, 0.0])  # the points (r, 0, 0)
     fld = example_metric("cylindrical")
-    dz2 = np.zeros((3, 3))
-    dz2[2, 2] = 1.0
+    jets = [_metric_jets(fld, p) for p in x]
+    bundle = _stacked_bundle(x, jets)
+    g, ginv = bundle.metric, bundle.inverse_metric
+    plane = np.array([np.diag([1.0, rr * rr]) for rr in r])
+    max_induced = np.max(np.abs(g[:, :2, :2] - plane))
+    max_dz = max(np.max(np.abs(dg[2])) for _, dg, _ in jets)
 
-    max_induced = 0.0
-    max_dz = 0.0
-    max_ricci = 0.0
-    max_riemann = 0.0
-    max_m_traces = 0.0
-    min_negative = np.inf
-    for r in radii:
-        x = np.array([float(r), 0.0, 0.0])
-        g = fld(x)
-        induced = g[:2, :2] - np.diag([1.0, r * r])
-        max_induced = max(max_induced, np.max(np.abs(induced)))
+    M = m_covariant(r, 3)
+    hM = h_profile(r)[:, None, None] * M
+    max_ricci = np.max(np.abs(bundle.ricci - (-2.0 * hM)))
+    dz2 = np.diag([0.0, 0.0, 1.0])
+    expected_riem = -2.0 * kulkarni_nomizu(np.broadcast_to(dz2, hM.shape), hM)
+    max_riemann = np.max(np.abs(bundle.riemann_lowered - expected_riem))
 
-        dg = metric_derivatives(fld, x, order=1)
-        max_dz = max(max_dz, np.max(np.abs(dg[2])))
+    trace_m = np.abs(np.vecdot(ginv.reshape(-1, 9), M.reshape(-1, 9)))
+    contraction = _max_abs(M @ ginv @ dz2)
+    max_m_traces = float(np.max(np.maximum(trace_m, contraction)))
 
-        bundle = curvature(fld, x)
-        hM = h_profile(r) * m_covariant(r, 3)
-        max_ricci = max(max_ricci, np.max(np.abs(bundle.ricci - (-2.0 * hM))))
-        expected_riem = -2.0 * kulkarni_nomizu(dz2, hM)
-        max_riemann = max(
-            max_riemann, np.max(np.abs(bundle.riemann_lowered - expected_riem))
-        )
-
-        M = m_covariant(r, 3)
-        ginv = bundle.inverse_metric
-        trace_m = abs(float(np.einsum("ab,ab->", ginv, M)))
-        contraction = np.max(np.abs(M @ ginv @ dz2))
-        max_m_traces = max(max_m_traces, trace_m, contraction)
-
-        # negative control: a 5% miscalibrated profile must be detected
-        wrong = np.max(np.abs(bundle.ricci - (-2.0 * 1.05 * hM)))
-        min_negative = min(min_negative, wrong)
+    # negative control: a 5% miscalibrated profile must be detected
+    min_negative = np.min(_max_abs(bundle.ricci - (-2.0 * 1.05 * hM)))
 
     passed = (
         max_induced <= 1e-12
@@ -612,7 +600,7 @@ def check_lemma5(
         "lemma5",
         passed,
         {
-            "radii": list(float(r) for r in radii),
+            "radii": r.tolist(),
             "max_induced_metric_deviation": max_induced,
             "max_dz_metric_at_plane": max_dz,
             "max_ricci_deviation": max_ricci,
@@ -694,39 +682,30 @@ def spiral_tracking_run(
     return traj, float(np.max(errors)), max_z
 
 
-def check_proposition(
-    t0: float = 0.8,
-    t_end: float = 0.3,
-    tol: float = 1e-4,
-    integrator_tol: float = 1e-10,
-    seed: Optional[int] = None,
-) -> CheckReport:
+def check_proposition(tol: float = 1e-4, seed: Optional[int] = None) -> CheckReport:
     """The curve is a conformal geodesic of the example metric and spirals.
 
-    (i) v ^ L^v = v ^ Ric^v along the curve (they differ by a multiple
-    of the metric in dimension 3); (ii) the integrated conformal
-    geodesic tracks the analytic curve at matched radius and stays in
-    the plane; (iii) the trajectory is containment-consistent with a
-    spiral toward the origin; (iv) its length dwarfs the flat chord.
-    The negative control re-runs the integration with the radial
-    profile switched off, which must visibly leave the spiral.
+    (i) v ^ L^v = v ^ Ric^v at 8 parameters along the curve, evaluated
+    as one stack (they differ by a multiple of the metric in dimension
+    3); (ii) the integrated conformal geodesic, from t = 0.8 to r = 0.3
+    (``spiral_tracking_run``'s defaults), tracks the analytic curve at
+    matched radius and stays in the plane; (iii) the trajectory is
+    containment-consistent with a spiral toward the origin; (iv) its
+    length dwarfs the flat chord.  The negative control re-runs the
+    integration from the same initial state with the radial profile
+    switched off, which must visibly leave the spiral.
     """
     t_start = time.perf_counter()
     fld = example_metric("cylindrical")
 
-    max_identity = 0.0
-    for t in np.linspace(0.3, 1.0, 8):
-        st = spiral_state(float(t))
-        bundle = curvature(fld, st.x)
-        w_l = wedge(st.v, bundle.inverse_metric @ bundle.schouten @ st.v, st.x)
-        w_r = wedge(st.v, bundle.inverse_metric @ bundle.ricci @ st.v, st.x)
-        max_identity = max(
-            max_identity, np.max(np.abs(w_l.components - w_r.components))
-        )
+    ts = np.linspace(0.3, 1.0, 8)
+    v = spiral_velocity(ts, 3)
+    bundle = _bundle_over(fld, spiral_point(ts, 3))
+    w_l = _wedge(v, _raise_index(bundle.inverse_metric, bundle.schouten, v))
+    w_r = _wedge(v, _raise_index(bundle.inverse_metric, bundle.ricci, v))
+    max_identity = float(np.max(np.abs(w_l - w_r)))
 
-    traj, max_track, max_z = spiral_tracking_run(
-        t0=t0, t_end=t_end, integrator_tol=integrator_tol
-    )
+    traj, max_track, max_z = spiral_tracking_run()
     reached = traj.status == "stopped"
 
     report = detect_spiral(traj, np.zeros(3), (0.8, 0.6, 0.4))
@@ -739,8 +718,7 @@ def check_proposition(
     # negative control: without the curvature profile the same initial
     # data follows a flat-space conformal geodesic (a circle) instead
     flat = flat_cylindrical_metric()
-    flat_initial = from_unparametrized(flat, spiral_state(t0))
-    flat_traj = integrate(flat, flat_initial, (0.0, -3.0), max_steps=50_000)
+    flat_traj = integrate(flat, traj.state(0), (0.0, -3.0), max_steps=50_000)
     flat_errors, _ = spiral_tracking_errors(flat_traj)
     departure = float(np.max(flat_errors))
 
@@ -799,7 +777,8 @@ def run_checks(
 
     ``tol`` (positive and finite, else ValueError) replaces the primary
     tolerance of each selected check; the secondary tolerances
-    (identities, negative controls) are fixed.
+    (identities, negative controls) are fixed.  A negative ``seed``
+    raises ValueError, as numpy's generators take none.
     """
     kw = {} if tol is None else {"tol": tol}
     checks = {
@@ -813,5 +792,7 @@ def run_checks(
         raise ValueError(f"unknown selection '{selection}'")
     if tol is not None and not (np.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tolerance must be positive and finite, got {tol}")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     wanted = checks if selection == "all" else (selection,)
     return [checks[name]() for name in wanted]

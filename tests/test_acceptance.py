@@ -71,13 +71,14 @@ def _emit(criterion, passed, detail):
 def test_criterion_1_wedge_form_equivalence():
     """100 seeded random (metric, state) trials, residual <= 1e-9, < 10 s."""
     start = time.perf_counter()
-    rep = check_lemma1(trials=100, seed=42, tol=1e-9)
+    rep = check_lemma1(seed=42, tol=1e-9)
     elapsed = time.perf_counter() - start
     detail = (
         f"max residual {rep.metrics['max_wedge_residual']:.2e} over 100 trials "
         f"({elapsed:.1f} s)"
     )
     _emit("criterion 1 (wedge-form equivalence)", rep.passed and elapsed < 10, detail)
+    assert rep.metrics["trials"] == 100
     assert rep.passed, rep.metrics
     assert elapsed < 10.0
 
@@ -90,7 +91,7 @@ def test_criterion_1_wedge_form_equivalence():
 def test_criterion_2_unparametrized_equivalence():
     """50 trials x 5 reparametrizations: residual <= 1e-8, identity to 1e-12."""
     start = time.perf_counter()
-    rep = check_lemma2(trials=50, reparams=5, seed=43, tol=1e-8)
+    rep = check_lemma2(seed=43, tol=1e-8)
     elapsed = time.perf_counter() - start
     detail = (
         f"max residual {rep.metrics['max_unparam_residual']:.2e}, "
@@ -98,6 +99,7 @@ def test_criterion_2_unparametrized_equivalence():
         f"({elapsed:.1f} s)"
     )
     _emit("criterion 2 (unparametrized equivalence)", rep.passed and elapsed < 10, detail)
+    assert rep.metrics["trials"] == 50 and rep.metrics["reparametrizations"] == 5
     assert rep.passed, rep.metrics
     assert rep.metrics["max_wedge_identity_deviation"] <= 1e-12
     assert elapsed < 10.0

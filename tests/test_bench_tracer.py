@@ -1,0 +1,50 @@
+"""The benchmark's tracer (``benchmarks/bench_trace.py``, imported as it
+is) around the spiral run.
+
+A traced benchmark result derives rejected steps from ``integrate``'s
+public counters and counts RHS evaluations as ``propertime_rhs`` spans
+directly under ``integrate``.  A change to how ``integrate`` counts or
+routes its RHS evaluations turns those figures into nulls in the
+benchmark's result line; this test shows it in the library's own suite.
+"""
+import importlib
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from confgeo.verify import spiral_tracking_run
+
+BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
+
+
+@pytest.fixture
+def bench_trace(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCHMARKS))
+    return importlib.import_module("bench_trace")
+
+
+def test_the_traced_spiral_run_gives_exact_layer_figures(bench_trace):
+    bt = bench_trace
+    with bt.Tracer() as tracer:
+        with tracer.root() as root:
+            traj, _, _ = spiral_tracking_run(t_end=0.7)
+    spans = tracer.spans
+    metrics, exact = bt.unit_layer_metrics(spans, bt.self_times(spans), root, {})
+    assert exact
+    assert [name for name, value in metrics.items() if value is None] == []
+
+    stats = traj.stats
+    traced, reported = bt.rhs_evaluations_traced(spans, root)
+    assert traced == reported == stats["rhs_evaluations"]
+
+    # 1 first stage, 12 stages per step attempt, and one FSAL refresh per
+    # accepted step whose renormalisation moved the state, except after
+    # the step that met the stop condition
+    moved = traj.projection[1:] > 0.0
+    refreshes = int(np.count_nonzero(moved))
+    if traj.status == "stopped" and moved[-1]:
+        refreshes -= 1
+    attempts = stats["accepted"] + stats["rejected"]
+    assert stats["accepted"] > 0 and traj.status == "stopped"
+    assert stats["rhs_evaluations"] == 1 + 12 * attempts + refreshes

@@ -87,6 +87,7 @@ def test_verify_invalid_selection_usage_error(capsys):
         (["trace", "--tol", "0"], "--tol"),
         (["trace", "--tol", "-1"], "--tol"),
         (["trace", "--t0", "0.5", "--t-end", "0.6"], "t_end <= t0"),
+        (["verify", "all", "--seed", "-1"], "--seed"),
     ],
 )
 def test_out_of_range_values_are_usage_errors(tmp_path, capsys, argv, named):

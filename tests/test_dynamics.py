@@ -527,6 +527,13 @@ def test_from_unparametrized_rejects_zero_velocity():
         from_unparametrized(FLAT3, UnparamState(np.zeros(3), np.zeros(3), np.ones(3)))
 
 
+def test_from_unparametrized_rejects_a_velocity_that_is_not_finite():
+    # |v|^2 is NaN, which is not <= 0 either; it must not become a NaN state
+    v = np.array([np.nan, 0.0, 0.0])
+    with pytest.raises(ImmersionError, match="nan"):
+        from_unparametrized(FLAT3, UnparamState(np.zeros(3), v, np.ones(3)))
+
+
 # ---------------------------------------------------------------------------
 # integration
 # ---------------------------------------------------------------------------
@@ -546,6 +553,19 @@ def test_from_unparametrized_rejects_zero_velocity():
 def test_integrate_rejects_invalid_settings_by_name(kwargs, name):
     with pytest.raises(ValueError, match=f"^{name} must be"):
         integrate(FLAT3, circle_state(1.0), (0.0, 1.0), **kwargs)
+
+
+@pytest.mark.parametrize(
+    "s_span",
+    [(0.0, np.nan), (np.nan, 1.0), (np.inf, 1.0), (-np.inf, 1.0)],
+    ids=["s1=nan", "s0=nan", "s0=inf", "s0=-inf"],
+)
+def test_integrate_rejects_a_span_that_is_not_a_number(s_span):
+    # a NaN end would return status "ok" with one sample, having
+    # integrated nothing; an infinite end stays legal (the spiral run
+    # integrates toward -inf)
+    with pytest.raises(ValueError, match="^s_span must"):
+        integrate(FLAT3, circle_state(1.0), s_span)
 
 
 def test_dop853_tableau_is_consistent():
@@ -689,6 +709,15 @@ def test_integrate_rejects_bad_gauge():
     bad = GeodesicState(np.zeros(3), np.array([2.0, 0.0, 0.0]), np.zeros(3))
     with pytest.raises(ConfgeoError):
         integrate(FLAT3, bad, (0.0, 1.0))
+
+
+def test_integrate_rejects_a_gauge_residual_that_is_not_finite():
+    # NaN residuals compare False against any bound; the state must be
+    # refused at the gauge check, not integrated until the NaN reaches x
+    # and leaves the metric's domain
+    bad = GeodesicState(np.array([0.5, 0.0, 0.0]), np.array([np.nan, 0.0, 0.0]), np.zeros(3))
+    with pytest.raises(ConfgeoError, match="proper-time gauge"):
+        integrate(example_metric("cylindrical"), bad, (0.0, 1.0))
 
 
 # ---------------------------------------------------------------------------

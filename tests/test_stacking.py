@@ -11,6 +11,7 @@ from confgeo import (
     ImmersionError,
     UnparamState,
     curvature,
+    kulkarni_nomizu,
     propertime_rhs,
     spiral_acceleration,
     spiral_acceleration_dot,
@@ -120,6 +121,22 @@ def test_rhs_and_residuals_stack_equal_single_calls(n):
             w = wedge_form_residual(f, state, d[i], bundle=single)
             assert _same(w.components, wedge.components[i]), i
             assert _same(w.max_abs(), wedge.max_abs()[i]), i
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_kulkarni_nomizu_stack_equals_single_calls(n):
+    rng = np.random.default_rng(n)
+    A, B = rng.standard_normal((2, N, n, n))
+    A, B = A + A.swapaxes(-1, -2), B + B.swapaxes(-1, -2)
+    stacked = kulkarni_nomizu(A, B)
+    assert stacked.shape == (N,) + (n,) * 4
+    for i in range(N):
+        assert _same(stacked[i], kulkarni_nomizu(A[i], B[i])), (n, i)
+    two_axes = kulkarni_nomizu(A.reshape(3, 4, n, n), B.reshape(3, 4, n, n))
+    assert _same(two_axes, stacked.reshape((3, 4) + (n,) * 4))
+    # the shapes must still match exactly: no broadcasting of one matrix
+    with pytest.raises(ValueError, match="equal dimension"):
+        kulkarni_nomizu(A, B[0])
 
 
 def test_spiral_curve_and_forcing_residual_take_arrays_of_t():

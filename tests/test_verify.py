@@ -27,9 +27,9 @@ from confgeo.verify import (
 @pytest.fixture(scope="module")
 def lemma_reports():
     return {
-        "lemma1": check_lemma1(trials=30, seed=42),
-        "lemma2": check_lemma2(trials=15, reparams=3, seed=43),
-        "lemma3": check_lemma3(grid_points=20),
+        "lemma1": check_lemma1(seed=42),
+        "lemma2": check_lemma2(seed=43),
+        "lemma3": check_lemma3(),
         "lemma5": check_lemma5(),
     }
 
@@ -49,10 +49,10 @@ def test_report_json_schema(lemma_reports):
 
 
 def test_reports_deterministic_given_seed():
-    a = check_lemma1(trials=10, seed=7)
-    b = check_lemma1(trials=10, seed=7)
+    a = check_lemma1(seed=7)
+    b = check_lemma1(seed=7)
     assert a.to_json() == b.to_json()
-    c = check_lemma1(trials=10, seed=8)
+    c = check_lemma1(seed=8)
     assert c.to_json() != a.to_json()
 
 
@@ -65,7 +65,7 @@ def test_text_report_contains_wall_time(lemma_reports):
 
 
 def test_overtight_tolerance_fails_with_measured_residuals():
-    rep = check_lemma3(grid_points=10, tol=1e-18)
+    rep = check_lemma3(tol=1e-18)
     assert not rep.passed
     assert rep.metrics["max_forcing_residual_rel"] > 1e-18
 
@@ -94,9 +94,9 @@ def test_one_curvature_kernel_evaluation_per_check(monkeypatch):
     # A check draws its instances first: one metric evaluation each, in
     # random_gauge_state (the residual norms and the speed take g from the
     # jets, and build() tests positivity on cached grid monomials).  Then
-    # one curvature kernel evaluation covers all of them; lemma1, lemma2
-    # and lemma3's forcing sweep never call the public curvature(), and
-    # lemma5 stays on it, one call per radius.
+    # one curvature kernel evaluation covers all of them.  lemma5 and the
+    # proposition's identity sweep take one jet per point and likewise
+    # one kernel evaluation; no check calls the public curvature().
     kernels, publics, evals = [], [], []
     original_kernel = verify._curvature_kernel
     original = dynamics.curvature
@@ -116,23 +116,27 @@ def test_one_curvature_kernel_evaluation_per_check(monkeypatch):
 
     monkeypatch.setattr(verify, "_curvature_kernel", counted_kernel)
     monkeypatch.setattr(dynamics, "curvature", counted)
-    monkeypatch.setattr(verify, "curvature", counted)
     monkeypatch.setattr(MetricField, "__call__", counted_eval)
     RandomMetricSpec(seed=3).build()
     assert evals == []
-    assert check_lemma1(trials=3, seed=5).passed
-    assert (kernels, publics, len(evals)) == ([(3,)], [], 3)
+    assert check_lemma1(seed=5).passed
+    assert (kernels, publics, len(evals)) == ([(100,)], [], 100)
     kernels.clear()
     evals.clear()
-    assert check_lemma2(trials=2, reparams=4, seed=6).passed
-    assert (kernels, publics, len(evals)) == ([(2,)], [], 2)
+    assert check_lemma2(seed=6).passed
+    assert (kernels, publics, len(evals)) == ([(50,)], [], 50)
     kernels.clear()
     # the sweep, then the negative control at one point
-    assert check_lemma3(grid_points=7).passed
-    assert kernels == [(7,), ()] and publics == []
+    assert check_lemma3().passed
+    assert kernels == [(50,), ()] and publics == []
     kernels.clear()
-    assert check_lemma5(radii=(0.3, 0.6)).passed
-    assert kernels == [] and len(publics) == 2
+    assert check_lemma5().passed
+    assert kernels == [(5,)] and publics == []
+    kernels.clear()
+    # the identity sweep; the two integrations call curvature() per stage
+    # through dynamics, not through this kernel
+    assert check_proposition().passed
+    assert kernels == [(8,)]
 
 
 # Every float metric of lemma1 and lemma2, and lemma3's residuals, at two
@@ -231,6 +235,12 @@ def test_grid_positivity_rejects_one_bad_grid_point():
         assert verify._positive_on_grid(coefs, 3, 3) is accepted
         g = polynomial_metric(exps, coefs, 3)(_explicit_grid(3))
         assert (np.linalg.eigvalsh(g).min(axis=1) <= 0.05).sum() == (not accepted)
+
+
+def test_run_checks_rejects_a_negative_seed():
+    # numpy's generators take no negative seed; lemma2 runs at seed + 1
+    with pytest.raises(ValueError, match="non-negative"):
+        run_checks("lemma2", seed=-1)
 
 
 def test_run_checks_selection():
