@@ -20,6 +20,7 @@ verifier on given curves.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field as dataclass_field
 from typing import Callable, Optional
 
@@ -594,9 +595,10 @@ def integrate(
     the first-order system in (x, u, a); the 8th-order solution is
     propagated, and the step size follows Hairer's combined 5th/3rd-order
     error estimate, each component's error measured against
-    ``tol * (1 + |y|)``.  Runs in either s-direction, from a finite s0
-    to any s1 but NaN (an infinite s1 leaves the end to ``stop`` or
-    ``max_steps``).  With
+    ``tol * (1 + |y|)``; a NaN or infinite estimate rejects the step.
+    Runs in either s-direction, from a finite s0 to any s1 but NaN (an
+    infinite s1 leaves the end to ``stop`` or ``max_steps``), and from a
+    finite initial x (ValueError otherwise).  With
     ``renormalize`` on, each accepted step projects u back to unit norm
     and a to the orthogonal complement of u, and the metric size of that
     projection is recorded per sample so silent drift cannot hide an
@@ -630,6 +632,8 @@ def integrate(
     s0, s1 = float(s_span[0]), float(s_span[1])
     if not np.isfinite(s0) or np.isnan(s1):
         raise ValueError(f"s_span must run from a finite s to a number, got {s_span}")
+    if not np.isfinite(initial.x).all():
+        raise ValueError(f"initial x must be finite, got {initial.x}")
     n = field.dimension
     g = initial.require_gauge(field)
 
@@ -759,7 +763,9 @@ def integrate(
         e3 = (K[:12].T @ _E3) / sc
         e5_sq, e3_sq = float(e5 @ e5), float(e3 @ e3)
         err = 0.0
-        if e5_sq > 0.0:
+        if not math.isfinite(e5_sq + e3_sq):
+            err = np.inf  # a NaN or overflowing estimate rejects the step
+        elif e5_sq > 0.0:
             err = abs(h) * e5_sq / np.sqrt((e5_sq + 0.01 * e3_sq) * y.size)
 
         if err <= 1.0:
@@ -802,7 +808,7 @@ def integrate(
             if renormalize and proj_size > 0.0:
                 k1, _ = rhs(y, bundle)
             else:
-                k1 = K[12]
+                k1 = K[12].copy()  # row 12 is overwritten by the next attempt
 
             factor = 0.9 * err ** -0.125 if err > 0.0 else 10.0
         else:

@@ -280,22 +280,24 @@ def round_sphere_metric(radius: float = 1.0) -> MetricField:
 @functools.lru_cache(maxsize=64)
 def _power_rule_tables(shape, data):
     """The power-rule jet of the exponent table ``data`` (int64 bytes of
-    the given (m, dim) shape), coefficient-free, as K = 1 + dim + dim^2
-    tables zero-padded to a common length m_max.
+    the given (m, dim) shape), coefficient-free, one group of tables per
+    order: the polynomial itself, its d_a partials (table a) and its
+    d_a d_b partials (table dim a + b), by d_a (x^e) = e_a x^(e - 1_a).
 
-    Table 0 is the polynomial itself, table 1 + a its d_a partial and
-    table 1 + dim + dim a + b its d_a d_b partial, by d_a (x^e) =
-    e_a x^(e - 1_a).  Returns read-only arrays (index, n_powers, slots,
-    rows, first, second): monomial j of table k is the product over a of
-    entries index[k, j, a] of the flattened (dim, n_powers) table of
-    x_a^p, p < n_powers; the entries that are not padding sit at the flat
-    positions ``slots`` of the (K, m_max) tables, and each is coefficient
-    row ``rows`` of the polynomial times ``first`` and then ``second``
-    (the factors of the first and the second derivative, in the order the
-    rule applies them; 1 where there is none).
+    Returns n_powers and, per order, read-only arrays (index, slots,
+    rows, first, second) of its K tables (1, dim or dim^2), zero-padded
+    to the length m_k of its longest: monomial j of table k is the
+    product over a of entries index[k, j, a] of the flattened
+    (dim, n_powers) table of x_a^p, p < n_powers; the entries that are
+    not padding sit at the flat positions ``slots`` of the (K, m_k)
+    tables, and each is coefficient row ``rows`` of the polynomial times
+    ``first`` and then ``second`` (the factors of the first and the
+    second derivative, in the order the rule applies them; 1 where there
+    is none).
     """
     dim = shape[1]
     exps = np.frombuffer(data, dtype=np.int64).reshape(shape)
+    n_powers = int(exps.max(initial=0)) + 1
 
     def derive(table, axis, order):
         e, rows, factors = table
@@ -305,25 +307,82 @@ def _power_rule_tables(shape, data):
         e[:, axis] -= 1
         return e, rows[mask], factors
 
+    def padded(tables):
+        m_k = max(len(rows) for _, rows, _ in tables)
+        index = np.zeros((len(tables), m_k, dim), dtype=np.int64)
+        for k, (e, _, _) in enumerate(tables):
+            index[k, : len(e)] = e
+        index += np.arange(dim) * n_powers
+        slots = np.concatenate(
+            [k * m_k + np.arange(len(rows)) for k, (_, rows, _) in enumerate(tables)]
+        )
+        rows = np.concatenate([rows for _, rows, _ in tables])
+        factors = np.concatenate([factors for _, _, factors in tables])
+        for arr in (index, slots, rows, factors):
+            arr.flags.writeable = False
+        return index, slots, rows, factors[:, :1], factors[:, 1:]
+
     base = (exps, np.arange(len(exps)), np.ones((len(exps), 2)))
     first = [derive(base, a, 0) for a in range(dim)]
-    tables = [base, *first]
-    tables += [derive(first[a], b, 1) for a in range(dim) for b in range(dim)]
+    second = [derive(first[a], b, 1) for a in range(dim) for b in range(dim)]
+    return n_powers, tuple(padded(tables) for tables in ([base], first, second))
 
-    m_max = max(len(rows) for _, rows, _ in tables)
-    n_powers = int(exps.max(initial=0)) + 1
-    index = np.zeros((len(tables), m_max, dim), dtype=np.int64)
-    for k, (e, _, _) in enumerate(tables):
-        index[k, : len(e)] = e
-    index += np.arange(dim) * n_powers
-    slots = np.concatenate(
-        [k * m_max + np.arange(len(rows)) for k, (_, rows, _) in enumerate(tables)]
+
+# The polynomial metrics' kernels take the coefficients (..., m, dim, dim)
+# of one metric, or of a stack of metrics over leading axes with one
+# point per metric; polynomial_metric's closures are their one-metric
+# case, and each metric of a stack gets the bits of its own closure.
+
+
+def _monomials(points, exponents):
+    """x^e for each exponent row e: points (..., dim), exponents (m, dim)
+    -> (..., m)."""
+    return np.prod(points[..., None, :] ** exponents, axis=-1)
+
+
+def _polynomial_values(monomials, coefficients):
+    """g_ij = delta_ij + sum_k c[k, i, j] x^e[k] from the monomials (..., m)."""
+    eye = np.eye(coefficients.shape[-1])
+    return eye + np.einsum("...m,...mij->...ij", monomials, coefficients)
+
+
+def _jet_tables(exponents, coefficients):
+    """n_powers and, per order, (index, table) of the power-rule jet of
+    the metrics with these int64 exponents (see ``_power_rule_tables``):
+    each table (..., K, m_k, dim^2) holds the coefficients of its
+    monomials."""
+    n_powers, groups = _power_rule_tables(exponents.shape, exponents.tobytes())
+    lead, (m, n) = coefficients.shape[:-3], coefficients.shape[-3:-1]
+    flat = coefficients.reshape(lead + (m, n * n))
+    out = []
+    for index, slots, rows, first, second in groups:
+        table = np.zeros(lead + (index.shape[0] * index.shape[1], n * n))
+        table[..., slots, :] = (flat[..., rows, :] * first) * second
+        out.append((index, table.reshape(lead + index.shape[:2] + (n * n,))))
+    return n_powers, out
+
+
+def _polynomial_jet(points, n_powers, tables):
+    """(g, dg, d2g) at points (..., dim) from ``_jet_tables``' output: per
+    order, one contraction of the monomials x_a^p against its table."""
+    n = points.shape[-1]
+    powers = (points[..., :, None] ** np.arange(n_powers)).reshape(
+        points.shape[:-1] + (-1,)
     )
-    rows = np.concatenate([rows for _, rows, _ in tables])
-    factors = np.concatenate([factors for _, _, factors in tables])
-    for arr in (index, slots, rows, factors):
-        arr.flags.writeable = False
-    return index, n_powers, slots, rows, factors[:, :1], factors[:, 1:]
+    g, dg, d2g = (
+        np.einsum(
+            "...km,...kmx->...kx",
+            np.prod(np.take(powers, index, axis=-1), axis=-1),
+            table,
+        )
+        for index, table in tables
+    )
+    lead = g.shape[:-2]
+    return (
+        np.eye(n) + g.reshape(lead + (n, n)),
+        dg.reshape(lead + (n,) * 3),
+        d2g.reshape(lead + (n,) * 4),
+    )
 
 
 def polynomial_metric(
@@ -341,10 +400,14 @@ def polynomial_metric(
     follow from the power rule, which makes these metrics a cross-check
     for the finite-difference pipeline.
 
-    The whole jet (g, dg, d2g) is one contraction per point: every
+    The jet (g, dg, d2g) is one contraction per order and point: every
     monomial of g and of its partials is a product of the entries x_a^k
     of one power table, left to right as ``np.prod`` takes them, against
-    a coefficient table stacked over g and its partials and built here.
+    a coefficient table stacked over the order's partials and built here.
+    ``evaluate`` and the jet are the one-metric case of the module's
+    kernels (``_polynomial_values``, ``_jet_tables``, ``_polynomial_jet``),
+    which also evaluate a stack of metrics, one point each, with the
+    bits each metric's own closures give.
     """
     exponents = np.asarray(exponents)
     coefficients = np.asarray(coefficients, dtype=float)
@@ -371,33 +434,15 @@ def polynomial_metric(
         raise ValueError(
             "coefficients must be finite and symmetric in their last two indices"
         )
-    n = dimension
-    eye = np.eye(n)
 
     def evaluate(points):
-        # points (..., dim), exponents (m, dim) -> monomials (..., m)
         points = np.asarray(points, dtype=float)
-        mono = np.prod(points[..., None, :] ** exponents, axis=-1)
-        return eye + np.einsum("...m,mij->...ij", mono, coefficients)
+        return _polynomial_values(_monomials(points, exponents), coefficients)
 
-    index, n_powers, slots, rows, first, second = _power_rule_tables(
-        exponents.shape, exponents.tobytes()
-    )
-    powers = np.arange(n_powers)
-    table = np.zeros(index.shape[:2] + (n * n,))
-    table.reshape(-1, n * n)[slots] = (
-        coefficients.reshape(m, n * n)[rows] * first
-    ) * second
+    tables = _jet_tables(exponents, coefficients)
 
     def jet(point):
-        point = np.asarray(point, dtype=float)
-        mono = np.prod((point[:, None] ** powers).take(index), axis=-1)
-        out = np.einsum("km,kmx->kx", mono, table)
-        return (
-            eye + out[0].reshape(n, n),
-            out[1 : 1 + n].reshape(n, n, n),
-            out[1 + n :].reshape(n, n, n, n),
-        )
+        return _polynomial_jet(np.asarray(point, dtype=float), *tables)
 
     return MetricField(
         cartesian_chart(dimension),

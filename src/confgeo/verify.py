@@ -10,12 +10,14 @@ human-readable rendering).
 
 Each check runs one fixed configuration (its sample sizes are reported
 as metrics) and evaluates its points as one stack: one metric jet per
-point, drawn for lemma1, lemma2 and lemma3's forcing sweep in the
-generator's order (metric, state, speeds, control directions), then one
-curvature kernel evaluation and one call of each residual kernel.  The
+point, then one curvature kernel evaluation and one call of each
+residual kernel.  lemma1 and lemma2 take their random draws first, in
+the generator's order (metric seed, state, speeds, control directions),
+and build all their random metrics, states and jets as one stack
+through the polynomial metric's kernels, without a MetricField.  The
 kernels give each instance of a stack the bits a one-instance
 evaluation gives it, so the draws and the reports are the same as when
-each instance was evaluated on its own.
+each instance was built and evaluated on its own.
 """
 from __future__ import annotations
 
@@ -47,6 +49,10 @@ from .dynamics import (
 )
 from .metrics import (
     MetricField,
+    _jet_tables,
+    _monomials,
+    _polynomial_jet,
+    _polynomial_values,
     flat_cylindrical_metric,
     flat_polar_metric,
     polynomial_metric,
@@ -165,24 +171,67 @@ def _grid_monomials(dimension: int, degree: int) -> np.ndarray:
     grid = np.stack(
         np.meshgrid(*([grid_1d] * dimension), indexing="ij"), axis=-1
     ).reshape(-1, dimension)
-    out = np.prod(grid[:, None, :] ** _monomial_exponents(dimension, degree), axis=-1)
+    out = _monomials(grid, _monomial_exponents(dimension, degree))
     out.flags.writeable = False
     return out
 
 
+# Every eigenvalue of a random metric exceeds this on [-1, 1]^n.
+_MIN_EIGENVALUE = 0.05
+# Each coefficient of a random metric is at most this in size, which keeps
+# the whole perturbation well inside the positive-definite region.
+_AMPLITUDE = 0.015
+
+
 def _positive_on_grid(coefs: np.ndarray, dimension: int, degree: int) -> bool:
-    """Whether every eigenvalue of g exceeds 0.05 at every point of the
-    5^dimension grid on [-1, 1]^dimension, for the polynomial metric with
-    exponents ``_monomial_exponents(dimension, degree)`` and these
-    coefficients: g - 0.05 I has a Cholesky factor exactly when it is
-    positive definite, so one batched factorisation makes the test."""
-    mono = _grid_monomials(dimension, degree)
-    g = np.eye(dimension) + np.einsum("pm,mij->pij", mono, coefs)
+    """Whether every eigenvalue of g exceeds _MIN_EIGENVALUE at every point
+    of the 5^dimension grid on [-1, 1]^dimension, for the polynomial metric
+    with exponents ``_monomial_exponents(dimension, degree)`` and these
+    coefficients: g - _MIN_EIGENVALUE I has a Cholesky factor exactly when
+    it is positive definite, so one batched factorisation makes the test."""
+    g = _polynomial_values(_grid_monomials(dimension, degree), coefs)
     try:
-        np.linalg.cholesky(g - 0.05 * np.eye(dimension))
+        np.linalg.cholesky(g - _MIN_EIGENVALUE * np.eye(dimension))
     except np.linalg.LinAlgError:
         return False
     return True
+
+
+def _gershgorin_bound(coefs: np.ndarray) -> np.ndarray:
+    """A lower bound on every eigenvalue of g = I + sum_k c[k] x^e[k] on the
+    whole box [-1, 1]^n, from the coefficients (..., m, n, n) alone: each
+    |x^e| <= 1 there, so by Gershgorin's theorem every eigenvalue is at
+    least min_i (1 - sum_j sum_k |c[k, i, j]|)."""
+    return 1.0 - np.abs(coefs).sum(axis=(-3, -1)).max(axis=-1)
+
+
+def _symmetrized(coefs):
+    return 0.5 * (coefs + coefs.swapaxes(-1, -2))
+
+
+def _random_coefficients(seeds, dimension: int) -> np.ndarray:
+    """The coefficients (len(seeds), m, n, n) of the cubic perturbation that
+    ``RandomMetricSpec(seed, dimension)`` builds, one table per seed.
+
+    Each seed's generator draws tables until one is positive: a draw is
+    accepted when its Gershgorin bound exceeds twice _MIN_EIGENVALUE, a
+    margin no rounding can cross, and otherwise only when it passes
+    ``_positive_on_grid``; so the bound accepts only draws the grid test
+    accepts.  The first draws of all seeds are bounded as one stack.
+    """
+    size = (len(_monomial_exponents(dimension, 3)), dimension, dimension)
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    coefs = _symmetrized(
+        np.array([rng.uniform(-_AMPLITUDE, _AMPLITUDE, size=size) for rng in rngs])
+    )
+    for i in np.flatnonzero(_gershgorin_bound(coefs) <= 2.0 * _MIN_EIGENVALUE):
+        draws = 1
+        while not _positive_on_grid(coefs[i], dimension, 3):
+            if draws == 50:
+                raise RuntimeError("could not sample a positive-definite metric")
+            coefs[i] = _symmetrized(rngs[i].uniform(-_AMPLITUDE, _AMPLITUDE, size=size))
+            draws += 1
+    return coefs
 
 
 @dataclass(frozen=True)
@@ -194,45 +243,71 @@ class RandomMetricSpec:
     dimension: int = 3
 
     def build(self) -> MetricField:
-        rng = np.random.default_rng(self.seed)
-        exps = _monomial_exponents(self.dimension, 3)
-        m = len(exps)
-        # Each coefficient is at most 0.015 in size, which keeps the whole
-        # perturbation well inside the PD region: few draws are rejected.
-        amp = 0.015
-        for _ in range(50):
-            coefs = rng.uniform(-amp, amp, size=(m, self.dimension, self.dimension))
-            coefs = 0.5 * (coefs + coefs.transpose(0, 2, 1))
-            if _positive_on_grid(coefs, self.dimension, 3):
-                return polynomial_metric(
-                    exps, coefs, self.dimension, name=f"random(seed={self.seed})"
-                )
-        raise RuntimeError("could not sample a positive-definite metric")
+        return polynomial_metric(
+            _monomial_exponents(self.dimension, 3),
+            _random_coefficients([self.seed], self.dimension)[0],
+            self.dimension,
+            name=f"random(seed={self.seed})",
+        )
+
+
+def _metric_seed(rng: np.random.Generator) -> int:
+    return int(rng.integers(2**63))
 
 
 def random_metric(rng: np.random.Generator) -> MetricField:
-    return RandomMetricSpec(seed=int(rng.integers(2**63))).build()
+    return RandomMetricSpec(seed=_metric_seed(rng)).build()
+
+
+def _draw_state(rng: np.random.Generator, dimension: int):
+    """The draws of one random proper-time state, in their order: x, the
+    directions of u and a, and the g-length of a."""
+    return (
+        rng.uniform(-0.6, 0.6, size=dimension),
+        rng.standard_normal(dimension),
+        rng.standard_normal(dimension),
+        rng.uniform(0.3, 1.5),
+    )
+
+
+def _gauge_normalised(g, u, a, scale):
+    """(u, a) with |u|_g = 1 and a g-orthogonal to u with |a|_g = scale;
+    for one instance or a stack."""
+    u = u / np.sqrt(_quadratic(u, g, u))[..., None]
+    a = a - _quadratic(a, g, u)[..., None] * u
+    return u, a * (scale / np.sqrt(_quadratic(a, g, a)))[..., None]
 
 
 def random_gauge_state(field: MetricField, rng: np.random.Generator) -> GeodesicState:
     """Random proper-time state in [-0.6, 0.6]^n: |u|_g = 1 and g(u, a) = 0
     by construction."""
-    n = field.dimension
-    x = rng.uniform(-0.6, 0.6, size=n)
-    g = field(x)
-    u = rng.standard_normal(n)
-    u = u / np.sqrt(u @ g @ u)
-    a = rng.standard_normal(n)
-    a = a - (a @ g @ u) * u
-    a_norm = np.sqrt(a @ g @ a)
-    a = a * (rng.uniform(0.3, 1.5) / a_norm)
+    x, u, a, scale = _draw_state(rng, field.dimension)
+    u, a = _gauge_normalised(field(x), u, a, scale)
     return GeodesicState(x=x, u=u, a=a)
 
 
+def _orthogonalised(g, u, w):
+    """w made g-orthogonal to u and of unit g-length; for one instance or a
+    stack."""
+    w = w - (_quadratic(w, g, u) / _quadratic(u, g, u))[..., None] * u
+    return w / np.sqrt(_quadratic(w, g, w))[..., None]
+
+
 def _orthogonal_direction(g, u, rng):
-    w = rng.standard_normal(len(u))
-    w = w - (w @ g @ u) / (u @ g @ u) * u
-    return w / np.sqrt(w @ g @ w)
+    return _orthogonalised(g, u, rng.standard_normal(len(u)))
+
+
+def _random_stack(seeds, states):
+    """(x, u, a, (g, dg, d2g)) of the random instances with these metric
+    seeds and ``_draw_state`` draws, evaluated as one stack: instance i
+    gets the bits of ``random_gauge_state(RandomMetricSpec(seeds[i]).build(),
+    ...)`` and of that metric's jet at its x, with no MetricField built."""
+    x, u, a, scale = (np.array(d) for d in zip(*states))
+    exps = _monomial_exponents(x.shape[-1], 3)
+    coefs = _random_coefficients(seeds, x.shape[-1])
+    g = _polynomial_values(_monomials(x, exps), coefs)
+    u, a = _gauge_normalised(g, u, a, scale)
+    return x, u, a, _polynomial_jet(x, *_jet_tables(exps, coefs))
 
 
 def _stacked_bundle(points, jets):
@@ -251,23 +326,39 @@ def _bundle_over(field, points):
     return _stacked_bundle(points, [_metric_jets(field, p) for p in flat])
 
 
-def _random_instance(rng):
-    """A random metric's proper-time state and the metric's jet there."""
-    fld = random_metric(rng)
-    st = random_gauge_state(fld, rng)
-    return st, _metric_jets(fld, st.x)
+def _lemma1_instances(rng, trials):
+    """(x, u, a, jet, w) of lemma1's random instances, drawn in the
+    generator's order (metric, state, control direction w) and evaluated
+    as one stack; w is the raw draw."""
+    seeds, states, directions = [], [], []
+    for _ in range(trials):
+        seeds.append(_metric_seed(rng))
+        states.append(_draw_state(rng, 3))
+        directions.append(rng.standard_normal(3))
+    return *_random_stack(seeds, states), np.array(directions)
 
 
-def _evaluate_stack(states, jets):
-    """(x, u, a, bundle, du, da) of stacked instances: the states' arrays,
-    one curvature kernel evaluation over their jets, and the du and da of
-    the proper-time right-hand side."""
-    x, u, a = (np.array([getattr(st, k) for st in states]) for k in "xua")
-    bundle = _stacked_bundle(x, jets)
-    du, da = _propertime_derivatives(
-        bundle.christoffel, bundle.metric, bundle.inverse_metric, bundle.schouten, u, a
+def _lemma2_instances(rng, trials, reparams):
+    """(x, u, a, jet, speeds, w) of lemma2's random instances, drawn in the
+    generator's order (metric, state, then each reparametrization's speeds
+    (lam0, lam1, lam2) and control direction w) and evaluated as one stack;
+    speeds and w are (trials, reparams, ...) and w is the raw draw."""
+    log_lo, log_hi = np.log(0.2), np.log(5.0)
+    seeds, states, speeds, directions = [], [], [], []
+    for _ in range(trials):
+        seeds.append(_metric_seed(rng))
+        states.append(_draw_state(rng, 3))
+        for _ in range(reparams):
+            lam0 = float(np.exp(rng.uniform(log_lo, log_hi)))
+            lam1 = float(rng.uniform(-1.0, 1.0))
+            lam2 = float(rng.uniform(-1.0, 1.0))
+            speeds.append((lam0, lam1, lam2))
+            directions.append(rng.standard_normal(3))
+    return (
+        *_random_stack(seeds, states),
+        np.array(speeds).reshape(trials, reparams, 3),
+        np.array(directions).reshape(trials, reparams, 3),
     )
-    return x, u, a, bundle, du, da
 
 
 # ---------------------------------------------------------------------------
@@ -283,9 +374,10 @@ def check_lemma1(seed: int = 42, tol: float = 1e-9) -> CheckReport:
     the acceleration derivative from the wedge form's tangential
     completion c = -|a|^2 - u.L^u reproduces the right-hand side.
 
-    Every instance is drawn first, in the generator's order (metric,
-    state, control direction), with its metric jet; then one curvature
-    kernel evaluation over the stack of jets serves the right-hand side,
+    Every instance's draws are taken first, in the generator's order
+    (metric, state, control direction); the instances are then built as
+    one stack (``_random_stack``), and one curvature kernel evaluation
+    over the stack of jets serves the right-hand side,
     both residuals and the converse of all instances at once, and each
     instance gets the bits a single-instance evaluation gives it.  The
     converse's independence is its own contraction of the same
@@ -293,16 +385,11 @@ def check_lemma1(seed: int = 42, tol: float = 1e-9) -> CheckReport:
     """
     t0 = time.perf_counter()
     trials = 100
-    rng = np.random.default_rng(seed)
-    states, jets, controls = [], [], []
-    for _ in range(trials):
-        st, jet = _random_instance(rng)
-        states.append(st)
-        jets.append(jet)
-        controls.append(_orthogonal_direction(jet[0], st.u, rng))
-    x, u, a, bundle, _, da = _evaluate_stack(states, jets)
+    x, u, a, jet, directions = _lemma1_instances(np.random.default_rng(seed), trials)
+    bundle = _curvature_kernel(x, *jet)
     g, ginv, gamma = bundle.metric, bundle.inverse_metric, bundle.christoffel
     L = bundle.schouten
+    _, da = _propertime_derivatives(gamma, g, ginv, L, u, a)
     res = _wedge_residual(x, gamma, ginv, L, u, a, da).norm(g)
 
     c = -_quadratic(a, g, a) - _quadratic(u, L, u)
@@ -315,9 +402,8 @@ def check_lemma1(seed: int = 42, tol: float = 1e-9) -> CheckReport:
         1.0, np.abs(da).max(axis=-1)
     )
 
-    res_neg = _wedge_residual(
-        x, gamma, ginv, L, u, a, da + 1e-3 * np.array(controls)
-    ).norm(g)
+    controls = _orthogonalised(g, u, directions)
+    res_neg = _wedge_residual(x, gamma, ginv, L, u, a, da + 1e-3 * controls).norm(g)
 
     max_residual = float(np.max(res, initial=0.0))
     max_converse = float(np.max(dev, initial=0.0))
@@ -363,32 +449,26 @@ def check_lemma2(seed: int = 43, tol: float = 1e-8) -> CheckReport:
     The conformal geodesic data of 50 seeded random (metric, state)
     pairs is rebuilt under 5 random parameter changes each, with speeds
     ds/dt in [0.2, 5]; the unparametrized residual must stay zero and
-    the identity v ^ b = |v|^3 u ^ a must hold.  Every instance
-    is drawn first, in the generator's order (metric, state, then each
-    reparametrization's speeds and control direction), with its metric
-    jet; one curvature kernel evaluation over the stack of jets then
+    the identity v ^ b = |v|^3 u ^ a must hold.  Every instance's
+    draws are taken first, in the generator's order (metric, state, then
+    each reparametrization's speeds and control direction); the
+    instances are built as one stack, and one curvature kernel
+    evaluation over the stack of jets then
     serves every reparametrization of every instance, evaluated as one
     (trials, reparams) stack.
     """
     t0 = time.perf_counter()
     trials, reparams = 50, 5
-    rng = np.random.default_rng(seed)
-    states, jets, speeds, controls = [], [], [], []
-    for _ in range(trials):
-        st, jet = _random_instance(rng)
-        states.append(st)
-        jets.append(jet)
-        for _ in range(reparams):
-            lam0 = float(np.exp(rng.uniform(np.log(0.2), np.log(5.0))))
-            lam1 = float(rng.uniform(-1.0, 1.0))
-            lam2 = float(rng.uniform(-1.0, 1.0))
-            speeds.append((lam0, lam1, lam2))
-            controls.append(_orthogonal_direction(jet[0], lam0 * st.u, rng))
-    x, u, a, bundle, du, da = _evaluate_stack(states, jets)
+    x, u, a, jet, speeds, directions = _lemma2_instances(
+        np.random.default_rng(seed), trials, reparams
+    )
+    bundle = _curvature_kernel(x, *jet)
+    du, da = _propertime_derivatives(
+        bundle.christoffel, bundle.metric, bundle.inverse_metric, bundle.schouten, u, a
+    )
 
     # (trials, reparams, ...): each instance's data broadcast over its
     # reparametrizations
-    speeds = np.array(speeds).reshape(trials, reparams, 3)
     lam0, lam1, lam2 = (speeds[..., k, None] for k in range(3))
     g, ginv, gamma = bundle.metric, bundle.inverse_metric, bundle.christoffel
     g, ginv, gamma, L, x, u, a, du, da = (
@@ -397,6 +477,7 @@ def check_lemma2(seed: int = 43, tol: float = 1e-8) -> CheckReport:
     ust, db = _reparametrized(GeodesicState(x, u, a), du, da, lam0, lam1, lam2)
     v, b = ust.v, ust.b
     x = np.broadcast_to(x, v.shape)
+    w = _orthogonalised(g, v, directions)
 
     res = _unparam_residual(x, gamma, g, ginv, L, v, b, db).norm(g)
 
@@ -405,7 +486,6 @@ def check_lemma2(seed: int = 43, tol: float = 1e-8) -> CheckReport:
     rhs = _pow(speed, 3)[..., None, None] * _wedge(u, a)
     identity = _max_abs(lhs - rhs) / np.maximum(_max_abs(rhs), 1e-300)
 
-    w = np.array(controls).reshape(v.shape)
     res_neg = _unparam_residual(x, gamma, g, ginv, L, v, b, db + 1e-3 * w).norm(g)
 
     max_residual = float(np.max(res, initial=0.0))

@@ -720,6 +720,45 @@ def test_integrate_rejects_a_gauge_residual_that_is_not_finite():
         integrate(example_metric("cylindrical"), bad, (0.0, 1.0))
 
 
+def test_integrate_refuses_a_point_that_is_not_finite():
+    # the flat metric evaluates at a NaN point without complaint, so the
+    # gauge check passes; the run used to return status "ok" with every
+    # sample NaN
+    bad = GeodesicState(x=(np.nan, 0.0, 0.0), u=(1.0, 0.0, 0.0), a=(0.0, 0.0, 0.0))
+    with pytest.raises(ValueError, match="^initial x must be finite"):
+        integrate(FLAT3, bad, (0.0, 1.0))
+
+
+def test_a_step_with_a_nan_error_estimate_is_rejected():
+    # The metric's first partials are NaN beyond x = 0.3, so every stage
+    # past it makes a NaN estimate: the steps there are rejected and the
+    # run ends at the boundary with finite samples, not "ok" with NaNs.
+    def jet(point):
+        g, dg, d2g = FLAT3.analytic_jet(point)
+        return g, (dg + np.nan if point[0] > 0.3 else dg), d2g
+
+    field = dataclasses.replace(FLAT3, analytic_jet=jet)
+    start = GeodesicState(np.zeros(3), np.array([1.0, 0.0, 0.0]), np.zeros(3))
+    traj = integrate(field, start, (0.0, 1.0))
+    assert traj.status == "step_underflow" and traj.stats["rejected"] > 0
+    assert np.isfinite(traj.y).all()
+    assert 0.3 - 1e-9 < traj.final_state.x[0] <= 0.3
+
+
+def test_a_rejected_step_restarts_from_the_derivative_at_the_state():
+    # Without renormalisation the first stage of the next attempt was a
+    # view of the last stage row, which a rejected attempt overwrites with
+    # the derivative at its rejected end point: the run then took 8
+    # rejections and kept a gauge drift of 4e-7 here.
+    field = example_metric("cylindrical")
+    start = from_unparametrized(field, spiral_state(0.8))
+    traj = integrate(field, start, (0.0, -10.0), tol=1e-8, renormalize=False)
+    attempts = traj.stats["accepted"] + traj.stats["rejected"]
+    assert traj.rhs_evaluations == 1 + 12 * attempts
+    assert traj.stats["rejected"] <= 2
+    assert traj.max_gauge_error < 1e-8
+
+
 # ---------------------------------------------------------------------------
 # arc length
 # ---------------------------------------------------------------------------

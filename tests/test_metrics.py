@@ -121,8 +121,8 @@ def test_polynomial_partials_match_finite_differences():
 
 def _per_table_polynomial(exponents, coefficients, dimension):
     """The power-rule jet as one monomial pass and one einsum per
-    derivative table, kept as the oracle of polynomial_metric's single
-    contraction.  Returns (evaluate, jet)."""
+    derivative table, kept as the oracle of polynomial_metric's one
+    contraction per order.  Returns (evaluate, jet)."""
     exponents = np.asarray(exponents, dtype=int)
     coefficients = np.asarray(coefficients, dtype=float)
     eye = np.eye(dimension)
@@ -172,8 +172,8 @@ def _per_table_polynomial(exponents, coefficients, dimension):
 @pytest.mark.parametrize("degree", [1, 2, 3, 4, 6])
 @pytest.mark.parametrize("dimension", [2, 3])
 def test_polynomial_jet_matches_the_per_table_power_rule(dimension, degree):
-    # The stacked, zero-padded contraction adds the same products in the
-    # same order as one einsum per table, so the two agree bit for bit
+    # Each order's stacked, zero-padded contraction adds the same products
+    # in the same order as one einsum per table, so the two agree bit for bit
     # (degree 1 has empty second-derivative tables; from degree 6 on, as
     # in x^3 y^3, both power-rule factors can be odd, so the order of the
     # two multiplications shows).

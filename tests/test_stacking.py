@@ -28,7 +28,14 @@ from confgeo.dynamics import (
     _wedge_residual,
     unparam_residual_scale,
 )
-from confgeo.verify import RandomMetricSpec, forcing_residual_relative
+from confgeo import metrics, verify
+from confgeo.verify import (
+    RandomMetricSpec,
+    _orthogonal_direction,
+    forcing_residual_relative,
+    random_gauge_state,
+    random_metric,
+)
 
 N = 12
 
@@ -155,6 +162,77 @@ def test_spiral_curve_and_forcing_residual_take_arrays_of_t():
     residuals = forcing_residual_relative(ts)
     for r, t in zip(residuals, ts):
         assert _same(r, forcing_residual_relative(float(t))), t
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_polynomial_kernels_stack_equal_each_metric(n):
+    # the values and jet kernels over N metrics, one point each, against
+    # each metric's own closures
+    rng = np.random.default_rng(10 + n)
+    seeds = [int(s) for s in rng.integers(2**63, size=N)]
+    x = rng.uniform(-0.6, 0.6, size=(N, n))
+    exps = verify._monomial_exponents(n, 3)
+    coefs = verify._random_coefficients(seeds, n)
+    g = metrics._polynomial_values(metrics._monomials(x, exps), coefs)
+    jet = metrics._polynomial_jet(x, *metrics._jet_tables(exps, coefs))
+    for i, seed in enumerate(seeds):
+        field = RandomMetricSpec(seed=seed, dimension=n).build()
+        assert _same(g[i], field(x[i])), (n, i)
+        for got, alone in zip(jet, _metric_jets(field, x[i])):
+            assert _same(got[i], alone), (n, i)
+
+
+def _lemma1_one_at_a_time(rng, trials):
+    """lemma1's instances as one random_metric -> random_gauge_state ->
+    jet -> control direction chain each."""
+    out = []
+    for _ in range(trials):
+        field = random_metric(rng)
+        st = random_gauge_state(field, rng)
+        jet = _metric_jets(field, st.x)
+        out.append((st.x, st.u, st.a, *jet, _orthogonal_direction(jet[0], st.u, rng)))
+    return [np.array(arrays) for arrays in zip(*out)]
+
+
+def _lemma2_one_at_a_time(rng, trials, reparams):
+    instances, speeds, controls = [], [], []
+    for _ in range(trials):
+        field = random_metric(rng)
+        st = random_gauge_state(field, rng)
+        jet = _metric_jets(field, st.x)
+        instances.append((st.x, st.u, st.a, *jet))
+        for _ in range(reparams):
+            lam0 = float(np.exp(rng.uniform(np.log(0.2), np.log(5.0))))
+            lam1 = float(rng.uniform(-1.0, 1.0))
+            lam2 = float(rng.uniform(-1.0, 1.0))
+            speeds.append((lam0, lam1, lam2))
+            controls.append(_orthogonal_direction(jet[0], lam0 * st.u, rng))
+    return [np.array(arrays) for arrays in zip(*instances)] + [
+        np.array(speeds).reshape(trials, reparams, 3),
+        np.array(controls).reshape(trials, reparams, -1),
+    ]
+
+
+@pytest.mark.parametrize("seed", [0, 42, 1597683656])
+def test_stacked_draws_equal_the_one_at_a_time_chain(seed):
+    # lemma1's and lemma2's instances, built as one stack, against the
+    # per-instance chain in the same draw order
+    x, u, a, (g, dg, d2g), w = verify._lemma1_instances(
+        np.random.default_rng(seed), 100
+    )
+    stacked = (x, u, a, g, dg, d2g, verify._orthogonalised(g, u, w))
+    alone = _lemma1_one_at_a_time(np.random.default_rng(seed), 100)
+    for k, (got, expected) in enumerate(zip(stacked, alone)):
+        assert _same(got, expected), ("lemma1", k)
+
+    x, u, a, (g, dg, d2g), speeds, w = verify._lemma2_instances(
+        np.random.default_rng(seed), 50, 5
+    )
+    controls = verify._orthogonalised(g[:, None], speeds[..., :1] * u[:, None], w)
+    stacked = (x, u, a, g, dg, d2g, speeds, controls)
+    alone = _lemma2_one_at_a_time(np.random.default_rng(seed), 50, 5)
+    for k, (got, expected) in enumerate(zip(stacked, alone)):
+        assert _same(got, expected), ("lemma2", k)
 
 
 def test_a_singular_instance_fails_the_stack_as_it_fails_alone():

@@ -1,4 +1,5 @@
 """The check battery: statuses, determinism, report schema."""
+import hashlib
 import json
 
 import numpy as np
@@ -91,9 +92,10 @@ def test_random_metric_spec_deterministic():
 
 
 def test_one_curvature_kernel_evaluation_per_check(monkeypatch):
-    # A check draws its instances first: one metric evaluation each, in
-    # random_gauge_state (the residual norms and the speed take g from the
-    # jets, and build() tests positivity on cached grid monomials).  Then
+    # A check draws its instances first and evaluates them as one stack
+    # through the polynomial kernels, so no MetricField is built or called
+    # (the residual norms and the speed take g from the jets, and build()
+    # tests positivity on coefficients and cached grid monomials).  Then
     # one curvature kernel evaluation covers all of them.  lemma5 and the
     # proposition's identity sweep take one jet per point and likewise
     # one kernel evaluation; no check calls the public curvature().
@@ -120,11 +122,11 @@ def test_one_curvature_kernel_evaluation_per_check(monkeypatch):
     RandomMetricSpec(seed=3).build()
     assert evals == []
     assert check_lemma1(seed=5).passed
-    assert (kernels, publics, len(evals)) == ([(100,)], [], 100)
+    assert (kernels, publics, len(evals)) == ([(100,)], [], 0)
     kernels.clear()
     evals.clear()
     assert check_lemma2(seed=6).passed
-    assert (kernels, publics, len(evals)) == ([(50,)], [], 50)
+    assert (kernels, publics, len(evals)) == ([(50,)], [], 0)
     kernels.clear()
     # the sweep, then the negative control at one point
     assert check_lemma3().passed
@@ -187,6 +189,22 @@ def test_check_metrics_are_pinned_bit_for_bit(seed):
         assert got == pinned, name
 
 
+# sha256 of the report JSONs of run_checks("all", seed), joined in report
+# order, as building and evaluating each random instance on its own wrote
+# them: a change to any bit of any check shows here.
+PINNED_REPORT_DIGESTS = {
+    1: "b465e4c29d91e7536c26d0f6829fc49c6b7420a6320726af79b90d64dded6ecd",
+    7: "ca512b05a5779d8ba5928bf29eeda77bc324fc53e39c718c243c755405dd3e89",
+    42: "3179f4089f9c65a65f8b02d2c6a92b15e384cedcf095f32067ae1a3266f0d0dd",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(PINNED_REPORT_DIGESTS))
+def test_check_reports_are_pinned_byte_for_byte(seed):
+    text = "".join(r.to_json() for r in run_checks("all", seed=seed))
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_REPORT_DIGESTS[seed]
+
+
 def test_the_library_prints_nothing_to_stdout(capsys):
     # A benchmark run's last line of standard output is its JSON result,
     # so the library itself must not print.
@@ -222,6 +240,71 @@ def test_grid_positivity_is_the_eigenvalue_test():
     assert outcomes == {True, False}
     mono = verify._grid_monomials(3, 3)
     assert mono is verify._grid_monomials(3, 3) and not mono.flags.writeable
+
+
+def test_the_gershgorin_bound_certifies_only_positive_draws():
+    # Over the amplitude sweep above, the coefficient-only bound never
+    # exceeds the smallest eigenvalue on the grid, and every draw it
+    # certifies passes the eigenvalue test; both answers occur.
+    exps = verify._monomial_exponents(3, 3)
+    grid = _explicit_grid(3)
+    certified = 0
+    for seed in range(500):
+        rng = np.random.default_rng(seed)
+        amp = rng.uniform(0.0, 0.12)
+        coefs = rng.uniform(-amp, amp, size=(len(exps), 3, 3))
+        coefs = 0.5 * (coefs + coefs.transpose(0, 2, 1))
+        lowest = np.linalg.eigvalsh(polynomial_metric(exps, coefs, 3)(grid)).min()
+        bound = verify._gershgorin_bound(coefs)
+        assert bound <= lowest, seed
+        if bound > 2.0 * verify._MIN_EIGENVALUE:
+            certified += 1
+            assert lowest > verify._MIN_EIGENVALUE, seed
+            assert verify._positive_on_grid(coefs, 3, 3), seed
+    assert 0 < certified < 500
+
+
+def test_no_grid_factorisation_at_the_checks_amplitude(monkeypatch):
+    calls = []
+    original = verify._positive_on_grid
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(verify, "_positive_on_grid", counted)
+    assert check_lemma1(seed=5).passed and check_lemma2(seed=6).passed
+    for seed in range(200):
+        RandomMetricSpec(seed=seed).build()
+    assert calls == []
+
+
+def _grid_tested_coefficients(seed, dimension):
+    """The draw loop with the grid test alone deciding."""
+    rng = np.random.default_rng(seed)
+    m = len(verify._monomial_exponents(dimension, 3))
+    for _ in range(50):
+        amp = verify._AMPLITUDE
+        coefs = rng.uniform(-amp, amp, size=(m, dimension, dimension))
+        coefs = 0.5 * (coefs + coefs.transpose(0, 2, 1))
+        if verify._positive_on_grid(coefs, dimension, 3):
+            return coefs
+    raise RuntimeError("no positive draw")
+
+
+@pytest.mark.parametrize(
+    "dimension, amplitude",
+    # all certified; some not certified; some redrawn after the grid test
+    [(3, 0.015), (3, 0.04), (3, 0.15), (4, 0.015), (4, 0.1)],
+)
+def test_the_certificate_leaves_every_accepted_draw_as_it_was(
+    monkeypatch, dimension, amplitude
+):
+    monkeypatch.setattr(verify, "_AMPLITUDE", amplitude)
+    seeds = list(range(40))
+    coefs = verify._random_coefficients(seeds, dimension)
+    for seed, got in zip(seeds, coefs):
+        assert np.array_equal(got, _grid_tested_coefficients(seed, dimension)), seed
 
 
 def test_grid_positivity_rejects_one_bad_grid_point():
