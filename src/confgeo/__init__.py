@@ -1,13 +1,12 @@
 """confgeo: numerical conformal geodesics.
 
-A small numpy/scipy library for computing curvature of user-supplied
+A small numpy library for computing curvature of user-supplied
 Riemannian metrics, integrating the conformal geodesic equation with an
 adaptive embedded Runge-Kutta scheme, and reproducing an explicit
 3-dimensional metric whose flat z = 0 plane carries a conformal geodesic
 that spirals into the origin with infinite proper length.
 
-Importing the package loads numpy only; scipy is imported on the first
-``arc_length`` call.
+numpy is its one dependency.
 """
 
 from .bivectors import Bivector, bivector_covariant_derivative, wedge

@@ -19,6 +19,7 @@ verifier on given curves.
 """
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass, field as dataclass_field
@@ -113,7 +114,6 @@ class Trajectory:
     field: MetricField
     s: np.ndarray
     y: np.ndarray
-    arc_length: np.ndarray
     gauge_error: np.ndarray
     projection: np.ndarray
     stats: dict = dataclass_field(default_factory=dict)
@@ -132,6 +132,11 @@ class Trajectory:
     @property
     def rhs_evaluations(self) -> int:
         return self.stats.get("rhs_evaluations", 0)
+
+    @property
+    def arc_length(self) -> np.ndarray:
+        """Length from the first sample: elapsed proper time, |u|_g being 1."""
+        return np.abs(self.s - self.s[0])
 
     def positions(self) -> np.ndarray:
         return self.y[:, : self.field.dimension]
@@ -597,8 +602,9 @@ def integrate(
     error estimate, each component's error measured against
     ``tol * (1 + |y|)``; a NaN or infinite estimate rejects the step.
     Runs in either s-direction, from a finite s0 to any s1 but NaN (an
-    infinite s1 leaves the end to ``stop`` or ``max_steps``), and from a
-    finite initial x (ValueError otherwise).  With
+    infinite s1 leaves the end to ``stop`` or ``max_steps``), and from an
+    initial state whose x, u and a each have ``field.dimension``
+    components and whose x is finite (ValueError otherwise).  With
     ``renormalize`` on, each accepted step projects u back to unit norm
     and a to the orthogonal complement of u, and the metric size of that
     projection is recorded per sample so silent drift cannot hide an
@@ -611,7 +617,7 @@ def integrate(
     whose derivative is the next step's first stage (FSAL, first same as
     last).  That 13th evaluation's bundle also serves the FSAL refresh
     after a renormalisation (which moves u and a, not x) and supplies g
-    for the renormalisation, the arc-length trapezoid and the gauge
+    for the renormalisation and the gauge
     residual of the accepted state.  So an accepted step costs 12
     curvature evaluations and, with its refresh, 13 RHS evaluations.  No
     refresh is computed after the last accepted step.  The initial
@@ -632,9 +638,14 @@ def integrate(
     s0, s1 = float(s_span[0]), float(s_span[1])
     if not np.isfinite(s0) or np.isnan(s1):
         raise ValueError(f"s_span must run from a finite s to a number, got {s_span}")
+    n = field.dimension
+    misshapen = [k for k in ("x", "u", "a") if getattr(initial, k).shape != (n,)]
+    if misshapen:
+        raise ValueError(
+            f"initial {', '.join(misshapen)} must have shape ({n},) on {field.name}"
+        )
     if not np.isfinite(initial.x).all():
         raise ValueError(f"initial x must be finite, got {initial.x}")
-    n = field.dimension
     g = initial.require_gauge(field)
 
     direction = 1.0 if s1 >= s0 else -1.0
@@ -653,11 +664,9 @@ def integrate(
         dx, du, da = propertime_rhs(field, st, bundle=bundle)
         return np.concatenate([dx, du, da]), bundle
 
-    sp_prev = np.sqrt(float(initial.u @ g @ initial.u))  # |u|_g for the arc trapezoid
     y = np.concatenate([initial.x, initial.u, initial.a])
     s_vals = [s0]
     rows = [y]
-    arc = [0.0]
     gauge = [max(initial.gauge_residuals(g))]
     proj = [0.0]
     status, message = "ok", ""
@@ -695,7 +704,6 @@ def integrate(
             field=field,
             s=np.array(s_vals),
             y=np.array(rows),
-            arc_length=np.array(arc),
             gauge_error=np.array(gauge),
             projection=np.array(proj),
             stats=stats,
@@ -782,12 +790,6 @@ def integrate(
                 )
                 y_new[n : 2 * n], y_new[2 * n :] = u_new, a_new
             st_new = _unpack(y_new, n, s_new)
-
-            # arc length: trapezoid of |u|_g over the step
-            sp_here = np.sqrt(float(st_new.u @ g @ st_new.u))
-            arc.append(arc[-1] + 0.5 * (sp_prev + sp_here) * abs(h))
-            sp_prev = sp_here
-
             s_vals.append(s_new)
             rows.append(y_new)
             gauge.append(max(st_new.gauge_residuals(g)))
@@ -830,50 +832,54 @@ def integrate(
 class ArcLengthResult:
     value: float
     estimated_error: float
-    converged: bool  # False: quadrature flagged trouble; value is a partial sum
+    converged: bool  # False: the panel cap was reached first
 
     def __float__(self):
         return self.value
 
 
+@functools.cache
+def _gauss_legendre():
+    """32-node Gauss-Legendre rule on [-1, 1], made on the first use."""
+    return np.polynomial.legendre.leggauss(32)
+
+
 def arc_length(
     field: MetricField,
-    curve: Callable[[float], np.ndarray],
+    curve: Callable[[np.ndarray], np.ndarray],
     t_span: tuple[float, float],
+    *,
+    velocity: Callable[[np.ndarray], np.ndarray],
     tol: float = 1e-9,
-    velocity: Optional[Callable[[float], np.ndarray]] = None,
 ) -> ArcLengthResult:
-    """Adaptive quadrature of |curve'(t)|_g over the span.
+    """Length of a curve over t_span, the integral of |velocity(t)|_g.
 
-    Velocity defaults to a 4th-order finite difference of the curve.
-    scipy is imported here, on the first call, and nowhere else in the
-    package, so ``import confgeo`` loads numpy only.
+    ``curve`` and ``velocity`` map parameters (N,) to (N, n).  32-node
+    Gauss-Legendre on 1, 2, 4, ... panels, one ``field`` call per round,
+    until two rounds agree within ``tol * max(1, |value|)`` (the finer is
+    returned, their difference is ``estimated_error``) or, not
+    ``converged``, at 1024 panels.  A reversed span negates the length.
+    ImmersionError where |velocity|^2_g is not positive or NaN.
     """
-    from scipy.integrate import quad
-
     t0, t1 = float(t_span[0]), float(t_span[1])
-
-    if velocity is None:
-
-        def velocity(t, _c=curve):
-            h = 1e-6 * max(1.0, abs(t))
-            return (
-                _c(t - 2 * h) - 8.0 * _c(t - h) + 8.0 * _c(t + h) - _c(t + 2 * h)
-            ) / (12.0 * h)
-
-    def integrand(t):
-        x = np.asarray(curve(t), float)
+    if not (np.isfinite([t0, t1, tol]).all() and tol > 0.0):
+        raise ValueError(f"need a finite t_span and tol > 0, got {t_span}, tol={tol}")
+    nodes, weights = _gauss_legendre()
+    panels, previous = 1, np.nan  # the first round has no estimate to agree with
+    while True:
+        edges = np.linspace(*sorted((t0, t1)), panels + 1)
+        half = 0.5 * np.diff(edges)[:, None]
+        t = (edges[:-1, None] + half + half * nodes).ravel()
         v = np.asarray(velocity(t), float)
-        sp2 = float(v @ field(x) @ v)
-        if sp2 <= 0.0:
-            raise ImmersionError(f"curve not immersed at t={t}")
-        return np.sqrt(sp2)
-
-    value, abserr, info, *rest = quad(
-        integrand, t0, t1, epsabs=tol, epsrel=tol, limit=200, full_output=True
-    )
-    converged = not rest  # quad appends a message only on trouble
-    return ArcLengthResult(float(value), float(abserr), converged)
+        sp2 = _quadratic(v, field(curve(t)), v)
+        if not np.all(sp2 > 0.0):
+            raise ImmersionError(f"curve not immersed at t={t[np.argmin(sp2 > 0.0)]}")
+        value = math.copysign(float((half * weights).ravel() @ np.sqrt(sp2)), t1 - t0)
+        error = abs(value - previous)
+        converged = error <= tol * max(1.0, abs(value))
+        if converged or panels == 1024:
+            return ArcLengthResult(value, error, converged)
+        panels, previous = 2 * panels, value
 
 
 @dataclass(frozen=True)

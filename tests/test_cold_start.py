@@ -1,50 +1,35 @@
-"""``import confgeo`` loads numpy and the package only; scipy loads on
-the first ``arc_length`` call, its one user."""
+"""scipy is not needed: ``import confgeo`` loads no scipy module, and with
+every scipy import made to fail, ``verify all`` and ``trace`` still run
+and write the reports an ordinary process writes."""
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from confgeo import arc_length, euclidean_metric
+from confgeo import run_checks
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
-COLD_START = """
+WITHOUT_SCIPY = """
 import json, sys
-import numpy as np
-
-def scipy_modules():
-    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 
 import confgeo
 import confgeo.cli
-code = confgeo.cli.main(
-    ["curvature", "--metric", "example", "--point", "0.5,0.3,0.2", "--format", "json"]
-)
-before = scipy_modules()
-res = confgeo.arc_length(
-    confgeo.euclidean_metric(2),
-    lambda t: np.array([np.cos(t), t * np.sin(t)]),
-    (0.0, 2.0),
-    tol=1e-10,
-)
-print(json.dumps({
-    "code": code,
-    "before": before,
-    "integrate_loaded": "scipy.integrate" in sys.modules,
-    "value": repr(res.value),
-}))
+
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+sys.modules["scipy"] = None  # from here on, any scipy import raises
+verify = confgeo.cli.main(["verify", "all", "--seed", "42", "--out", "verify"])
+trace = confgeo.cli.main(["trace", "--t-end", "0.7", "--out", "trace"])
+print(json.dumps({"loaded": loaded, "verify": verify, "trace": trace}))
 """
 
 
-def test_import_and_curvature_load_no_scipy_until_arc_length(tmp_path):
+def test_verify_and_trace_run_with_scipy_blocked(tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
     result = subprocess.run(
-        [sys.executable, "-c", COLD_START],
+        [sys.executable, "-c", WITHOUT_SCIPY],
         capture_output=True,
         text=True,
         env=env,
@@ -53,13 +38,8 @@ def test_import_and_curvature_load_no_scipy_until_arc_length(tmp_path):
     )
     assert result.returncode == 0, result.stderr
     report = json.loads(result.stdout.strip().splitlines()[-1])
-    assert report["code"] == 0
-    assert report["before"] == []
-    assert report["integrate_loaded"]
-    res = arc_length(
-        euclidean_metric(2),
-        lambda t: np.array([np.cos(t), t * np.sin(t)]),
-        (0.0, 2.0),
-        tol=1e-10,
-    )
-    assert float(report["value"]) == res.value
+    assert report == {"loaded": [], "verify": 0, "trace": 0}
+    for rep in run_checks("all", seed=42):
+        written = (tmp_path / "verify" / f"report_{rep.name}.json").read_text()
+        assert written == rep.to_json()
+    assert (tmp_path / "trace" / "trace.csv").stat().st_size > 0

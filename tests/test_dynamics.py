@@ -592,6 +592,8 @@ def test_integrate_straight_line_exact():
     np.testing.assert_allclose(traj.final_state.x, [2.0, 0.0, 0.0], atol=1e-12)
     assert np.all(np.diff(traj.s) > 0.0)
     assert np.all(np.diff(traj.arc_length) >= 0.0)
+    # the arc length is the elapsed proper time
+    np.testing.assert_array_equal(traj.arc_length, np.abs(traj.s - traj.s[0]))
 
 
 @pytest.mark.parametrize("radius", [0.5, 1.0])
@@ -729,6 +731,19 @@ def test_integrate_refuses_a_point_that_is_not_finite():
         integrate(FLAT3, bad, (0.0, 1.0))
 
 
+@pytest.mark.parametrize(
+    "state, named",
+    [
+        (GeodesicState(x=(0.0, 0.0, 0.0), u=(1.0, 0.0, 0.0), a=0.0), "a"),
+        (GeodesicState(x=(0.0, 0.0), u=(1.0, 0.0), a=(0.0, 0.0)), "x, u, a"),
+    ],
+)
+def test_integrate_names_the_fields_of_a_misshapen_state(state, named):
+    match = rf"^initial {named} must have shape \(3,\)"
+    with pytest.raises(ValueError, match=match):
+        integrate(FLAT3, state, (0.0, 1.0))
+
+
 def test_a_step_with_a_nan_error_estimate_is_rejected():
     # The metric's first partials are NaN beyond x = 0.3, so every stage
     # past it makes a NaN estimate: the steps there are rejected and the
@@ -767,9 +782,10 @@ def test_a_rejected_step_restarts_from_the_derivative_at_the_state():
 def test_arc_length_unit_circle():
     res = arc_length(
         euclidean_metric(2),
-        lambda t: np.array([np.cos(t), np.sin(t)]),
+        lambda t: np.stack([np.cos(t), np.sin(t)], axis=-1),
         (0.0, 2.0 * np.pi),
         tol=1e-10,
+        velocity=lambda t: np.stack([-np.sin(t), np.cos(t)], axis=-1),
     )
     assert res.converged
     assert res.value == pytest.approx(2.0 * np.pi, abs=1e-8)
@@ -814,14 +830,85 @@ def f_of(t):
     return np.exp(1.0 / t) / t**2
 
 
+def test_arc_length_matches_the_spiral_length_in_the_inverse_parameter():
+    # In w = 1/t the length from t_low to 1 is the integral over [1, 1/t_low]
+    # of sqrt(1 + w^2 e^(2w)) / w^2, a smooth integrand that one 64-node
+    # Gauss-Legendre rule resolves without any of arc_length's panels.
+    field = flat_polar_metric()
+    nodes, weights = np.polynomial.legendre.leggauss(64)
+
+    def spiral_length(t_span):
+        return arc_length(
+            field,
+            lambda t: spiral_point(t, 2),
+            t_span,
+            velocity=lambda t: spiral_velocity(t, 2),
+        )
+
+    for t_low in (0.5, 0.2, 0.1):
+        half = 0.5 * (1.0 / t_low - 1.0)
+        w = 1.0 + half * (1.0 + nodes)
+        oracle = half * (weights @ (np.sqrt(1.0 + w**2 * np.exp(2.0 * w)) / w**2))
+        res = spiral_length((t_low, 1.0))
+        assert res.converged
+        assert abs(res.value - oracle) <= 1e-13 * oracle
+        assert spiral_length((1.0, t_low)).value == -res.value
+    assert spiral_length((0.3, 0.3)).value == 0.0
+
+
 def test_arc_length_rejects_degenerate_curve():
     with pytest.raises(ImmersionError):
         arc_length(
             euclidean_metric(2),
-            lambda t: np.array([1.0, 2.0]),
+            lambda t: np.tile([1.0, 2.0], (len(t), 1)),
             (0.0, 1.0),
-            velocity=lambda t: np.zeros(2),
+            velocity=lambda t: np.zeros((len(t), 2)),
         )
+
+
+def test_arc_length_rejects_a_speed_that_is_not_a_number():
+    def velocity(t):
+        v = np.ones((len(t), 2))
+        v[t > 0.5] = np.nan
+        return v
+
+    with pytest.raises(ImmersionError, match="not immersed at t=0.5"):
+        arc_length(
+            euclidean_metric(2),
+            lambda t: np.zeros((len(t), 2)),
+            (0.0, 1.0),
+            velocity=velocity,
+        )
+
+
+@pytest.mark.parametrize(
+    "t_span, tol",
+    [((0.0, np.inf), 1e-9), ((np.nan, 1.0), 1e-9), ((0.0, 1.0), 0.0),
+     ((0.0, 1.0), -1e-9), ((0.0, 1.0), np.nan), ((0.0, 1.0), np.inf)],
+)
+def test_arc_length_rejects_a_span_or_tol_out_of_range(t_span, tol):
+    with pytest.raises(ValueError, match="^need a finite t_span and tol > 0"):
+        arc_length(
+            euclidean_metric(2),
+            lambda t: np.stack([t, t], axis=-1),
+            t_span,
+            velocity=lambda t: np.ones((len(t), 2)),
+            tol=tol,
+        )
+
+
+def test_arc_length_reports_no_convergence_at_the_panel_cap():
+    # |sin(50 t)| has a kink every pi/50, so doubled panels keep disagreeing
+    # by more than a tolerance near the rounding of the sum
+    res = arc_length(
+        euclidean_metric(2),
+        lambda t: np.stack([t, np.zeros_like(t)], axis=-1),
+        (0.0, 10.0),
+        velocity=lambda t: np.stack([np.sin(50.0 * t), np.zeros_like(t)], axis=-1),
+        tol=1e-15,
+    )
+    assert not res.converged
+    assert res.estimated_error > 1e-15 * res.value
 
 
 # ---------------------------------------------------------------------------
@@ -837,7 +924,6 @@ def _fake_trajectory(points, field=FLAT3):
         field=field,
         s=np.arange(n, dtype=float),
         y=np.hstack([points, u, np.zeros((n, 3))]),
-        arc_length=np.linspace(0.0, 1.0, n),
         gauge_error=np.zeros(n),
         projection=np.zeros(n),
     )

@@ -101,3 +101,13 @@ def test_integrate_parameters_are_pinned():
     ]
     keyword_only = [p for p in params.values() if p.kind is p.KEYWORD_ONLY]
     assert [p.name for p in keyword_only] == list(params)[3:]
+
+
+def test_arc_length_parameters_are_pinned():
+    # The curve's velocity is the caller's: there is no finite-difference
+    # fallback to select by leaving it out.
+    params = inspect.signature(confgeo.arc_length).parameters
+    assert list(params) == ["field", "curve", "t_span", "velocity", "tol"]
+    keyword_only = [p for p in params.values() if p.kind is p.KEYWORD_ONLY]
+    assert [p.name for p in keyword_only] == ["velocity", "tol"]
+    assert params["velocity"].default is inspect.Parameter.empty
