@@ -84,6 +84,11 @@ def _fd_metric_derivatives(field: MetricField, point: np.ndarray, h: np.ndarray)
 
 def _metric_jets(field: MetricField, point, step=None):
     point = np.asarray(point, dtype=float)
+    n = field.dimension
+    if point.shape != (n,):
+        raise ValueError(
+            f"point must have shape ({n},) on {field.name}, not {point.shape}"
+        )
     field.chart.require_regular(point)
     if field.analytic_jet is not None:
         g, dg, d2g = field.analytic_jet(point)
@@ -93,7 +98,8 @@ def _metric_jets(field: MetricField, point, step=None):
 
 
 def metric_derivatives(field: MetricField, point, order: int, step=None):
-    """First (dg[a, i, j]) or second (d2g[a, b, i, j]) partials of g at a point."""
+    """First (dg[a, i, j]) or second (d2g[a, b, i, j]) partials of g at a
+    point of shape (field.dimension,) (ValueError otherwise)."""
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
     _, dg, d2g = _metric_jets(field, point, step)
@@ -243,7 +249,9 @@ def _curvature_kernel(point, g, dg, d2g) -> CurvatureBundle:
     scalar = np.vecdot(ginv.reshape(lead + (n * n,)), ricci_flat)
 
     if n >= 3:
-        schouten = (ricci - (scalar / (2.0 * (n - 1)))[..., None, None] * g) / (n - 2)
+        schouten = ricci - (scalar / (2.0 * (n - 1)))[..., None, None] * g
+        if n > 3:  # dividing by n - 2 = 1 is exact
+            schouten = schouten / (n - 2)
     else:
         schouten = None
 
@@ -268,6 +276,10 @@ def curvature(field: MetricField, point, step=None) -> CurvatureBundle:
     ``round_sphere_metric()`` (exact scalar curvature 2) the scalar reads
     1736.7, 71.4, 2.69 and 2.007 at theta = 2e-6, 1e-5, 1e-4 and 1e-3.
     Closed-form jets do not have this problem.
+
+    ``point`` must have shape (field.dimension,) (ValueError otherwise);
+    a point on the chart's singular locus raises ChartSingularityError
+    naming it.
     """
     point = np.asarray(point, dtype=float)
     return _curvature_kernel(point, *_metric_jets(field, point, step))

@@ -42,8 +42,8 @@ log = logging.getLogger(__name__)
 
 # The states, like CurvatureBundle, are frozen dataclasses whose __init__
 # fills the instance dict in one update: the generated one would make an
-# object.__setattr__ call per field, and ``integrate`` builds a state for
-# every RHS (~1.5 us more each).
+# object.__setattr__ call per field (~1.5 us more each).  ``integrate``
+# builds the state of every RHS through ``_unpack``, without __init__.
 
 
 @dataclass(frozen=True, init=False)
@@ -96,7 +96,16 @@ class UnparamState:
 
 
 def _unpack(y: np.ndarray, n: int, s: float) -> GeodesicState:
-    return GeodesicState(x=y[:n], u=y[n : 2 * n], a=y[2 * n :], s=s)
+    """The state (x, u, a) = y at s, as views into the float array y.
+
+    Built without ``GeodesicState.__init__``, whose ``np.asarray`` calls
+    would only return the views again.
+    """
+    state = object.__new__(GeodesicState)
+    fields = state.__dict__
+    fields["x"], fields["u"], fields["a"] = y[:n], y[n : 2 * n], y[2 * n :]
+    fields["s"] = s
+    return state
 
 
 @dataclass
@@ -237,16 +246,19 @@ def _covariant_wedge(gamma, v, b, db):
 def _propertime_derivatives(gamma, g, ginv, L, u, a):
     """(du, da) of the proper-time system for stacks of states, from the
     Christoffel symbols, g, g^-1 and L at their points:
-    du = a - Gamma(u, u) and da = -Gamma(u, a) + (-|a|^2 - L(u, u)) u + L^u.
+    du = a - Gamma(u, u) and da = (-|a|^2 - L(u, u)) u - Gamma(u, a) + L^u.
     ``integrate`` evaluates it at every stage, so _raise_index and
-    _quadratic are written out here."""
+    _quadratic are written out here.  p - q rounds as -q + p does, so
+    subtracting Gamma(u, a) saves its negation; -(|a|^2 + L(u, u)) would
+    save one more, but it is -0 where -|a|^2 - L(u, u) is +0 (a sum that
+    cancels exactly), so the scalar keeps its two terms."""
     l_hat_u = np.matvec(ginv @ L, u)
     a_sq = np.vecdot(np.vecmat(a, g), a)
     u_lu = np.vecdot(np.vecmat(u, L), u)  # u . L^u = L(u, u)
 
     gamma_u = np.matvec(gamma, u[..., None, :])  # Gamma^m_ab u^b
     du = a - np.matvec(gamma_u, u)
-    da = -np.matvec(gamma_u, a) + (-a_sq - u_lu)[..., None] * u + l_hat_u
+    da = (-a_sq - u_lu)[..., None] * u - np.matvec(gamma_u, a) + l_hat_u
     return du, da
 
 
@@ -577,9 +589,12 @@ _E3 = _B - np.array(
 )
 
 
+_UNDERFLOW = 16.0 * np.finfo(float).eps
+
+
 def _underflows(h: float, s: float) -> bool:
     """Whether a step h at s is too short to move s in floating point."""
-    return abs(h) < 16.0 * np.finfo(float).eps * max(abs(s), 1.0)
+    return abs(h) < _UNDERFLOW * max(abs(s), 1.0)
 
 
 def integrate(
@@ -652,17 +667,23 @@ def integrate(
     span = abs(s1 - s0)
 
     counter = {"rhs": 0, "curvature": 0}
+    # Row i < 12 of K is stage i's derivative and row 12 the RHS at y_new;
+    # each RHS writes its (dx, du, da) straight into its row, and
+    # stages[i] @ weights combines the rows before i.
+    K = np.empty((13, 3 * n))
+    K_x, K_u, K_a = K[:, :n], K[:, n : 2 * n], K[:, 2 * n :]
+    stages = [K[:i].T for i in range(13)]
 
-    def rhs(y, bundle=None):
-        """(dy/ds, curvature bundle at y's point); pass the bundle when it
-        is already known at that point."""
+    def rhs(state, row, bundle=None):
+        """Write dy/ds at ``state`` into row ``row`` of K and return the
+        curvature bundle at its point; pass the bundle when it is already
+        known there."""
         counter["rhs"] += 1
-        st = _unpack(y, n, 0.0)
         if bundle is None:
             counter["curvature"] += 1
-            bundle = curvature(field, st.x, step=curvature_step)
-        dx, du, da = propertime_rhs(field, st, bundle=bundle)
-        return np.concatenate([dx, du, da]), bundle
+            bundle = curvature(field, state.x, step=curvature_step)
+        K_x[row], K_u[row], K_a[row] = propertime_rhs(field, state, bundle=bundle)
+        return bundle
 
     y = np.concatenate([initial.x, initial.u, initial.a])
     s_vals = [s0]
@@ -671,7 +692,7 @@ def integrate(
     proj = [0.0]
     status, message = "ok", ""
     steps = rejected = shrinks = 0
-    h_lo, h_hi = np.inf, 0.0  # range of accepted |h|
+    h_lo, h_hi = math.inf, 0.0  # range of accepted |h|
 
     def finish():
         stats = {
@@ -682,8 +703,8 @@ def integrate(
             "domain_shrinks": shrinks,
             "rhs_evaluations": counter["rhs"],
             "curvature_evaluations": counter["curvature"],
-            "h_min": float(h_lo) if steps else None,
-            "h_max": float(h_hi) if steps else None,
+            "h_min": h_lo if steps else None,
+            "h_max": h_hi if steps else None,
         }
         log.info(
             "integrate %s: %s%s; %d accepted, %d rejected, %d domain shrinks, "
@@ -696,8 +717,8 @@ def integrate(
             rejected,
             shrinks,
             counter["rhs"],
-            h_lo if steps else np.nan,
-            h_hi if steps else np.nan,
+            h_lo if steps else math.nan,
+            h_hi if steps else math.nan,
             counter["curvature"],
         )
         return Trajectory(
@@ -717,19 +738,18 @@ def integrate(
 
     s = s0
     try:
-        k1, _ = rhs(y)
+        rhs(_unpack(y, n, 0.0), 0)  # K[0] holds k1 from here on
     except ConfgeoError as exc:
         status, message = "left_domain", str(exc)
         return finish()
 
-    # initial step heuristic
+    # initial step heuristic.  The step's scalars are Python floats from
+    # here on: their +, -, *, / and ** round as numpy's float64 scalars do.
     scale = tol + tol * np.abs(y)
     d0 = np.sqrt(np.mean((y / scale) ** 2))
-    d1 = np.sqrt(np.mean((k1 / scale) ** 2))
-    h = 0.01 * d0 / d1 if d1 > 1e-10 else 1e-6
+    d1 = np.sqrt(np.mean((K[0] / scale) ** 2))
+    h = float(0.01 * d0 / d1) if d1 > 1e-10 else 1e-6
     h = direction * min(h, span)
-
-    K = np.empty((13, y.size))  # the 12 stages, then the RHS at y_new
 
     while direction * (s1 - s) > 0.0:
         if steps >= max_steps:
@@ -741,40 +761,36 @@ def integrate(
         if direction * (s + h - s1) > 0.0:
             h = s1 - s
 
-        K[0] = k1
-        failed_domain = False
         try:
             for i in range(1, 12):
-                K[i], _ = rhs(y + h * (K[:i].T @ _A[i]))
-            y_new = y + h * (K[:12].T @ _B)
-            K[12], bundle = rhs(y_new)
+                rhs(_unpack(y + h * (stages[i] @ _A[i]), n, 0.0), i)
+            y_new = y + h * (stages[12] @ _B)
+            at_new = _unpack(y_new, n, 0.0)  # its u and a see the renormalisation
+            bundle = rhs(at_new, 12)
         except ConfgeoError as exc:
-            failed_domain = True
-            domain_exc = exc
-
-        if failed_domain:
             # shrink toward the domain boundary; give up when h underflows
             shrinks += 1
-            log.debug("domain shrink at s=%.17g, h=%.6g: %s", s, h, domain_exc)
+            log.debug("domain shrink at s=%.17g, h=%.6g: %s", s, h, exc)
             h *= 0.5
             if _underflows(h, s):
-                status, message = "left_domain", str(domain_exc)
+                status, message = "left_domain", str(exc)
                 break
             continue
 
         # Hairer's error norm: the 5th-order estimate e5 scaled by
         # |e5| / hypot(|e5|, 0.1 |e3|), e3 the 3rd-order one, so that it
         # shrinks like h^8 (hence the exponent -1/8 below).  ``bundle`` is
-        # the curvature at y_new.
+        # the curvature at y_new.  math.sqrt rounds as np.sqrt does, and
+        # its argument is finite or +inf here.
         sc = tol + tol * np.maximum(np.abs(y), np.abs(y_new))
-        e5 = (K[:12].T @ _E5) / sc
-        e3 = (K[:12].T @ _E3) / sc
+        e5 = (stages[12] @ _E5) / sc
+        e3 = (stages[12] @ _E3) / sc
         e5_sq, e3_sq = float(e5 @ e5), float(e3 @ e3)
         err = 0.0
         if not math.isfinite(e5_sq + e3_sq):
-            err = np.inf  # a NaN or overflowing estimate rejects the step
+            err = math.inf  # a NaN or overflowing estimate rejects the step
         elif e5_sq > 0.0:
-            err = abs(h) * e5_sq / np.sqrt((e5_sq + 0.01 * e3_sq) * y.size)
+            err = abs(h) * e5_sq / math.sqrt((e5_sq + 0.01 * e3_sq) * y.size)
 
         if err <= 1.0:
             s_new = s + h
@@ -782,11 +798,12 @@ def integrate(
             proj_size = 0.0
             if renormalize:
                 u, a = y_new[n : 2 * n], y_new[2 * n :]
+                # np.sqrt: u.g.u may be negative, where math.sqrt would raise
                 u_new = u / np.sqrt(float(u @ g @ u))
                 a_new = a - float(u_new @ g @ a) * u_new
                 du, da_ = u_new - u, a_new - a
-                proj_size = float(
-                    np.sqrt(max(du @ g @ du, 0.0)) + np.sqrt(max(da_ @ g @ da_, 0.0))
+                proj_size = math.sqrt(max(float(du @ g @ du), 0.0)) + math.sqrt(
+                    max(float(da_ @ g @ da_), 0.0)
                 )
                 y_new[n : 2 * n], y_new[2 * n :] = u_new, a_new
             st_new = _unpack(y_new, n, s_new)
@@ -808,9 +825,9 @@ def integrate(
             # Renormalization invalidates FSAL: recompute k1 at the same
             # x, with the bundle already there.
             if renormalize and proj_size > 0.0:
-                k1, _ = rhs(y, bundle)
+                rhs(at_new, 0, bundle)
             else:
-                k1 = K[12].copy()  # row 12 is overwritten by the next attempt
+                K[0] = K[12]  # row 12 is overwritten by the next attempt
 
             factor = 0.9 * err ** -0.125 if err > 0.0 else 10.0
         else:

@@ -10,6 +10,7 @@ curvature, geodesic integration) consumes these two types.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -50,11 +51,16 @@ class Chart:
         return np.asarray(self.singular_mask(points))
 
     def require_regular(self, points):
-        if self.singular_mask is not None and np.count_nonzero(
-            self.is_singular(points)
-        ):
+        """Raise ChartSingularityError naming the first of the points
+        (..., dim) that lies on the singular locus."""
+        if self.singular_mask is None:
+            return
+        points = np.asarray(points, dtype=float)
+        singular = self.singular_mask(points)
+        if np.count_nonzero(singular):
             raise ChartSingularityError(
-                f"point on the singular locus of chart '{self.name}'"
+                f"point {_first_point(singular, points)} lies on the singular "
+                f"locus of chart '{self.name}'"
             )
 
     def embed(self, points) -> np.ndarray:
@@ -178,6 +184,18 @@ def _checked_inverse(g: np.ndarray, point) -> np.ndarray:
                 at = np.broadcast_to(point, g.shape[:-1])[index]
                 raise DegenerateMetricError(f"metric singular at {at}") from exc
         raise
+    if g.ndim == 2:
+        # One metric: the products g_ij (g^-1)_ij gate both tests below.
+        # Their sum is finite only when every entry of g and g^-1 is, and
+        # the diagonal ones are the condition measure.  As Python floats
+        # they round as numpy's do, and an infinite entry raises no
+        # floating-point warning.
+        products = [p * q for p, q in zip(g.ravel().tolist(), ginv.ravel().tolist())]
+        if (
+            math.isfinite(sum(products))
+            and max(products[:: g.shape[0] + 1]) <= MAX_CONDITION
+        ):
+            return ginv
     # Each test runs on the whole stack; the failing instance is looked
     # up only after one fails.
     finite_entries = np.count_nonzero(np.isfinite(g)) + np.count_nonzero(

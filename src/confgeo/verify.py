@@ -736,9 +736,15 @@ def spiral_tracking_run(
     plane is an exact invariant of the computed flow (max |z| is 0).
     ``curvature_step`` is the finite-difference step and applies only
     to a ``metric`` without a closed-form jet.  The data and the stop
-    test are cylindrical: a ``metric`` in another chart raises ValueError.
+    test are cylindrical: a ``metric`` in another chart raises ValueError,
+    and so does a t_end outside (0, t0]: NaN would stop the run at its
+    first sample, and 0 would be reached only at ``max_steps``.
     Returns (trajectory, max tracking error, max |z|).
     """
+    if not 0.0 < t_end <= t0:
+        raise ValueError(
+            f"spiral run needs 0 < t_end <= t0, got t_end={t_end}, t0={t0}"
+        )
     fld = metric if metric is not None else example_metric("cylindrical")
     if fld.chart.name != "cylindrical":
         raise ValueError(f"spiral run needs the cylindrical chart, not {fld.chart.name}")

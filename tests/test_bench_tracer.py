@@ -2,10 +2,12 @@
 is) around the spiral run.
 
 A traced benchmark result derives rejected steps from ``integrate``'s
-public counters and counts RHS evaluations as ``propertime_rhs`` spans
-directly under ``integrate``.  A change to how ``integrate`` counts or
-routes its RHS evaluations turns those figures into nulls in the
-benchmark's result line; this test shows it in the library's own suite.
+public counters, counts RHS evaluations as ``propertime_rhs`` spans
+directly under ``integrate`` and curvature evaluations as ``curvature``
+spans.  A change to how ``integrate`` counts or routes its RHS or
+curvature evaluations turns those figures into nulls, or empties the
+curvature layer, in the benchmark's result line; this test shows it in
+the library's own suite.
 """
 import importlib
 from pathlib import Path
@@ -37,6 +39,8 @@ def test_the_traced_spiral_run_gives_exact_layer_figures(bench_trace):
     stats = traj.stats
     traced, reported = bt.rhs_evaluations_traced(spans, root)
     assert traced == reported == stats["rhs_evaluations"]
+    # every new point is one traced curvature() call
+    assert metrics["curvature.calls"] == stats["curvature_evaluations"]
 
     # 1 first stage, 12 stages per step attempt, and one FSAL refresh per
     # accepted step whose renormalisation moved the state, except after

@@ -67,6 +67,25 @@ def test_step_underflow_rejected():
         metric_derivatives(field, np.zeros(3), order=1, step=-1e-3)
 
 
+@pytest.mark.parametrize("point", [[0.5, 0.1], [[0.5, 0.1, 0.0], [0.6, 0.2, 0.1]]])
+@pytest.mark.parametrize(
+    "evaluate",
+    [
+        curvature,
+        christoffel,
+        lambda field, point: metric_derivatives(field, point, order=1),
+    ],
+    ids=["curvature", "christoffel", "metric_derivatives"],
+)
+def test_a_point_of_the_wrong_shape_is_refused(evaluate, point):
+    # One point of the field's dimension only: a short point or a stack
+    # of points must not reach the jet.
+    from confgeo import example_metric
+
+    with pytest.raises(ValueError, match=r"shape \(3,\) on example_cylindrical"):
+        evaluate(example_metric(), point)
+
+
 # ---------------------------------------------------------------------------
 # christoffel
 # ---------------------------------------------------------------------------

@@ -39,8 +39,11 @@ def test_polar_chart_singular_locus():
     chart = polar_chart()
     assert chart.is_singular(np.array([1e-9, 0.3]))
     assert not chart.is_singular(np.array([0.5, 0.3]))
-    with pytest.raises(ChartSingularityError):
+    with pytest.raises(ChartSingularityError, match=r"point \[0\. 0\.\] lies on"):
         chart.require_regular(np.array([0.0, 0.0]))
+    # a stack names its first singular point
+    with pytest.raises(ChartSingularityError, match=r"point \[5\.e-07 2\.e\+00\]"):
+        chart.require_regular(np.array([[0.5, 1.0], [5e-7, 2.0], [0.0, 3.0]]))
 
 
 def test_cylindrical_embedding():
@@ -52,7 +55,7 @@ def test_cylindrical_embedding():
 
 def test_derivative_ops_reject_singular_points():
     field = strip_partials(flat_polar_metric())
-    with pytest.raises(ChartSingularityError):
+    with pytest.raises(ChartSingularityError, match=r"point \[1\.e-08 0\.e\+00\]"):
         metric_derivatives(field, np.array([1e-8, 0.0]), order=1)
 
 

@@ -302,7 +302,7 @@ def test_example_metric_cross_term_value():
 
 def test_example_metric_rejects_axis_in_cylindrical_chart():
     cyl = example_metric("cylindrical")
-    with pytest.raises(ChartSingularityError):
+    with pytest.raises(ChartSingularityError, match=r"point \[0\. 0\. 0\.\]"):
         curvature(cyl, np.array([0.0, 0.0, 0.0]))
     with pytest.raises(ValueError):
         example_metric("bogus")

@@ -367,6 +367,38 @@ def test_tracking_run_deep_into_the_spiral_is_not_cut_short():
     assert traj.final_state.x[0] <= 0.15
 
 
+@pytest.mark.parametrize("t_end", [0.0, float("nan"), 0.9])
+def test_tracking_run_refuses_a_stop_radius_outside_zero_to_t0(t_end):
+    # t_end = 0 would run to max_steps, NaN would stop at the first
+    # sample with a tracking error of 0, and t_end > t0 stops there too.
+    with pytest.raises(ValueError, match="0 < t_end <= t0"):
+        spiral_tracking_run(t0=0.8, t_end=t_end)
+
+
+# sha256 of the arrays of spiral_tracking_run(t0=0.8, t_end=0.2), the
+# benchmark's spiral, with its counters and tracking error: a change to
+# any bit of the run shows here.
+PINNED_SPIRAL_RUN = {
+    "y": "895e10ddce7134e4a9a2bba581306ffea22df115a40660469032d9af49b86d82",
+    "s": "accd7c0ce78135bf98355db1dbe13d2b6b13794a72a90ce090f4a66c1ad140f3",
+    "projection": "3334f4647ac9524c518588d62b30a6eab6e7f3015bf955552314d5a12abac7c7",
+    "gauge_error": "ae947eeb952a2e81feb067803ded6727db004ccd2b944036baeea020a62f46d4",
+}
+
+
+def test_the_spiral_run_to_r_02_is_pinned_bit_for_bit():
+    traj, track_err, _ = spiral_tracking_run(t0=0.8, t_end=0.2)
+    digests = {
+        name: hashlib.sha256(getattr(traj, name).tobytes()).hexdigest()
+        for name in PINNED_SPIRAL_RUN
+    }
+    assert digests == PINNED_SPIRAL_RUN
+    assert len(traj) == 268
+    assert traj.stats["rhs_evaluations"] == 3471
+    assert traj.stats["curvature_evaluations"] == 3205
+    assert track_err == 1.6562850553565068e-08
+
+
 def test_tracking_run_rejects_a_metric_in_another_chart():
     # The spiral's data are cylindrical (r, phi, z); a cartesian metric
     # would read them as (x, y, z) and stop after a few samples.
