@@ -14,7 +14,8 @@ class StepSizeError(ConfgeoError):
 
 
 class DegenerateMetricError(ConfgeoError):
-    """The metric is numerically non-invertible at the requested point."""
+    """The metric is numerically non-invertible at the requested point,
+    or undefined there because a coordinate is not finite."""
 
 
 class ImmersionError(ConfgeoError):

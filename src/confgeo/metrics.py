@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
+from numpy.linalg import LinAlgError, _umath_linalg
 
 from .errors import ChartSingularityError, DegenerateMetricError
 
@@ -27,7 +29,8 @@ class Chart:
     """A named coordinate chart.
 
     ``singular_mask`` maps an array of points with shape (..., dim) to a
-    boolean array flagging points on (or too near) the singular locus.
+    boolean array of their leading shape (...) flagging points on (or too
+    near) the singular locus: 0-d, or a bool, for one point (dim,).
     ``to_cartesian`` embeds chart coordinates into flat background
     coordinates; it is used for chart-independent distances.
     """
@@ -57,7 +60,8 @@ class Chart:
             return
         points = np.asarray(points, dtype=float)
         singular = self.singular_mask(points)
-        if np.count_nonzero(singular):
+        # a stack's mask is counted; one point's 0-d mask has a truth value
+        if np.count_nonzero(singular) if points.ndim > 1 else singular:
             raise ChartSingularityError(
                 f"point {_first_point(singular, points)} lies on the singular "
                 f"locus of chart '{self.name}'"
@@ -160,6 +164,21 @@ def _first_point(mask, points) -> np.ndarray:
     return np.broadcast_to(points, mask.shape + points.shape[-1:])[index]
 
 
+def _raise_singular(err, flag):
+    raise LinAlgError("Singular matrix")
+
+
+def _inverse(g: np.ndarray) -> np.ndarray:
+    """np.linalg.inv of g (n, n) or a stack (..., n, n), in float64,
+    without its Python wrapper (~1.5 us a call): the same LAPACK gufunc
+    under the same errstate, so a singular matrix raises LinAlgError and
+    nothing warns, whatever the caller's errstate."""
+    with np.errstate(
+        call=_raise_singular, invalid="call", over="ignore", divide="ignore", under="ignore"
+    ):
+        return _umath_linalg.inv(g, signature="d->d")
+
+
 def _checked_inverse(g: np.ndarray, point) -> np.ndarray:
     """Inverse of the metric matrix g at a point, rejecting degenerate g.
 
@@ -175,12 +194,12 @@ def _checked_inverse(g: np.ndarray, point) -> np.ndarray:
     error then names the point of the first degenerate instance.
     """
     try:
-        ginv = np.linalg.inv(g)
-    except np.linalg.LinAlgError as exc:
+        ginv = _inverse(g)
+    except LinAlgError as exc:
         for index in np.ndindex(g.shape[:-2]):  # the first singular instance
             try:
-                np.linalg.inv(g[index])
-            except np.linalg.LinAlgError:
+                _inverse(g[index])
+            except LinAlgError:
                 at = np.broadcast_to(point, g.shape[:-1])[index]
                 raise DegenerateMetricError(f"metric singular at {at}") from exc
         raise
@@ -190,7 +209,7 @@ def _checked_inverse(g: np.ndarray, point) -> np.ndarray:
         # the diagonal ones are the condition measure.  As Python floats
         # they round as numpy's do, and an infinite entry raises no
         # floating-point warning.
-        products = [p * q for p, q in zip(g.ravel().tolist(), ginv.ravel().tolist())]
+        products = list(map(operator.mul, g.ravel().tolist(), ginv.ravel().tolist()))
         if (
             math.isfinite(sum(products))
             and max(products[:: g.shape[0] + 1]) <= MAX_CONDITION

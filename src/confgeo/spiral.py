@@ -429,25 +429,30 @@ def _cartesian_evaluate(points):
     return g
 
 
+# The jet table [value or partial, flat (i, j)] of _jet_from_rows, as
+# indices into its rows g_00, g_11 and g_01 laid end to end, then 1 and 0.
+_JET_TABLE = np.full((13, 9), 40)
+_JET_TABLE[:, 0] = np.arange(13)
+_JET_TABLE[:, 4] = 13 + np.arange(13)
+_JET_TABLE[:, 1] = _JET_TABLE[:, 3] = 26 + np.arange(13)
+_JET_TABLE[0, 8] = 39  # g_22 = 1
+_JET_TABLE.flags.writeable = False
+
+
 def _jet_from_rows(g00, g11, g01):
-    """(g, dg, d2g) from the jet rows of the only varying components.
+    """(g, dg, d2g) from the jet rows (lists) of the only varying components.
 
     Both charts vary only in g_00, g_11 and g_01 = g_10, and g_22 = 1.
     A row holds the component's value, its partials d_0, d_1, d_2, then
     d_a d_b for (a, b) in row-major order.
     """
-    out = np.zeros((13, 9))  # [value or partial, flat (i, j)]
-    out[:, 0] = g00
-    out[:, 4] = g11
-    out[:, 1] = g01
-    out[:, 3] = out[:, 1]
-    out[0, 8] = 1.0
+    out = np.fromiter(g00 + g11 + g01 + [1.0, 0.0], float, 41)[_JET_TABLE]
     return out[0].reshape(3, 3), out[1:4].reshape(3, 3, 3), out[4:].reshape(3, 3, 3, 3)
 
 
 def _cylindrical_jet(point):
     """Closed-form jet of the cylindrical components; only r and z enter."""
-    r, z = float(point[0]), float(point[2])
+    r, _, z = point.tolist()
     h, h1, h2 = _h_jet(r)
     z2 = z * z
     # w = h z^2 and W = w^2, with their partials along r and z
@@ -504,7 +509,7 @@ def _cartesian_jet(point):
     core r <= _R_FLAT, the axis included, g is exactly the identity and
     every partial exactly 0.
     """
-    x, y, z = float(point[0]), float(point[1]), float(point[2])
+    x, y, z = point.tolist()
     r = math.hypot(x, y)
     h, h1, h2 = _h_jet(r)
     if h == 0.0 and h1 == 0.0 and h2 == 0.0:

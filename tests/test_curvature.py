@@ -1,14 +1,19 @@
 """Derivatives, Christoffel symbols, curvature tensors, and their algebra."""
 import dataclasses
+import hashlib
+import re
 
 import numpy as np
 import pytest
 
 from confgeo import (
+    DegenerateMetricError,
     StepSizeError,
     christoffel,
     curvature,
     euclidean_metric,
+    example_metric,
+    flat_cylindrical_metric,
     flat_polar_metric,
     kulkarni_nomizu,
     metric_derivatives,
@@ -84,6 +89,53 @@ def test_a_point_of_the_wrong_shape_is_refused(evaluate, point):
 
     with pytest.raises(ValueError, match=r"shape \(3,\) on example_cylindrical"):
         evaluate(example_metric(), point)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize(
+    "field, inside",
+    [
+        (euclidean_metric(3), [0.3, -0.2, 0.1]),
+        (euclidean_metric(2), [0.3, -0.2]),
+        (flat_polar_metric(), [0.5, 0.3]),
+        (flat_cylindrical_metric(), [0.5, 0.3, 0.1]),
+        (round_sphere_metric(), [1.0, 0.3]),
+        (RandomMetricSpec(seed=3).build(), [0.1, -0.2, 0.3]),
+        (example_metric("cylindrical"), [0.5, 0.3, 0.1]),
+        (example_metric("cartesian"), [0.3, -0.2, 0.1]),
+        (strip_partials(example_metric("cylindrical")), [0.5, 0.3, 0.1]),
+    ],
+    ids=[
+        "euclidean3d",
+        "euclidean2d",
+        "flat_polar",
+        "flat_cylindrical",
+        "sphere",
+        "random",
+        "example_cylindrical",
+        "example_cartesian",
+        "example_cylindrical_fd",
+    ],
+)
+def test_a_point_that_is_not_finite_is_refused(field, inside, bad):
+    # Some metrics evaluate at a NaN or infinite coordinate without
+    # complaint (the flat metric, the cartesian example's flat core); every
+    # metric refuses such a point alike, naming it.
+    for axis in range(field.dimension):
+        x = np.array(inside)
+        x[axis] = bad
+        match = "^" + re.escape(f"point {x} is not finite") + "$"
+        with pytest.raises(DegenerateMetricError, match=match):
+            curvature(field, x)
+        with pytest.raises(DegenerateMetricError, match=match):
+            metric_derivatives(field, x, order=1)
+
+
+def test_finite_coordinates_near_the_largest_double_are_accepted():
+    # the refusal tests each coordinate, not their sum, which overflows
+    x = np.array([1.7e308, 1.7e308, -1.7e308])
+    for field in (euclidean_metric(3), example_metric("cartesian")):
+        assert curvature(field, x).scalar == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -402,3 +454,75 @@ def test_hat_map_matches_frame_swap_for_m_tensor():
         mv = field.inverse(x) @ M @ v_coord
         frame = np.array([mv[0], r * mv[1]])
         np.testing.assert_allclose(frame, [beta, alpha], atol=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# the bundles, bit for bit
+# ---------------------------------------------------------------------------
+
+
+def _pinned_bundle_cases():
+    """(field, points) over every jet route: both example charts (the
+    cartesian one also on its flat core and past the cutoff), the
+    cylindrical example by finite differences, the flat, polar and
+    sphere metrics and a random polynomial metric."""
+    rng = np.random.default_rng(2024)
+    cylindrical = example_metric("cylindrical")
+    cyl = np.column_stack(
+        [
+            rng.uniform(0.05, 1.6, 24),
+            rng.uniform(-np.pi, np.pi, 24),
+            rng.uniform(-0.6, 0.6, 24),
+        ]
+    )
+    cyl[:4, 2] = 0.0  # on the spiral's plane
+    cart = cylindrical.chart.embed(cyl)
+    core = np.column_stack(
+        [rng.uniform(-5e-4, 5e-4, (4, 2)), rng.uniform(-0.5, 0.5, 4)]
+    )
+    cube = rng.uniform(-0.6, 0.6, (8, 3))
+    polar = np.column_stack([rng.uniform(0.1, 2.0, 6), rng.uniform(-3.0, 3.0, 6)])
+    sphere = np.column_stack([rng.uniform(0.2, 2.9, 6), rng.uniform(-3.0, 3.0, 6)])
+    return [
+        (cylindrical, cyl),
+        (example_metric("cartesian"), np.concatenate([cart, core])),
+        (strip_partials(cylindrical), cyl[:6]),
+        (euclidean_metric(3), cube[:3]),
+        (euclidean_metric(2), cube[:3, :2]),
+        (flat_polar_metric(), polar),
+        (flat_cylindrical_metric(), cyl[:6]),
+        (round_sphere_metric(), sphere),
+        (RandomMetricSpec(seed=11).build(), cube),
+        (strip_partials(RandomMetricSpec(seed=11).build()), cube[:3]),
+    ]
+
+
+# sha256 over every field of the bundles of _pinned_bundle_cases, the
+# Riemann tensor built on demand included: a change to any bit of the
+# single-point curvature path shows here.
+PINNED_BUNDLES = "2d3752bab769584ed5d1e89ebe06db1f159f361c4aeab95ae745a4d0dc965bc8"
+
+
+def test_curvature_bundles_are_pinned_bit_for_bit():
+    digest = hashlib.sha256()
+    for field, points in _pinned_bundle_cases():
+        for x in points:
+            b = curvature(field, x)
+            for value in (
+                b.point,
+                b.metric,
+                b.inverse_metric,
+                b.christoffel,
+                b.ricci,
+                b.scalar,
+                b.schouten,
+                b.riemann,
+            ):
+                if value is None:
+                    digest.update(b"none")
+                    continue
+                value = np.asarray(value)
+                assert value.dtype == np.float64
+                digest.update(repr(value.shape).encode())
+                digest.update(np.ascontiguousarray(value).tobytes())
+    assert digest.hexdigest() == PINNED_BUNDLES

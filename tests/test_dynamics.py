@@ -745,9 +745,12 @@ def test_integrate_names_the_fields_of_a_misshapen_state(state, named):
 
 
 def test_a_step_with_a_nan_error_estimate_is_rejected():
-    # The metric's first partials are NaN beyond x = 0.3, so every stage
-    # past it makes a NaN estimate: the steps there are rejected and the
-    # run ends at the boundary with finite samples, not "ok" with NaNs.
+    # The metric's first partials are NaN beyond x = 0.3, so a stage past
+    # it makes NaN derivatives.  Where they reach only the error estimate
+    # the step is rejected; where they reach a later stage's point,
+    # curvature() refuses the NaN point and the step shrinks as at a
+    # domain boundary.  The run ends at the boundary with finite samples,
+    # not "ok" with NaNs.
     def jet(point):
         g, dg, d2g = FLAT3.analytic_jet(point)
         return g, (dg + np.nan if point[0] > 0.3 else dg), d2g
@@ -755,7 +758,8 @@ def test_a_step_with_a_nan_error_estimate_is_rejected():
     field = dataclasses.replace(FLAT3, analytic_jet=jet)
     start = GeodesicState(np.zeros(3), np.array([1.0, 0.0, 0.0]), np.zeros(3))
     traj = integrate(field, start, (0.0, 1.0))
-    assert traj.status == "step_underflow" and traj.stats["rejected"] > 0
+    assert traj.status == "left_domain" and "is not finite" in traj.message
+    assert traj.stats["rejected"] > 0 and traj.stats["domain_shrinks"] > 0
     assert np.isfinite(traj.y).all()
     assert 0.3 - 1e-9 < traj.final_state.x[0] <= 0.3
 

@@ -1,5 +1,7 @@
 """Charts, metric fields, and the random polynomial perturbations."""
+import contextlib
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from confgeo import (
     round_sphere_metric,
 )
 from confgeo.curvature import _stencil_offsets, metric_derivatives
+from confgeo.metrics import _checked_inverse
 from confgeo.verify import RandomMetricSpec, _monomial_exponents
 
 
@@ -310,3 +313,73 @@ def test_metric_next_to_the_chart_axis_is_inverted(field, x):
     assert np.linalg.norm(g, np.inf) * np.linalg.norm(np.linalg.inv(g), np.inf) > 1e10
     for ginv in (field.inverse(x), curvature(field, x).inverse_metric):
         np.testing.assert_array_equal(ginv, np.diag(1.0 / g.diagonal()))
+
+
+def _spd_stack(n, count):
+    A = np.random.default_rng(n).normal(size=(count, n, n))
+    return A @ A.swapaxes(-1, -2) + n * np.eye(n)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_checked_inverse_has_the_bytes_of_np_linalg_inv(n):
+    # _checked_inverse calls the LAPACK gufunc behind np.linalg.inv without
+    # its wrapper; a numpy release that moves or changes the gufunc fails
+    # here.  A caller's np.errstate and warning filters change nothing.
+    stack = _spd_stack(n, 16)
+    points = np.zeros((16, n))
+    expected = np.linalg.inv(stack)
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        got = _checked_inverse(stack, points)
+        singles = [_checked_inverse(g, x) for g, x in zip(stack, points)]
+    assert got.dtype == np.float64 and got.tobytes() == expected.tobytes()
+    for ginv, g in zip(singles, stack):
+        assert ginv.tobytes() == np.linalg.inv(g).tobytes()
+
+
+# The condition numbers reported for _degenerate's ill-conditioned metrics.
+REPORTED_CONDITION = {
+    ("singular", 2): "7.72e+15",
+    ("singular", 3): "6.77e+15",
+    ("condition_1e12", 2): "1.43e+11",
+    ("condition_1e12", 3): "7.07e+10",
+    ("condition_1e12", 4): "1.21e+11",
+}
+
+
+def _refusal(kind, n, at):
+    if kind == "zero" or (kind, n) == ("singular", 4):  # LAPACK finds a zero pivot
+        return f"metric singular at {at}"
+    if kind in ("nan", "inf"):
+        return f"metric not finite at {at}"
+    return f"metric ill-conditioned at {at} (condition number {REPORTED_CONDITION[kind, n]})"
+
+
+@pytest.mark.parametrize("errstate", ["default", "raise"])
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("kind", ["zero", "singular", "condition_1e12", "nan", "inf"])
+def test_checked_inverse_refuses_a_degenerate_metric_by_name(kind, n, errstate):
+    # One metric, then a stack whose third instance is the degenerate one;
+    # each message names the degenerate point.  No floating-point warning
+    # escapes, and a caller's np.errstate(all="raise") changes no outcome.
+    G = np.zeros((n, n)) if kind == "zero" else _degenerate(kind, n)
+    x = np.arange(n) * 0.25 + 0.1
+    stack = np.stack([_well_conditioned(n), _well_conditioned(n), G, G])
+    points = np.arange(4.0 * n).reshape(4, n) * 0.5
+    for g, at, named in ((G, x, x), (stack, points, points[2])):
+        caller = np.errstate(all="raise") if errstate == "raise" else contextlib.nullcontext()
+        with warnings.catch_warnings(), caller:
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateMetricError) as refused:
+                _checked_inverse(g, at)
+        assert str(refused.value) == _refusal(kind, n, named)
+
+
+def test_a_singular_mask_may_return_a_python_bool():
+    # one point's mask is read by its truth value, so a bool serves
+    flat = euclidean_metric(2)
+    chart = Chart("half-plane", 2, ("x", "y"), singular_mask=lambda p: bool(p[0] <= 0.0))
+    field = MetricField(chart, flat.evaluate, analytic_jet=flat.analytic_jet)
+    assert curvature(field, [0.5, 0.1]).scalar == 0.0
+    with pytest.raises(ChartSingularityError, match=r"^point \[-0.5  0.1\] lies on"):
+        curvature(field, [-0.5, 0.1])
