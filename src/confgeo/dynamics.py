@@ -926,8 +926,18 @@ def detect_spiral(traj: Trajectory, candidate_point, radii) -> SpiralReport:
     in flat background coordinates).  The verdict is spiral-consistent
     when containment holds for every tested radius and arc length is
     still growing at the end of the trajectory.  A finite trajectory can
-    only ever be consistent with spiraling, never prove it.
+    only ever be consistent with spiraling, never prove it.  ``radii``
+    must be a non-empty list of positive, finite radii (else ValueError),
+    so the verdict is never a vacuous pass.
     """
+    radii = [float(rho) for rho in radii]
+    if not radii:
+        raise ValueError("spiral detection needs at least one radius")
+    for rho in radii:
+        if not (np.isfinite(rho) and rho > 0.0):
+            raise ValueError(
+                f"containment radius must be positive and finite, got {rho}"
+            )
     candidate = np.asarray(candidate_point, float)
     pos = traj.cartesian_positions()
     d = np.linalg.norm(pos - candidate, axis=1)
@@ -936,11 +946,11 @@ def detect_spiral(traj: Trajectory, candidate_point, radii) -> SpiralReport:
 
     entries = []
     for rho in radii:
-        inside = np.flatnonzero(suff <= float(rho))
+        inside = np.flatnonzero(suff <= rho)
         if inside.size:
-            entries.append(SpiralRadiusReport(float(rho), True, float(traj.s[inside[0]])))
+            entries.append(SpiralRadiusReport(rho, True, float(traj.s[inside[0]])))
         else:
-            entries.append(SpiralRadiusReport(float(rho), False, None))
+            entries.append(SpiralRadiusReport(rho, False, None))
 
     arc = traj.arc_length
     arc_growing = len(arc) >= 2 and arc[-1] > arc[-2]

@@ -300,8 +300,11 @@ def round_sphere_metric(radius: float = 1.0) -> MetricField:
     """Round 2-sphere of the given radius, g = R^2 (dtheta^2 + sin^2 theta dphi^2).
 
     No analytic jet: this metric is the standard target for
-    finite-difference convergence tests.
+    finite-difference convergence tests.  The radius must be positive
+    and finite, else ValueError.
     """
+    if not (np.isfinite(radius) and radius > 0.0):
+        raise ValueError(f"sphere radius must be positive and finite, got {radius}")
 
     def evaluate(points):
         points = np.asarray(points, dtype=float)

@@ -161,7 +161,7 @@ def k_exact(t):
     arr, scalar = _as_float_array(t)
     tv = np.atleast_1d(arr)
     ts = t_star()
-    if np.any(tv <= 0.0) or np.any(tv >= ts):
+    if not np.all((tv > 0.0) & (tv < ts)):  # NaN lies outside too
         raise ValueError(f"k_exact defined on (0, t*) with t* = {ts:.6f}")
     if np.any(tv > 0.95 * ts):
         warnings.warn(
@@ -266,10 +266,11 @@ _R_FLAT = 1e-3
 def _profile_pass(r: np.ndarray):
     """(t, h) over an array of radii in one pass without masks.
 
-    t equals r where h can be nonzero and 1 elsewhere, so every
-    division stays finite; h is 0 off that support.
+    t equals r where h can be nonzero or r is NaN, and 1 elsewhere, so
+    every division of a number stays finite; h is 0 off that support
+    and NaN at NaN.
     """
-    support = (r > _R_FLAT) & (r < CHI_OUTER)
+    support = ~((r <= _R_FLAT) | (r >= CHI_OUTER))  # NaN compares False
     t = np.where(support, r, 1.0)
     h = -0.5 * _k_closed(t, t * np.exp(-1.0 / t)) * cutoff_chi(t)
     return t, np.where(support, h, 0.0)
@@ -279,7 +280,7 @@ def h_profile(r):
     """Radial profile of the example metric: h = -k/2 times the cutoff.
 
     Identically -k(r)/2 on (0, 1.1], zero for r <= 0 and r >= 1.5,
-    positive in between, flat to all orders at r = 0.
+    positive in between, flat to all orders at r = 0; NaN at NaN.
     """
     arr, scalar = _as_float_array(r)
     h = _profile_pass(arr)[1]
@@ -287,7 +288,8 @@ def h_profile(r):
 
 
 def h_over_r2(r):
-    """h(r) / r^2, extended by 0 through r <= 0 (it is flat there)."""
+    """h(r) / r^2, extended by 0 through r <= 0 (it is flat there); NaN
+    at NaN."""
     arr, scalar = _as_float_array(r)
     t, h = _profile_pass(arr)
     out = h / (t * t)

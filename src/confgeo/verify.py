@@ -13,11 +13,16 @@ as metrics) and evaluates its points as one stack: one metric jet per
 point, then one curvature kernel evaluation and one call of each
 residual kernel.  lemma1 and lemma2 take their random draws first, in
 the generator's order (metric seed, state, speeds, control directions),
-and build all their random metrics, states and jets as one stack
-through the polynomial metric's kernels, without a MetricField.  The
-kernels give each instance of a stack the bits a one-instance
-evaluation gives it, so the draws and the reports are the same as when
-each instance was built and evaluated on its own.
+each run of like draws as one generator call, which leaves every value
+at its stream position: the directions of u and a are one block of
+normals, a reparametrization's three speeds one block of uniforms
+taken to their bounds afterwards, a metric's coefficients one block.
+They then build all their random metrics, jets and states as one stack
+through the polynomial metric's kernels, without a MetricField; the
+jet's g also normalises the states.  The kernels give each instance of
+a stack the bits a one-instance evaluation gives it, so the draws and
+the reports are the same as when each instance was drawn, built and
+evaluated on its own.
 """
 from __future__ import annotations
 
@@ -209,6 +214,12 @@ def _symmetrized(coefs):
     return 0.5 * (coefs + coefs.swapaxes(-1, -2))
 
 
+def _amplitude_scaled(u):
+    """Uniform draws ``u`` in [0, 1) taken to [-_AMPLITUDE, _AMPLITUDE), by
+    the low + (high - low) u that ``Generator.uniform`` applies."""
+    return -_AMPLITUDE + (_AMPLITUDE - -_AMPLITUDE) * u
+
+
 def _random_coefficients(seeds, dimension: int) -> np.ndarray:
     """The coefficients (len(seeds), m, n, n) of the cubic perturbation that
     ``RandomMetricSpec(seed, dimension)`` builds, one table per seed.
@@ -217,19 +228,20 @@ def _random_coefficients(seeds, dimension: int) -> np.ndarray:
     accepted when its Gershgorin bound exceeds twice _MIN_EIGENVALUE, a
     margin no rounding can cross, and otherwise only when it passes
     ``_positive_on_grid``; so the bound accepts only draws the grid test
-    accepts.  The first draws of all seeds are bounded as one stack.
+    accepts.  The first draws of all seeds are scaled and bounded as one
+    stack.
     """
     size = (len(_monomial_exponents(dimension, 3)), dimension, dimension)
     rngs = [np.random.default_rng(seed) for seed in seeds]
     coefs = _symmetrized(
-        np.array([rng.uniform(-_AMPLITUDE, _AMPLITUDE, size=size) for rng in rngs])
+        _amplitude_scaled(np.array([rng.random(size) for rng in rngs]))
     )
     for i in np.flatnonzero(_gershgorin_bound(coefs) <= 2.0 * _MIN_EIGENVALUE):
         draws = 1
         while not _positive_on_grid(coefs[i], dimension, 3):
             if draws == 50:
                 raise RuntimeError("could not sample a positive-definite metric")
-            coefs[i] = _symmetrized(rngs[i].uniform(-_AMPLITUDE, _AMPLITUDE, size=size))
+            coefs[i] = _symmetrized(_amplitude_scaled(rngs[i].random(size)))
             draws += 1
     return coefs
 
@@ -261,13 +273,11 @@ def random_metric(rng: np.random.Generator) -> MetricField:
 
 def _draw_state(rng: np.random.Generator, dimension: int):
     """The draws of one random proper-time state, in their order: x, the
-    directions of u and a, and the g-length of a."""
-    return (
-        rng.uniform(-0.6, 0.6, size=dimension),
-        rng.standard_normal(dimension),
-        rng.standard_normal(dimension),
-        rng.uniform(0.3, 1.5),
-    )
+    directions of u and a (one block of 2 n normals), and the g-length
+    of a."""
+    x = rng.uniform(-0.6, 0.6, size=dimension)
+    directions = rng.standard_normal(2 * dimension)
+    return x, directions[:dimension], directions[dimension:], rng.uniform(0.3, 1.5)
 
 
 def _gauge_normalised(g, u, a, scale):
@@ -301,13 +311,15 @@ def _random_stack(seeds, states):
     """(x, u, a, (g, dg, d2g)) of the random instances with these metric
     seeds and ``_draw_state`` draws, evaluated as one stack: instance i
     gets the bits of ``random_gauge_state(RandomMetricSpec(seeds[i]).build(),
-    ...)`` and of that metric's jet at its x, with no MetricField built."""
+    ...)`` and of that metric's jet at its x, with no MetricField built.
+    The jet's g has the bits of the metric's own evaluation, so it also
+    normalises the states."""
     x, u, a, scale = (np.array(d) for d in zip(*states))
     exps = _monomial_exponents(x.shape[-1], 3)
     coefs = _random_coefficients(seeds, x.shape[-1])
-    g = _polynomial_values(_monomials(x, exps), coefs)
-    u, a = _gauge_normalised(g, u, a, scale)
-    return x, u, a, _polynomial_jet(x, *_jet_tables(exps, coefs))
+    jet = _polynomial_jet(x, *_jet_tables(exps, coefs))
+    u, a = _gauge_normalised(jet[0], u, a, scale)
+    return x, u, a, jet
 
 
 def _stacked_bundle(points, jets):
@@ -338,25 +350,33 @@ def _lemma1_instances(rng, trials):
     return *_random_stack(seeds, states), np.array(directions)
 
 
+# lemma2's speeds (lam0, lam1, lam2) are drawn uniform on these bounds,
+# lam0 on the log scale (ds/dt in [0.2, 5]).
+_SPEED_LOW = np.array([np.log(0.2), -1.0, -1.0])
+_SPEED_HIGH = np.array([np.log(5.0), 1.0, 1.0])
+
+
 def _lemma2_instances(rng, trials, reparams):
     """(x, u, a, jet, speeds, w) of lemma2's random instances, drawn in the
     generator's order (metric, state, then each reparametrization's speeds
     (lam0, lam1, lam2) and control direction w) and evaluated as one stack;
-    speeds and w are (trials, reparams, ...) and w is the raw draw."""
-    log_lo, log_hi = np.log(0.2), np.log(5.0)
-    seeds, states, speeds, directions = [], [], [], []
+    speeds and w are (trials, reparams, ...) and w is the raw draw.  Each
+    reparametrization takes its three speeds as one block of uniforms on
+    [0, 1), all taken to their bounds afterwards as ``Generator.uniform``
+    takes each one."""
+    seeds, states, uniforms, directions = [], [], [], []
     for _ in range(trials):
         seeds.append(_metric_seed(rng))
         states.append(_draw_state(rng, 3))
         for _ in range(reparams):
-            lam0 = float(np.exp(rng.uniform(log_lo, log_hi)))
-            lam1 = float(rng.uniform(-1.0, 1.0))
-            lam2 = float(rng.uniform(-1.0, 1.0))
-            speeds.append((lam0, lam1, lam2))
+            uniforms.append(rng.random(3))
             directions.append(rng.standard_normal(3))
+    uniforms = np.array(uniforms).reshape(trials, reparams, 3)
+    speeds = _SPEED_LOW + (_SPEED_HIGH - _SPEED_LOW) * uniforms
+    speeds[..., 0] = np.exp(speeds[..., 0])
     return (
         *_random_stack(seeds, states),
-        np.array(speeds).reshape(trials, reparams, 3),
+        speeds,
         np.array(directions).reshape(trials, reparams, 3),
     )
 

@@ -956,6 +956,16 @@ def test_detect_spiral_circle_containment_threshold():
     assert not report.entries[0].contained
 
 
+@pytest.mark.parametrize(
+    "radii", [(), (0.0,), (-0.5,), (np.nan,), (np.inf,), (0.8, np.nan)]
+)
+def test_detect_spiral_rejects_no_radii_and_bad_radii(radii):
+    theta = np.linspace(0.0, 2.0 * np.pi, 9)
+    circle = np.stack([np.cos(theta), np.sin(theta), np.zeros(9)], axis=1)
+    with pytest.raises(ValueError, match="radius|radii"):
+        detect_spiral(_fake_trajectory(circle), np.zeros(3), radii)
+
+
 def test_detect_spiral_shrinking_spiral():
     theta = np.linspace(0.0, 8 * np.pi, 400)
     radius = 1.0 / (1.0 + theta)

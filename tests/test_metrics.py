@@ -84,6 +84,12 @@ def test_builtin_metrics_symmetric_positive_definite(field):
     assert np.linalg.eigvalsh(g).min() > 0.0
 
 
+@pytest.mark.parametrize("radius", [0.0, -1.0, np.nan, np.inf])
+def test_round_sphere_rejects_a_radius_that_is_not_positive(radius):
+    with pytest.raises(ValueError, match="radius must be positive"):
+        round_sphere_metric(radius)
+
+
 @pytest.mark.parametrize(
     "make", [euclidean_metric, flat_cylindrical_metric], ids=lambda f: f.__name__
 )

@@ -25,6 +25,7 @@ from confgeo.errors import ChartSingularityError
 from confgeo.spiral import (
     CHI_INNER,
     CHI_OUTER,
+    _k_closed,
     h_over_r2,
     m_wedge_coeff,
 )
@@ -144,6 +145,12 @@ def test_k_domain_and_pole_warning():
         k_exact(0.99 * t_star())
 
 
+@pytest.mark.parametrize("t", [np.nan, [0.5, np.nan]])
+def test_k_rejects_nan(t):
+    with pytest.raises(ValueError, match="defined on"):
+        k_exact(t)
+
+
 def test_k_flatness_near_zero():
     # leading-term oracle: k ~ -e^(-1/t)/t, about -4.1e-8 at t = 0.05
     assert abs(k_exact(0.05)) <= 1e-6
@@ -182,6 +189,29 @@ def test_h_equals_minus_half_k_on_curve_range():
     assert h_profile(0.0) == 0.0
     assert h_profile(0.05) == pytest.approx(-0.5 * k_exact(0.05), abs=1e-12)
     assert h_profile(0.05) == pytest.approx(0.5 * np.exp(-20.0) / 0.05, rel=1e-3)
+
+
+def test_profile_is_nan_at_nan():
+    assert np.isnan(h_profile(np.nan)) and np.isnan(h_over_r2(np.nan))
+    h = h_profile(np.array([0.5, np.nan, 2.0]))
+    assert h[0] == h_profile(0.5) and np.isnan(h[1]) and h[2] == 0.0
+    assert h_profile(np.inf) == 0.0 and h_profile(-np.inf) == 0.0
+    for chart in ("cylindrical", "cartesian"):
+        g = example_metric(chart).evaluate(np.array([np.nan, 0.0, 0.1]))
+        assert np.isnan(g[0, 0]), chart
+
+
+def test_profile_keeps_the_masked_forms_bits_at_finite_radii():
+    # h = -k chi / 2 on (1e-3, 1.5) and +0 elsewhere, signed zeros included
+    r = np.concatenate(
+        [[0.0, -0.0, 5e-324, 1e-3, 1.5, -1e300, 1e300], np.linspace(-1.0, 2.0, 3001)]
+    )
+    support = (r > 1e-3) & (r < CHI_OUTER)
+    t = np.where(support, r, 1.0)
+    h = -0.5 * _k_closed(t, t * np.exp(-1.0 / t)) * cutoff_chi(t)
+    expected = np.where(support, h, 0.0)
+    assert h_profile(r).tobytes() == expected.tobytes()
+    assert h_over_r2(r).tobytes() == (expected / (t * t)).tobytes()
 
 
 def test_h_extends_flat_through_zero():

@@ -33,7 +33,6 @@ from confgeo.verify import (
     RandomMetricSpec,
     _orthogonal_direction,
     forcing_residual_relative,
-    random_gauge_state,
     random_metric,
 )
 
@@ -182,15 +181,26 @@ def test_polynomial_kernels_stack_equal_each_metric(n):
             assert _same(got[i], alone), (n, i)
 
 
+def _gauge_state(field, rng):
+    """``random_gauge_state``'s draws, one generator call each in their
+    order (x, the directions of u and a, the g-length of a), and its
+    normalisation."""
+    x = rng.uniform(-0.6, 0.6, size=field.dimension)
+    u = rng.standard_normal(field.dimension)
+    a = rng.standard_normal(field.dimension)
+    scale = rng.uniform(0.3, 1.5)
+    return (x, *verify._gauge_normalised(field(x), u, a, scale))
+
+
 def _lemma1_one_at_a_time(rng, trials):
-    """lemma1's instances as one random_metric -> random_gauge_state ->
-    jet -> control direction chain each."""
+    """lemma1's instances as one random_metric -> gauge state -> jet ->
+    control direction chain each, every draw a call of its own."""
     out = []
     for _ in range(trials):
         field = random_metric(rng)
-        st = random_gauge_state(field, rng)
-        jet = _metric_jets(field, st.x)
-        out.append((st.x, st.u, st.a, *jet, _orthogonal_direction(jet[0], st.u, rng)))
+        x, u, a = _gauge_state(field, rng)
+        jet = _metric_jets(field, x)
+        out.append((x, u, a, *jet, _orthogonal_direction(jet[0], u, rng)))
     return [np.array(arrays) for arrays in zip(*out)]
 
 
@@ -198,25 +208,25 @@ def _lemma2_one_at_a_time(rng, trials, reparams):
     instances, speeds, controls = [], [], []
     for _ in range(trials):
         field = random_metric(rng)
-        st = random_gauge_state(field, rng)
-        jet = _metric_jets(field, st.x)
-        instances.append((st.x, st.u, st.a, *jet))
+        x, u, a = _gauge_state(field, rng)
+        jet = _metric_jets(field, x)
+        instances.append((x, u, a, *jet))
         for _ in range(reparams):
             lam0 = float(np.exp(rng.uniform(np.log(0.2), np.log(5.0))))
             lam1 = float(rng.uniform(-1.0, 1.0))
             lam2 = float(rng.uniform(-1.0, 1.0))
             speeds.append((lam0, lam1, lam2))
-            controls.append(_orthogonal_direction(jet[0], lam0 * st.u, rng))
+            controls.append(_orthogonal_direction(jet[0], lam0 * u, rng))
     return [np.array(arrays) for arrays in zip(*instances)] + [
         np.array(speeds).reshape(trials, reparams, 3),
         np.array(controls).reshape(trials, reparams, -1),
     ]
 
 
-@pytest.mark.parametrize("seed", [0, 42, 1597683656])
+@pytest.mark.parametrize("seed", [*range(48), 1597683656, 2**63 - 1])
 def test_stacked_draws_equal_the_one_at_a_time_chain(seed):
-    # lemma1's and lemma2's instances, built as one stack, against the
-    # per-instance chain in the same draw order
+    # lemma1's and lemma2's instances, drawn in blocks and built as one
+    # stack, against the per-instance chain with one call per draw
     x, u, a, (g, dg, d2g), w = verify._lemma1_instances(
         np.random.default_rng(seed), 100
     )
@@ -233,6 +243,48 @@ def test_stacked_draws_equal_the_one_at_a_time_chain(seed):
     alone = _lemma2_one_at_a_time(np.random.default_rng(seed), 50, 5)
     for k, (got, expected) in enumerate(zip(stacked, alone)):
         assert _same(got, expected), ("lemma2", k)
+
+
+def test_random_gauge_state_draws_as_one_call_per_draw_does():
+    for seed in range(20):
+        field = RandomMetricSpec(seed=seed).build()
+        st = verify.random_gauge_state(field, np.random.default_rng(seed))
+        x, u, a = _gauge_state(field, np.random.default_rng(seed))
+        assert _same(st.x, x) and _same(st.u, u) and _same(st.a, a), seed
+
+
+class _CountingGenerator:
+    """A numpy Generator that counts the method calls made on it."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+        self.calls = 0
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def counted(*args, **kwargs):
+            self.calls += 1
+            return method(*args, **kwargs)
+
+        return counted
+
+
+def test_the_instances_take_each_run_of_like_draws_in_one_call():
+    # per lemma1 trial: metric seed, x, the directions of u and a, |a|_g
+    # and w; per lemma2 trial the same state, then each
+    # reparametrization's three speeds and its w
+    rng = _CountingGenerator(5)
+    counted = verify._lemma1_instances(rng, 100)
+    assert rng.calls == 500
+    plain = verify._lemma1_instances(np.random.default_rng(5), 100)
+    assert _same(counted[0], plain[0]) and _same(counted[-1], plain[-1])
+
+    rng = _CountingGenerator(6)
+    counted = verify._lemma2_instances(rng, 50, 5)
+    assert rng.calls == 50 * (4 + 5 * 2)
+    plain = verify._lemma2_instances(np.random.default_rng(6), 50, 5)
+    assert _same(counted[-2], plain[-2]) and _same(counted[-1], plain[-1])
 
 
 def test_a_singular_instance_fails_the_stack_as_it_fails_alone():
