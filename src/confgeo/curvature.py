@@ -7,6 +7,9 @@ stencils for first derivatives and symmetric 4th-order stencils
 (5-point diagonal, composed 4x4 cross) for second derivatives.  All
 tensors are dense and every kernel takes any dimension n >= 2; the
 package uses 2 and 3, and the tests also check 4.
+
+Beyond Gamma the kernel builds one tensor, Y = d Gamma + Gamma Gamma
+(``CurvatureBundle``), of which Ricci and Riemann are both linear maps.
 """
 from __future__ import annotations
 
@@ -122,21 +125,19 @@ def _contraction_maps(n: int):
     - ``sym`` (n^3, n^3): dg.ravel() @ sym is T/2 with
       T[s, a, b] = d_a g_sb + d_b g_sa - d_s g_ab; the same map takes
       each slice d2g[c] = d_c dg to d_c T/2.
-    - ``ric_lin`` (n^4, n^2): dgamma.ravel() @ ric_lin is
-      d_m Gamma^m_ab - d_b Gamma^m_am, for dgamma[c, m, a, b] = d_c Gamma^m_ab.
-    - ``ric_quad`` (n^3, n^5): G @ (G @ ric_quad).reshape(n^3, n^2), with
-      G = Gamma.ravel(), is Gamma^m_ms Gamma^s_ab - Gamma^m_sb Gamma^s_am.
-      It has n^8 entries: 0.5 MB at n = 4.
+    - ``sym_w`` (n^3, 2 n^3): dg.ravel() @ sym_w is T/2 followed by
+      W[c, i, s] = T/2[s, c, i] = d_c g_is - T/2[i, c, s].
+    - ``ric_lin`` (n^4, n^2): Y.ravel() @ ric_lin is
+      Y[m, m, a, b] - Y[b, m, a, m], the Ricci tensor for the Y of
+      ``CurvatureBundle``.
     """
     e3 = np.eye(n**3).reshape(n**3, n, n, n)
     T = e3.transpose(0, 2, 1, 3) + e3.transpose(0, 2, 3, 1) - e3
     sym = 0.5 * T.reshape(n**3, n**3)
+    w = 0.5 * T.transpose(0, 2, 3, 1).reshape(n**3, n**3)
     e4 = np.eye(n**4).reshape(n**4, n, n, n, n)
     ric_lin = np.einsum("kmmab->kab", e4) - np.einsum("kbmam->kab", e4)
-    ric_quad = np.einsum("imms,jsab->ijab", e3, e3) - np.einsum(
-        "imsb,jsam->ijab", e3, e3
-    )
-    maps = (sym, ric_lin.reshape(n**4, n * n), ric_quad.reshape(n**3, n**5))
+    maps = (sym, np.hstack([sym, w]), ric_lin.reshape(n**4, n * n))
     for m in maps:
         m.flags.writeable = False
     return maps
@@ -159,10 +160,14 @@ class CurvatureBundle:
     With these signs the unit round sphere has ricci = g and scalar 2.
     For dimension 2 ``schouten`` is None.
 
-    ``curvature`` contracts Ricci straight from the partials of Gamma and
-    from Gamma, so it builds no Riemann tensor.  ``riemann`` and
-    ``riemann_lowered`` (R_mnab = g_ms R^s_nab) are built on first access,
-    ``riemann`` from the partials of Gamma the bundle keeps for it.
+    The bundle keeps one private tensor, ``_y``, with
+    Y[c, m, a, b] = d_c Gamma^m_ab + Gamma^m_cs Gamma^s_ab, so that
+    R^m_nab = Y[a, m, n, b] - Y[b, m, n, a] and
+    ricci[a, b] = Y[m, m, a, b] - Y[b, m, a, m].  ``curvature`` contracts
+    Ricci straight from Y, so it builds no Riemann tensor; ``riemann`` and
+    ``riemann_lowered`` (R_mnab = g_ms R^s_nab) are built from Y on first
+    access.  The partials of Gamma are d_c Gamma^m_ab = Y[c, m, a, b]
+    - Gamma^m_cs Gamma^s_ab.
 
     A bundle of points stacked over leading axes (the private
     ``_curvature_kernel``) carries those axes in front of every field:
@@ -176,7 +181,7 @@ class CurvatureBundle:
     ricci: np.ndarray
     scalar: float
     schouten: Optional[np.ndarray]
-    _dgamma: np.ndarray = dataclass_field(repr=False)  # [c, m, a, b] = d_c Gamma^m_ab
+    _y: np.ndarray = dataclass_field(repr=False)  # [c, m, a, b], see above
 
     def __init__(
         self,
@@ -187,7 +192,7 @@ class CurvatureBundle:
         ricci,
         scalar,
         schouten,
-        _dgamma,
+        _y,
     ):
         # One update of the instance dict: the __init__ a frozen dataclass
         # generates makes an object.__setattr__ call per field, ~1 us more
@@ -200,21 +205,12 @@ class CurvatureBundle:
             ricci=ricci,
             scalar=scalar,
             schouten=schouten,
-            _dgamma=_dgamma,
+            _y=_y,
         )
 
     @functools.cached_property
     def riemann(self) -> np.ndarray:
-        gamma = self.christoffel
-        lead, n = gamma.shape[:-3], gamma.shape[-1]
-        # X[m, n, a, b] = d_a Gamma^m_nb + Gamma^m_sa Gamma^s_nb; the
-        # Riemann tensor is X minus its a <-> b swap.
-        gamma_gamma = (
-            gamma.swapaxes(-1, -2).reshape(lead + (n * n, n))
-            @ gamma.reshape(lead + (n, n * n))
-        ).reshape(lead + (n, n, n, n))
-        dgamma = self._dgamma.swapaxes(-4, -3).swapaxes(-3, -2)  # [m, a, c, b]
-        X = dgamma + gamma_gamma.swapaxes(-3, -2)
+        X = np.moveaxis(self._y, -4, -2)  # X[m, n, a, b] = Y[a, m, n, b]
         return X - X.swapaxes(-1, -2)
 
     @functools.cached_property
@@ -238,20 +234,21 @@ def _curvature_kernel(point, g, dg, d2g) -> CurvatureBundle:
     """
     ginv = _checked_inverse(g, point)
     lead, n = g.shape[:-2], g.shape[-1]
-    sym, ric_lin, ric_quad = _contraction_maps(n)
+    sym, sym_w, ric_lin = _contraction_maps(n)
+    half_t_w = np.vecmat(dg.reshape(lead + (n**3,)), sym_w)
     # Gamma^m_ab = g^ms T[s, a, b] / 2, as (..., n, n*n)
-    gamma = ginv @ np.vecmat(dg.reshape(lead + (n**3,)), sym).reshape(lead + (n, n * n))
+    gamma = ginv @ half_t_w[..., : n**3].reshape(lead + (n, n * n))
 
-    # d_c Gamma = g^-1 (d_c T/2 - d_c g Gamma), as d_c g^-1 = -g^-1 d_c g g^-1;
-    # the n products d_c g Gamma as one (n^2, n) @ (n, n^2) product
+    # d_c Gamma = g^-1 (d_c T/2 - d_c g Gamma), as d_c g^-1 = -g^-1 d_c g g^-1,
+    # and Gamma^m_cs Gamma^s_ab = g^-1 T/2[., c, .] Gamma, so Y[c] is
+    # g^-1 (d_c T/2 - W[c] Gamma), the n products W[c] Gamma as one product.
     half_dT = (d2g.reshape(lead + (n, n**3)) @ sym).reshape(lead + (n, n, n * n))
-    dg_gamma = (dg.reshape(lead + (n * n, n)) @ gamma).reshape(lead + (n, n, n * n))
-    dgamma = ginv[..., None, :, :] @ (half_dT - dg_gamma)
-
-    flat = gamma.reshape(lead + (n**3,))
-    ricci_flat = np.vecmat(dgamma.reshape(lead + (n**4,)), ric_lin) + np.vecmat(
-        flat, np.vecmat(flat, ric_quad).reshape(lead + (n**3, n * n))
+    w_gamma = (half_t_w[..., n**3 :].reshape(lead + (n * n, n)) @ gamma).reshape(
+        lead + (n, n, n * n)
     )
+    y = ginv[..., None, :, :] @ (half_dT - w_gamma)
+
+    ricci_flat = np.vecmat(y.reshape(lead + (n**4,)), ric_lin)
     ricci = ricci_flat.reshape(lead + (n, n))
     scalar = np.vecdot(ginv.reshape(lead + (n * n,)), ricci_flat)
 
@@ -270,7 +267,7 @@ def _curvature_kernel(point, g, dg, d2g) -> CurvatureBundle:
         ricci,
         scalar,
         schouten,
-        dgamma.reshape(lead + (n, n, n, n)),
+        y.reshape(lead + (n, n, n, n)),
     )
 
 

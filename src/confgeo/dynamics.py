@@ -247,18 +247,19 @@ def _propertime_derivatives(gamma, g, ginv, L, u, a):
     """(du, da) of the proper-time system for stacks of states, from the
     Christoffel symbols, g, g^-1 and L at their points:
     du = a - Gamma(u, u) and da = (-|a|^2 - L(u, u)) u - Gamma(u, a) + L^u.
-    ``integrate`` evaluates it at every stage, so _raise_index and
-    _quadratic are written out here.  p - q rounds as -q + p does, so
+    ``integrate`` evaluates it at every stage, so it takes l_u = L u once,
+    for L^u = g^-1 l_u and L(u, u) = u . l_u, where _raise_index and
+    _quadratic would each take it again.  p - q rounds as -q + p does, so
     subtracting Gamma(u, a) saves its negation; -(|a|^2 + L(u, u)) would
     save one more, but it is -0 where -|a|^2 - L(u, u) is +0 (a sum that
     cancels exactly), so the scalar keeps its two terms."""
-    l_hat_u = np.matvec(ginv @ L, u)
+    l_u = np.matvec(L, u)
     a_sq = np.vecdot(np.vecmat(a, g), a)
-    u_lu = np.vecdot(np.vecmat(u, L), u)  # u . L^u = L(u, u)
+    u_lu = np.vecdot(u, l_u)
 
     gamma_u = np.matvec(gamma, u[..., None, :])  # Gamma^m_ab u^b
     du = a - np.matvec(gamma_u, u)
-    da = (-a_sq - u_lu)[..., None] * u - np.matvec(gamma_u, a) + l_hat_u
+    da = (-a_sq - u_lu)[..., None] * u - np.matvec(gamma_u, a) + np.matvec(ginv, l_u)
     return du, da
 
 

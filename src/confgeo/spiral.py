@@ -297,9 +297,10 @@ def h_over_r2(r):
 
 
 def _h_jet(r: float) -> tuple[float, float, float]:
-    """(h, h', h'') at one radius, exactly 0 off (_R_FLAT, CHI_OUTER)."""
+    """(h, h', h'') at one radius, exactly 0 off (_R_FLAT, CHI_OUTER) and
+    NaN at NaN."""
     if not _R_FLAT < r < CHI_OUTER:
-        return 0.0, 0.0, 0.0
+        return (0.0, 0.0, 0.0) if r == r else (math.nan,) * 3
     k, k1, k2 = _k_jet(r)
     chi, chi1, chi2 = _chi_jet(r)
     return (

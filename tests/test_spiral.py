@@ -21,7 +21,7 @@ from confgeo import (
     spiral_velocity,
     t_star,
 )
-from confgeo.errors import ChartSingularityError
+from confgeo.errors import ChartSingularityError, DegenerateMetricError
 from confgeo.spiral import (
     CHI_INNER,
     CHI_OUTER,
@@ -196,9 +196,15 @@ def test_profile_is_nan_at_nan():
     h = h_profile(np.array([0.5, np.nan, 2.0]))
     assert h[0] == h_profile(0.5) and np.isnan(h[1]) and h[2] == 0.0
     assert h_profile(np.inf) == 0.0 and h_profile(-np.inf) == 0.0
+    point = np.array([np.nan, 0.0, 0.1])
     for chart in ("cylindrical", "cartesian"):
-        g = example_metric(chart).evaluate(np.array([np.nan, 0.0, 0.1]))
-        assert np.isnan(g[0, 0]), chart
+        field = example_metric(chart)
+        assert np.isnan(field.evaluate(point)[0, 0]), chart
+        # the closed-form jet reads NaN as NaN, not as off the support
+        g, dg, d2g = field.analytic_jet(point)
+        assert np.isnan(g[0, 0]) and np.isnan(dg).any() and np.isnan(d2g).any()
+        with pytest.raises(DegenerateMetricError):
+            curvature(field, point)
 
 
 def test_profile_keeps_the_masked_forms_bits_at_finite_radii():

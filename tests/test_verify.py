@@ -148,14 +148,14 @@ def test_one_curvature_kernel_evaluation_per_check(monkeypatch):
 PINNED_METRICS = {
     42: {
         "lemma1": {
-            "max_wedge_residual": 3.2377253713738837e-16,
-            "max_converse_deviation": 2.7755575615628914e-17,
-            "min_negative_control_residual": 0.0009999999999996793,
+            "max_wedge_residual": 3.242175768460188e-16,
+            "max_converse_deviation": 3.955114269331088e-17,
+            "min_negative_control_residual": 0.0009999999999996767,
         },
         "lemma2": {
-            "max_unparam_residual": 5.3228429805685165e-14,
+            "max_unparam_residual": 5.3240481639384244e-14,
             "max_wedge_identity_deviation": 3.1236975758320853e-15,
-            "min_negative_control_residual": 4.130972701519888e-05,
+            "min_negative_control_residual": 4.130972701521754e-05,
         },
         "lemma3": {
             "max_forcing_residual_rel": 2.0214152347461624e-16,
@@ -164,14 +164,14 @@ PINNED_METRICS = {
     },
     1597683656: {
         "lemma1": {
-            "max_wedge_residual": 2.4256685632225546e-16,
-            "max_converse_deviation": 8.80550586382225e-17,
-            "min_negative_control_residual": 0.0009999999999998198,
+            "max_wedge_residual": 2.451298478597866e-16,
+            "max_converse_deviation": 9.969457922125984e-17,
+            "min_negative_control_residual": 0.0009999999999998203,
         },
         "lemma2": {
-            "max_unparam_residual": 3.480959131216624e-14,
+            "max_unparam_residual": 3.480944610361623e-14,
             "max_wedge_identity_deviation": 3.7023584697169085e-15,
-            "min_negative_control_residual": 4.12211758691882e-05,
+            "min_negative_control_residual": 4.1221175869186846e-05,
         },
         "lemma3": {
             "max_forcing_residual_rel": 2.0214152347461624e-16,
@@ -192,9 +192,9 @@ def test_check_metrics_are_pinned_bit_for_bit(seed):
 # sha256 of the report JSONs of run_checks("all", seed), joined in report
 # order: a change to any bit of any check shows here.
 PINNED_REPORT_DIGESTS = {
-    1: "9361e5f9aa2d11f5614453fed6c9b047f3b99aa68dfc41c9a739951bd228bbc7",
-    7: "ab084ae177378c59420c9870b48e72ab945af63388b4af3e6aa3c2f6d8655d4a",
-    42: "bf8596b55d9104e49151dc05a4f5efe957929cd507e4031c9d65c4e2b4c2a7b6",
+    1: "9d6f9017ef213f9ec68828fef2e664c5a827397028037ec48b16e10761920d1c",
+    7: "00226f933b8394aac6372c2da03f6134f017e42fe013ec49ebe6dc581ff5a253",
+    42: "10199f92a38182f7848bf5cc792956fe052613cc1dea9608d6eb0e9b6ce918f8",
 }
 
 
@@ -379,10 +379,10 @@ def test_tracking_run_refuses_a_stop_radius_outside_zero_to_t0(t_end):
 # benchmark's spiral, with its counters and tracking error: a change to
 # any bit of the run shows here.
 PINNED_SPIRAL_RUN = {
-    "y": "895e10ddce7134e4a9a2bba581306ffea22df115a40660469032d9af49b86d82",
-    "s": "accd7c0ce78135bf98355db1dbe13d2b6b13794a72a90ce090f4a66c1ad140f3",
-    "projection": "3334f4647ac9524c518588d62b30a6eab6e7f3015bf955552314d5a12abac7c7",
-    "gauge_error": "ae947eeb952a2e81feb067803ded6727db004ccd2b944036baeea020a62f46d4",
+    "y": "8ea63f4319b81b89485add7b5e33c95501c177ef6549de596e1500eca8a2cf81",
+    "s": "f52fd63d07d84e165dd3f1abf79db624a62a6c487bc2b63430ffb388dcd773b0",
+    "projection": "68ca23c1546395678c572be0254e5d884e549ae5b0bad13604acde186bdb0854",
+    "gauge_error": "0ec74d371a7c9ab07188085482022475c5913e2fd04219d18068772fbe996907",
 }
 
 
@@ -396,7 +396,7 @@ def test_the_spiral_run_to_r_02_is_pinned_bit_for_bit():
     assert len(traj) == 268
     assert traj.stats["rhs_evaluations"] == 3471
     assert traj.stats["curvature_evaluations"] == 3205
-    assert track_err == 1.6562850553565068e-08
+    assert track_err == 1.6561438443425003e-08
 
 
 def test_tracking_run_rejects_a_metric_in_another_chart():
