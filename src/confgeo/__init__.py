@@ -55,12 +55,8 @@ from .metrics import (
 )
 from .spiral import (
     accel_wedge_coeff,
-    accel_wedge_coeff_prime,
     cutoff_chi,
     example_metric,
-    f,
-    f_ddot,
-    f_dot,
     h_profile,
     k_exact,
     m_covariant,

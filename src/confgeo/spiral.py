@@ -1,17 +1,20 @@
-"""Closed-form machinery of the spiraling conformal geodesic example.
+"""The spiraling conformal geodesic example, derived from one curve.
 
 The curve (r, phi) = (t, e^(1/t)) on t in (0, 1] winds infinitely often
-around the origin of the flat plane while its radius shrinks linearly.
-Along it, the normalized acceleration bivector (v ^ b)/|v|^3 and the
-bivector v ^ M^v built from the symmetric tensor M = 2 r dr dphi are
-both multiples of the covariantly constant area bivector, so requiring
+around the origin of the flat plane while its radius shrinks linearly;
+phi' < 0, the paper's winding.  Along it, the normalized acceleration
+bivector (v ^ b)/|v|^3 and the bivector v ^ M^v built from the
+symmetric tensor M = 2 r dr dphi are multiples A(t) and B(t) of the
+covariantly constant area bivector, so requiring
 
     nabla_v (v ^ b / |v|^3) = k(t) (v ^ M^ v) / |v|
 
-determines a unique scalar k(t).  Both multiples have closed forms,
-written below in terms of q(t) = t e^(-1/t) so they stay finite in
-double precision for all t.  k vanishes to all orders as t -> 0+ and
-has a pole at t* ~ 1.7632 where v ^ M^v changes sign.
+determines a unique scalar k = A'/B.  The construction reads the curve
+only through q = 1/(t |phi'|) = t e^(-1/t) and u_n = d^n ln q / dt^n:
+``_curve`` alone forms e^(1/t), and A, B, k, k', k'', t* and the
+curve's kinematics follow by arithmetic and square roots, with one
+formula for floats and arrays.  k vanishes to all orders as t -> 0+ and
+has a pole at t* ~ 1.7632, where q = 1 and v ^ M^v changes sign.
 
 The 3D metric built from the radial profile h(r) = -k(r)/2 (times a
 smooth cutoff that is identically 1 on the curve's range) restricts to
@@ -26,7 +29,7 @@ import warnings
 
 import numpy as np
 
-from .dynamics import UnparamState, _pow
+from .dynamics import UnparamState
 from .metrics import MetricField, cartesian_chart, cylindrical_chart
 
 # The cutoff is 1 on r <= CHI_INNER (which contains the curve, r <= 1)
@@ -40,176 +43,161 @@ def _as_float_array(t):
     return arr, arr.ndim == 0
 
 
-def f(t):
-    """Angular rate |dphi/dt| = e^(1/t) / t^2 of the spiral, for t > 0.
+# ---------------------------------------------------------------------------
+# the curve and its forcing scalar
+# ---------------------------------------------------------------------------
 
-    Evaluated as exp(1/t - 2 log t); overflows to inf only once the true
-    value exceeds double range (near t ~ 0.0014).
+
+def _exp(x):
+    """e^x of a float, or of each entry of an array, as math.exp rounds it;
+    inf past the double range, as np.exp gives.  With it, the functions
+    below round an array entry as a float call: +, -, *, / and the square
+    root are correctly rounded in Python and numpy alike."""
+    if isinstance(x, float):
+        try:
+            return math.exp(x)
+        except OverflowError:
+            return math.inf
+    x = np.asarray(x, dtype=float)
+    return np.fromiter(map(_exp, x.ravel().tolist()), float, x.size).reshape(x.shape)
+
+
+def _curve(t):
+    """(q, (u1, u2, u3, u4), phi) of the paper's curve at t > 0.
+
+    phi = e^(1/t), q = t e^(-1/t) = t/phi = 1/(t |phi'|), and
+    u_n = d^n ln q / dt^n for ln q = ln t - 1/t, that is
+    u_n = (-1)^(n+1) (n-1)! (1 + n/t) / t^n.  The only place that forms
+    e^(1/t): below t ~ 1.41e-3, phi is inf and q is 0.
     """
-    t, scalar = _as_float_array(t)
-    if np.any(t <= 0.0):
-        raise ValueError("f(t) requires t > 0")
-    out = np.exp(1.0 / t - 2.0 * np.log(t))
-    return float(out) if scalar else out
+    s = 1.0 / t
+    s2 = s * s
+    u = (
+        s * (1.0 + s),
+        -s2 * (1.0 + 2.0 * s),
+        2.0 * s2 * s * (1.0 + 3.0 * s),
+        -6.0 * s2 * s2 * (1.0 + 4.0 * s),
+    )
+    phi = _exp(s)
+    return t / phi, u, phi
 
 
-def f_dot(t):
-    """First derivative of f: -(2 t + 1) e^(1/t) / t^4."""
-    t, scalar = _as_float_array(t)
-    if np.any(t <= 0.0):
-        raise ValueError("f_dot(t) requires t > 0")
-    out = -(2.0 * t + 1.0) * np.exp(1.0 / t - 4.0 * np.log(t))
-    return float(out) if scalar else out
+def _wedge_coeffs(t, q, u1):
+    """(A, rho, Q, P, D) for a curve (t, phi(t)) with phi' = -1/(t q) < 0.
 
-
-def f_ddot(t):
-    """Second derivative of f: (6 t^2 + 6 t + 1) e^(1/t) / t^6."""
-    t, scalar = _as_float_array(t)
-    if np.any(t <= 0.0):
-        raise ValueError("f_ddot(t) requires t > 0")
-    out = (6.0 * t * t + 6.0 * t + 1.0) * np.exp(1.0 / t - 6.0 * np.log(t))
-    return float(out) if scalar else out
-
-
-def inverse_speed_scale(t):
-    """q(t) = t e^(-1/t) = 1 / (t f(t)), the small parameter of the curve.
-
-    q underflows to exactly 0 below t ~ 0.0013, where every quantity
-    scaled by it is far below double precision anyway.
+    With Q = q^2 and P = 1 + Q: A = -N/D for N = Q (1 - t u1) + 1 and
+    D = t P^(3/2), and B = -(1 - Q)/(q sqrt P) = 1/rho, where
+    rho = -q sqrt(P)/(1 - Q) never divides by q.
     """
-    t, scalar = _as_float_array(t)
-    if np.any(t <= 0.0):
-        raise ValueError("requires t > 0")
-    out = t * np.exp(-1.0 / t)
-    return float(out) if scalar else out
+    Q = q * q
+    P = 1.0 + Q
+    root = math.sqrt(P) if isinstance(P, float) else np.sqrt(P)
+    D = t * P * root
+    return -(Q * (1.0 - t * u1) + 1.0) / D, -q * root / (1.0 - Q), Q, P, D
 
 
-def t_star() -> float:
-    """First positive root of t f(t) = 1, equivalently e^(1/t) = t.
+def _forcing(t, q, u, jet=False):
+    """k = A' rho from a curve's q and u = (u1, .., u4); with ``jet``,
+    (k, k', k'').
 
-    This is where v ^ M^v changes sign and k acquires a pole.  In closed
-    form t* = 1/W(1) = 1/Omega, with Omega = W(1) the omega constant,
-    the root of s e^s = 1.  Newton's method on s - e^(-s) = 0 from
-    s = 0.5 reaches a fixed point after four steps; the result is the
-    correctly rounded t* = 1.76322283435189671...
+    Differentiating A D = -N gives A' = -(N' + A D')/D and so on to
+    A''', with the D^(n)/D taken from ln D = ln t + (3/2) ln P.  Then
+    k' = A'' rho - k B'/B and k'' = A''' rho - 2 k' B'/B - k B''/B, with
+    B'/B and B''/B from ln|B| = ln(1 - Q) - ln q - (ln P)/2.  Every
+    logarithmic derivative is a multiple of Q/P or Q/(1 - Q) plus terms
+    in 1/t and u, so all stay finite as q -> 0, where k is (-)0.
     """
-    s = 0.5
-    for _ in range(6):
-        s -= (s - math.exp(-s)) / (1.0 + s)
-    return 1.0 / s
+    u1, u2, u3, u4 = u
+    A, rho, Q, P, D = _wedge_coeffs(t, q, u1)
+    # N = Q a + 1 with a = 1 - t u1; e_n = Q^(n)/Q from (ln Q)^(n) = 2 u_n
+    s = 1.0 / t
+    e1 = 2.0 * u1
+    a = 1.0 - t * u1
+    a1 = -u1 - t * u2
+    QD = Q / D
+    w = Q / P
+    p1 = w * e1  # (ln P)'
+    d1 = s + 1.5 * p1  # D'/D
+    A1 = -(QD * (e1 * a + a1) + A * d1)
+    k = A1 * rho
+    if not jet:
+        return k
+    e2 = 2.0 * u2 + e1 * e1
+    e3 = 2.0 * u3 + 3.0 * e1 * e2 - 2.0 * e1 * e1 * e1
+    a2 = -2.0 * u2 - t * u3
+    a3 = -3.0 * u3 - t * u4
+    p2 = w * e2
+    lp2 = p2 - p1 * p1  # (ln P)''
+    l2 = 1.5 * lp2 - s * s  # (ln D)''
+    l3 = 1.5 * (w * e3 - 3.0 * p1 * p2 + 2.0 * p1 * p1 * p1) + 2.0 * s * s * s
+    d2 = l2 + d1 * d1  # D''/D
+    d3 = l3 + d1 * (3.0 * l2 + d1 * d1)  # D'''/D
+    A2 = -(QD * (e2 * a + 2.0 * e1 * a1 + a2) + 2.0 * A1 * d1 + A * d2)
+    A3 = -(
+        QD * (e3 * a + 3.0 * (e2 * a1 + e1 * a2) + a3)
+        + 3.0 * (A2 * d1 + A1 * d2)
+        + A * d3
+    )
+    c = Q / (1.0 - Q)
+    m1 = c * e1  # -(ln(1 - Q))'
+    b1 = -m1 - u1 - 0.5 * p1  # B'/B
+    b2 = b1 * b1 - c * e2 - m1 * m1 - u2 - 0.5 * lp2  # B''/B
+    k1 = A2 * rho - k * b1
+    return k, k1, A3 * rho - 2.0 * k1 * b1 - k * b2
 
 
 def accel_wedge_coeff(t):
-    """Coefficient A(t) of (v ^ b)/|v|^3 over the unit area bivector.
-
-    A = (-t f' - 2 f - t^2 f^3) / (1 + t^2 f^2)^(3/2), evaluated in the
-    overflow-free form (q^2 - t) / (t^2 (1 + q^2)^(3/2)).
-    """
-    t, scalar = _as_float_array(t)
-    q2 = inverse_speed_scale(t) ** 2
-    out = (q2 - t) / (t * t * (1.0 + q2) ** 1.5)
+    """Coefficient A(t) of (v ^ b)/|v|^3 over the unit area bivector."""
+    arr, scalar = _as_float_array(t)
+    q, u, _ = _curve(arr)
+    out = _wedge_coeffs(arr, q, u[0])[0]
     return float(out) if scalar else out
 
 
 def m_wedge_coeff(t):
     """Coefficient B(t) of (v ^ M^v)/|v| over the unit area bivector.
 
-    B = (1 - t^2 f^2) / sqrt(1 + t^2 f^2) = -(1 - q^2) / (q sqrt(1 + q^2)).
-    Negative on (0, t*), with a simple zero at t*.
+    Negative on (0, t*), with a simple zero at t*; -inf where q is 0.
     """
-    t, scalar = _as_float_array(t)
-    q = inverse_speed_scale(t)
+    arr, scalar = _as_float_array(t)
+    q, u, _ = _curve(arr)
     with np.errstate(divide="ignore"):
-        out = -(1.0 - q * q) / (q * np.sqrt(1.0 + q * q))
+        out = 1.0 / _wedge_coeffs(arr, q, u[0])[1]
     return float(out) if scalar else out
 
 
-def accel_wedge_coeff_prime(t):
-    """Closed-form t-derivative of accel_wedge_coeff.
+def t_star() -> float:
+    """First positive root of q(t) = 1, equivalently e^(1/t) = t.
 
-    A'(t) = (t^2 + (2 + 3t + 4t^2) q^2 - (1 + 3t) q^4)
-            / (t^4 (1 + q^2)^(5/2)).
+    This is where v ^ M^v changes sign and k has its pole; t* = 1/W(1)
+    = 1/Omega, with Omega = W(1) the omega constant.  Newton's method on
+    q(t) = 1 with q' = q u1 from t = 2 reaches a fixed point after four
+    steps, within one ulp of t* = 1.76322283435189671...
     """
-    t, scalar = _as_float_array(t)
-    q2 = inverse_speed_scale(t) ** 2
-    num = t * t + (2.0 + 3.0 * t + 4.0 * t * t) * q2 - (1.0 + 3.0 * t) * q2 * q2
-    out = num / (t**4 * (1.0 + q2) ** 2.5)
-    return float(out) if scalar else out
-
-
-def _k_closed(t, q):
-    """k(t) from t and q = t e^(-1/t), for floats or arrays alike.
-
-    The one copy of the closed form; with q == 0 it returns (-)0.
-    """
-    q2 = q * q
-    num = t * t + (2.0 + 3.0 * t + 4.0 * t * t) * q2 - (1.0 + 3.0 * t) * q2 * q2
-    return -q * num / (t**4 * (1.0 + q2) ** 2 * (1.0 - q2))
+    t = 2.0
+    for _ in range(6):
+        q, u, _ = _curve(t)
+        t -= (q - 1.0) / (q * u[0])
+    return t
 
 
 def k_exact(t):
     """The forcing scalar k(t) = A'(t) / B(t) on (0, t*).
 
-    Algebraically simplified so that the e^(1/t) factors cancel:
-
-        k = -q (t^2 + (2 + 3t + 4t^2) q^2 - (1 + 3t) q^4)
-            / (t^4 (1 + q^2)^2 (1 - q^2)),     q = t e^(-1/t).
-
     k < 0 on the whole domain, k(t)/t^n -> 0 as t -> 0+ for every n,
     and k ~ -e^(-1/t)/t near 0.
     """
     arr, scalar = _as_float_array(t)
-    tv = np.atleast_1d(arr)
     ts = t_star()
-    if not np.all((tv > 0.0) & (tv < ts)):  # NaN lies outside too
+    if not np.all((arr > 0.0) & (arr < ts)):  # NaN lies outside too
         raise ValueError(f"k_exact defined on (0, t*) with t* = {ts:.6f}")
-    if np.any(tv > 0.95 * ts):
+    if np.any(arr > 0.95 * ts):
         warnings.warn(
             "k_exact evaluated within 5% of its pole at t*", RuntimeWarning
         )
-    q = tv * np.exp(-1.0 / tv)
-    out = np.zeros_like(tv)
-    m = q > 0.0  # q == 0 means |k| is far below double precision
-    out[m] = _k_closed(tv[m], q[m])
-    return float(out[0]) if scalar else out.reshape(arr.shape)
-
-
-def _k_jet(t: float) -> tuple[float, float, float]:
-    """(k, k', k'') at one t in (0, t*), in float arithmetic.
-
-    With q' = q (1 + t)/t^2 and q'' = q/t^4, write k = -P/D for
-    P = q N(t, q^2) and D = t^4 (1 + q^2)^2 (1 - q^2); differentiating
-    k D = -P twice gives k' = -(P' + k D')/D and
-    k'' = -(P'' + 2 k' D' + k D'')/D, with D'/D and D''/D taken from
-    the logarithmic derivative of D.
-    """
-    q = t * math.exp(-1.0 / t)
-    k = _k_closed(t, q)
-    q1 = q * (1.0 + t) / (t * t)
-    q2 = q / t**4
-    Q, Q1, Q2 = q * q, 2.0 * q * q1, 2.0 * (q1 * q1 + q * q2)
-    c, c1 = 2.0 + 3.0 * t + 4.0 * t * t, 3.0 + 8.0 * t  # c'' = 8
-    e = 1.0 + 3.0 * t  # e' = 3
-    N = t * t + c * Q - e * Q * Q
-    N1 = 2.0 * t + c1 * Q + c * Q1 - 3.0 * Q * Q - 2.0 * e * Q * Q1
-    N2 = (
-        2.0 + 8.0 * Q + 2.0 * c1 * Q1 + c * Q2
-        - 12.0 * Q * Q1 - 2.0 * e * (Q1 * Q1 + Q * Q2)
-    )
-    P1 = q1 * N + q * N1
-    P2 = q2 * N + 2.0 * q1 * N1 + q * N2
-    D = t**4 * (1.0 + Q) ** 2 * (1.0 - Q)
-    up, dn = 1.0 + Q, 1.0 - Q
-    l1 = 4.0 / t + 2.0 * Q1 / up - Q1 / dn  # D'/D
-    l1_prime = (
-        -4.0 / (t * t)
-        + 2.0 * (Q2 * up - Q1 * Q1) / (up * up)
-        - (Q2 * dn + Q1 * Q1) / (dn * dn)
-    )
-    l2 = l1_prime + l1 * l1  # D''/D
-    k1 = -P1 / D - k * l1
-    k2 = -P2 / D - 2.0 * k1 * l1 - k * l2
-    return k, k1, k2
+    q, u, _ = _curve(arr)
+    out = _forcing(arr, q, u)
+    return float(out) if scalar else out
 
 
 # ---------------------------------------------------------------------------
@@ -258,8 +246,8 @@ def _chi_jet(r: float) -> tuple[float, float, float]:
     return b1 / total, chi_s * ds_dr, chi_ss * ds_dr * ds_dr
 
 
-# Below _R_FLAT, q = r e^(-1/r) underflows to exactly 0 (e^(-1000) is below
-# the smallest double), so h and all its derivatives are exactly 0 there.
+# Below _R_FLAT, q = r/e^(1/r) is exactly 0 (e^1000 is past the largest
+# double), so h and all its derivatives are exactly 0 there.
 _R_FLAT = 1e-3
 
 
@@ -272,7 +260,8 @@ def _profile_pass(r: np.ndarray):
     """
     support = ~((r <= _R_FLAT) | (r >= CHI_OUTER))  # NaN compares False
     t = np.where(support, r, 1.0)
-    h = -0.5 * _k_closed(t, t * np.exp(-1.0 / t)) * cutoff_chi(t)
+    q, u, _ = _curve(t)
+    h = -0.5 * _forcing(t, q, u) * cutoff_chi(t)
     return t, np.where(support, h, 0.0)
 
 
@@ -301,7 +290,8 @@ def _h_jet(r: float) -> tuple[float, float, float]:
     NaN at NaN."""
     if not _R_FLAT < r < CHI_OUTER:
         return (0.0, 0.0, 0.0) if r == r else (math.nan,) * 3
-    k, k1, k2 = _k_jet(r)
+    q, u, _ = _curve(r)
+    k, k1, k2 = _forcing(r, q, u, jet=True)
     chi, chi1, chi2 = _chi_jet(r)
     return (
         -0.5 * k * chi,
@@ -333,8 +323,7 @@ def m_covariant(r, dimension: int = 2) -> np.ndarray:
 # the spiral curve
 # ---------------------------------------------------------------------------
 # Each function takes a parameter t or an array of them and returns one
-# vector per t, shape t.shape + (dimension,).  Squares are taken with
-# ``_pow``, so an entry of an array result has the bits of a scalar call.
+# vector per t, shape t.shape + (dimension,), with phi' = -1/(t q).
 
 
 def _components(t, dimension, r_part, phi_part):
@@ -348,35 +337,39 @@ def _components(t, dimension, r_part, phi_part):
 def spiral_point(t, dimension: int = 3) -> np.ndarray:
     """Position (r, phi[, z]) = (t, e^(1/t)[, 0]) of the curve."""
     t = np.asarray(t, dtype=float)
-    return _components(t, dimension, t, np.exp(1.0 / t))
+    return _components(t, dimension, t, _curve(t)[2])
 
 
 def spiral_velocity(t, dimension: int = 3) -> np.ndarray:
-    """Coordinate velocity (dr/dt, dphi/dt[, dz/dt]) = (1, -f[, 0])."""
+    """Coordinate velocity (dr/dt, dphi/dt[, dz/dt]) = (1, -1/(t q)[, 0])."""
     t = np.asarray(t, dtype=float)
-    return _components(t, dimension, 1.0, -f(t))
+    return _components(t, dimension, 1.0, -1.0 / (t * _curve(t)[0]))
 
 
 def spiral_acceleration(t, dimension: int = 3) -> np.ndarray:
     """Covariant acceleration b = nabla_v v in coordinate components.
 
-    b^r = -t f^2 (the centripetal term), b^phi = -f' - 2 f / t (the
-    angular part including the connection term 2 v^r v^phi / r).
+    b^r = -t phi'^2 (the centripetal term) and b^phi = phi'' + 2 phi'/t
+    (the connection term 2 v^r v^phi / r included); with
+    phi'' = -phi' (1/t + u1), b^phi = phi' (1/t - u1).
     """
     t = np.asarray(t, dtype=float)
-    ft = f(t)
-    return _components(t, dimension, -t * _pow(ft, 2), -f_dot(t) - 2.0 * ft / t)
+    q, u, _ = _curve(t)
+    dphi = -1.0 / (t * q)
+    return _components(t, dimension, -t * dphi * dphi, dphi * (1.0 / t - u[0]))
 
 
 def spiral_acceleration_dot(t, dimension: int = 3) -> np.ndarray:
-    """Plain parameter derivative of the coordinate components of b."""
+    """Plain parameter derivative of the coordinate components of b:
+    (phi'^2 (1 + 2 t u1), -phi' (2/t^2 - u1^2 + u2))."""
     t = np.asarray(t, dtype=float)
-    ft, ft_dot = f(t), f_dot(t)
+    q, u, _ = _curve(t)
+    dphi = -1.0 / (t * q)
     return _components(
         t,
         dimension,
-        -_pow(ft, 2) - 2.0 * t * ft * ft_dot,
-        -f_ddot(t) - 2.0 * ft_dot / t + 2.0 * ft / _pow(t, 2),
+        dphi * dphi * (1.0 + 2.0 * t * u[0]),
+        -dphi * (2.0 / (t * t) - u[0] * u[0] + u[1]),
     )
 
 
@@ -510,10 +503,11 @@ def _cartesian_jet(point):
     With F = h/r^2: g_xx = 1 + w^2 - c xy, g_yy = 1 + w^2 + c xy and
     g_xy = c (x^2 - y^2)/2 for w = h z^2 and c = 4 z^2 F.  On the flat
     core r <= _R_FLAT, the axis included, g is exactly the identity and
-    every partial exactly 0.
+    every partial exactly 0.  Where x or y is not finite the jet is NaN,
+    as ``evaluate`` is, although hypot(inf, nan) is inf.
     """
     x, y, z = point.tolist()
-    r = math.hypot(x, y)
+    r = math.hypot(x, y) if math.isfinite(x) and math.isfinite(y) else math.nan
     h, h1, h2 = _h_jet(r)
     if h == 0.0 and h1 == 0.0 and h2 == 0.0:
         return np.eye(3), np.zeros((3, 3, 3)), np.zeros((3, 3, 3, 3))

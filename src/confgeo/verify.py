@@ -588,7 +588,7 @@ def check_lemma3(tol: float = 1e-9, seed: Optional[int] = None) -> CheckReport:
     # flatness against the leading-term oracle
     grid = np.array(FLATNESS_GRID)
     kv = np.abs(k_exact(grid))
-    oracle = np.exp(-1.0 / grid) / grid
+    oracle = 1.0 / (grid * spiral_point(grid, 2)[:, 1])  # e^(-1/t)/t = 1/(t phi)
     oracle_dev = float(np.max(np.abs(kv / oracle - 1.0)))
     table = flatness_table()
     tail = table[:, 2:]  # t in {0.1, 0.07, 0.05}
@@ -729,7 +729,7 @@ def spiral_tracking_errors(traj: Trajectory) -> tuple[np.ndarray, float]:
     """
     pos = traj.positions()
     r = pos[:, 0]
-    dphi = pos[:, 1] - np.exp(1.0 / r)
+    dphi = pos[:, 1] - spiral_point(r, 2)[:, 1]
     errors = 2.0 * r * np.abs(np.sin(0.5 * dphi))
     return errors, float(np.max(np.abs(pos[:, 2])))
 

@@ -242,7 +242,7 @@ def test_one_curvature_per_distinct_point(monkeypatch):
     assert built == []
     # the trajectory to rounding; abs=0 because approx's default absolute
     # tolerance, 1e-12, is 1e-3 of this value
-    assert track_err == pytest.approx(1.0390875278474409e-09, rel=1e-9, abs=0.0)
+    assert track_err == pytest.approx(1.0392661619379063e-09, rel=1e-9, abs=0.0)
 
 
 def test_stats_count_one_rhs_per_stage_plus_the_refreshes():

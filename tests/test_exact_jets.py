@@ -2,8 +2,9 @@
 
 The example metric carries an exact jet (g and its first and second
 partials) in both charts.  The oracle here differentiates the metric
-components symbolically with sympy: k and the cutoff are differentiated
-in r, and each component is differentiated with h replaced by its
+components symbolically with sympy: k, built as A'/B from the curve's
+angle phi = e^(1/r) itself, and the cutoff are differentiated in r,
+and each component is differentiated with h replaced by its
 second-order Taylor polynomial about the point's radius (the value and
 the first and second partials at a point only see h, h' and h'' there),
 then evaluated to 30 digits.
@@ -27,6 +28,8 @@ from confgeo.spiral import (
     _R_FLAT,
     CHI_INNER,
     CHI_OUTER,
+    _curve,
+    _forcing,
     cutoff_chi,
     h_over_r2,
     h_profile,
@@ -71,14 +74,27 @@ def sp():
     return pytest.importorskip("sympy")
 
 
+def _forcing_from_angle(sp, r, phi):
+    """k = A'/B for the curve (r, phi(r)) of the flat plane, by sympy.
+
+    In the orthonormal polar frame v = (1, r phi'), b = nabla_v v =
+    (-r phi'^2, r phi'' + 2 phi') and M^v = (r phi', 1), so over the
+    area bivector (v ^ b)/|v|^3 = A and (v ^ M^v)/|v| = B with
+    A = (r phi'' + 2 phi' + r^2 phi'^3)/(1 + r^2 phi'^2)^(3/2) and
+    B = (1 - r^2 phi'^2)/(1 + r^2 phi'^2)^(1/2).
+    """
+    d1, d2 = sp.diff(phi, r), sp.diff(phi, r, 2)
+    speed2 = 1 + r**2 * d1**2
+    A = (r * d2 + 2 * d1 + r**2 * d1**3) / speed2 ** sp.Rational(3, 2)
+    B = (1 - r**2 * d1**2) / sp.sqrt(speed2)
+    return sp.diff(A, r) / B
+
+
 @functools.lru_cache(maxsize=None)
 def _profile_factors(sp):
     """k, k', k'', chi, chi', chi'' by sympy, as one mpmath function of r."""
     r = sp.Symbol("r", positive=True)
-    q = r * sp.exp(-1 / r)
-    k = -q * (r**2 + (2 + 3 * r + 4 * r**2) * q**2 - (1 + 3 * r) * q**4) / (
-        r**4 * (1 + q**2) ** 2 * (1 - q**2)
-    )
+    k = _forcing_from_angle(sp, r, sp.exp(1 / r))
     outer, inner = sp.Float(CHI_OUTER, DIGITS), sp.Float(CHI_INNER, DIGITS)
     s = (outer - r) / (outer - inner)
     up, down = sp.exp(-1 / s), sp.exp(-1 / (1 - s))
@@ -240,6 +256,40 @@ def test_closed_form_cartesian_jet_continuous_across_axis():
     assert all(np.isfinite(d) for d in deviations)
     assert all(later < earlier for earlier, later in zip(deviations, deviations[1:]))
     assert deviations[2] < 1e-8
+
+
+@functools.lru_cache(maxsize=None)
+def _forcing_jet_of_angle(sp, curve):
+    """(k, k', k'') by sympy as one mpmath function of r, for the angle
+    phi = e^(1/r) of the paper's curve or phi = r^-4."""
+    r = sp.Symbol("r", positive=True)
+    k = _forcing_from_angle(sp, r, sp.exp(1 / r) if curve == "e^(1/t)" else r**-4)
+    return sp.lambdify(r, [k, sp.diff(k, r), sp.diff(k, r, 2)], "mpmath")
+
+
+def _power4_inputs(t):
+    """q and u of phi = t^-4: q = 1/(t |phi'|) = t^4/4 and
+    u_n = d^n ln q / dt^n = 4 (-1)^(n+1) (n-1)!/t^n."""
+    return t**4 / 4, (4 / t, -4 / t**2, 8 / t**3, -24 / t**4)
+
+
+@pytest.mark.parametrize(
+    "curve,t",
+    [("e^(1/t)", t) for t in (0.05, 0.2, 0.5, 0.9, 1.4)]
+    + [("t^-4", t) for t in (0.1, 0.3, 0.6, 0.9, 1.2, 1.35)],
+    ids=str,
+)
+def test_forcing_jet_matches_sympy_for_both_curves(sp, curve, t):
+    # The derivation reads a curve only through q and u: the paper's
+    # curve supplies them from _curve, phi = t^-4 (with its pole at
+    # t = sqrt 2) from _power4_inputs.
+    import mpmath
+
+    q, u = _curve(t)[:2] if curve == "e^(1/t)" else _power4_inputs(t)
+    with mpmath.workdps(DIGITS):
+        exact = [float(v) for v in _forcing_jet_of_angle(sp, curve)(mpmath.mpf(t))]
+    for got, want in zip(_forcing(t, q, u, jet=True), exact):
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def test_profile_is_minus_half_k_times_cutoff_on_its_support():

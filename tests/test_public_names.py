@@ -24,7 +24,6 @@ PUBLIC_NAMES = [
     "Trajectory",
     "UnparamState",
     "accel_wedge_coeff",
-    "accel_wedge_coeff_prime",
     "arc_length",
     "bivector_covariant_derivative",
     "cartesian_chart",
@@ -41,9 +40,6 @@ PUBLIC_NAMES = [
     "detect_spiral",
     "euclidean_metric",
     "example_metric",
-    "f",
-    "f_ddot",
-    "f_dot",
     "flat_cylindrical_metric",
     "flat_polar_metric",
     "from_unparametrized",
@@ -111,3 +107,10 @@ def test_arc_length_parameters_are_pinned():
     keyword_only = [p for p in params.values() if p.kind is p.KEYWORD_ONLY]
     assert [p.name for p in keyword_only] == ["velocity", "tol"]
     assert params["velocity"].default is inspect.Parameter.empty
+
+
+def test_example_metric_and_spiral_state_parameters_are_pinned():
+    # The paper's curve is the only one: a curve parameter is a
+    # deliberate change to these lists.
+    assert list(inspect.signature(confgeo.example_metric).parameters) == ["chart"]
+    assert list(inspect.signature(confgeo.spiral_state).parameters) == ["t", "dimension"]

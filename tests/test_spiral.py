@@ -4,18 +4,15 @@ import pytest
 
 from confgeo import (
     accel_wedge_coeff,
-    accel_wedge_coeff_prime,
     curvature,
     cutoff_chi,
     example_metric,
-    f,
-    f_ddot,
-    f_dot,
     flat_polar_metric,
     h_profile,
     k_exact,
     m_covariant,
     spiral_acceleration,
+    spiral_acceleration_dot,
     spiral_point,
     spiral_state,
     spiral_velocity,
@@ -23,55 +20,15 @@ from confgeo import (
 )
 from confgeo.errors import ChartSingularityError, DegenerateMetricError
 from confgeo.spiral import (
+    _R_FLAT,
     CHI_INNER,
     CHI_OUTER,
-    _k_closed,
+    _h_jet,
     h_over_r2,
     m_wedge_coeff,
 )
 
 E = np.e
-
-
-# ---------------------------------------------------------------------------
-# f and its derivatives
-# ---------------------------------------------------------------------------
-
-
-def test_f_values():
-    assert f(1.0) == pytest.approx(E, rel=1e-15)
-    assert f_dot(1.0) == pytest.approx(-3 * E, rel=1e-15)
-    assert f_ddot(1.0) == pytest.approx(13 * E, rel=1e-14)
-    assert f(0.1) == pytest.approx(100 * np.exp(10.0), rel=1e-13)
-
-
-def test_f_log_space_evaluation_small_t():
-    # direct t^-2 e^(1/t) would need e^(1/t) ~ e^100; the log-space form
-    # stays finite far below that
-    assert np.isfinite(f(0.01))
-    assert np.log(f(0.01)) == pytest.approx(100.0 - 2.0 * np.log(0.01), rel=1e-12)
-
-
-def test_f_requires_positive_argument():
-    for fun in (f, f_dot, f_ddot):
-        with pytest.raises(ValueError):
-            fun(0.0)
-        with pytest.raises(ValueError):
-            fun(-1.0)
-
-
-def test_f_derivative_consistency():
-    # 4th-order stencil oracles for f' and f''; the second derivative
-    # needs a larger step to stay above the rounding floor
-    for t in (0.4, 0.8, 1.3):
-        h = 1e-5
-        fd1 = (f(t - 2 * h) - 8 * f(t - h) + 8 * f(t + h) - f(t + 2 * h)) / (12 * h)
-        assert f_dot(t) == pytest.approx(fd1, rel=1e-9)
-        h = 1e-4
-        fd2 = (
-            -f(t - 2 * h) + 16 * f(t - h) - 30 * f(t) + 16 * f(t + h) - f(t + 2 * h)
-        ) / (12 * h * h)
-        assert f_ddot(t) == pytest.approx(fd2, rel=1e-7)
 
 
 # ---------------------------------------------------------------------------
@@ -99,10 +56,12 @@ def test_t_star_is_one_over_omega_to_one_ulp():
 
 
 def test_coefficients_match_unscaled_formulas():
-    # The shipped q-scaled forms against the direct f-based expressions
-    # (which are safe at moderate t).
+    # The shipped forms in q against the direct expressions in
+    # f = |phi'| = e^(1/t)/t^2 and f' = -(2t + 1) e^(1/t)/t^4, which are
+    # safe at moderate t.
     for t in (0.35, 0.7, 1.0, 1.4):
-        fv, fdv = f(t), f_dot(t)
+        fv = np.exp(1.0 / t) / t**2
+        fdv = -(2.0 * t + 1.0) * np.exp(1.0 / t) / t**4
         N = -t * fdv - 2 * fv - t * t * fv**3
         D = 1.0 + (t * fv) ** 2
         assert accel_wedge_coeff(t) == pytest.approx(N / D**1.5, rel=1e-13)
@@ -111,10 +70,9 @@ def test_coefficients_match_unscaled_formulas():
         )
 
 
-def test_accel_coeff_prime_against_finite_difference_oracle():
-    # The closed-form derivative is the shipped path; a 5-point stencil
-    # on A with step 1e-6 is the oracle.
-    for t in (0.5, 1.0, 1.5):
+def test_k_is_ratio_of_coefficients():
+    # k = A'/B, so k B must match a 5-point stencil on A with step 1e-6
+    for t in (0.3, 0.5, 0.65, 0.8, 1.0, 1.2, 1.45, 1.5):
         h = 1e-6
         fd = (
             accel_wedge_coeff(t - 2 * h)
@@ -122,16 +80,7 @@ def test_accel_coeff_prime_against_finite_difference_oracle():
             + 8 * accel_wedge_coeff(t + h)
             - accel_wedge_coeff(t + 2 * h)
         ) / (12 * h)
-        assert accel_wedge_coeff_prime(t) == pytest.approx(fd, rel=1e-8)
-
-
-def test_k_is_ratio_of_coefficients():
-    ts = np.linspace(0.3, 1.45, 12)
-    np.testing.assert_allclose(
-        k_exact(ts),
-        accel_wedge_coeff_prime(ts) / m_wedge_coeff(ts),
-        rtol=1e-12,
-    )
+        assert k_exact(t) * m_wedge_coeff(t) == pytest.approx(fd, rel=1e-8), t
 
 
 def test_k_domain_and_pole_warning():
@@ -207,6 +156,22 @@ def test_profile_is_nan_at_nan():
             curvature(field, point)
 
 
+@pytest.mark.parametrize(
+    "point", [[np.inf, np.nan, 0.1], [np.nan, np.inf, 0.1], [np.inf, 0.0, 0.1]], ids=str
+)
+def test_cartesian_jet_is_nan_where_x_or_y_is_not_finite(point):
+    # hypot(inf, nan) is inf, which lies off the profile's support; the
+    # jet must still read the point as NaN, as evaluate does
+    field = example_metric("cartesian")
+    point = np.array(point)
+    with np.errstate(invalid="ignore"):
+        assert np.isnan(field.evaluate(point)[0, 0])
+    g, dg, d2g = field.analytic_jet(point)
+    assert np.isnan(g[0, 0]) and np.isnan(dg).any() and np.isnan(d2g).any()
+    with pytest.raises(DegenerateMetricError):
+        curvature(field, point)
+
+
 def test_profile_keeps_the_masked_forms_bits_at_finite_radii():
     # h = -k chi / 2 on (1e-3, 1.5) and +0 elsewhere, signed zeros included
     r = np.concatenate(
@@ -214,10 +179,19 @@ def test_profile_keeps_the_masked_forms_bits_at_finite_radii():
     )
     support = (r > 1e-3) & (r < CHI_OUTER)
     t = np.where(support, r, 1.0)
-    h = -0.5 * _k_closed(t, t * np.exp(-1.0 / t)) * cutoff_chi(t)
+    h = -0.5 * k_exact(t) * cutoff_chi(t)
     expected = np.where(support, h, 0.0)
     assert h_profile(r).tobytes() == expected.tobytes()
     assert h_over_r2(r).tobytes() == (expected / (t * t)).tobytes()
+
+
+def test_profile_and_its_jet_round_alike():
+    # h_profile and the one-radius jet share one formula and one exp, so
+    # they agree bit for bit wherever the cutoff is exactly 1
+    r = np.linspace(_R_FLAT, CHI_INNER, 30001)[1:]
+    jet = np.array([_h_jet(x)[0] for x in r.tolist()])
+    assert jet.tobytes() == h_profile(r).tobytes()
+    assert k_exact(r).tobytes() == np.array([k_exact(x) for x in r.tolist()]).tobytes()
 
 
 def test_h_extends_flat_through_zero():
@@ -266,6 +240,42 @@ def test_m_tensor_trace_free_and_bounded():
 # ---------------------------------------------------------------------------
 
 
+def test_spiral_kinematics_values():
+    # phi' = -e^(1/t)/t^2; at t = 1 the acceleration's derivative is
+    # (phi'^2 (1 + 2 t u1), -phi' (2/t^2 - u1^2 + u2)) = (5 e^2, -5 e)
+    np.testing.assert_allclose(
+        spiral_velocity(0.1, 2), [1.0, -100 * np.exp(10.0)], rtol=1e-13
+    )
+    np.testing.assert_allclose(
+        spiral_acceleration_dot(1.0, 2), [5 * E**2, -5 * E], rtol=1e-14
+    )
+
+
+def test_spiral_velocity_finite_at_small_t():
+    # phi' = -1/(t q) with q = t e^(-1/t) stays finite at t = 0.01, where
+    # the rate e^(1/t)/t^2 is ~2.7e47, and its log is 1/t - 2 ln t
+    rate = -spiral_velocity(0.01, 2)[1]
+    assert np.isfinite(rate)
+    assert np.log(rate) == pytest.approx(100.0 - 2.0 * np.log(0.01), rel=1e-12)
+
+
+def test_spiral_kinematics_derivative_consistency():
+    # 4th-order stencils on the position and on b are the oracles for
+    # the velocity and for the plain derivative of b
+    for t in (0.4, 0.8, 1.3):
+        h = 1e-5
+
+        def stencil(fn):
+            return (
+                fn(t - 2 * h, 2) - 8 * fn(t - h, 2) + 8 * fn(t + h, 2) - fn(t + 2 * h, 2)
+            ) / (12 * h)
+
+        np.testing.assert_allclose(spiral_velocity(t, 2), stencil(spiral_point), rtol=1e-9)
+        np.testing.assert_allclose(
+            spiral_acceleration_dot(t, 2), stencil(spiral_acceleration), rtol=1e-8
+        )
+
+
 def test_spiral_point_and_velocity_values():
     np.testing.assert_allclose(spiral_point(1.0), [1.0, E, 0.0], rtol=1e-15)
     np.testing.assert_allclose(spiral_velocity(1.0), [1.0, -E, 0.0], rtol=1e-15)
@@ -303,10 +313,9 @@ def test_spiral_frame_components():
 
 
 def test_spiral_state_domain():
-    with pytest.raises(ValueError):
-        spiral_state(0.0)
-    with pytest.raises(ValueError):
-        spiral_state(1.2)
+    for t in (0.0, -1.0, 1.2, np.nan):
+        with pytest.raises(ValueError):
+            spiral_state(t)
     st = spiral_state(0.5)
     assert st.x.shape == (3,)
     assert st.v[2] == 0.0 and st.b[2] == 0.0
