@@ -70,9 +70,10 @@ def test_coefficients_match_unscaled_formulas():
         )
 
 
-def test_k_is_ratio_of_coefficients():
-    # k = A'/B, so k B must match a 5-point stencil on A with step 1e-6
-    for t in (0.3, 0.5, 0.65, 0.8, 1.0, 1.2, 1.45, 1.5):
+def test_accel_coeff_prime_against_finite_difference_oracle():
+    # A' = k B is the shipped path for the derivative of A; a 5-point
+    # stencil on A with step 1e-6 is the oracle.
+    for t in (0.5, 1.0, 1.5):
         h = 1e-6
         fd = (
             accel_wedge_coeff(t - 2 * h)
@@ -81,6 +82,20 @@ def test_k_is_ratio_of_coefficients():
             - accel_wedge_coeff(t + 2 * h)
         ) / (12 * h)
         assert k_exact(t) * m_wedge_coeff(t) == pytest.approx(fd, rel=1e-8), t
+
+
+def test_k_is_ratio_of_coefficients():
+    # k = A'/B on arrays of t: k B must match the 5-point stencil on A,
+    # taken entry by entry with step 1e-6
+    ts = np.linspace(0.3, 1.45, 12)
+    h = 1e-6
+    fd = (
+        accel_wedge_coeff(ts - 2 * h)
+        - 8 * accel_wedge_coeff(ts - h)
+        + 8 * accel_wedge_coeff(ts + h)
+        - accel_wedge_coeff(ts + 2 * h)
+    ) / (12 * h)
+    np.testing.assert_allclose(k_exact(ts) * m_wedge_coeff(ts), fd, rtol=1e-8)
 
 
 def test_k_domain_and_pole_warning():
@@ -310,6 +325,18 @@ def test_spiral_frame_components():
     # At t = r = 1 (f = e, f' = -3e) the frame components equal the
     # coordinate ones and are (-e^2, e).
     np.testing.assert_allclose(spiral_acceleration(1.0, 2), [-E**2, E], rtol=1e-13)
+
+
+def test_f_requires_positive_argument():
+    # The curve lives on t > 0: its state and its forcing scalar refuse
+    # t = 0 and t < 0, as scalars and as array entries.
+    for t in (0.0, -1.0):
+        with pytest.raises(ValueError):
+            spiral_state(t)
+        with pytest.raises(ValueError):
+            k_exact(t)
+        with pytest.raises(ValueError):
+            k_exact([0.5, t])
 
 
 def test_spiral_state_domain():
