@@ -74,10 +74,14 @@ _CHOICES = {
 def _apply_config(args: argparse.Namespace) -> argparse.Namespace:
     """Fill flag values left at None from the config file, then defaults.
 
-    Only keys of the subcommand's own flags are taken, and a value
-    outside a flag's choices raises ValueError, as the flag would.
+    Only keys of the subcommand's own flags are taken, those of other
+    subcommands' flags are left unused, and a key of no flag or a value
+    outside a flag's choices raises ValueError, as a flag would.
     """
     config = _load_config(args.config) if args.config else {}
+    for key in config:
+        if key not in _CONFIG_TYPES:
+            raise ValueError(f"unknown key {key!r}")
     for key, caster in _CONFIG_TYPES.items():
         if hasattr(args, key) and getattr(args, key) is None and key in config:
             value = caster(config[key])

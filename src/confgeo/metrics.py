@@ -76,7 +76,9 @@ class Chart:
 
 
 def cartesian_chart(dimension: int = 3) -> Chart:
-    names = ("x", "y", "z", "w")[:dimension]
+    """Coordinates x, y[, z[, w]], or x1, .., xn from n = 5 on."""
+    xyzw = ("x", "y", "z", "w")[:dimension]
+    names = xyzw if dimension <= 4 else tuple(f"x{i}" for i in range(1, dimension + 1))
     return Chart("cartesian", dimension, names)
 
 

@@ -25,11 +25,12 @@ curve into an unparametrized conformal geodesic of the 3D space.
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 
 import numpy as np
 
-from .dynamics import UnparamState
+from .dynamics import UnparamState, _pow
 from .metrics import MetricField, cartesian_chart, cylindrical_chart
 
 # The cutoff is 1 on r <= CHI_INNER (which contains the curve, r <= 1)
@@ -205,45 +206,49 @@ def k_exact(t):
 # ---------------------------------------------------------------------------
 
 
-def _bump(x):
-    """e^(-1/x) on x > 0, 0 elsewhere; the building block of smooth cutoffs.
-
-    x <= 0 is clamped to 1e-300, where e^(-1/x) is already exactly 0.
-    """
-    return np.exp(-1.0 / np.maximum(x, 1e-300))
-
-
-def cutoff_chi(r):
-    """Smooth cutoff: 1 for r <= 1.1, 0 for r >= 1.5, monotone between."""
-    r, scalar = _as_float_array(r)
-    s = (CHI_OUTER - r) / (CHI_OUTER - CHI_INNER)
-    up = _bump(s)
-    out = up / (up + _bump(1.0 - s))  # s and 1 - s are never both <= 0
-    return float(out) if scalar else out
-
-
-def _chi_jet(r: float) -> tuple[float, float, float]:
-    """(chi, chi', chi'') at one r < CHI_OUTER.
+def _chi_jet(r):
+    """(chi, chi', chi'') at one radius r < CHI_OUTER (a float), or over
+    an array of radii: exactly 1 on r <= CHI_INNER, exactly 0 on
+    r >= CHI_OUTER, NaN at NaN.
 
     chi = b(s) / (b(s) + b(1 - s)) with b(x) = e^(-1/x), b' = b/x^2,
     b'' = b (1 - 2x)/x^4 and ds/dr = -1/(CHI_OUTER - CHI_INNER).
     """
     s = (CHI_OUTER - r) / (CHI_OUTER - CHI_INNER)
     m = 1.0 - s
-    if m <= 0.0:
-        return 1.0, 0.0, 0.0
-    b1, b2 = math.exp(-1.0 / s), math.exp(-1.0 / m)
-    b1_s, b1_ss = b1 / (s * s), b1 * (1.0 - 2.0 * s) / s**4
-    b2_s, b2_ss = -b2 / (m * m), b2 * (1.0 - 2.0 * m) / m**4  # of b(1 - s)
+    one = isinstance(r, float)
+    if one:
+        if m <= 0.0:
+            return 1.0, 0.0, 0.0
+        exp, power = math.exp, operator.pow
+    else:
+        inner, outer = m <= 0.0, s <= 0.0
+        s = np.where(inner | outer, 0.5, s)  # any point of the ramp
+        m = 1.0 - s
+        exp, power = _exp, _pow  # each entry rounded as one float is
+    b1, b2 = exp(-1.0 / s), exp(-1.0 / m)
+    b1_s, b1_ss = b1 / (s * s), b1 * (1.0 - 2.0 * s) / power(s, 4)
+    b2_s, b2_ss = -b2 / (m * m), b2 * (1.0 - 2.0 * m) / power(m, 4)  # of b(1 - s)
     total = b1 + b2
     num = b1_s * b2 - b1 * b2_s
-    chi_s = num / total**2
+    chi_s = num / power(total, 2)
     chi_ss = (
-        (b1_ss * b2 - b1 * b2_ss) / total**2
-        - 2.0 * num * (b1_s + b2_s) / total**3
+        (b1_ss * b2 - b1 * b2_ss) / power(total, 2)
+        - 2.0 * num * (b1_s + b2_s) / power(total, 3)
     )
     ds_dr = -1.0 / (CHI_OUTER - CHI_INNER)
-    return b1 / total, chi_s * ds_dr, chi_ss * ds_dr * ds_dr
+    jet = b1 / total, chi_s * ds_dr, chi_ss * ds_dr * ds_dr
+    if one:
+        return jet
+    chi, chi1, chi2 = (np.where(inner | outer, 0.0, part) for part in jet)
+    return np.where(inner, 1.0, chi), chi1, chi2
+
+
+def cutoff_chi(r):
+    """Smooth cutoff: 1 for r <= 1.1, 0 for r >= 1.5, monotone between."""
+    arr, scalar = _as_float_array(r)
+    out = _chi_jet(arr)[0]
+    return float(out) if scalar else out
 
 
 # Below _R_FLAT, q = r/e^(1/r) is exactly 0 (e^1000 is past the largest
@@ -251,18 +256,29 @@ def _chi_jet(r: float) -> tuple[float, float, float]:
 _R_FLAT = 1e-3
 
 
-def _profile_pass(r: np.ndarray):
-    """(t, h) over an array of radii in one pass without masks.
-
-    t equals r where h can be nonzero or r is NaN, and 1 elsewhere, so
-    every division of a number stays finite; h is 0 off that support
-    and NaN at NaN.
-    """
-    support = ~((r <= _R_FLAT) | (r >= CHI_OUTER))  # NaN compares False
-    t = np.where(support, r, 1.0)
+def _h_jet(r):
+    """(h, h', h'') at one radius (a float) or over an array of radii,
+    exactly 0 off (_R_FLAT, CHI_OUTER) and NaN at NaN."""
+    one = isinstance(r, float)
+    if one:
+        if not _R_FLAT < r < CHI_OUTER:
+            return (0.0, 0.0, 0.0) if r == r else (math.nan,) * 3
+        t = r
+    else:  # t is r where h can be nonzero and 1 elsewhere, NaN included
+        inside = (r > _R_FLAT) & (r < CHI_OUTER)
+        t = np.where(inside, r, 1.0)
     q, u, _ = _curve(t)
-    h = -0.5 * _forcing(t, q, u) * cutoff_chi(t)
-    return t, np.where(support, h, 0.0)
+    k, k1, k2 = _forcing(t, q, u, jet=True)
+    chi, chi1, chi2 = _chi_jet(t)
+    jet = (
+        -0.5 * k * chi,
+        -0.5 * (k1 * chi + k * chi1),
+        -0.5 * (k2 * chi + 2.0 * k1 * chi1 + k * chi2),
+    )
+    if one:
+        return jet
+    off = np.where(np.isnan(r), np.nan, 0.0)
+    return tuple(np.where(inside, part, off) for part in jet)
 
 
 def h_profile(r):
@@ -272,7 +288,7 @@ def h_profile(r):
     positive in between, flat to all orders at r = 0; NaN at NaN.
     """
     arr, scalar = _as_float_array(r)
-    h = _profile_pass(arr)[1]
+    h = _h_jet(arr)[0]
     return float(h) if scalar else h
 
 
@@ -280,24 +296,10 @@ def h_over_r2(r):
     """h(r) / r^2, extended by 0 through r <= 0 (it is flat there); NaN
     at NaN."""
     arr, scalar = _as_float_array(r)
-    t, h = _profile_pass(arr)
+    h = _h_jet(arr)[0]
+    t = np.where(h == 0.0, 1.0, arr)  # r^2 may be 0 or inf only where h is 0
     out = h / (t * t)
     return float(out) if scalar else out
-
-
-def _h_jet(r: float) -> tuple[float, float, float]:
-    """(h, h', h'') at one radius, exactly 0 off (_R_FLAT, CHI_OUTER) and
-    NaN at NaN."""
-    if not _R_FLAT < r < CHI_OUTER:
-        return (0.0, 0.0, 0.0) if r == r else (math.nan,) * 3
-    q, u, _ = _curve(r)
-    k, k1, k2 = _forcing(r, q, u, jet=True)
-    chi, chi1, chi2 = _chi_jet(r)
-    return (
-        -0.5 * k * chi,
-        -0.5 * (k1 * chi + k * chi1),
-        -0.5 * (k2 * chi + 2.0 * k1 * chi1 + k * chi2),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -396,42 +398,13 @@ def spiral_state(t, dimension: int = 3) -> UnparamState:
 # ---------------------------------------------------------------------------
 
 
-def _cylindrical_evaluate(points):
-    points = np.asarray(points, dtype=float)
-    r = points[..., 0]
-    z = points[..., 2]
-    w = h_profile(r) * z * z
-    g = np.zeros(points.shape[:-1] + (3, 3))
-    g[..., 0, 0] = 1.0 + w * w
-    g[..., 1, 1] = r * r * (1.0 + w * w)
-    g[..., 0, 1] = g[..., 1, 0] = 2.0 * w * r
-    g[..., 2, 2] = 1.0
-    return g
-
-
-def _cartesian_evaluate(points):
-    points = np.asarray(points, dtype=float)
-    x, y, z = points[..., 0], points[..., 1], points[..., 2]
-    r = np.hypot(x, y)
-    hr2 = h_over_r2(r)  # smooth through the axis
-    h = hr2 * r * r
-    w = h * z * z
-    c = 4.0 * z * z * hr2
-    g = np.zeros(points.shape[:-1] + (3, 3))
-    g[..., 0, 0] = 1.0 + w * w - c * x * y
-    g[..., 1, 1] = 1.0 + w * w + c * x * y
-    g[..., 0, 1] = g[..., 1, 0] = 0.5 * c * (x * x - y * y)
-    g[..., 2, 2] = 1.0
-    return g
-
-
 # The jet table [value or partial, flat (i, j)] of _jet_from_rows, as
 # indices into its rows g_00, g_11 and g_01 laid end to end, then 1 and 0.
-_JET_TABLE = np.full((13, 9), 40)
-_JET_TABLE[:, 0] = np.arange(13)
-_JET_TABLE[:, 4] = 13 + np.arange(13)
-_JET_TABLE[:, 1] = _JET_TABLE[:, 3] = 26 + np.arange(13)
-_JET_TABLE[0, 8] = 39  # g_22 = 1
+_JET_TABLE = np.full((13, 9), 31)
+_JET_TABLE[:, [0, 4, 1, 3]] = np.add.outer(
+    [0, 1, 2, 3, 4, 5, 6, 5, 7, 8, 6, 8, 9], [0, 10, 20, 20]  # d_a d_b = d_b d_a
+)
+_JET_TABLE[0, 8] = 30  # g_22 = 1
 _JET_TABLE.flags.writeable = False
 
 
@@ -440,15 +413,23 @@ def _jet_from_rows(g00, g11, g01):
 
     Both charts vary only in g_00, g_11 and g_01 = g_10, and g_22 = 1.
     A row holds the component's value, its partials d_0, d_1, d_2, then
-    d_a d_b for (a, b) in row-major order.
+    d_0 d_0, d_0 d_1, d_0 d_2, d_1 d_1, d_1 d_2 and d_2 d_2: floats for
+    one point, or arrays (and float constants) over a stack of points,
+    which gives the jets a leading axis per axis of the stack.
     """
-    out = np.fromiter(g00 + g11 + g01 + [1.0, 0.0], float, 41)[_JET_TABLE]
-    return out[0].reshape(3, 3), out[1:4].reshape(3, 3, 3), out[4:].reshape(3, 3, 3, 3)
+    values = g00 + g11 + g01 + [1.0, 0.0]
+    if isinstance(values[0], float):
+        out = np.fromiter(values, float, 32)[_JET_TABLE]
+        return out[0].reshape(3, 3), out[1:4].reshape((3,) * 3), out[4:].reshape((3,) * 4)
+    out = np.stack(np.broadcast_arrays(*values), axis=-1)[..., _JET_TABLE]
+    parts = np.split(out, [1, 4], axis=-2)
+    return tuple(p.reshape(out.shape[:-2] + (3,) * k) for p, k in zip(parts, (2, 3, 4)))
 
 
 def _cylindrical_jet(point):
-    """Closed-form jet of the cylindrical components; only r and z enter."""
-    r, _, z = point.tolist()
+    """Closed-form jet of the cylindrical components at one point (dim,)
+    or over points (..., dim); only r and z enter."""
+    r, _, z = point.tolist() if point.ndim == 1 else np.moveaxis(point, -1, 0)
     h, h1, h2 = _h_jet(r)
     z2 = z * z
     # w = h z^2 and W = w^2, with their partials along r and z
@@ -460,21 +441,17 @@ def _cylindrical_jet(point):
     W_rz = 2.0 * (w_r * w_z + w * w_rz)
     W_zz = 2.0 * (w_z * w_z + w * w_zz)
     r2 = r * r
-    g11_rz = 2.0 * r * W_z + r2 * W_rz  # g_phiphi = r^2 (1 + W)
-    g01_rz = 2.0 * (w_z + r * w_rz)  # g_rphi = 2 r w
     return _jet_from_rows(
-        [1.0 + W, W_r, 0.0, W_z, W_rr, 0.0, W_rz, 0.0, 0.0, 0.0, W_rz, 0.0, W_zz],
-        [
+        [1.0 + W, W_r, 0.0, W_z, W_rr, 0.0, W_rz, 0.0, 0.0, W_zz],
+        [  # g_phiphi = r^2 (1 + W)
             r2 * (1.0 + W), 2.0 * r * (1.0 + W) + r2 * W_r, 0.0, r2 * W_z,
-            2.0 * (1.0 + W) + 4.0 * r * W_r + r2 * W_rr, 0.0, g11_rz,
-            0.0, 0.0, 0.0,
-            g11_rz, 0.0, r2 * W_zz,
+            2.0 * (1.0 + W) + 4.0 * r * W_r + r2 * W_rr, 0.0,
+            2.0 * r * W_z + r2 * W_rz, 0.0, 0.0, r2 * W_zz,
         ],
-        [
+        [  # g_rphi = 2 r w
             2.0 * w * r, 2.0 * (w + r * w_r), 0.0, 2.0 * r * w_z,
-            2.0 * (2.0 * w_r + r * w_rr), 0.0, g01_rz,
-            0.0, 0.0, 0.0,
-            g01_rz, 0.0, 2.0 * r * w_zz,
+            2.0 * (2.0 * w_r + r * w_rr), 0.0, 2.0 * (w_z + r * w_rz), 0.0, 0.0,
+            2.0 * r * w_zz,
         ],
     )
 
@@ -497,20 +474,36 @@ def _radial_times_z2(f, f1, f2, r, x, y, z):
     )
 
 
+def _hypot(x, y):
+    """math.hypot of two floats, or of each pair of entries of two arrays;
+    NaN where x or y is not finite, although hypot(inf, nan) is inf."""
+    if isinstance(x, float):
+        return math.hypot(x, y) if math.isfinite(x) and math.isfinite(y) else math.nan
+    return np.fromiter(
+        map(_hypot, x.ravel().tolist(), y.ravel().tolist()), float, x.size
+    ).reshape(x.shape)
+
+
 def _cartesian_jet(point):
-    """Closed-form jet of the cartesian components.
+    """Closed-form jet of the cartesian components at one point (dim,) or
+    over points (..., dim).
 
     With F = h/r^2: g_xx = 1 + w^2 - c xy, g_yy = 1 + w^2 + c xy and
-    g_xy = c (x^2 - y^2)/2 for w = h z^2 and c = 4 z^2 F.  On the flat
-    core r <= _R_FLAT, the axis included, g is exactly the identity and
-    every partial exactly 0.  Where x or y is not finite the jet is NaN,
-    as ``evaluate`` is, although hypot(inf, nan) is inf.
+    g_xy = c (x^2 - y^2)/2 for w = h z^2 and c = 4 z^2 F.  Where h, h'
+    and h'' all vanish (the flat core r <= _R_FLAT, the axis included,
+    and r >= CHI_OUTER), g is exactly the identity and every partial
+    exactly 0.  Where x or y is not finite the jet is NaN.
     """
-    x, y, z = point.tolist()
-    r = math.hypot(x, y) if math.isfinite(x) and math.isfinite(y) else math.nan
+    one = point.ndim == 1
+    x, y, z = point.tolist() if one else np.moveaxis(point, -1, 0)
+    r = _hypot(x, y)
     h, h1, h2 = _h_jet(r)
-    if h == 0.0 and h1 == 0.0 and h2 == 0.0:
-        return np.eye(3), np.zeros((3, 3, 3)), np.zeros((3, 3, 3, 3))
+    if one:
+        if h == 0.0 and h1 == 0.0 and h2 == 0.0:
+            return np.eye(3), np.zeros((3, 3, 3)), np.zeros((3, 3, 3, 3))
+    else:
+        flat = (h == 0.0) & (h1 == 0.0) & (h2 == 0.0)
+        r = np.where(flat, 1.0, r)  # their jets are set at the end
     r2 = r * r
     F = h / r2
     F1 = h1 / r2 - 2.0 * h / (r2 * r)
@@ -539,19 +532,16 @@ def _cartesian_jet(point):
     M0, M1, M2 = c0 * m + c * x, c1 * m - c * y, c2 * m
     M00, M11, M22 = c00 * m + 2.0 * c0 * x + c, c11 * m - 2.0 * c1 * y - c, c22 * m
     M01, M02, M12 = c01 * m - c0 * y + c1 * x, c02 * m + c2 * x, c12 * m - c2 * y
-    xx_01, xx_02, xx_12 = W01 - P01, W02 - P02, W12 - P12
-    yy_01, yy_02, yy_12 = W01 + P01, W02 + P02, W12 + P12
-    return _jet_from_rows(
-        [
-            1.0 + W - P, W0 - P0, W1 - P1, W2 - P2,
-            W00 - P00, xx_01, xx_02, xx_01, W11 - P11, xx_12, xx_02, xx_12, W22 - P22,
-        ],
-        [
-            1.0 + W + P, W0 + P0, W1 + P1, W2 + P2,
-            W00 + P00, yy_01, yy_02, yy_01, W11 + P11, yy_12, yy_02, yy_12, W22 + P22,
-        ],
-        [M, M0, M1, M2, M00, M01, M02, M01, M11, M12, M02, M12, M22],
+    g, dg, d2g = _jet_from_rows(
+        [1.0 + W - P, W0 - P0, W1 - P1, W2 - P2, W00 - P00,
+         W01 - P01, W02 - P02, W11 - P11, W12 - P12, W22 - P22],
+        [1.0 + W + P, W0 + P0, W1 + P1, W2 + P2, W00 + P00,
+         W01 + P01, W02 + P02, W11 + P11, W12 + P12, W22 + P22],
+        [M, M0, M1, M2, M00, M01, M02, M11, M12, M22],
     )
+    if not one:
+        g[flat], dg[flat], d2g[flat] = np.eye(3), 0.0, 0.0
+    return g, dg, d2g
 
 
 def example_metric(chart: str = "cylindrical") -> MetricField:
@@ -566,20 +556,20 @@ def example_metric(chart: str = "cylindrical") -> MetricField:
     function of (x, y, z) because h/r^2 and h^2 extend smoothly by zero.
     Both charts carry a closed-form jet: g and its first and second
     partials, all built from the same h, h' and h'' at the point's
-    radius, so curvature() never evaluates the metric array path.
+    radius, so curvature() never differentiates the metric numerically.
+    The jet takes one point or a stack of points, and ``evaluate`` is
+    its g.
     """
-    if chart == "cylindrical":
-        return MetricField(
-            cylindrical_chart(),
-            _cylindrical_evaluate,
-            analytic_jet=_cylindrical_jet,
-            name="example_cylindrical",
-        )
-    if chart == "cartesian":
-        return MetricField(
-            cartesian_chart(3),
-            _cartesian_evaluate,
-            analytic_jet=_cartesian_jet,
-            name="example_cartesian",
-        )
-    raise ValueError("chart must be 'cylindrical' or 'cartesian'")
+    if chart not in ("cylindrical", "cartesian"):
+        raise ValueError("chart must be 'cylindrical' or 'cartesian'")
+    jet = _cylindrical_jet if chart == "cylindrical" else _cartesian_jet
+
+    def evaluate(points):
+        return jet(np.asarray(points, dtype=float))[0]
+
+    return MetricField(
+        cylindrical_chart() if chart == "cylindrical" else cartesian_chart(3),
+        evaluate,
+        analytic_jet=jet,
+        name=f"example_{chart}",
+    )

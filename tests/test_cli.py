@@ -428,6 +428,26 @@ def test_config_values_outside_the_flag_choices_rejected(tmp_path, capsys, argv,
     assert not out.exists()  # nothing integrated, nothing echoed
 
 
+def test_config_key_no_subcommand_has_rejected(tmp_path, capsys):
+    # the flag's spelling "t-end" is not the key "t_end"; read silently,
+    # it would run the trace to the default radius
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("t0 = 0.8\nt-end = 0.3\n")
+    out = tmp_path / "o"
+    assert main(["trace", "--out", str(out), "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "config error: unknown key 't-end'\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_config_keys_of_other_subcommands_accepted(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed = 3\nt_end = 0.3\nmetric = flat\nformat = json\n")
+    assert main(["curvature", "--config", str(cfg)]) == 0
+    assert json.loads(capsys.readouterr().out)["scalar"] == 0.0
+
+
 def test_config_values_inside_the_flag_choices_apply(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("metric = flat\nchart = cartesian\nformat = json\npoint = 1,2,3\n")

@@ -38,6 +38,14 @@ def test_chart_validation():
         Chart("bad", 2, ("x",))
 
 
+def test_cartesian_chart_names_every_dimension():
+    assert cartesian_chart(2).coordinate_names == ("x", "y")
+    assert cartesian_chart(4).coordinate_names == ("x", "y", "z", "w")
+    assert cartesian_chart(6).coordinate_names == tuple(f"x{i}" for i in range(1, 7))
+    bundle = curvature(euclidean_metric(5), np.zeros(5))
+    assert bundle.ricci.shape == (5, 5) and np.all(bundle.ricci == 0.0)
+
+
 def test_polar_chart_singular_locus():
     chart = polar_chart()
     assert chart.is_singular(np.array([1e-9, 0.3]))

@@ -11,6 +11,7 @@ from confgeo import (
     ImmersionError,
     UnparamState,
     curvature,
+    example_metric,
     kulkarni_nomizu,
     propertime_rhs,
     spiral_acceleration,
@@ -179,6 +180,62 @@ def test_polynomial_kernels_stack_equal_each_metric(n):
         assert _same(g[i], field(x[i])), (n, i)
         for got, alone in zip(jet, _metric_jets(field, x[i])):
             assert _same(got[i], alone), (n, i)
+
+
+def _bitwise(a, b):
+    """Equal shapes and bytes: NaN matches NaN only with the same bits,
+    and -0.0 does not match 0.0."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _example_points(chart):
+    """48 points of the example metric over every branch of its jet: the
+    flat core (the axis too, in the cartesian chart), the support, the
+    cutoff's ends 1.1 and 1.5 and its ramp, radii past 1.5, NaN, and a
+    finite z whose square overflows."""
+    rng = np.random.default_rng(55)
+    special = [0.0, 5e-4, 1e-3, 0.05, 0.3, 0.8, 1.1, 1.3, 1.5, 2.0, np.nan]
+    r = np.concatenate([special, rng.uniform(0.0, 1.7, 35)])
+    phi, z = rng.uniform(-np.pi, np.pi, r.size), rng.uniform(-1.0, 1.0, r.size)
+    cyl = np.column_stack([r, phi, z])
+    cyl[3, 2] = 0.0  # on the spiral's plane
+    if chart == "cylindrical":
+        return np.concatenate([cyl, [[3.0, 0.1, 1e200], [0.5, 0.2, np.nan]]])
+    cart = example_metric("cylindrical").chart.embed(cyl)
+    return np.concatenate([cart, [[3.0, 4.0, 1e200], [np.inf, np.nan, 0.1]]])
+
+
+@pytest.mark.parametrize("chart", ["cylindrical", "cartesian"])
+def test_example_metric_evaluates_the_g_of_its_one_point_jets(chart):
+    # evaluate over a stack is the closed-form jet's g, so both read the
+    # same bits everywhere, also where z^2 overflows: the cylindrical g
+    # is NaN at (3, 0.1, 1e200) and the cartesian g the identity at
+    # (3, 4, 1e200) in both paths
+    field = example_metric(chart)
+    points = _example_points(chart)
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = field(points)
+    for p, g_p in zip(points, g):
+        assert _bitwise(g_p, field.analytic_jet(p)[0]), p
+        assert _bitwise(field(p), g_p), p
+    if chart == "cylindrical":
+        assert np.isnan(g[-2, 0, 0])
+    else:
+        assert _bitwise(g[-2], np.eye(3))
+
+
+@pytest.mark.parametrize("chart", ["cylindrical", "cartesian"])
+def test_example_metric_jets_stack_equal_each_point(chart):
+    # the closed-form jet over points (6, 8, 3) against 48 one-point calls
+    field = example_metric(chart)
+    points = _example_points(chart).reshape(6, 8, 3)
+    with np.errstate(over="ignore", invalid="ignore"):
+        g, dg, d2g = field.analytic_jet(points)
+    assert g.shape == (6, 8, 3, 3) and d2g.shape == (6, 8) + (3,) * 4
+    for index in np.ndindex(6, 8):
+        for got, alone in zip((g, dg, d2g), field.analytic_jet(points[index])):
+            assert _bitwise(got[index], alone), (chart, points[index])
 
 
 def _gauge_state(field, rng):
