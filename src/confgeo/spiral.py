@@ -25,12 +25,11 @@ curve into an unparametrized conformal geodesic of the 3D space.
 from __future__ import annotations
 
 import math
-import operator
 import warnings
 
 import numpy as np
 
-from .dynamics import UnparamState, _pow
+from .dynamics import UnparamState
 from .metrics import MetricField, cartesian_chart, cylindrical_chart
 
 # The cutoff is 1 on r <= CHI_INNER (which contains the curve, r <= 1)
@@ -206,49 +205,41 @@ def k_exact(t):
 # ---------------------------------------------------------------------------
 
 
-def _chi_jet(r):
-    """(chi, chi', chi'') at one radius r < CHI_OUTER (a float), or over
-    an array of radii: exactly 1 on r <= CHI_INNER, exactly 0 on
-    r >= CHI_OUTER, NaN at NaN.
+def _chi_jet(r: float) -> tuple[float, float, float]:
+    """(chi, chi', chi'') at one r < CHI_OUTER.
 
     chi = b(s) / (b(s) + b(1 - s)) with b(x) = e^(-1/x), b' = b/x^2,
     b'' = b (1 - 2x)/x^4 and ds/dr = -1/(CHI_OUTER - CHI_INNER).
     """
     s = (CHI_OUTER - r) / (CHI_OUTER - CHI_INNER)
     m = 1.0 - s
-    one = isinstance(r, float)
-    if one:
-        if m <= 0.0:
-            return 1.0, 0.0, 0.0
-        exp, power = math.exp, operator.pow
-    else:
-        inner, outer = m <= 0.0, s <= 0.0
-        s = np.where(inner | outer, 0.5, s)  # any point of the ramp
-        m = 1.0 - s
-        exp, power = _exp, _pow  # each entry rounded as one float is
-    b1, b2 = exp(-1.0 / s), exp(-1.0 / m)
-    b1_s, b1_ss = b1 / (s * s), b1 * (1.0 - 2.0 * s) / power(s, 4)
-    b2_s, b2_ss = -b2 / (m * m), b2 * (1.0 - 2.0 * m) / power(m, 4)  # of b(1 - s)
+    if m <= 0.0:
+        return 1.0, 0.0, 0.0
+    b1, b2 = math.exp(-1.0 / s), math.exp(-1.0 / m)
+    b1_s, b1_ss = b1 / (s * s), b1 * (1.0 - 2.0 * s) / s**4
+    b2_s, b2_ss = -b2 / (m * m), b2 * (1.0 - 2.0 * m) / m**4  # of b(1 - s)
     total = b1 + b2
     num = b1_s * b2 - b1 * b2_s
-    chi_s = num / power(total, 2)
+    chi_s = num / total**2
     chi_ss = (
-        (b1_ss * b2 - b1 * b2_ss) / power(total, 2)
-        - 2.0 * num * (b1_s + b2_s) / power(total, 3)
+        (b1_ss * b2 - b1 * b2_ss) / total**2
+        - 2.0 * num * (b1_s + b2_s) / total**3
     )
     ds_dr = -1.0 / (CHI_OUTER - CHI_INNER)
-    jet = b1 / total, chi_s * ds_dr, chi_ss * ds_dr * ds_dr
-    if one:
-        return jet
-    chi, chi1, chi2 = (np.where(inner | outer, 0.0, part) for part in jet)
-    return np.where(inner, 1.0, chi), chi1, chi2
+    return b1 / total, chi_s * ds_dr, chi_ss * ds_dr * ds_dr
+
+
+def _each_radius(f, r):
+    """f(r) of a float radius, for r a number or each entry of an array."""
+    arr, scalar = _as_float_array(r)
+    if scalar:
+        return f(float(arr))
+    return np.array([f(x) for x in arr.ravel().tolist()], dtype=float).reshape(arr.shape)
 
 
 def cutoff_chi(r):
     """Smooth cutoff: 1 for r <= 1.1, 0 for r >= 1.5, monotone between."""
-    arr, scalar = _as_float_array(r)
-    out = _chi_jet(arr)[0]
-    return float(out) if scalar else out
+    return _each_radius(lambda x: 0.0 if x >= CHI_OUTER else _chi_jet(x)[0], r)
 
 
 # Below _R_FLAT, q = r/e^(1/r) is exactly 0 (e^1000 is past the largest
@@ -256,29 +247,19 @@ def cutoff_chi(r):
 _R_FLAT = 1e-3
 
 
-def _h_jet(r):
-    """(h, h', h'') at one radius (a float) or over an array of radii,
-    exactly 0 off (_R_FLAT, CHI_OUTER) and NaN at NaN."""
-    one = isinstance(r, float)
-    if one:
-        if not _R_FLAT < r < CHI_OUTER:
-            return (0.0, 0.0, 0.0) if r == r else (math.nan,) * 3
-        t = r
-    else:  # t is r where h can be nonzero and 1 elsewhere, NaN included
-        inside = (r > _R_FLAT) & (r < CHI_OUTER)
-        t = np.where(inside, r, 1.0)
-    q, u, _ = _curve(t)
-    k, k1, k2 = _forcing(t, q, u, jet=True)
-    chi, chi1, chi2 = _chi_jet(t)
-    jet = (
+def _h_jet(r: float) -> tuple[float, float, float]:
+    """(h, h', h'') at one radius, exactly 0 off (_R_FLAT, CHI_OUTER) and
+    NaN at NaN."""
+    if not _R_FLAT < r < CHI_OUTER:
+        return (0.0, 0.0, 0.0) if r == r else (math.nan,) * 3
+    q, u, _ = _curve(r)
+    k, k1, k2 = _forcing(r, q, u, jet=True)
+    chi, chi1, chi2 = _chi_jet(r)
+    return (
         -0.5 * k * chi,
         -0.5 * (k1 * chi + k * chi1),
         -0.5 * (k2 * chi + 2.0 * k1 * chi1 + k * chi2),
     )
-    if one:
-        return jet
-    off = np.where(np.isnan(r), np.nan, 0.0)
-    return tuple(np.where(inside, part, off) for part in jet)
 
 
 def h_profile(r):
@@ -287,19 +268,18 @@ def h_profile(r):
     Identically -k(r)/2 on (0, 1.1], zero for r <= 0 and r >= 1.5,
     positive in between, flat to all orders at r = 0; NaN at NaN.
     """
-    arr, scalar = _as_float_array(r)
-    h = _h_jet(arr)[0]
-    return float(h) if scalar else h
+    return _each_radius(lambda x: _h_jet(x)[0], r)
+
+
+def _h_over_r2(r: float) -> float:
+    h = _h_jet(r)[0]
+    return h / (r * r) if h != 0.0 else h  # r^2 may be 0 or inf only where h is 0
 
 
 def h_over_r2(r):
     """h(r) / r^2, extended by 0 through r <= 0 (it is flat there); NaN
     at NaN."""
-    arr, scalar = _as_float_array(r)
-    h = _h_jet(arr)[0]
-    t = np.where(h == 0.0, 1.0, arr)  # r^2 may be 0 or inf only where h is 0
-    out = h / (t * t)
-    return float(out) if scalar else out
+    return _each_radius(_h_over_r2, r)
 
 
 # ---------------------------------------------------------------------------
@@ -413,25 +393,32 @@ def _jet_from_rows(g00, g11, g01):
 
     Both charts vary only in g_00, g_11 and g_01 = g_10, and g_22 = 1.
     A row holds the component's value, its partials d_0, d_1, d_2, then
-    d_0 d_0, d_0 d_1, d_0 d_2, d_1 d_1, d_1 d_2 and d_2 d_2: floats for
-    one point, or arrays (and float constants) over a stack of points,
-    which gives the jets a leading axis per axis of the stack.
+    d_0 d_0, d_0 d_1, d_0 d_2, d_1 d_1, d_1 d_2 and d_2 d_2.
     """
-    values = g00 + g11 + g01 + [1.0, 0.0]
-    if isinstance(values[0], float):
-        out = np.fromiter(values, float, 32)[_JET_TABLE]
-        return out[0].reshape(3, 3), out[1:4].reshape((3,) * 3), out[4:].reshape((3,) * 4)
-    out = np.stack(np.broadcast_arrays(*values), axis=-1)[..., _JET_TABLE]
-    parts = np.split(out, [1, 4], axis=-2)
-    return tuple(p.reshape(out.shape[:-2] + (3,) * k) for p, k in zip(parts, (2, 3, 4)))
+    out = np.fromiter(g00 + g11 + g01 + [1.0, 0.0], float, 32)[_JET_TABLE]
+    return out[0].reshape(3, 3), out[1:4].reshape(3, 3, 3), out[4:].reshape(3, 3, 3, 3)
+
+
+def _each_point(jet, points):
+    """(g, dg, d2g) over points (..., 3), one one-point call per point,
+    with a leading axis per axis of the stack."""
+    jets = [jet(p) for p in points.reshape(-1, 3)]
+    return tuple(
+        np.array([j[k] for j in jets], dtype=float).reshape(points.shape[:-1] + (3,) * (k + 2))
+        for k in range(3)
+    )
 
 
 def _cylindrical_jet(point):
     """Closed-form jet of the cylindrical components at one point (dim,)
-    or over points (..., dim); only r and z enter."""
-    r, _, z = point.tolist() if point.ndim == 1 else np.moveaxis(point, -1, 0)
+    or over points (..., dim); only r and z enter.  Off the profile's
+    support g is the flat diag(1, r^2, 1) at every finite z, also where
+    z^2 overflows."""
+    if point.ndim != 1:
+        return _each_point(_cylindrical_jet, point)
+    r, _, z = point.tolist()
     h, h1, h2 = _h_jet(r)
-    z2 = z * z
+    z2 = 0.0 if h == 0.0 and h1 == 0.0 and h2 == 0.0 else z * z  # same bits if finite
     # w = h z^2 and W = w^2, with their partials along r and z
     w, w_r, w_z = h * z2, h1 * z2, 2.0 * h * z
     w_rr, w_rz, w_zz = h2 * z2, 2.0 * h1 * z, 2.0 * h
@@ -474,16 +461,6 @@ def _radial_times_z2(f, f1, f2, r, x, y, z):
     )
 
 
-def _hypot(x, y):
-    """math.hypot of two floats, or of each pair of entries of two arrays;
-    NaN where x or y is not finite, although hypot(inf, nan) is inf."""
-    if isinstance(x, float):
-        return math.hypot(x, y) if math.isfinite(x) and math.isfinite(y) else math.nan
-    return np.fromiter(
-        map(_hypot, x.ravel().tolist(), y.ravel().tolist()), float, x.size
-    ).reshape(x.shape)
-
-
 def _cartesian_jet(point):
     """Closed-form jet of the cartesian components at one point (dim,) or
     over points (..., dim).
@@ -492,18 +469,16 @@ def _cartesian_jet(point):
     g_xy = c (x^2 - y^2)/2 for w = h z^2 and c = 4 z^2 F.  Where h, h'
     and h'' all vanish (the flat core r <= _R_FLAT, the axis included,
     and r >= CHI_OUTER), g is exactly the identity and every partial
-    exactly 0.  Where x or y is not finite the jet is NaN.
+    exactly 0.  Where x or y is not finite the jet is NaN, although
+    hypot(inf, nan) is inf.
     """
-    one = point.ndim == 1
-    x, y, z = point.tolist() if one else np.moveaxis(point, -1, 0)
-    r = _hypot(x, y)
+    if point.ndim != 1:
+        return _each_point(_cartesian_jet, point)
+    x, y, z = point.tolist()
+    r = math.hypot(x, y) if math.isfinite(x) and math.isfinite(y) else math.nan
     h, h1, h2 = _h_jet(r)
-    if one:
-        if h == 0.0 and h1 == 0.0 and h2 == 0.0:
-            return np.eye(3), np.zeros((3, 3, 3)), np.zeros((3, 3, 3, 3))
-    else:
-        flat = (h == 0.0) & (h1 == 0.0) & (h2 == 0.0)
-        r = np.where(flat, 1.0, r)  # their jets are set at the end
+    if h == 0.0 and h1 == 0.0 and h2 == 0.0:
+        return np.eye(3), np.zeros((3, 3, 3)), np.zeros((3, 3, 3, 3))
     r2 = r * r
     F = h / r2
     F1 = h1 / r2 - 2.0 * h / (r2 * r)
@@ -532,16 +507,13 @@ def _cartesian_jet(point):
     M0, M1, M2 = c0 * m + c * x, c1 * m - c * y, c2 * m
     M00, M11, M22 = c00 * m + 2.0 * c0 * x + c, c11 * m - 2.0 * c1 * y - c, c22 * m
     M01, M02, M12 = c01 * m - c0 * y + c1 * x, c02 * m + c2 * x, c12 * m - c2 * y
-    g, dg, d2g = _jet_from_rows(
+    return _jet_from_rows(
         [1.0 + W - P, W0 - P0, W1 - P1, W2 - P2, W00 - P00,
          W01 - P01, W02 - P02, W11 - P11, W12 - P12, W22 - P22],
         [1.0 + W + P, W0 + P0, W1 + P1, W2 + P2, W00 + P00,
          W01 + P01, W02 + P02, W11 + P11, W12 + P12, W22 + P22],
         [M, M0, M1, M2, M00, M01, M02, M11, M12, M22],
     )
-    if not one:
-        g[flat], dg[flat], d2g[flat] = np.eye(3), 0.0, 0.0
-    return g, dg, d2g
 
 
 def example_metric(chart: str = "cylindrical") -> MetricField:

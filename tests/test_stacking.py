@@ -209,9 +209,9 @@ def _example_points(chart):
 @pytest.mark.parametrize("chart", ["cylindrical", "cartesian"])
 def test_example_metric_evaluates_the_g_of_its_one_point_jets(chart):
     # evaluate over a stack is the closed-form jet's g, so both read the
-    # same bits everywhere, also where z^2 overflows: the cylindrical g
-    # is NaN at (3, 0.1, 1e200) and the cartesian g the identity at
-    # (3, 4, 1e200) in both paths
+    # same bits everywhere, also where z^2 overflows: off the profile's
+    # support both charts give the flat g there, (3, 0.1, 1e200) in the
+    # cylindrical chart and (3, 4, 1e200) in the cartesian one
     field = example_metric(chart)
     points = _example_points(chart)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -219,10 +219,15 @@ def test_example_metric_evaluates_the_g_of_its_one_point_jets(chart):
     for p, g_p in zip(points, g):
         assert _bitwise(g_p, field.analytic_jet(p)[0]), p
         assert _bitwise(field(p), g_p), p
-    if chart == "cylindrical":
-        assert np.isnan(g[-2, 0, 0])
-    else:
-        assert _bitwise(g[-2], np.eye(3))
+    flat = np.diag([1.0, 9.0, 1.0]) if chart == "cylindrical" else np.eye(3)
+    assert _bitwise(g[-2], flat)
+    assert np.all(curvature(field, points[-2]).ricci == 0.0)
+    # a point of integers, at r = 1 on the profile's support, reads as
+    # the same point of floats
+    point = np.array([1, 0, 1])
+    for got, want in zip(field.analytic_jet(point), field.analytic_jet(point.astype(float))):
+        assert _bitwise(got, want)
+    assert _bitwise(field(point), field.analytic_jet(point.astype(float))[0])
 
 
 @pytest.mark.parametrize("chart", ["cylindrical", "cartesian"])
