@@ -179,23 +179,19 @@ class Trajectory:
 # ---------------------------------------------------------------------------
 
 
-def _schouten(bundle):
-    """The bundle's Schouten tensor, which dimension 2 does not define."""
-    if bundle.schouten is None:
-        raise ConfgeoError("Schouten tensor undefined in dimension 2")
-    return bundle.schouten
-
-
 def _bundle_at(field, x, bundle, curvature_step=None):
     """The caller's curvature bundle at x, checked to sit exactly there,
-    or a new one computed at x when the caller has none."""
+    or a new one computed at x when the caller has none; ConfgeoError
+    unless it has the Schouten tensor, which dimension 2 does not define."""
     if bundle is None:
-        return curvature(field, x, step=curvature_step)
+        bundle = curvature(field, x, step=curvature_step)
     # integrate passes each stage the bundle computed from that very array
-    if bundle.point is not x and not np.array_equal(bundle.point, x):
+    elif bundle.point is not x and not np.array_equal(bundle.point, x):
         raise ValueError(
             f"curvature bundle is at {bundle.point}, not at the state's point {x}"
         )
+    if bundle.schouten is None:
+        raise ConfgeoError("Schouten tensor undefined in dimension 2")
     return bundle
 
 
@@ -212,10 +208,12 @@ def _pow(x, p):
     return np.array([v**p for v in x.ravel().tolist()]).reshape(x.shape)
 
 
-# The kernels below take vectors (..., n) and matrices (..., n, n) stacked
-# over matching or broadcasting leading axes.  np.matvec, np.vecmat and
+# The helpers below, the RHS and the residuals take vectors (..., n) and
+# matrices (..., n, n) stacked over matching or broadcasting leading axes:
+# one state, or a state stacked over leading axes with a ``bundle``
+# stacked over the same or broadcasting axes.  np.matvec, np.vecmat and
 # np.vecdot round as the 1-D ``@`` products do, so every instance of a
-# stack gets the bits of a single evaluation.
+# stack gets the bits of a one-state call.
 
 
 def _quadratic(p, M, q):
@@ -230,8 +228,7 @@ def _raise_index(ginv, L, v):
 
 def _covariant_wedge(gamma, v, b, db):
     """(S, nabla_v S) for S = v ^ b, where b = nabla_v v and db is the
-    parameter derivative of the components of b; all stacked over the
-    same leading axes."""
+    parameter derivative of the components of b."""
     gamma_v = _connection_along(gamma, v)
     v_dot = b - np.matvec(gamma_v, v)
     db = np.asarray(db, float)
@@ -243,24 +240,18 @@ def _covariant_wedge(gamma, v, b, db):
     return S, _transport(gamma_v, S, dS)
 
 
-def _propertime_derivatives(gamma, g, ginv, L, u, a):
-    """(du, da) of the proper-time system for stacks of states, from the
-    Christoffel symbols, g, g^-1 and L at their points:
-    du = a - Gamma(u, u) and da = (-|a|^2 - L(u, u)) u - Gamma(u, a) + L^u.
-    ``integrate`` evaluates it at every stage, so it takes l_u = L u once,
-    for L^u = g^-1 l_u and L(u, u) = u . l_u, where _raise_index and
-    _quadratic would each take it again.  p - q rounds as -q + p does, so
-    subtracting Gamma(u, a) saves its negation; -(|a|^2 + L(u, u)) would
-    save one more, but it is -0 where -|a|^2 - L(u, u) is +0 (a sum that
-    cancels exactly), so the scalar keeps its two terms."""
-    l_u = np.matvec(L, u)
-    a_sq = np.vecdot(np.vecmat(a, g), a)
-    u_lu = np.vecdot(u, l_u)
-
-    gamma_u = np.matvec(gamma, u[..., None, :])  # Gamma^m_ab u^b
-    du = a - np.matvec(gamma_u, u)
-    da = (-a_sq - u_lu)[..., None] * u - np.matvec(gamma_u, a) + np.matvec(ginv, l_u)
-    return du, da
+def _speed(g, v, x):
+    """|v| for velocities v (..., n) at points x, one state or a stack;
+    ImmersionError names the first point where |v|^2 is not a positive
+    number (zero, negative or NaN)."""
+    speed2 = _quadratic(v, g, v)
+    stopped = ~(speed2 > 0.0)
+    if np.count_nonzero(stopped):
+        at = _first_point(stopped, x)
+        raise ImmersionError(
+            f"unparametrized state not immersed at {at}: |v|^2 > 0 fails"
+        )
+    return np.sqrt(speed2)
 
 
 def propertime_rhs(
@@ -270,29 +261,35 @@ def propertime_rhs(
     *,
     bundle: Optional[CurvatureBundle] = None,
 ):
-    """Coordinate derivatives (dx, du, da) of the proper-time system.
-
-    dx = u, du = a - Gamma(u, u), and da converts nabla_u a to the plain
-    parameter derivative of the components of a.
+    """Coordinate derivatives (dx, du, da) of the proper-time system:
+    dx = u, du = a - Gamma(u, u) and da = (-|a|^2 - L(u, u)) u
+    - Gamma(u, a) + L^u, nabla_u a as the plain parameter derivative of
+    the components of a.
 
     ``bundle`` is the curvature bundle at ``state.x`` when the caller
     already has it; it must be at exactly that point (ValueError
-    otherwise), and ``curvature_step`` is then unused.  Without it the
-    bundle is computed here.
+    otherwise), and ``field`` and ``curvature_step`` are then unused.
+    Without it the bundle is computed here.
+
+    l_u = L u is taken once, for L^u = g^-1 l_u and L(u, u) = u . l_u.
+    p - q rounds as -q + p does, so subtracting Gamma(u, a) saves its
+    negation; the scalar keeps its two terms, as -(|a|^2 + L(u, u)) is
+    -0 where -|a|^2 - L(u, u) is +0 (a sum that cancels exactly).
     """
-    x, u = state.x, state.u
+    x, u, a = state.x, state.u, state.a
     bundle = _bundle_at(field, x, bundle, curvature_step)
-    L = _schouten(bundle)
-    du, da = _propertime_derivatives(
-        bundle.christoffel, bundle.metric, bundle.inverse_metric, L, u, state.a
+    l_u = np.matvec(bundle.schouten, u)
+    a_sq = np.vecdot(np.vecmat(a, bundle.metric), a)
+    u_lu = np.vecdot(u, l_u)
+
+    gamma_u = np.matvec(bundle.christoffel, u[..., None, :])  # Gamma^m_ab u^b
+    du = a - np.matvec(gamma_u, u)
+    da = (
+        (-a_sq - u_lu)[..., None] * u
+        - np.matvec(gamma_u, a)
+        + np.matvec(bundle.inverse_metric, l_u)
     )
     return u.copy(), du, da
-
-
-def _wedge_residual(x, gamma, ginv, L, u, a, da) -> Bivector:
-    """nabla_u(u ^ a) - u ^ L^u at points x, for stacks of states."""
-    _, cov = _covariant_wedge(gamma, u, a, da)
-    return Bivector(cov - _wedge(u, _raise_index(ginv, L, u)), x)
 
 
 def wedge_form_residual(
@@ -302,7 +299,8 @@ def wedge_form_residual(
     *,
     bundle: Optional[CurvatureBundle] = None,
 ) -> Bivector:
-    """Residual of the wedge form nabla_u(u ^ a) = u ^ L^u.
+    """Residual nabla_u(u ^ a) - u ^ L^u of the wedge form
+    nabla_u(u ^ a) = u ^ L^u.
 
     ``da`` is the candidate parameter derivative of the components of a.
     The residual vanishes exactly when da agrees with the proper-time
@@ -311,28 +309,11 @@ def wedge_form_residual(
     ``bundle`` is the curvature bundle at ``state.x`` when the caller
     already has it, as in ``propertime_rhs``.
     """
-    x = state.x
+    x, u = state.x, state.u
     bundle = _bundle_at(field, x, bundle)
-    L = _schouten(bundle)
-    return _wedge_residual(
-        x, bundle.christoffel, bundle.inverse_metric, L, state.u, state.a, da
-    )
-
-
-def _unparam_residual(x, gamma, g, ginv, L, v, b, db) -> Bivector:
-    """nabla_v (v ^ b / |v|^3) - (v ^ L^v) / |v| at points x, for stacks of
-    states; ImmersionError names the first point where |v| = 0."""
-    speed2 = _quadratic(v, g, v)
-    if np.count_nonzero(speed2 <= 0.0):
-        at = _first_point(speed2 <= 0.0, x)
-        raise ImmersionError(f"unparametrized state has |v| = 0 at {at}")
-    speed = np.sqrt(speed2)[..., None, None]
-
-    S, cov_S = _covariant_wedge(gamma, v, b, db)
-    dspeed = _quadratic(v, g, b)[..., None, None] / speed
-    cov_W = cov_S / _pow(speed, 3) - 3.0 * S * dspeed / _pow(speed, 4)
-    rhs = _wedge(v, _raise_index(ginv, L, v)) / speed
-    return Bivector(cov_W - rhs, x)
+    _, cov = _covariant_wedge(bundle.christoffel, u, state.a, da)
+    L_u = _raise_index(bundle.inverse_metric, bundle.schouten, u)
+    return Bivector(cov - _wedge(u, L_u), x)
 
 
 def unparam_residual(
@@ -342,31 +323,25 @@ def unparam_residual(
     *,
     bundle: Optional[CurvatureBundle] = None,
 ) -> Bivector:
-    """Residual of nabla_v (v ^ b / |v|^3) = (v ^ L^v) / |v|.
+    """Residual nabla_v (v ^ b / |v|^3) - (v ^ L^v) / |v|.
 
     Zero (to rounding) for any parametrization of a conformal geodesic.
     ``db`` is the parameter derivative of the components of b; the
     normalized bivector is differentiated by the quotient rule using
     d|v|/dt = g(v, b) / |v|.  ``bundle`` is the curvature bundle at
     ``state.x`` when the caller already has it, as in ``propertime_rhs``.
+    ImmersionError names the first point where |v|^2 > 0 fails.
     """
-    x = state.x
+    x, v, b = state.x, state.v, state.b
     bundle = _bundle_at(field, x, bundle)
-    L = _schouten(bundle)
-    gamma, g, ginv = bundle.christoffel, bundle.metric, bundle.inverse_metric
-    return _unparam_residual(x, gamma, g, ginv, L, state.v, state.b, db)
+    g, L = bundle.metric, bundle.schouten
+    speed = _speed(g, v, x)[..., None, None]
 
-
-def _unparam_scale(g, ginv, L, v, b, db):
-    """The magnitude ``unparam_residual_scale`` reports, for stacks of states."""
-    speed = np.sqrt(_quadratic(v, g, v))
-    S = _max_abs(_wedge(v, b))
-    db = np.asarray(db, float)
-    derivative = _max_abs(_wedge(v, db)) / _pow(speed, 3)
-    quotient = 3.0 * S * np.abs(_quadratic(v, g, b)) / _pow(speed, 4)
-    forcing = _max_abs(_wedge(v, _raise_index(ginv, L, v))) / speed
-    largest = np.maximum(np.maximum(derivative, quotient), forcing)
-    return np.maximum(largest, 1e-300)
+    S, cov_S = _covariant_wedge(bundle.christoffel, v, b, db)
+    dspeed = _quadratic(v, g, b)[..., None, None] / speed
+    cov_W = cov_S / _pow(speed, 3) - 3.0 * S * dspeed / _pow(speed, 4)
+    rhs = _wedge(v, _raise_index(bundle.inverse_metric, L, v)) / speed
+    return Bivector(cov_W - rhs, x)
 
 
 def unparam_residual_scale(
@@ -382,11 +357,18 @@ def unparam_residual_scale(
     the individual terms blow up like e^(1/t) while their sum vanishes.
     ``bundle`` is the curvature bundle at ``state.x`` when the caller
     already has it, as in ``propertime_rhs``; g and g^-1 come from it.
+    ImmersionError where |v|^2 > 0 fails, as in ``unparam_residual``.
     """
-    x = state.x
+    x, v, b = state.x, state.v, state.b
     bundle = _bundle_at(field, x, bundle)
-    L = _schouten(bundle)
-    return _unparam_scale(bundle.metric, bundle.inverse_metric, L, state.v, state.b, db)
+    g, L = bundle.metric, bundle.schouten
+    speed = _speed(g, v, x)
+    S = _max_abs(_wedge(v, b))
+    derivative = _max_abs(_wedge(v, np.asarray(db, float))) / _pow(speed, 3)
+    quotient = 3.0 * S * np.abs(_quadratic(v, g, b)) / _pow(speed, 4)
+    forcing = _max_abs(_wedge(v, _raise_index(bundle.inverse_metric, L, v))) / speed
+    largest = np.maximum(np.maximum(derivative, quotient), forcing)
+    return np.maximum(largest, 1e-300)
 
 
 def from_unparametrized(field: MetricField, state: UnparamState) -> GeodesicState:

@@ -10,11 +10,12 @@ human-readable rendering).
 
 Each check runs one fixed configuration (its sample sizes are reported
 as metrics) and evaluates its points as one stack: one metric jet per
-point, then one curvature kernel evaluation and one call of each
-residual kernel.  lemma1 and lemma2 take their random draws first, in
-the generator's order (metric seed, state, speeds, control directions),
-each run of like draws as one generator call, which leaves every value
-at its stream position: the directions of u and a are one block of
+point, then one curvature kernel evaluation whose stacked bundle goes,
+with the stacked states, to one call of the RHS and of each residual
+(``field=None`` where a check has no MetricField).  lemma1 and lemma2
+take their random draws first, in the generator's order (metric seed,
+state, speeds, control directions), each run of like draws as one
+generator call, which leaves every value at its stream position: the directions of u and a are one block of
 normals, a reparametrization's three speeds one block of uniforms
 taken to their bounds afterwards, a metric's coefficients one block.
 They then build all their random metrics, jets and states as one stack
@@ -26,6 +27,7 @@ evaluated on its own.
 """
 from __future__ import annotations
 
+import dataclasses
 import functools
 import json
 import time
@@ -41,16 +43,16 @@ from .dynamics import (
     Trajectory,
     UnparamState,
     _pow,
-    _propertime_derivatives,
     _quadratic,
     _raise_index,
-    _unparam_residual,
-    _unparam_scale,
-    _wedge_residual,
     arc_length,
     detect_spiral,
     from_unparametrized,
     integrate,
+    propertime_rhs,
+    unparam_residual,
+    unparam_residual_scale,
+    wedge_form_residual,
 )
 from .metrics import (
     MetricField,
@@ -409,8 +411,9 @@ def check_lemma1(seed: int = 42, tol: float = 1e-9) -> CheckReport:
     bundle = _curvature_kernel(x, *jet)
     g, ginv, gamma = bundle.metric, bundle.inverse_metric, bundle.christoffel
     L = bundle.schouten
-    _, da = _propertime_derivatives(gamma, g, ginv, L, u, a)
-    res = _wedge_residual(x, gamma, ginv, L, u, a, da).norm(g)
+    state = GeodesicState(x, u, a)
+    _, _, da = propertime_rhs(None, state, bundle=bundle)
+    res = wedge_form_residual(None, state, da, bundle=bundle).norm(g)
 
     c = -_quadratic(a, g, a) - _quadratic(u, L, u)
     da_converse = (
@@ -423,7 +426,8 @@ def check_lemma1(seed: int = 42, tol: float = 1e-9) -> CheckReport:
     )
 
     controls = _orthogonalised(g, u, directions)
-    res_neg = _wedge_residual(x, gamma, ginv, L, u, a, da + 1e-3 * controls).norm(g)
+    perturbed = da + 1e-3 * controls
+    res_neg = wedge_form_residual(None, state, perturbed, bundle=bundle).norm(g)
 
     max_residual = float(np.max(res, initial=0.0))
     max_converse = float(np.max(dev, initial=0.0))
@@ -472,41 +476,35 @@ def check_lemma2(seed: int = 43, tol: float = 1e-8) -> CheckReport:
     the identity v ^ b = |v|^3 u ^ a must hold.  Every instance's
     draws are taken first, in the generator's order (metric, state, then
     each reparametrization's speeds and control direction); the
-    instances are built as one stack, and one curvature kernel
-    evaluation over the stack of jets then
-    serves every reparametrization of every instance, evaluated as one
-    (trials, reparams) stack.
+    instances are built as one stack over (trials, 1), and one curvature
+    kernel evaluation over that stack of jets then serves every
+    reparametrization of every instance: the states over
+    (trials, reparams) broadcast against it.
     """
     t0 = time.perf_counter()
     trials, reparams = 50, 5
     x, u, a, jet, speeds, directions = _lemma2_instances(
         np.random.default_rng(seed), trials, reparams
     )
+    # over (trials, 1): the reparametrizations broadcast against them
+    x, u, a, *jet = (arr[:, None] for arr in (x, u, a, *jet))
     bundle = _curvature_kernel(x, *jet)
-    du, da = _propertime_derivatives(
-        bundle.christoffel, bundle.metric, bundle.inverse_metric, bundle.schouten, u, a
-    )
+    state = GeodesicState(x, u, a)
+    _, du, da = propertime_rhs(None, state, bundle=bundle)
 
-    # (trials, reparams, ...): each instance's data broadcast over its
-    # reparametrizations
     lam0, lam1, lam2 = (speeds[..., k, None] for k in range(3))
-    g, ginv, gamma = bundle.metric, bundle.inverse_metric, bundle.christoffel
-    g, ginv, gamma, L, x, u, a, du, da = (
-        arr[:, None] for arr in (g, ginv, gamma, bundle.schouten, x, u, a, du, da)
-    )
-    ust, db = _reparametrized(GeodesicState(x, u, a), du, da, lam0, lam1, lam2)
-    v, b = ust.v, ust.b
-    x = np.broadcast_to(x, v.shape)
+    ust, db = _reparametrized(state, du, da, lam0, lam1, lam2)
+    v, b, g = ust.v, ust.b, bundle.metric
     w = _orthogonalised(g, v, directions)
 
-    res = _unparam_residual(x, gamma, g, ginv, L, v, b, db).norm(g)
+    res = unparam_residual(None, ust, db, bundle=bundle).norm(g)
 
     speed = np.sqrt(np.maximum(_quadratic(v, g, v), 0.0))
     lhs = _wedge(v, b)
     rhs = _pow(speed, 3)[..., None, None] * _wedge(u, a)
     identity = _max_abs(lhs - rhs) / np.maximum(_max_abs(rhs), 1e-300)
 
-    res_neg = _unparam_residual(x, gamma, g, ginv, L, v, b, db + 1e-3 * w).norm(g)
+    res_neg = unparam_residual(None, ust, db + 1e-3 * w, bundle=bundle).norm(g)
 
     max_residual = float(np.max(res, initial=0.0))
     max_identity = float(np.max(identity, initial=0.0))
@@ -553,10 +551,10 @@ def forcing_residual_relative(t, k_override=None):
     kfun = k_override if k_override is not None else k_exact
     L = np.asarray(kfun(t))[..., None, None] * m_covariant(t, 2)
 
-    bundle = _bundle_over(fld, x)
-    g, ginv = bundle.metric, bundle.inverse_metric
-    res = _unparam_residual(x, bundle.christoffel, g, ginv, L, v, b, db).max_abs()
-    return res / _unparam_scale(g, ginv, L, v, b, db)
+    bundle = dataclasses.replace(_bundle_over(fld, x), schouten=L)
+    state = UnparamState(x, v, b)
+    res = unparam_residual(fld, state, db, bundle=bundle).max_abs()
+    return res / unparam_residual_scale(fld, state, db, bundle=bundle)
 
 
 def flatness_table() -> np.ndarray:

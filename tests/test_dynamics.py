@@ -479,10 +479,17 @@ def test_unparam_residual_invariant_under_constant_rescaling():
 
 
 def test_unparam_residual_requires_immersion():
-    field = FLAT3
-    ust = UnparamState(x=np.zeros(3), v=np.zeros(3), b=np.ones(3), t=0.0)
-    with pytest.raises(ImmersionError):
-        unparam_residual(field, ust, np.zeros(3))
+    # |v|^2 > 0 fails for v = 0 and for a NaN |v|^2 alike: the residual and
+    # its scale raise the same ImmersionError, with no NaN result and no
+    # numpy warning
+    for v in (np.zeros(3), np.array([np.nan, 1.0, 0.0])):
+        ust = UnparamState(x=np.zeros(3), v=v, b=np.ones(3), t=0.0)
+        errors = []
+        for residual in (unparam_residual, unparam_residual_scale):
+            with pytest.raises(ImmersionError, match="not immersed") as raised:
+                residual(FLAT3, ust, np.zeros(3))
+            errors.append(str(raised.value))
+        assert errors[0] == errors[1], v
 
 
 def test_from_unparametrized_identity_and_tangential_cleanup():

@@ -114,3 +114,26 @@ def test_example_metric_and_spiral_state_parameters_are_pinned():
     # deliberate change to these lists.
     assert list(inspect.signature(confgeo.example_metric).parameters) == ["chart"]
     assert list(inspect.signature(confgeo.spiral_state).parameters) == ["t", "dimension"]
+
+
+def test_rhs_and_residual_parameters_are_pinned():
+    # Each takes one state or a stack, with the caller's bundle as the
+    # one keyword; the benchmark calls
+    # propertime_rhs(metric, state, curvature_step=...).
+    from confgeo.dynamics import unparam_residual_scale
+
+    pinned = {
+        confgeo.propertime_rhs: ["field", "state", "curvature_step", "bundle"],
+        confgeo.wedge_form_residual: ["field", "state", "da", "bundle"],
+        confgeo.unparam_residual: ["field", "state", "db", "bundle"],
+        unparam_residual_scale: ["field", "state", "db", "bundle"],
+    }
+    for function, names in pinned.items():
+        params = inspect.signature(function).parameters
+        assert list(params) == names, function.__name__
+        keyword_only = [p for p in params.values() if p.kind is p.KEYWORD_ONLY]
+        assert [p.name for p in keyword_only] == ["bundle"], function.__name__
+        assert params["bundle"].default is None, function.__name__
+    assert inspect.signature(confgeo.propertime_rhs).parameters[
+        "curvature_step"
+    ].default is None

@@ -1,6 +1,8 @@
 """Stacked evaluation: the broadcasting kernels over N instances give, bit
 for bit, what N single-instance calls give, and one bad instance in a
 stack raises the single call's error, naming that instance's point."""
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -22,13 +24,7 @@ from confgeo import (
     wedge_form_residual,
 )
 from confgeo.curvature import _curvature_kernel, _metric_jets
-from confgeo.dynamics import (
-    _propertime_derivatives,
-    _unparam_residual,
-    _unparam_scale,
-    _wedge_residual,
-    unparam_residual_scale,
-)
+from confgeo.dynamics import unparam_residual_scale
 from confgeo import metrics, verify
 from confgeo.verify import (
     RandomMetricSpec,
@@ -87,47 +83,65 @@ def test_curvature_kernel_stack_equals_single_calls(n):
     assert stacked.scalar.shape == (N,) and stacked.riemann.shape == (N,) + (n,) * 4
 
 
+def _rhs_and_residuals(field, state, d, bundle):
+    """The RHS, both residuals and the residual scale at ``state``."""
+    ustate = UnparamState(state.x, state.u, state.a)
+    return (
+        *propertime_rhs(field, state, bundle=bundle),
+        wedge_form_residual(field, state, d, bundle=bundle),
+        unparam_residual(field, ustate, d, bundle=bundle),
+        unparam_residual_scale(field, ustate, d, bundle=bundle),
+    )
+
+
+def _assert_instance_is_a_single_call(stacked, index, alone, metric):
+    dx, du, da, wedge, unparam, scale = stacked
+    dx_i, du_i, da_i, wedge_i, unparam_i, scale_i = alone
+    for got, want in ((dx, dx_i), (du, du_i), (da, da_i), (scale, scale_i)):
+        assert _same(got[index], want), index
+    for got, want in ((wedge, wedge_i), (unparam, unparam_i)):
+        assert _same(got.components[index], want.components), index
+        assert _same(got.max_abs()[index], want.max_abs()), index
+    assert _same(unparam.norm(metric)[index], unparam_i.norm(metric[index])), index
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_rhs_and_residuals_stack_equal_single_calls(n):
     fields, x, u, a, d = _instances(n, seed=n)
     bundle = _stack(fields, x)
-    gamma, g, ginv = bundle.christoffel, bundle.metric, bundle.inverse_metric
-    L = _stand_in_schouten(x) if n == 2 else bundle.schouten
-
-    du, da = _propertime_derivatives(gamma, g, ginv, L, u, a)
-    unparam = _unparam_residual(x, gamma, g, ginv, L, u, a, d)
-    scale = _unparam_scale(g, ginv, L, u, a, d)
-    norms = unparam.norm(g)
-    if n == 3:
-        wedge = _wedge_residual(x, gamma, ginv, L, u, a, d)
+    if n == 2:
+        # dimension 2 has no Schouten tensor: a stand-in L goes in
+        # through the bundle
+        bundle = dataclasses.replace(bundle, schouten=_stand_in_schouten(x))
+    stacked = _rhs_and_residuals(None, GeodesicState(x, u, a), d, bundle)
+    assert stacked[3].components.shape == (N, n, n)
     for i, f in enumerate(fields):
         single = curvature(f, x[i])
         if n == 2:
-            # dimension 2 has no Schouten tensor, so no public call takes
-            # the instance: the one-instance kernels get its L instead
-            g_i, ginv_i, L_i = single.metric, single.inverse_metric, L[i]
-            du_i, da_i = _propertime_derivatives(
-                single.christoffel, g_i, ginv_i, L_i, u[i], a[i]
-            )
-            res = _unparam_residual(
-                x[i], single.christoffel, g_i, ginv_i, L_i, u[i], a[i], d[i]
-            )
-            alone = _unparam_scale(g_i, ginv_i, L_i, u[i], a[i], d[i])
-        else:
-            state = GeodesicState(x[i], u[i], a[i])
-            ustate = UnparamState(x[i], u[i], a[i])
-            dx_i, du_i, da_i = propertime_rhs(f, state, bundle=single)
-            assert _same(dx_i, u[i]), i
-            res = unparam_residual(f, ustate, d[i], bundle=single)
-            alone = unparam_residual_scale(f, ustate, d[i], bundle=single)
-        assert _same(du_i, du[i]) and _same(da_i, da[i]), i
-        assert _same(res.components, unparam.components[i]), i
-        assert _same(res.norm(single.metric), norms[i]), i
-        assert _same(alone, scale[i]), i
-        if n == 3:
-            w = wedge_form_residual(f, state, d[i], bundle=single)
-            assert _same(w.components, wedge.components[i]), i
-            assert _same(w.max_abs(), wedge.max_abs()[i]), i
+            single = dataclasses.replace(single, schouten=bundle.schouten[i])
+        alone = _rhs_and_residuals(f, GeodesicState(x[i], u[i], a[i]), d[i], single)
+        _assert_instance_is_a_single_call(stacked, i, alone, bundle.metric)
+
+
+def test_rhs_and_residuals_broadcast_one_bundle_over_its_states():
+    # lemma2's shape: R states over (N, R) at the N points of a bundle
+    # over (N, 1)
+    fields, x, *_ = _instances(3, seed=8)
+    R = 5
+    u, a, d = np.random.default_rng(9).standard_normal((3, N, R, 3))
+    jets = [_metric_jets(f, p) for f, p in zip(fields, x)]
+    x = x[:, None]
+    bundle = _curvature_kernel(x, *(np.array(j)[:, None] for j in zip(*jets)))
+    assert bundle.point.shape == (N, 1, 3)
+    stacked = _rhs_and_residuals(None, GeodesicState(x, u, a), d, bundle)
+    assert stacked[3].components.shape == (N, R, 3, 3)
+    metric = np.broadcast_to(bundle.metric, (N, R, 3, 3))
+    for i, f in enumerate(fields):
+        single = curvature(f, x[i, 0])
+        for r in range(R):
+            state = GeodesicState(x[i, 0], u[i, r], a[i, r])
+            alone = _rhs_and_residuals(f, state, d[i, r], single)
+            _assert_instance_is_a_single_call(stacked, (i, r), alone, metric)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -391,14 +405,11 @@ def test_a_degenerate_instance_fails_the_stack_as_it_fails_alone(bad, match):
 def test_a_zero_velocity_fails_the_stack_as_it_fails_alone():
     fields, x, u, a, d = _instances(3)
     bundle = _stack(fields, x)
-    geometry = (
-        bundle.christoffel, bundle.metric, bundle.inverse_metric, bundle.schouten
-    )
     u[4] = 0.0
     with pytest.raises(ImmersionError) as alone:
         unparam_residual(fields[4], UnparamState(x[4], u[4], a[4]), d[4])
     with pytest.raises(ImmersionError) as stacked:
-        _unparam_residual(x, *geometry, u, a, d)
+        unparam_residual(None, UnparamState(x, u, a), d, bundle=bundle)
     assert str(stacked.value) == str(alone.value)
     assert str(x[4]) in str(stacked.value)
 

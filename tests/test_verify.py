@@ -126,7 +126,7 @@ def test_one_curvature_kernel_evaluation_per_check(monkeypatch):
     kernels.clear()
     evals.clear()
     assert check_lemma2(seed=6).passed
-    assert (kernels, publics, len(evals)) == ([(50,)], [], 0)
+    assert (kernels, publics, len(evals)) == ([(50, 1)], [], 0)
     kernels.clear()
     # the sweep, then the negative control at one point
     assert check_lemma3().passed
