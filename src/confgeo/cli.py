@@ -188,6 +188,11 @@ def cmd_trace(args) -> int:
     t_end = 0.4 if args.t_end is None else args.t_end
     max_steps = 500_000 if args.max_steps is None else args.max_steps
     radius = args.circle
+    spiral_only = {"--t0": args.t0, "--t-end": args.t_end, "--metric": args.metric}
+    for flag, value in spiral_only.items():
+        if radius is not None and value is not None:
+            print(f"trace --circle takes no {flag}", file=sys.stderr)
+            return 2
     for bad, need in (
         (not _positive(tol), "a positive finite --tol"),
         (max_steps < 1, "--max-steps >= 1"),
@@ -199,18 +204,10 @@ def cmd_trace(args) -> int:
             return 2
     out_dir = Path(args.out or "confgeo_out")
     out_dir.mkdir(parents=True, exist_ok=True)
-    _echo_config(
-        out_dir,
-        args,
-        {
-            "metric": metric_name,
-            "circle": radius,
-            "t0": t0,
-            "t_end": t_end,
-            "tol": tol,
-            "max_steps": max_steps,
-        },
-    )
+    effective = {"circle": radius, "tol": tol, "max_steps": max_steps}
+    if radius is None:
+        effective.update(metric=metric_name, t0=t0, t_end=t_end)
+    _echo_config(out_dir, args, effective)
     if radius is not None:
         field = euclidean_metric(3)
         initial = circle_state(radius)

@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DegenerateMetricError, StepSizeError
-from .metrics import MetricField, _checked_inverse
+from .metrics import MetricField, _checked_inverse, _each_point, _first_point
 
 # Default finite-difference step, scaled per coordinate by max(1, |x_a|).
 DEFAULT_FD_STEP = 1e-4
@@ -33,8 +33,10 @@ _W2 = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0
 
 def _fd_steps(point: np.ndarray, step: Optional[float]) -> np.ndarray:
     base = DEFAULT_FD_STEP if step is None else float(step)
-    if base <= 0.0:
-        raise StepSizeError("finite-difference step must be positive")
+    if not 0.0 < base < math.inf:
+        raise StepSizeError(
+            f"finite-difference step must be positive and finite, got {base}"
+        )
     scale = np.maximum(1.0, np.abs(point))
     h = base * scale
     if np.any(h <= 64.0 * np.finfo(float).eps * scale):
@@ -62,13 +64,14 @@ def _stencil_offsets(n: int) -> np.ndarray:
     return np.array(rows)
 
 
-def _fd_metric_derivatives(field: MetricField, point: np.ndarray, h: np.ndarray):
-    """One batched metric evaluation over the full stencil.
+def _fd_metric_derivatives(field: MetricField, point: np.ndarray, step):
+    """One batched metric evaluation over the full stencil at one point.
 
     Returns (g, dg, d2g) with dg[a, i, j] = d_a g_ij and
     d2g[a, b, i, j] = d_a d_b g_ij.
     """
     n = point.size
+    h = _fd_steps(point, step)
     values = field(point + _stencil_offsets(n) * h)
     g0 = values[0]
     axis_values = values[1 : 1 + 4 * n].reshape(n, 4, n, n)
@@ -87,29 +90,32 @@ def _fd_metric_derivatives(field: MetricField, point: np.ndarray, h: np.ndarray)
 
 
 def _metric_jets(field: MetricField, point, step=None):
-    """(g, dg, d2g) at one point of shape (field.dimension,), refusing a
-    point of another shape (ValueError), a coordinate that is not finite
-    (DegenerateMetricError) and the chart's singular locus
-    (ChartSingularityError)."""
+    """(g, dg, d2g) at one point (n,) or points (..., n), n =
+    field.dimension, refusing another last axis (ValueError), a coordinate
+    that is not finite (DegenerateMetricError) and the chart's singular
+    locus (ChartSingularityError), each naming the first such point.  The
+    stencil runs point by point: a stack has the bits of one-point calls."""
     point = np.asarray(point, dtype=float)
     n = field.dimension
-    if point.shape != (n,):
+    if point.shape[-1:] != (n,):
         raise ValueError(
-            f"point must have shape ({n},) on {field.name}, not {point.shape}"
+            f"points must have shape (..., {n}) on {field.name}, not {point.shape}"
         )
-    if not all(map(math.isfinite, point.tolist())):
-        raise DegenerateMetricError(f"point {point} is not finite")
+    if not all(map(math.isfinite, point.ravel().tolist())):
+        bad = ~np.isfinite(point).all(axis=-1)
+        raise DegenerateMetricError(f"point {_first_point(bad, point)} is not finite")
     field.chart.require_regular(point)
     if field.analytic_jet is not None:
         g, dg, d2g = field.analytic_jet(point)
         return np.asarray(g, float), np.asarray(dg, float), np.asarray(d2g, float)
-    h = _fd_steps(point, step)
-    return _fd_metric_derivatives(field, point, h)
+    fd = functools.partial(_fd_metric_derivatives, field, step=step)
+    return fd(point) if point.ndim == 1 else _each_point(fd, point)
 
 
 def metric_derivatives(field: MetricField, point, order: int, step=None):
-    """First (dg[a, i, j]) or second (d2g[a, b, i, j]) partials of g at a
-    point of shape (field.dimension,) (ValueError otherwise)."""
+    """First (dg[..., a, i, j]) or second (d2g[..., a, b, i, j]) partials
+    of g at one point (n,) or at points (..., n), as ``curvature`` takes
+    them."""
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
     _, dg, d2g = _metric_jets(field, point, step)
@@ -144,7 +150,8 @@ def _contraction_maps(n: int):
 
 
 def christoffel(field: MetricField, point, step=None) -> np.ndarray:
-    """Levi-Civita connection coefficients Gamma[m, a, b] = Gamma^m_ab."""
+    """Levi-Civita connection coefficients Gamma[..., m, a, b] = Gamma^m_ab
+    at one point (n,) or at points (..., n), as ``curvature`` takes them."""
     return curvature(field, point, step).christoffel
 
 
@@ -169,8 +176,8 @@ class CurvatureBundle:
     access.  The partials of Gamma are d_c Gamma^m_ab = Y[c, m, a, b]
     - Gamma^m_cs Gamma^s_ab.
 
-    A bundle of points stacked over leading axes (the private
-    ``_curvature_kernel``) carries those axes in front of every field:
+    The bundle of points stacked over leading axes (``curvature`` at
+    points (..., n)) carries those axes in front of every field:
     ``point`` (..., n), ``scalar`` (...), ``ricci`` (..., n, n) and so on.
     """
 
@@ -179,7 +186,7 @@ class CurvatureBundle:
     inverse_metric: np.ndarray
     christoffel: np.ndarray
     ricci: np.ndarray
-    scalar: float
+    scalar: float  # an array (...) for a stack of points
     schouten: Optional[np.ndarray]
     _y: np.ndarray = dataclass_field(repr=False)  # [c, m, a, b], see above
 
@@ -281,10 +288,12 @@ def curvature(field: MetricField, point, step=None) -> CurvatureBundle:
     1736.7, 71.4, 2.69 and 2.007 at theta = 2e-6, 1e-5, 1e-4 and 1e-3.
     Closed-form jets do not have this problem.
 
-    ``point`` must have shape (field.dimension,) (ValueError otherwise);
-    a point with a coordinate that is not finite raises
+    ``point`` is one point (n,) or a stack of points (..., n), n =
+    field.dimension (ValueError for another last axis); a stack gives the
+    bundle over its leading axes, each instance with the bits of a
+    one-point call.  A coordinate that is not finite raises
     DegenerateMetricError and a point on the chart's singular locus
-    ChartSingularityError, each naming it.
+    ChartSingularityError, each naming the first such point.
     """
     point = np.asarray(point, dtype=float)
     return _curvature_kernel(point, *_metric_jets(field, point, step))

@@ -607,8 +607,9 @@ def integrate(
     and a to the orthogonal complement of u, and the metric size of that
     projection is recorded per sample so silent drift cannot hide an
     equation violation.  ``curvature_step`` is the finite-difference
-    step of ``curvature``; ``stop`` ends the run at the first accepted
-    state it holds for, with status "stopped".
+    step of ``curvature`` (positive and finite, else ValueError);
+    ``stop`` ends the run at the first accepted state it holds for, with
+    status "stopped".
 
     One curvature bundle serves each distinct point.  Each step attempt
     evaluates the 12 stages and then the RHS at the new solution y_new,
@@ -633,6 +634,10 @@ def integrate(
         raise ValueError(f"tol must be positive and finite, got {tol}")
     if max_steps < 1:
         raise ValueError(f"max_steps must be at least 1, got {max_steps}")
+    if curvature_step is not None and not 0.0 < curvature_step < math.inf:
+        raise ValueError(
+            f"curvature_step must be positive and finite, got {curvature_step}"
+        )
     s0, s1 = float(s_span[0]), float(s_span[1])
     if not np.isfinite(s0) or np.isnan(s1):
         raise ValueError(f"s_span must run from a finite s to a number, got {s_span}")

@@ -127,10 +127,11 @@ class MetricField:
     matrices of shape (..., dim, dim); all built-in metrics are
     vectorized so that finite-difference stencils evaluate in one call.
 
-    ``analytic_jet``, when given, maps a single point of shape (dim,)
-    to the triple ``(g, dg, d2g)`` with ``g[i, j] = g_ij``,
-    ``dg[a, i, j] = d_a g_ij`` and ``d2g[a, b, i, j] = d_a d_b g_ij``;
-    its g must agree with ``evaluate`` at that point (to rounding).
+    ``analytic_jet``, when given, maps an array of points (..., dim) to
+    fresh arrays ``(g, dg, d2g)`` with the points' leading axes in front
+    of ``g[i, j] = g_ij``, ``dg[a, i, j] = d_a g_ij`` and
+    ``d2g[a, b, i, j] = d_a d_b g_ij``, each point with the bits of a
+    one-point call; its g must agree with ``evaluate`` (to rounding).
     Curvature then takes the whole jet from this one call; a field
     without one takes its partials by finite differences of ``evaluate``
     (``dataclasses.replace(field, analytic_jet=None)`` forces that route).
@@ -164,6 +165,17 @@ def _first_point(mask, points) -> np.ndarray:
     index = np.unravel_index(np.argmax(mask), mask.shape)
     points = np.asarray(points)
     return np.broadcast_to(points, mask.shape + points.shape[-1:])[index]
+
+
+def _each_point(jet, points):
+    """(g, dg, d2g) over points (..., n) from one call of the one-point
+    ``jet`` per point, with the stack's leading axes in front."""
+    n = points.shape[-1]
+    jets = [jet(p) for p in points.reshape(-1, n)]
+    return tuple(
+        np.array([j[k] for j in jets], dtype=float).reshape(points.shape[:-1] + (n,) * (k + 2))
+        for k in range(3)
+    )
 
 
 def _raise_singular(err, flag):
@@ -230,7 +242,7 @@ def _checked_inverse(g: np.ndarray, point) -> np.ndarray:
             f"metric not finite at {_first_point(~finite, point)}"
         )
     cond = (g * ginv).diagonal(0, -2, -1)  # g_ii (g^-1)_ii
-    if float(cond.max()) > MAX_CONDITION:
+    if float(cond.max(initial=0.0)) > MAX_CONDITION:  # an empty stack has no max
         cond = cond.max(axis=-1)
         ill = cond > MAX_CONDITION
         raise DegenerateMetricError(
@@ -253,8 +265,9 @@ def euclidean_metric(dimension: int = 3) -> MetricField:
         points = np.asarray(points, dtype=float)
         return np.broadcast_to(eye, points.shape[:-1] + eye.shape).copy()
 
-    def jet(point):  # fresh zeros per call: the caller may write into them
-        return evaluate(point), np.zeros((dimension,) * 3), np.zeros((dimension,) * 4)
+    def jet(points):  # fresh zeros per call: the caller may write into them
+        dg_shape = points.shape[:-1] + (dimension,) * 3
+        return evaluate(points), np.zeros(dg_shape), np.zeros(dg_shape + (dimension,))
 
     return MetricField(
         cartesian_chart(dimension),
@@ -278,12 +291,12 @@ def _flat_polar(chart: Chart, name: str) -> MetricField:
         g[..., 2:, 2:] = eye_z
         return g
 
-    def jet(point):
-        dg = np.zeros((n,) * 3)
-        d2g = np.zeros((n,) * 4)
-        dg[0, 1, 1] = 2.0 * float(point[0])
-        d2g[0, 0, 1, 1] = 2.0
-        return evaluate(point), dg, d2g
+    def jet(points):
+        dg = np.zeros(points.shape[:-1] + (n,) * 3)
+        d2g = np.zeros(dg.shape + (n,))
+        dg[..., 0, 1, 1] = 2.0 * points[..., 0]
+        d2g[..., 0, 0, 1, 1] = 2.0
+        return evaluate(points), dg, d2g
 
     return MetricField(chart, evaluate, analytic_jet=jet, name=name)
 
@@ -409,7 +422,7 @@ def _polynomial_jet(points, n_powers, tables):
     order, one contraction of the monomials x_a^p against its table."""
     n = points.shape[-1]
     powers = (points[..., :, None] ** np.arange(n_powers)).reshape(
-        points.shape[:-1] + (-1,)
+        points.shape[:-1] + (n * n_powers,)
     )
     g, dg, d2g = (
         np.einsum(
@@ -483,8 +496,8 @@ def polynomial_metric(
 
     tables = _jet_tables(exponents, coefficients)
 
-    def jet(point):
-        return _polynomial_jet(np.asarray(point, dtype=float), *tables)
+    def jet(points):
+        return _polynomial_jet(np.asarray(points, dtype=float), *tables)
 
     return MetricField(
         cartesian_chart(dimension),

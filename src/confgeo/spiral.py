@@ -30,7 +30,7 @@ import warnings
 import numpy as np
 
 from .dynamics import UnparamState
-from .metrics import MetricField, cartesian_chart, cylindrical_chart
+from .metrics import MetricField, _each_point, cartesian_chart, cylindrical_chart
 
 # The cutoff is 1 on r <= CHI_INNER (which contains the curve, r <= 1)
 # and 0 on r >= CHI_OUTER (safely below the pole of k at t*).
@@ -397,16 +397,6 @@ def _jet_from_rows(g00, g11, g01):
     """
     out = np.fromiter(g00 + g11 + g01 + [1.0, 0.0], float, 32)[_JET_TABLE]
     return out[0].reshape(3, 3), out[1:4].reshape(3, 3, 3), out[4:].reshape(3, 3, 3, 3)
-
-
-def _each_point(jet, points):
-    """(g, dg, d2g) over points (..., 3), one one-point call per point,
-    with a leading axis per axis of the stack."""
-    jets = [jet(p) for p in points.reshape(-1, 3)]
-    return tuple(
-        np.array([j[k] for j in jets], dtype=float).reshape(points.shape[:-1] + (3,) * (k + 2))
-        for k in range(3)
-    )
 
 
 def _cylindrical_jet(point):

@@ -9,21 +9,24 @@ tolerances give byte-identical JSON (wall time is reported only in the
 human-readable rendering).
 
 Each check runs one fixed configuration (its sample sizes are reported
-as metrics) and evaluates its points as one stack: one metric jet per
-point, then one curvature kernel evaluation whose stacked bundle goes,
-with the stacked states, to one call of the RHS and of each residual
-(``field=None`` where a check has no MetricField).  lemma1 and lemma2
-take their random draws first, in the generator's order (metric seed,
-state, speeds, control directions), each run of like draws as one
-generator call, which leaves every value at its stream position: the directions of u and a are one block of
-normals, a reparametrization's three speeds one block of uniforms
-taken to their bounds afterwards, a metric's coefficients one block.
-They then build all their random metrics, jets and states as one stack
-through the polynomial metric's kernels, without a MetricField; the
-jet's g also normalises the states.  The kernels give each instance of
-a stack the bits a one-instance evaluation gives it, so the draws and
-the reports are the same as when each instance was drawn, built and
-evaluated on its own.
+as metrics) and evaluates its points as one stack: one ``curvature``
+call over the points of one MetricField (lemma3, lemma5 and the
+proposition's identity sweep), or one curvature kernel evaluation over
+the jets of lemma1's and lemma2's many random metrics.  The stacked
+bundle goes, with the stacked states, to one call of the RHS and of
+each residual (``field=None`` where a check has no MetricField).
+lemma1 and lemma2 take their random draws first, in the generator's
+order (metric seed, state, speeds, control directions), each run of
+like draws as one generator call, which leaves every value at its
+stream position: the directions of u and a are one block of normals, a
+reparametrization's three speeds one block of uniforms taken to their
+bounds afterwards, a metric's coefficients one block.  They then build
+all their random metrics, jets and states as one stack through the
+polynomial metric's kernels, without a MetricField; the jet's g also
+normalises the states.  The kernels give each instance of a stack the
+bits a one-instance evaluation gives it, so the draws and the reports
+are the same as when each instance was drawn, built and evaluated on
+its own.
 """
 from __future__ import annotations
 
@@ -37,7 +40,7 @@ from typing import Optional
 import numpy as np
 
 from .bivectors import _max_abs, _wedge
-from .curvature import _curvature_kernel, _metric_jets, kulkarni_nomizu
+from .curvature import _curvature_kernel, curvature, kulkarni_nomizu, metric_derivatives
 from .dynamics import (
     GeodesicState,
     Trajectory,
@@ -324,22 +327,6 @@ def _random_stack(seeds, states):
     return x, u, a, jet
 
 
-def _stacked_bundle(points, jets):
-    """One ``_curvature_kernel`` evaluation over the jets of the points
-    (..., n), listed in the points' order."""
-    lead = points.shape[:-1]
-    return _curvature_kernel(
-        points, *(np.array(j).reshape(lead + j[0].shape) for j in zip(*jets))
-    )
-
-
-def _bundle_over(field, points):
-    """One metric jet of ``field`` per point of ``points`` (..., n), then
-    one ``_curvature_kernel`` evaluation over all of them."""
-    flat = points.reshape(-1, points.shape[-1])
-    return _stacked_bundle(points, [_metric_jets(field, p) for p in flat])
-
-
 def _lemma1_instances(rng, trials):
     """(x, u, a, jet, w) of lemma1's random instances, drawn in the
     generator's order (metric, state, control direction w) and evaluated
@@ -537,9 +524,8 @@ def forcing_residual_relative(t, k_override=None):
     """Relative residual of nabla_v(v^b/|v|^3) = k (v^M^v)/|v| on the flat plane.
 
     ``t`` is a spiral parameter in (0, 1] or an array of them; an array
-    is evaluated as one stack (one metric jet per point, one curvature
-    kernel evaluation) and gives one residual per entry, each with the
-    bits of a scalar call.
+    is evaluated as one stack (one ``curvature`` call) and gives one
+    residual per entry, each with the bits of a scalar call.
     """
     fld = flat_polar_metric()
     t = np.asarray(t, dtype=float)
@@ -551,7 +537,7 @@ def forcing_residual_relative(t, k_override=None):
     kfun = k_override if k_override is not None else k_exact
     L = np.asarray(kfun(t))[..., None, None] * m_covariant(t, 2)
 
-    bundle = dataclasses.replace(_bundle_over(fld, x), schouten=L)
+    bundle = dataclasses.replace(curvature(fld, x), schouten=L)
     state = UnparamState(x, v, b)
     res = unparam_residual(fld, state, db, bundle=bundle).max_abs()
     return res / unparam_residual_scale(fld, state, db, bundle=bundle)
@@ -657,20 +643,19 @@ def check_lemma5(tol: float = 1e-6, seed: Optional[int] = None) -> CheckReport:
     At each sample radius: induced metric flat, first z-derivatives
     vanish, Ricci from the metric's closed-form jet equals -2 h(r) M,
     Riemann equals -2 dz^2 o (h M), and M is trace-free with vanishing
-    contractions against dz^2.  One jet per radius gives g, its partials
-    and, through one curvature kernel evaluation over all radii, the
-    curvature.
+    contractions against dz^2.  One ``curvature`` call over all radii
+    gives g and the curvature, and one ``metric_derivatives`` call the
+    first partials.
     """
     t0 = time.perf_counter()
     r = np.array([0.2, 0.35, 0.5, 0.75, 1.0])
     x = np.outer(r, [1.0, 0.0, 0.0])  # the points (r, 0, 0)
     fld = example_metric("cylindrical")
-    jets = [_metric_jets(fld, p) for p in x]
-    bundle = _stacked_bundle(x, jets)
+    bundle = curvature(fld, x)
     g, ginv = bundle.metric, bundle.inverse_metric
     plane = np.array([np.diag([1.0, rr * rr]) for rr in r])
     max_induced = np.max(np.abs(g[:, :2, :2] - plane))
-    max_dz = max(np.max(np.abs(dg[2])) for _, dg, _ in jets)
+    max_dz = np.max(np.abs(metric_derivatives(fld, x, 1)[:, 2]))
 
     M = m_covariant(r, 3)
     hM = h_profile(r)[:, None, None] * M
@@ -804,7 +789,7 @@ def check_proposition(tol: float = 1e-4, seed: Optional[int] = None) -> CheckRep
 
     ts = np.linspace(0.3, 1.0, 8)
     v = spiral_velocity(ts, 3)
-    bundle = _bundle_over(fld, spiral_point(ts, 3))
+    bundle = curvature(fld, spiral_point(ts, 3))
     w_l = _wedge(v, _raise_index(bundle.inverse_metric, bundle.schouten, v))
     w_r = _wedge(v, _raise_index(bundle.inverse_metric, bundle.ricci, v))
     max_identity = float(np.max(np.abs(w_l - w_r)))

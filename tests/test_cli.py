@@ -88,6 +88,9 @@ def test_verify_invalid_selection_usage_error(capsys):
         (["trace", "--tol", "-1"], "--tol"),
         (["trace", "--t0", "0.5", "--t-end", "0.6"], "t_end <= t0"),
         (["verify", "all", "--seed", "-1"], "--seed"),
+        (["trace", "--circle", "1.0", "--t0", "0.5"], "--t0"),
+        (["trace", "--circle", "1.0", "--t-end", "0.3"], "--t-end"),
+        (["trace", "--circle", "1.0", "--metric", "flat"], "--metric"),
     ],
 )
 def test_out_of_range_values_are_usage_errors(tmp_path, capsys, argv, named):
@@ -262,20 +265,16 @@ def test_module_entry_point(tmp_path):
 
 def test_trace_circle_mode_closes(tmp_path):
     out = tmp_path / "t"
-    code = main(
-        [
-            "trace",
-            "--metric",
-            "flat",
-            "--circle",
-            "1.0",
-            "--tol",
-            "1e-10",
-            "--out",
-            str(out),
-        ]
-    )
+    code = main(["trace", "--circle", "1.0", "--tol", "1e-10", "--out", str(out)])
     assert code == 0
+    # the circle takes none of the spiral's settings, so none is echoed
+    effective = json.loads((out / "run_config.json").read_text())
+    assert effective == {
+        "subcommand": "trace",
+        "circle": 1.0,
+        "tol": 1e-10,
+        "max_steps": 500_000,
+    }
     data = _read_csv(out / "trace.csv")
     endpoint_error = np.linalg.norm(data[-1, 2:5] - data[0, 2:5])
     assert endpoint_error < 1e-6

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from confgeo import (
+    ChartSingularityError,
     DegenerateMetricError,
     StepSizeError,
     christoffel,
@@ -68,11 +69,14 @@ def test_step_underflow_rejected():
     field = strip_partials(euclidean_metric(3))
     with pytest.raises(StepSizeError):
         metric_derivatives(field, np.zeros(3), order=1, step=1e-16)
-    with pytest.raises(StepSizeError):
-        metric_derivatives(field, np.zeros(3), order=1, step=-1e-3)
+    for step in (-1e-3, 0.0, np.nan, np.inf, -np.inf):
+        with pytest.raises(StepSizeError, match="must be positive and finite"):
+            metric_derivatives(field, np.zeros(3), order=1, step=step)
+    with pytest.raises(StepSizeError, match="must be positive and finite, got nan"):
+        curvature(round_sphere_metric(), [1.0, 0.3], step=np.nan)
 
 
-@pytest.mark.parametrize("point", [[0.5, 0.1], [[0.5, 0.1, 0.0], [0.6, 0.2, 0.1]]])
+@pytest.mark.parametrize("point", [[0.5, 0.1], [[0.5, 0.1], [0.6, 0.2]]])
 @pytest.mark.parametrize(
     "evaluate",
     [
@@ -83,11 +87,11 @@ def test_step_underflow_rejected():
     ids=["curvature", "christoffel", "metric_derivatives"],
 )
 def test_a_point_of_the_wrong_shape_is_refused(evaluate, point):
-    # One point of the field's dimension only: a short point or a stack
-    # of points must not reach the jet.
+    # Points of the field's dimension only: a short point, or a stack of
+    # them, must not reach the jet.
     from confgeo import example_metric
 
-    with pytest.raises(ValueError, match=r"shape \(3,\) on example_cylindrical"):
+    with pytest.raises(ValueError, match=r"shape \(\.\.\., 3\) on example_cylindrical"):
         evaluate(example_metric(), point)
 
 
@@ -526,3 +530,89 @@ def test_curvature_bundles_are_pinned_bit_for_bit():
                 digest.update(repr(value.shape).encode())
                 digest.update(np.ascontiguousarray(value).tobytes())
     assert digest.hexdigest() == PINNED_BUNDLES
+
+
+_ROUTES = [
+    "example_cylindrical",
+    "example_cartesian",
+    "example_cylindrical_fd",
+    "euclidean3d",
+    "euclidean2d",
+    "flat_polar",
+    "flat_cylindrical",
+    "sphere_fd",
+    "polynomial",
+    "polynomial_fd",
+]
+_BUNDLE_FIELDS = (
+    "point",
+    "metric",
+    "inverse_metric",
+    "christoffel",
+    "ricci",
+    "scalar",
+    "schouten",
+    "riemann",
+    "riemann_lowered",
+)
+
+
+def _bitwise(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("route", range(len(_ROUTES)), ids=_ROUTES)
+def test_a_stack_of_points_gets_the_bits_of_one_point_calls(route):
+    # curvature, christoffel and metric_derivatives over all the points of
+    # a route, and over two halves of them as (2, k/2, n), instance by
+    # instance against one-point calls
+    field, points = _pinned_bundle_cases()[route]
+    k, n = points.shape
+    for stack in (points, points[: k // 2 * 2].reshape(2, k // 2, n)):
+        bundle = curvature(field, stack)
+        gamma = christoffel(field, stack)
+        dg, d2g = (metric_derivatives(field, stack, order) for order in (1, 2))
+        assert bundle.ricci.shape == stack.shape + (n,)
+        for index in np.ndindex(stack.shape[:-1]):
+            x = stack[index]
+            alone = curvature(field, x)
+            for name in _BUNDLE_FIELDS:
+                got, want = getattr(bundle, name), getattr(alone, name)
+                if want is None:
+                    assert got is None
+                else:
+                    assert _bitwise(np.asarray(got)[index], want), (name, x)
+            assert _bitwise(gamma[index], christoffel(field, x)), x
+            assert _bitwise(dg[index], metric_derivatives(field, x, 1)), x
+            assert _bitwise(d2g[index], metric_derivatives(field, x, 2)), x
+    assert curvature(field, points[:0]).ricci.shape == (0, n, n)
+
+
+@pytest.mark.parametrize(
+    "evaluate",
+    [
+        curvature,
+        christoffel,
+        lambda field, point: metric_derivatives(field, point, order=2),
+    ],
+    ids=["curvature", "christoffel", "metric_derivatives"],
+)
+@pytest.mark.parametrize("analytic", [True, False], ids=["analytic", "fd"])
+def test_a_stack_with_a_bad_point_is_refused_naming_it(evaluate, analytic):
+    # the error names the first bad point of the stack, in C order (a
+    # stack of short points is in test_a_point_of_the_wrong_shape_is_refused)
+    field = example_metric("cylindrical")
+    field = field if analytic else strip_partials(field)
+    good = np.array(
+        [[[0.5, 0.1, 0.0], [0.6, 0.2, 0.1]], [[0.7, 0.3, -0.1], [0.8, -0.4, 0.2]]]
+    )
+    for axis, value, error, says in [
+        (2, np.nan, DegenerateMetricError, "is not finite"),
+        (0, 0.0, ChartSingularityError, "lies on the singular locus"),
+    ]:
+        points = good.copy()
+        points[1, :, axis] = value
+        match = "^" + re.escape(f"point {points[1, 0]} {says}")
+        with pytest.raises(error, match=match):
+            evaluate(field, points)

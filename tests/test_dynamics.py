@@ -554,8 +554,20 @@ def test_from_unparametrized_rejects_a_velocity_that_is_not_finite():
         ({"tol": float("nan")}, "tol"),
         ({"tol": float("inf")}, "tol"),
         ({"max_steps": 0}, "max_steps"),
+        ({"curvature_step": 0.0}, "curvature_step"),
+        ({"curvature_step": float("nan")}, "curvature_step"),
+        ({"curvature_step": float("inf")}, "curvature_step"),
     ],
-    ids=["tol=0", "tol=-1", "tol=nan", "tol=inf", "max_steps=0"],
+    ids=[
+        "tol=0",
+        "tol=-1",
+        "tol=nan",
+        "tol=inf",
+        "max_steps=0",
+        "curvature_step=0",
+        "curvature_step=nan",
+        "curvature_step=inf",
+    ],
 )
 def test_integrate_rejects_invalid_settings_by_name(kwargs, name):
     with pytest.raises(ValueError, match=f"^{name} must be"):

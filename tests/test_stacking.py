@@ -12,6 +12,7 @@ from confgeo import (
     GeodesicState,
     ImmersionError,
     UnparamState,
+    bivector_covariant_derivative,
     curvature,
     example_metric,
     kulkarni_nomizu,
@@ -21,6 +22,7 @@ from confgeo import (
     spiral_point,
     spiral_velocity,
     unparam_residual,
+    wedge,
     wedge_form_residual,
 )
 from confgeo.curvature import _curvature_kernel, _metric_jets
@@ -255,6 +257,30 @@ def test_example_metric_jets_stack_equal_each_point(chart):
     for index in np.ndindex(6, 8):
         for got, alone in zip((g, dg, d2g), field.analytic_jet(points[index])):
             assert _bitwise(got[index], alone), (chart, points[index])
+
+
+@pytest.mark.parametrize("chart", ["cylindrical", "cartesian"])
+def test_inverse_and_bivector_transport_take_a_stack_of_points(chart):
+    # MetricField.inverse and bivector_covariant_derivative over points
+    # (2, 4, 3), which reach christoffel with the whole stack
+    field = example_metric(chart)
+    rng = np.random.default_rng(8)
+    cyl = np.column_stack(
+        [rng.uniform(0.1, 1.4, 8), rng.uniform(-3.0, 3.0, 8), rng.uniform(-0.5, 0.5, 8)]
+    )
+    points = (cyl if chart == "cylindrical" else field.chart.embed(cyl)).reshape(2, 4, 3)
+    v, u, w = rng.standard_normal((3, 2, 4, 3))
+    dB = rng.standard_normal((2, 4, 3, 3))
+    dB = dB - dB.swapaxes(-1, -2)
+    inverse = field.inverse(points)
+    nabla = bivector_covariant_derivative(field, points, v, wedge(u, w, points), dB)
+    for i in np.ndindex(2, 4):
+        assert _bitwise(inverse[i], field.inverse(points[i])), points[i]
+        alone = bivector_covariant_derivative(
+            field, points[i], v[i], wedge(u[i], w[i], points[i]), dB[i]
+        )
+        assert _bitwise(nabla.components[i], alone.components), points[i]
+        assert _bitwise(nabla.base_point[i], alone.base_point)
 
 
 def _gauge_state(field, rng):

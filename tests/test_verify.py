@@ -92,21 +92,26 @@ def test_random_metric_spec_deterministic():
 
 
 def test_one_curvature_kernel_evaluation_per_check(monkeypatch):
-    # A check draws its instances first and evaluates them as one stack
-    # through the polynomial kernels, so no MetricField is built or called
-    # (the residual norms and the speed take g from the jets, and build()
-    # tests positivity on coefficients and cached grid monomials).  Then
-    # one curvature kernel evaluation covers all of them.  lemma5 and the
-    # proposition's identity sweep take one jet per point and likewise
-    # one kernel evaluation; no check calls the public curvature().
-    kernels, publics, evals = [], [], []
+    # lemma1 and lemma2 draw their instances first and evaluate them as
+    # one stack through the polynomial kernels, so no MetricField is built
+    # or called (the residual norms and the speed take g from the jets,
+    # and build() tests positivity on coefficients and cached grid
+    # monomials); one curvature kernel evaluation covers all of them.
+    # lemma3, lemma5 and the proposition's identity sweep call the public
+    # curvature() once with their stack of points.
+    kernels, stacks, publics, evals = [], [], [], []
     original_kernel = verify._curvature_kernel
+    original_stack = verify.curvature
     original = dynamics.curvature
     original_eval = MetricField.__call__
 
     def counted_kernel(point, *jets):
         kernels.append(np.shape(point)[:-1])
         return original_kernel(point, *jets)
+
+    def counted_stack(field, point, *args, **kwargs):
+        stacks.append(np.shape(point)[:-1])
+        return original_stack(field, point, *args, **kwargs)
 
     def counted(*args, **kwargs):
         publics.append(1)
@@ -117,28 +122,29 @@ def test_one_curvature_kernel_evaluation_per_check(monkeypatch):
         return original_eval(self, points)
 
     monkeypatch.setattr(verify, "_curvature_kernel", counted_kernel)
+    monkeypatch.setattr(verify, "curvature", counted_stack)
     monkeypatch.setattr(dynamics, "curvature", counted)
     monkeypatch.setattr(MetricField, "__call__", counted_eval)
     RandomMetricSpec(seed=3).build()
     assert evals == []
     assert check_lemma1(seed=5).passed
-    assert (kernels, publics, len(evals)) == ([(100,)], [], 0)
+    assert (kernels, stacks, publics, len(evals)) == ([(100,)], [], [], 0)
     kernels.clear()
     evals.clear()
     assert check_lemma2(seed=6).passed
-    assert (kernels, publics, len(evals)) == ([(50, 1)], [], 0)
+    assert (kernels, stacks, publics, len(evals)) == ([(50, 1)], [], [], 0)
     kernels.clear()
     # the sweep, then the negative control at one point
     assert check_lemma3().passed
-    assert kernels == [(50,), ()] and publics == []
-    kernels.clear()
+    assert (kernels, stacks, publics) == ([], [(50,), ()], [])
+    stacks.clear()
     assert check_lemma5().passed
-    assert kernels == [(5,)] and publics == []
-    kernels.clear()
+    assert (kernels, stacks, publics) == ([], [(5,)], [])
+    stacks.clear()
     # the identity sweep; the two integrations call curvature() per stage
-    # through dynamics, not through this kernel
+    # through dynamics
     assert check_proposition().passed
-    assert kernels == [(8,)]
+    assert (kernels, stacks) == ([], [(8,)]) and publics
 
 
 # Every float metric of lemma1 and lemma2, and lemma3's residuals, at two
