@@ -62,6 +62,9 @@ _CONFIG_TYPES = {
     "format": str,
 }
 
+# trace's spiral settings and their flags, which a circle trace refuses
+_SPIRAL_ONLY = {"t0": "--t0", "t_end": "--t-end", "metric": "--metric"}
+
 # Allowed values of the flags that have them; the parser and the config
 # file check against the same lists.
 _CHOICES = {
@@ -74,14 +77,16 @@ _CHOICES = {
 def _apply_config(args: argparse.Namespace) -> argparse.Namespace:
     """Fill flag values left at None from the config file, then defaults.
 
-    Only keys of the subcommand's own flags are taken, those of other
-    subcommands' flags are left unused, and a key of no flag or a value
-    outside a flag's choices raises ValueError, as a flag would.
+    Keys of other subcommands' flags, and the spiral's in a circle trace,
+    are left unused; a key of no flag or a value outside a flag's choices
+    raises ValueError, as a flag would.
     """
     config = _load_config(args.config) if args.config else {}
     for key in config:
         if key not in _CONFIG_TYPES:
             raise ValueError(f"unknown key {key!r}")
+    if hasattr(args, "circle") and (args.circle is not None or "circle" in config):
+        config = {k: v for k, v in config.items() if k not in _SPIRAL_ONLY}
     for key, caster in _CONFIG_TYPES.items():
         if hasattr(args, key) and getattr(args, key) is None and key in config:
             value = caster(config[key])
@@ -188,9 +193,8 @@ def cmd_trace(args) -> int:
     t_end = 0.4 if args.t_end is None else args.t_end
     max_steps = 500_000 if args.max_steps is None else args.max_steps
     radius = args.circle
-    spiral_only = {"--t0": args.t0, "--t-end": args.t_end, "--metric": args.metric}
-    for flag, value in spiral_only.items():
-        if radius is not None and value is not None:
+    for key, flag in _SPIRAL_ONLY.items():  # in a circle trace only a flag sets them
+        if radius is not None and getattr(args, key) is not None:
             print(f"trace --circle takes no {flag}", file=sys.stderr)
             return 2
     for bad, need in (

@@ -109,7 +109,7 @@ def _metric_jets(field: MetricField, point, step=None):
         g, dg, d2g = field.analytic_jet(point)
         return np.asarray(g, float), np.asarray(dg, float), np.asarray(d2g, float)
     fd = functools.partial(_fd_metric_derivatives, field, step=step)
-    return fd(point) if point.ndim == 1 else _each_point(fd, point)
+    return _each_point(fd, point)
 
 
 def metric_derivatives(field: MetricField, point, order: int, step=None):

@@ -447,6 +447,39 @@ def test_config_keys_of_other_subcommands_accepted(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["scalar"] == 0.0
 
 
+@pytest.mark.parametrize(
+    "argv, lines",
+    [
+        (["--circle", "1.0"], "metric = flat\nt0 = 0.8\nt_end = 0.3\n"),
+        ([], "circle = 1.0\nmetric = flat\nt0 = 0.8\n"),
+    ],
+    ids=["circle-flag", "circle-key"],
+)
+def test_circle_trace_leaves_spiral_config_keys_unused(tmp_path, capsys, argv, lines):
+    # a config file shared with spiral runs and the curvature subcommand
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(lines)
+    out = tmp_path / "o"
+    assert main(["trace", *argv, "--config", str(cfg), "--out", str(out)]) == 0
+    assert json.loads((out / "run_config.json").read_text()) == {
+        "subcommand": "trace",
+        "circle": 1.0,
+        "tol": 1e-10,
+        "max_steps": 500_000,
+    }
+    capsys.readouterr()
+
+
+def test_circle_from_config_refuses_spiral_flags(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("circle = 1.0\n")
+    out = tmp_path / "o"
+    assert main(["trace", "--t0", "0.5", "--config", str(cfg), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "trace --circle takes no --t0\n"
+    assert not out.exists()
+
+
 def test_config_values_inside_the_flag_choices_apply(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("metric = flat\nchart = cartesian\nformat = json\npoint = 1,2,3\n")
