@@ -39,18 +39,20 @@ class Bivector:
                 f"(at {_first_point(bad, base)})"
             )
 
-    def norm(self, g: np.ndarray) -> float:
+    def norm(self, g: np.ndarray) -> float | np.ndarray:
         """Metric norm |B| = sqrt(1/2 B^mn B^ab g_ma g_nb) for the metric
         matrix g at the base point (a stack of them for a stack).
 
         The 1/2 makes |u ^ w| = |u| |w| sin(angle) for unit bivectors.
+        A float, or an array over a stack's leading axes.
         """
         low = g @ self.components @ g.swapaxes(-1, -2)
         return np.sqrt(
             np.maximum(0.5 * np.sum(self.components * low, axis=(-2, -1)), 0.0)
         )
 
-    def max_abs(self) -> float:
+    def max_abs(self) -> float | np.ndarray:
+        """max |B^mn|: a float, or an array over a stack's leading axes."""
         return _max_abs(self.components)
 
 

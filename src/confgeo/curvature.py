@@ -202,8 +202,8 @@ class CurvatureBundle:
         _y,
     ):
         # One update of the instance dict: the __init__ a frozen dataclass
-        # generates makes an object.__setattr__ call per field, ~1 us more
-        # per curvature() call.
+        # generates makes an object.__setattr__ call per field and takes
+        # about twice as long.
         self.__dict__.update(
             point=point,
             metric=metric,
@@ -233,40 +233,46 @@ def _curvature_kernel(point, g, dg, d2g) -> CurvatureBundle:
 
     ``point`` is (..., n) and g, dg, d2g are (..., n, n), (..., n, n, n)
     and (..., n, n, n, n) with the layout of ``_metric_jets``.  Every
-    product acts on one instance's matrices and vectors (``@`` on
-    matrices, ``np.vecmat`` and ``np.vecdot`` on vectors, which round as
-    the 1-D ``@`` does), so each instance of a stack gets the bits a
-    single-point call gives it.  A degenerate metric raises as
-    ``_checked_inverse`` does, naming the first degenerate instance's point.
+    product acts on one instance's matrices and vectors.  One instance
+    (g of shape (n, n)) takes them through ``np.dot``, whose BLAS call
+    costs least per call; a stack takes ``np.matmul``, ``np.vecmat`` and
+    ``np.vecdot``, which round each instance as ``np.dot`` rounds it
+    alone, so each instance of a stack gets the bits a single-point call
+    gives it.  A degenerate metric raises as ``_checked_inverse`` does,
+    naming the first degenerate instance's point.
     """
     ginv = _checked_inverse(g, point)
     lead, n = g.shape[:-2], g.shape[-1]
+    one = g.ndim == 2
+    matmul, vecmat, vecdot = (np.dot,) * 3 if one else (np.matmul, np.vecmat, np.vecdot)
     sym, sym_w, ric_lin = _contraction_maps(n)
-    half_t_w = np.vecmat(dg.reshape(lead + (n**3,)), sym_w)
+    half_t_w = vecmat(dg.reshape(lead + (n**3,)), sym_w)
     # Gamma^m_ab = g^ms T[s, a, b] / 2, as (..., n, n*n)
-    gamma = ginv @ half_t_w[..., : n**3].reshape(lead + (n, n * n))
+    gamma = matmul(ginv, half_t_w[..., : n**3].reshape(lead + (n, n * n)))
 
     # d_c Gamma = g^-1 (d_c T/2 - d_c g Gamma), as d_c g^-1 = -g^-1 d_c g g^-1,
     # and Gamma^m_cs Gamma^s_ab = g^-1 T/2[., c, .] Gamma, so Y[c] is
     # g^-1 (d_c T/2 - W[c] Gamma), the n products W[c] Gamma as one product.
-    half_dT = (d2g.reshape(lead + (n, n**3)) @ sym).reshape(lead + (n, n, n * n))
-    w_gamma = (half_t_w[..., n**3 :].reshape(lead + (n * n, n)) @ gamma).reshape(
+    half_dT = matmul(d2g.reshape(lead + (n, n**3)), sym).reshape(lead + (n, n, n * n))
+    w_gamma = matmul(half_t_w[..., n**3 :].reshape(lead + (n * n, n)), gamma).reshape(
         lead + (n, n, n * n)
     )
-    y = ginv[..., None, :, :] @ (half_dT - w_gamma)
+    # a matmul on both routes: np.dot would contract other axes of the n matrices
+    y = np.matmul(ginv if one else ginv[..., None, :, :], half_dT - w_gamma)
 
-    ricci_flat = np.vecmat(y.reshape(lead + (n**4,)), ric_lin)
+    ricci_flat = vecmat(y.reshape(lead + (n**4,)), ric_lin)
     ricci = ricci_flat.reshape(lead + (n, n))
-    scalar = np.vecdot(ginv.reshape(lead + (n * n,)), ricci_flat)
+    scalar = vecdot(ginv.reshape(lead + (n * n,)), ricci_flat)
 
     if n >= 3:
-        schouten = ricci - (scalar / (2.0 * (n - 1)))[..., None, None] * g
+        shift = scalar / (2.0 * (n - 1))
+        schouten = ricci - (shift if one else shift[..., None, None]) * g
         if n > 3:  # dividing by n - 2 = 1 is exact
             schouten = schouten / (n - 2)
     else:
         schouten = None
 
-    return CurvatureBundle(  # by position, in field order: ~0.4 us less
+    return CurvatureBundle(  # by position, in field order
         point,
         g,
         ginv,

@@ -62,10 +62,8 @@ class GeodesicState:
 
     def gauge_residuals(self, g: np.ndarray) -> tuple[float, float]:
         """(| |u|^2 - 1 |, |g(u, a)|) for the metric matrix g at the state's point."""
-        return (
-            abs(float(self.u @ g @ self.u) - 1.0),
-            abs(float(self.u @ g @ self.a)),
-        )
+        u, a = self.u, self.a
+        return abs(_g_product(u, g, u) - 1.0), abs(_g_product(u, g, a))
 
     def require_gauge(self, field: MetricField) -> np.ndarray:
         """Raise unless both gauge residuals are within 1e-6 (so neither
@@ -212,8 +210,8 @@ def _pow(x, p):
 # matrices (..., n, n) stacked over matching or broadcasting leading axes:
 # one state, or a state stacked over leading axes with a ``bundle``
 # stacked over the same or broadcasting axes.  np.matvec, np.vecmat and
-# np.vecdot round as the 1-D ``@`` products do, so every instance of a
-# stack gets the bits of a one-state call.
+# np.vecdot round as the 1-D and 2-D ``np.dot`` products do, so every
+# instance of a stack gets the bits of a one-state call.
 
 
 def _quadratic(p, M, q):
@@ -275,19 +273,33 @@ def propertime_rhs(
     p - q rounds as -q + p does, so subtracting Gamma(u, a) saves its
     negation; the scalar keeps its two terms, as -(|a|^2 + L(u, u)) is
     -0 where -|a|^2 - L(u, u) is +0 (a sum that cancels exactly).
+
+    One state (u of shape (n,)) with a one-point bundle takes its
+    products through ``np.dot``, whose BLAS call costs least per call; a
+    stacked state or bundle takes ``np.matvec``, ``np.vecmat`` and
+    ``np.vecdot``, which round each instance as ``np.dot`` rounds it
+    alone.  Gamma(u, .) is the matrix Gamma.reshape(n*n, n) times u on
+    both routes: ``np.dot`` of the 3-D Gamma and u gives other bits (in
+    the last place, for most inputs).
     """
     x, u, a = state.x, state.u, state.a
     bundle = _bundle_at(field, x, bundle, curvature_step)
-    l_u = np.matvec(bundle.schouten, u)
-    a_sq = np.vecdot(np.vecmat(a, bundle.metric), a)
-    u_lu = np.vecdot(u, l_u)
+    gamma = bundle.christoffel
+    one = u.ndim == 1 and gamma.ndim == 3
+    matvec, vecmat, vecdot = (np.dot,) * 3 if one else (np.matvec, np.vecmat, np.vecdot)
+    l_u = matvec(bundle.schouten, u)
+    a_sq = vecdot(vecmat(a, bundle.metric), a)
+    u_lu = vecdot(u, l_u)
 
-    gamma_u = np.matvec(bundle.christoffel, u[..., None, :])  # Gamma^m_ab u^b
-    du = a - np.matvec(gamma_u, u)
+    n = gamma.shape[-1]
+    gamma_u = matvec(gamma.reshape(gamma.shape[:-3] + (n * n, n)), u)
+    gamma_u = gamma_u.reshape(gamma_u.shape[:-1] + (n, n))  # Gamma^m_ab u^b
+    du = a - matvec(gamma_u, u)
+    scale = -a_sq - u_lu
     da = (
-        (-a_sq - u_lu)[..., None] * u
-        - np.matvec(gamma_u, a)
-        + np.matvec(bundle.inverse_metric, l_u)
+        (scale if one else scale[..., None]) * u
+        - matvec(gamma_u, a)
+        + matvec(bundle.inverse_metric, l_u)
     )
     return u.copy(), du, da
 
@@ -350,8 +362,9 @@ def unparam_residual_scale(
     db: np.ndarray,
     *,
     bundle: Optional[CurvatureBundle] = None,
-) -> float:
-    """Magnitude of the terms that cancel inside unparam_residual.
+) -> float | np.ndarray:
+    """Magnitude of the terms that cancel inside unparam_residual: a
+    float, or an array over the leading axes of a stacked state.
 
     Residuals are best judged relative to this: for the spiral curve
     the individual terms blow up like e^(1/t) while their sum vanishes.
@@ -575,6 +588,11 @@ _E3 = _B - np.array(
 _UNDERFLOW = 16.0 * np.finfo(float).eps
 
 
+def _g_product(p, g, q) -> float:
+    """p . g . q for one point's vectors, as a Python float."""
+    return float(np.dot(np.dot(p, g), q))
+
+
 def _underflows(h: float, s: float) -> bool:
     """Whether a step h at s is too short to move s in floating point."""
     return abs(h) < _UNDERFLOW * max(abs(s), 1.0)
@@ -621,6 +639,9 @@ def integrate(
     curvature evaluations and, with its refresh, 13 RHS evaluations.  No
     refresh is computed after the last accepted step.  The initial
     state's g is evaluated once, for its gauge check and its diagnostics.
+    The stage sums, the error estimate, the renormalisation and the
+    gauge residuals act on one state, so they take ``np.dot``, which
+    costs less per call than ``@`` and gives the same bits.
 
     On step underflow, leaving the metric domain, or exceeding
     ``max_steps``, the partial trajectory is returned with a diagnostic
@@ -751,8 +772,8 @@ def integrate(
 
         try:
             for i in range(1, 12):
-                rhs(_unpack(y + h * (stages[i] @ _A[i]), n, 0.0), i)
-            y_new = y + h * (stages[12] @ _B)
+                rhs(_unpack(y + h * np.dot(stages[i], _A[i]), n, 0.0), i)
+            y_new = y + h * np.dot(stages[12], _B)
             at_new = _unpack(y_new, n, 0.0)  # its u and a see the renormalisation
             bundle = rhs(at_new, 12)
         except ConfgeoError as exc:
@@ -771,9 +792,9 @@ def integrate(
         # the curvature at y_new.  math.sqrt rounds as np.sqrt does, and
         # its argument is finite or +inf here.
         sc = tol + tol * np.maximum(np.abs(y), np.abs(y_new))
-        e5 = (stages[12] @ _E5) / sc
-        e3 = (stages[12] @ _E3) / sc
-        e5_sq, e3_sq = float(e5 @ e5), float(e3 @ e3)
+        e5 = np.dot(stages[12], _E5) / sc
+        e3 = np.dot(stages[12], _E3) / sc
+        e5_sq, e3_sq = float(np.dot(e5, e5)), float(np.dot(e3, e3))
         err = 0.0
         if not math.isfinite(e5_sq + e3_sq):
             err = math.inf  # a NaN or overflowing estimate rejects the step
@@ -787,11 +808,11 @@ def integrate(
             if renormalize:
                 u, a = y_new[n : 2 * n], y_new[2 * n :]
                 # np.sqrt: u.g.u may be negative, where math.sqrt would raise
-                u_new = u / np.sqrt(float(u @ g @ u))
-                a_new = a - float(u_new @ g @ a) * u_new
+                u_new = u / np.sqrt(_g_product(u, g, u))
+                a_new = a - _g_product(u_new, g, a) * u_new
                 du, da_ = u_new - u, a_new - a
-                proj_size = math.sqrt(max(float(du @ g @ du), 0.0)) + math.sqrt(
-                    max(float(da_ @ g @ da_), 0.0)
+                proj_size = math.sqrt(max(_g_product(du, g, du), 0.0)) + math.sqrt(
+                    max(_g_product(da_, g, da_), 0.0)
                 )
                 y_new[n : 2 * n], y_new[2 * n :] = u_new, a_new
             st_new = _unpack(y_new, n, s_new)

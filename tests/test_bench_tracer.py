@@ -1,5 +1,5 @@
 """The benchmark's tracer (``benchmarks/bench_trace.py``, imported as it
-is) around the spiral run.
+is) around the spiral run and around one unit of each workload.
 
 A traced benchmark result derives rejected steps from ``integrate``'s
 public counters, counts RHS evaluations as ``propertime_rhs`` spans
@@ -52,3 +52,26 @@ def test_the_traced_spiral_run_gives_exact_layer_figures(bench_trace):
     attempts = stats["accepted"] + stats["rejected"]
     assert stats["accepted"] > 0 and traj.status == "stopped"
     assert stats["rhs_evaluations"] == 1 + 12 * attempts + refreshes
+
+
+@pytest.mark.parametrize("name", ["SpiralInward", "CurvatureField", "VerifyChecks"])
+def test_a_traced_unit_gives_the_untraced_units_result(bench_trace, name):
+    # run.py --trace 1's correctness rule on one unit of each workload:
+    # the traced unit has the untraced one's digest, attempted and failed
+    # counts, and its propertime_rhs spans under integrate match the RHS
+    # evaluations integrate reported
+    bt = bench_trace
+    workload = getattr(importlib.import_module("bench_workloads"), name)(1)
+    untraced = workload.unit(0)
+    with bt.Tracer() as tracer:
+        with tracer.root() as root:
+            traced = workload.unit(0)
+    assert (traced.digest, traced.attempted, traced.failed) == (
+        untraced.digest,
+        untraced.attempted,
+        untraced.failed,
+    )
+    assert untraced.attempted > 0 and untraced.failed == 0
+    traced_rhs, reported_rhs = bt.rhs_evaluations_traced(tracer.spans, root)
+    assert traced_rhs == reported_rhs
+    assert (reported_rhs > 0) == (name == "SpiralInward")

@@ -15,8 +15,10 @@ from confgeo import (
     bivector_covariant_derivative,
     curvature,
     example_metric,
+    flat_polar_metric,
     kulkarni_nomizu,
     propertime_rhs,
+    round_sphere_metric,
     spiral_acceleration,
     spiral_acceleration_dot,
     spiral_point,
@@ -203,6 +205,97 @@ def _bitwise(a, b):
     and -0.0 does not match 0.0."""
     a, b = np.asarray(a), np.asarray(b)
     return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _routes():
+    """(field, points (N, n)) over every jet route: the example metric in
+    both charts at off-plane points whose radii cross the cutoff's ramp,
+    the finite-difference route (the sphere, and the flat polar metric
+    with its closed-form jet dropped), and polynomial metrics for n = 2,
+    3 and 4."""
+    rng = np.random.default_rng(31)
+    cylindrical = example_metric("cylindrical")
+    z = rng.uniform(0.05, 0.5, N) * rng.choice([-1.0, 1.0], N)
+    cyl = np.column_stack([rng.uniform(0.2, 1.4, N), rng.uniform(-np.pi, np.pi, N), z])
+    polar = np.column_stack([rng.uniform(0.1, 2.0, N), rng.uniform(-3.0, 3.0, N)])
+    sphere = np.column_stack([rng.uniform(0.2, 2.9, N), rng.uniform(-3.0, 3.0, N)])
+    return [
+        (cylindrical, cyl),
+        (example_metric("cartesian"), cylindrical.chart.embed(cyl)),
+        (round_sphere_metric(), sphere),
+        (dataclasses.replace(flat_polar_metric(), analytic_jet=None), polar),
+    ] + [
+        (RandomMetricSpec(seed=31 + n, dimension=n).build(), rng.uniform(-0.5, 0.5, (N, n)))
+        for n in (2, 3, 4)
+    ]
+
+
+_ROUTE_IDS = [
+    "example_cylindrical",
+    "example_cartesian",
+    "sphere_fd",
+    "flat_polar_fd",
+    "polynomial2d",
+    "polynomial3d",
+    "polynomial4d",
+]
+_BUNDLE_FIELDS = (
+    "point",
+    "metric",
+    "inverse_metric",
+    "christoffel",
+    "ricci",
+    "scalar",
+    "schouten",
+    "riemann",
+    "riemann_lowered",
+)
+
+
+@pytest.mark.parametrize("route", range(len(_ROUTE_IDS)), ids=_ROUTE_IDS)
+def test_a_point_a_one_point_stack_and_a_stack_agree_bit_for_bit(route):
+    # A point (n,) takes its products through np.dot and a stack through
+    # the gufuncs: every bundle field and the proper-time RHS of the
+    # point, of the one-instance stack (1, n) and of the N-instance
+    # stack must have the same bits.
+    field, x = _routes()[route]
+    n = x.shape[-1]
+    u, a = np.random.default_rng(route).standard_normal((2, N, n))
+
+    def with_schouten(bundle, x):
+        # dimension 2 has no Schouten tensor: a stand-in L goes in
+        if n > 2:
+            return bundle
+        return dataclasses.replace(bundle, schouten=_stand_in_schouten(x))
+
+    stack = curvature(field, x)
+    stack_rhs = propertime_rhs(
+        None, GeodesicState(x, u, a), bundle=with_schouten(stack, x)
+    )
+    for i in range(N):
+        alone = curvature(field, x[i])
+        assert type(alone.scalar) is np.float64, type(alone.scalar)
+        one = curvature(field, x[i : i + 1])
+        assert one.scalar.shape == (1,)
+        for name in _BUNDLE_FIELDS:
+            want = getattr(alone, name)
+            if want is None:
+                assert getattr(one, name) is None and getattr(stack, name) is None
+                continue
+            assert _bitwise(getattr(one, name)[0], want), (name, i)
+            assert _bitwise(getattr(stack, name)[i], want), (name, i)
+        alone_rhs = propertime_rhs(
+            None, GeodesicState(x[i], u[i], a[i]), bundle=with_schouten(alone, x[i])
+        )
+        one_rhs = propertime_rhs(
+            None,
+            GeodesicState(x[i : i + 1], u[i : i + 1], a[i : i + 1]),
+            bundle=with_schouten(one, x[i : i + 1]),
+        )
+        for want, got_one, got_stack in zip(alone_rhs, one_rhs, stack_rhs):
+            assert want.shape == (n,)
+            assert _bitwise(got_one[0], want), i
+            assert _bitwise(got_stack[i], want), i
 
 
 def _example_points(chart):
