@@ -236,10 +236,12 @@ def _curvature_kernel(point, g, dg, d2g) -> CurvatureBundle:
     product acts on one instance's matrices and vectors.  One instance
     (g of shape (n, n)) takes them through ``np.dot``, whose BLAS call
     costs least per call; a stack takes ``np.matmul``, ``np.vecmat`` and
-    ``np.vecdot``, which round each instance as ``np.dot`` rounds it
-    alone, so each instance of a stack gets the bits a single-point call
-    gives it.  A degenerate metric raises as ``_checked_inverse`` does,
-    naming the first degenerate instance's point.
+    ``np.vecdot``.  numpy does not promise that these round an instance
+    as ``np.dot`` rounds it alone; they did, for these 1-D and 2-D forms,
+    on numpy 2.4 with OpenBLAS 0.3.31, and the stacking tests check that
+    each instance of a stack gets the bits a single-point call gives it.
+    A degenerate metric raises as ``_checked_inverse`` does, naming the
+    first degenerate instance's point.
     """
     ginv = _checked_inverse(g, point)
     lead, n = g.shape[:-2], g.shape[-1]
@@ -258,13 +260,15 @@ def _curvature_kernel(point, g, dg, d2g) -> CurvatureBundle:
         lead + (n, n, n * n)
     )
     # a matmul on both routes: np.dot would contract other axes of the n matrices
-    y = np.matmul(ginv if one else ginv[..., None, :, :], half_dT - w_gamma)
+    y = np.matmul(ginv[..., None, :, :], half_dT - w_gamma)
 
     ricci_flat = vecmat(y.reshape(lead + (n**4,)), ric_lin)
     ricci = ricci_flat.reshape(lead + (n, n))
     scalar = vecdot(ginv.reshape(lead + (n * n,)), ricci_flat)
 
     if n >= 3:
+        # one point's shift stays a scalar: broadcasting it as a (1, 1)
+        # array costs ~0.7 us, 2% of a one-point curvature() call
         shift = scalar / (2.0 * (n - 1))
         schouten = ricci - (shift if one else shift[..., None, None]) * g
         if n > 3:  # dividing by n - 2 = 1 is exact

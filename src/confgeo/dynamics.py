@@ -210,8 +210,9 @@ def _pow(x, p):
 # matrices (..., n, n) stacked over matching or broadcasting leading axes:
 # one state, or a state stacked over leading axes with a ``bundle``
 # stacked over the same or broadcasting axes.  np.matvec, np.vecmat and
-# np.vecdot round as the 1-D and 2-D ``np.dot`` products do, so every
-# instance of a stack gets the bits of a one-state call.
+# np.vecdot rounded as the 1-D and 2-D ``np.dot`` products do on numpy 2.4
+# with OpenBLAS 0.3.31, so every instance of a stack gets the bits of a
+# one-state call; numpy does not promise it, and the stacking tests check it.
 
 
 def _quadratic(p, M, q):
@@ -277,10 +278,11 @@ def propertime_rhs(
     One state (u of shape (n,)) with a one-point bundle takes its
     products through ``np.dot``, whose BLAS call costs least per call; a
     stacked state or bundle takes ``np.matvec``, ``np.vecmat`` and
-    ``np.vecdot``, which round each instance as ``np.dot`` rounds it
-    alone.  Gamma(u, .) is the matrix Gamma.reshape(n*n, n) times u on
-    both routes: ``np.dot`` of the 3-D Gamma and u gives other bits (in
-    the last place, for most inputs).
+    ``np.vecdot``, which gave each instance the bits of ``np.dot`` on
+    numpy 2.4 with OpenBLAS 0.3.31 (the stacking tests check it).
+    Gamma(u, .) is the matrix Gamma.reshape(n*n, n) times u on both
+    routes: ``np.dot`` of the 3-D Gamma and u gave other bits (in the
+    last place, for most inputs).
     """
     x, u, a = state.x, state.u, state.a
     bundle = _bundle_at(field, x, bundle, curvature_step)
@@ -295,9 +297,8 @@ def propertime_rhs(
     gamma_u = matvec(gamma.reshape(gamma.shape[:-3] + (n * n, n)), u)
     gamma_u = gamma_u.reshape(gamma_u.shape[:-1] + (n, n))  # Gamma^m_ab u^b
     du = a - matvec(gamma_u, u)
-    scale = -a_sq - u_lu
     da = (
-        (scale if one else scale[..., None]) * u
+        (-a_sq - u_lu)[..., None] * u
         - matvec(gamma_u, a)
         + matvec(bundle.inverse_metric, l_u)
     )
@@ -641,7 +642,8 @@ def integrate(
     state's g is evaluated once, for its gauge check and its diagnostics.
     The stage sums, the error estimate, the renormalisation and the
     gauge residuals act on one state, so they take ``np.dot``, which
-    costs less per call than ``@`` and gives the same bits.
+    costs less per call than ``@`` and gave the same bits on numpy 2.4
+    with OpenBLAS 0.3.31 (the spiral's pinned trajectory checks it).
 
     On step underflow, leaving the metric domain, or exceeding
     ``max_steps``, the partial trajectory is returned with a diagnostic

@@ -565,11 +565,13 @@ def _bitwise(a, b):
 @pytest.mark.parametrize("route", range(len(_ROUTES)), ids=_ROUTES)
 def test_a_stack_of_points_gets_the_bits_of_one_point_calls(route):
     # curvature, christoffel and metric_derivatives over all the points of
-    # a route, and over two halves of them as (2, k/2, n), instance by
-    # instance against one-point calls
+    # a route, over the first as a one-point stack (1, n) and over two
+    # halves of them as (2, k/2, n), instance by instance against
+    # one-point calls, which take their products through np.dot where a
+    # stack takes the gufuncs
     field, points = _pinned_bundle_cases()[route]
     k, n = points.shape
-    for stack in (points, points[: k // 2 * 2].reshape(2, k // 2, n)):
+    for stack in (points, points[:1], points[: k // 2 * 2].reshape(2, k // 2, n)):
         bundle = curvature(field, stack)
         gamma = christoffel(field, stack)
         dg, d2g = (metric_derivatives(field, stack, order) for order in (1, 2))
@@ -577,6 +579,8 @@ def test_a_stack_of_points_gets_the_bits_of_one_point_calls(route):
         for index in np.ndindex(stack.shape[:-1]):
             x = stack[index]
             alone = curvature(field, x)
+            # a numpy scalar, not a 0-d array, so that format specs work
+            assert type(alone.scalar) is np.float64
             for name in _BUNDLE_FIELDS:
                 got, want = getattr(bundle, name), getattr(alone, name)
                 if want is None:

@@ -15,10 +15,8 @@ from confgeo import (
     bivector_covariant_derivative,
     curvature,
     example_metric,
-    flat_polar_metric,
     kulkarni_nomizu,
     propertime_rhs,
-    round_sphere_metric,
     spiral_acceleration,
     spiral_acceleration_dot,
     spiral_point,
@@ -67,24 +65,30 @@ def _stack(fields, x):
 
 
 def _same(a, b):
-    return np.array_equal(np.asarray(a), np.asarray(b))
+    """Equal shapes and bytes: NaN matches NaN only with the same bits,
+    and -0.0 does not match 0.0."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_curvature_kernel_stack_equals_single_calls(n):
+    # a stack and a one-instance stack take the gufuncs, a single point np.dot
     fields, x, *_ = _instances(n)
-    stacked = _stack(fields, x)
-    for i, (f, p) in enumerate(zip(fields, x)):
-        single = curvature(f, p)
-        for name in (
-            "metric", "inverse_metric", "christoffel", "ricci", "scalar", "riemann"
-        ):
-            assert _same(getattr(stacked, name)[i], getattr(single, name)), (n, i, name)
-        if n == 2:
-            assert stacked.schouten is None and single.schouten is None
-        else:
-            assert _same(stacked.schouten[i], single.schouten), (n, i)
-    assert stacked.scalar.shape == (N,) and stacked.riemann.shape == (N,) + (n,) * 4
+    for k in (N, 1):
+        stacked = _stack(fields[:k], x[:k])
+        for i, (f, p) in enumerate(zip(fields[:k], x)):
+            single = curvature(f, p)
+            for name in (
+                "metric", "inverse_metric", "christoffel", "ricci", "scalar", "riemann"
+            ):
+                got, want = getattr(stacked, name)[i], getattr(single, name)
+                assert _same(got, want), (n, i, name)
+            if n == 2:
+                assert stacked.schouten is None and single.schouten is None
+            else:
+                assert _same(stacked.schouten[i], single.schouten), (n, i)
+        assert stacked.scalar.shape == (k,) and stacked.riemann.shape == (k,) + (n,) * 4
 
 
 def _rhs_and_residuals(field, state, d, bundle):
@@ -109,22 +113,43 @@ def _assert_instance_is_a_single_call(stacked, index, alone, metric):
     assert _same(unparam.norm(metric)[index], unparam_i.norm(metric[index])), index
 
 
-@pytest.mark.parametrize("n", [2, 3])
-def test_rhs_and_residuals_stack_equal_single_calls(n):
-    fields, x, u, a, d = _instances(n, seed=n)
-    bundle = _stack(fields, x)
-    if n == 2:
-        # dimension 2 has no Schouten tensor: a stand-in L goes in
-        # through the bundle
-        bundle = dataclasses.replace(bundle, schouten=_stand_in_schouten(x))
-    stacked = _rhs_and_residuals(None, GeodesicState(x, u, a), d, bundle)
-    assert stacked[3].components.shape == (N, n, n)
-    for i, f in enumerate(fields):
-        single = curvature(f, x[i])
+def _example_instances(chart, seed=0):
+    """N off-plane points (0 < |z| <= 0.5) of the example metric in
+    ``chart``, whose radii cross the cutoff's ramp, each with three
+    vectors, as _instances gives them."""
+    rng = np.random.default_rng(seed)
+    z = rng.uniform(0.05, 0.5, N) * rng.choice([-1.0, 1.0], N)
+    x = np.column_stack([rng.uniform(0.2, 1.4, N), rng.uniform(-np.pi, np.pi, N), z])
+    if chart == "cartesian":
+        x = example_metric("cylindrical").chart.embed(x)
+    u, a, d = rng.standard_normal((3, N, 3))
+    return [example_metric(chart)] * N, x, u, a, d
+
+
+@pytest.mark.parametrize("case", [2, 3, 4, "cylindrical", "cartesian"])
+def test_rhs_and_residuals_stack_equal_single_calls(case):
+    # one state takes the RHS's products through np.dot, a stack (a
+    # one-instance stack too) through the gufuncs
+    if isinstance(case, int):
+        fields, x, u, a, d = _instances(case, seed=case)
+    else:
+        fields, x, u, a, d = _example_instances(case)
+    n = x.shape[-1]
+    for k in (N, 1):
+        bundle = _stack(fields[:k], x[:k])
         if n == 2:
-            single = dataclasses.replace(single, schouten=bundle.schouten[i])
-        alone = _rhs_and_residuals(f, GeodesicState(x[i], u[i], a[i]), d[i], single)
-        _assert_instance_is_a_single_call(stacked, i, alone, bundle.metric)
+            # dimension 2 has no Schouten tensor: a stand-in L goes in
+            # through the bundle
+            bundle = dataclasses.replace(bundle, schouten=_stand_in_schouten(x[:k]))
+        state = GeodesicState(x[:k], u[:k], a[:k])
+        stacked = _rhs_and_residuals(None, state, d[:k], bundle)
+        assert stacked[3].components.shape == (k, n, n)
+        for i, f in enumerate(fields[:k]):
+            single = curvature(f, x[i])
+            if n == 2:
+                single = dataclasses.replace(single, schouten=bundle.schouten[i])
+            alone = _rhs_and_residuals(f, GeodesicState(x[i], u[i], a[i]), d[i], single)
+            _assert_instance_is_a_single_call(stacked, i, alone, bundle.metric)
 
 
 def test_rhs_and_residuals_broadcast_one_bundle_over_its_states():
@@ -200,104 +225,6 @@ def test_polynomial_kernels_stack_equal_each_metric(n):
             assert _same(got[i], alone), (n, i)
 
 
-def _bitwise(a, b):
-    """Equal shapes and bytes: NaN matches NaN only with the same bits,
-    and -0.0 does not match 0.0."""
-    a, b = np.asarray(a), np.asarray(b)
-    return a.shape == b.shape and a.tobytes() == b.tobytes()
-
-
-def _routes():
-    """(field, points (N, n)) over every jet route: the example metric in
-    both charts at off-plane points whose radii cross the cutoff's ramp,
-    the finite-difference route (the sphere, and the flat polar metric
-    with its closed-form jet dropped), and polynomial metrics for n = 2,
-    3 and 4."""
-    rng = np.random.default_rng(31)
-    cylindrical = example_metric("cylindrical")
-    z = rng.uniform(0.05, 0.5, N) * rng.choice([-1.0, 1.0], N)
-    cyl = np.column_stack([rng.uniform(0.2, 1.4, N), rng.uniform(-np.pi, np.pi, N), z])
-    polar = np.column_stack([rng.uniform(0.1, 2.0, N), rng.uniform(-3.0, 3.0, N)])
-    sphere = np.column_stack([rng.uniform(0.2, 2.9, N), rng.uniform(-3.0, 3.0, N)])
-    return [
-        (cylindrical, cyl),
-        (example_metric("cartesian"), cylindrical.chart.embed(cyl)),
-        (round_sphere_metric(), sphere),
-        (dataclasses.replace(flat_polar_metric(), analytic_jet=None), polar),
-    ] + [
-        (RandomMetricSpec(seed=31 + n, dimension=n).build(), rng.uniform(-0.5, 0.5, (N, n)))
-        for n in (2, 3, 4)
-    ]
-
-
-_ROUTE_IDS = [
-    "example_cylindrical",
-    "example_cartesian",
-    "sphere_fd",
-    "flat_polar_fd",
-    "polynomial2d",
-    "polynomial3d",
-    "polynomial4d",
-]
-_BUNDLE_FIELDS = (
-    "point",
-    "metric",
-    "inverse_metric",
-    "christoffel",
-    "ricci",
-    "scalar",
-    "schouten",
-    "riemann",
-    "riemann_lowered",
-)
-
-
-@pytest.mark.parametrize("route", range(len(_ROUTE_IDS)), ids=_ROUTE_IDS)
-def test_a_point_a_one_point_stack_and_a_stack_agree_bit_for_bit(route):
-    # A point (n,) takes its products through np.dot and a stack through
-    # the gufuncs: every bundle field and the proper-time RHS of the
-    # point, of the one-instance stack (1, n) and of the N-instance
-    # stack must have the same bits.
-    field, x = _routes()[route]
-    n = x.shape[-1]
-    u, a = np.random.default_rng(route).standard_normal((2, N, n))
-
-    def with_schouten(bundle, x):
-        # dimension 2 has no Schouten tensor: a stand-in L goes in
-        if n > 2:
-            return bundle
-        return dataclasses.replace(bundle, schouten=_stand_in_schouten(x))
-
-    stack = curvature(field, x)
-    stack_rhs = propertime_rhs(
-        None, GeodesicState(x, u, a), bundle=with_schouten(stack, x)
-    )
-    for i in range(N):
-        alone = curvature(field, x[i])
-        assert type(alone.scalar) is np.float64, type(alone.scalar)
-        one = curvature(field, x[i : i + 1])
-        assert one.scalar.shape == (1,)
-        for name in _BUNDLE_FIELDS:
-            want = getattr(alone, name)
-            if want is None:
-                assert getattr(one, name) is None and getattr(stack, name) is None
-                continue
-            assert _bitwise(getattr(one, name)[0], want), (name, i)
-            assert _bitwise(getattr(stack, name)[i], want), (name, i)
-        alone_rhs = propertime_rhs(
-            None, GeodesicState(x[i], u[i], a[i]), bundle=with_schouten(alone, x[i])
-        )
-        one_rhs = propertime_rhs(
-            None,
-            GeodesicState(x[i : i + 1], u[i : i + 1], a[i : i + 1]),
-            bundle=with_schouten(one, x[i : i + 1]),
-        )
-        for want, got_one, got_stack in zip(alone_rhs, one_rhs, stack_rhs):
-            assert want.shape == (n,)
-            assert _bitwise(got_one[0], want), i
-            assert _bitwise(got_stack[i], want), i
-
-
 def _example_points(chart):
     """48 points of the example metric over every branch of its jet: the
     flat core (the axis too, in the cartesian chart), the support, the
@@ -326,17 +253,17 @@ def test_example_metric_evaluates_the_g_of_its_one_point_jets(chart):
     with np.errstate(over="ignore", invalid="ignore"):
         g = field(points)
     for p, g_p in zip(points, g):
-        assert _bitwise(g_p, field.analytic_jet(p)[0]), p
-        assert _bitwise(field(p), g_p), p
+        assert _same(g_p, field.analytic_jet(p)[0]), p
+        assert _same(field(p), g_p), p
     flat = np.diag([1.0, 9.0, 1.0]) if chart == "cylindrical" else np.eye(3)
-    assert _bitwise(g[-2], flat)
+    assert _same(g[-2], flat)
     assert np.all(curvature(field, points[-2]).ricci == 0.0)
     # a point of integers, at r = 1 on the profile's support, reads as
     # the same point of floats
     point = np.array([1, 0, 1])
     for got, want in zip(field.analytic_jet(point), field.analytic_jet(point.astype(float))):
-        assert _bitwise(got, want)
-    assert _bitwise(field(point), field.analytic_jet(point.astype(float))[0])
+        assert _same(got, want)
+    assert _same(field(point), field.analytic_jet(point.astype(float))[0])
 
 
 @pytest.mark.parametrize("chart", ["cylindrical", "cartesian"])
@@ -349,7 +276,7 @@ def test_example_metric_jets_stack_equal_each_point(chart):
     assert g.shape == (6, 8, 3, 3) and d2g.shape == (6, 8) + (3,) * 4
     for index in np.ndindex(6, 8):
         for got, alone in zip((g, dg, d2g), field.analytic_jet(points[index])):
-            assert _bitwise(got[index], alone), (chart, points[index])
+            assert _same(got[index], alone), (chart, points[index])
 
 
 @pytest.mark.parametrize("chart", ["cylindrical", "cartesian"])
@@ -368,12 +295,12 @@ def test_inverse_and_bivector_transport_take_a_stack_of_points(chart):
     inverse = field.inverse(points)
     nabla = bivector_covariant_derivative(field, points, v, wedge(u, w, points), dB)
     for i in np.ndindex(2, 4):
-        assert _bitwise(inverse[i], field.inverse(points[i])), points[i]
+        assert _same(inverse[i], field.inverse(points[i])), points[i]
         alone = bivector_covariant_derivative(
             field, points[i], v[i], wedge(u[i], w[i], points[i]), dB[i]
         )
-        assert _bitwise(nabla.components[i], alone.components), points[i]
-        assert _bitwise(nabla.base_point[i], alone.base_point)
+        assert _same(nabla.components[i], alone.components), points[i]
+        assert _same(nabla.base_point[i], alone.base_point)
 
 
 def _gauge_state(field, rng):
