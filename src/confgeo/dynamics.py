@@ -862,9 +862,6 @@ class ArcLengthResult:
     estimated_error: float
     converged: bool  # False: the panel cap was reached first
 
-    def __float__(self):
-        return self.value
-
 
 @functools.cache
 def _gauss_legendre():

@@ -47,12 +47,6 @@ class Chart:
         if len(self.coordinate_names) != self.dimension:
             raise ValueError("need exactly one name per coordinate")
 
-    def is_singular(self, points) -> np.ndarray:
-        points = np.asarray(points, dtype=float)
-        if self.singular_mask is None:
-            return np.zeros(points.shape[:-1], dtype=bool)
-        return np.asarray(self.singular_mask(points))
-
     def require_regular(self, points):
         """Raise ChartSingularityError naming the first of the points
         (..., dim) that lies on the singular locus."""
@@ -445,14 +439,15 @@ def _polynomial_jet(points, n_powers, tables):
 def polynomial_metric(
     exponents: np.ndarray,
     coefficients: np.ndarray,
-    dimension: int = 3,
+    *,
     name: str = "polynomial",
 ) -> MetricField:
     """Flat metric plus a polynomial symmetric perturbation.
 
     ``exponents`` has shape (m, dim) with non-negative integer entries,
-    ``coefficients`` has shape (m, dim, dim) and is symmetric in its last
-    two indices (ValueError otherwise).  The entry g_ij(x) is
+    where dim >= 2 is the metric's dimension, and ``coefficients`` has
+    shape (m, dim, dim) and is symmetric in its last two indices
+    (ValueError otherwise).  The entry g_ij(x) is
     delta_ij + sum_k c[k, i, j] x^e[k].  Exact first and second partials
     follow from the power rule, which makes these metrics a cross-check
     for the finite-difference pipeline.
@@ -470,15 +465,12 @@ def polynomial_metric(
     coefficients = np.asarray(coefficients, dtype=float)
     if (
         exponents.ndim != 2
-        or exponents.shape[1] != dimension
         or exponents.dtype.kind not in "iu"
         or (exponents < 0).any()
     ):
-        raise ValueError(
-            f"exponents must be an (m, {dimension}) array of non-negative integers"
-        )
+        raise ValueError("exponents must be an (m, dim) array of non-negative integers")
     exponents = exponents.astype(np.int64)
-    m = len(exponents)
+    m, dimension = exponents.shape
     if coefficients.shape != (m, dimension, dimension):
         raise ValueError(
             f"coefficients must have shape {(m, dimension, dimension)}, "

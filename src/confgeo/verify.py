@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import json
 import time
 from dataclasses import dataclass
@@ -60,9 +61,7 @@ from .dynamics import (
 from .metrics import (
     MetricField,
     _jet_tables,
-    _monomials,
     _polynomial_jet,
-    _polynomial_values,
     flat_cylindrical_metric,
     flat_polar_metric,
     polynomial_metric,
@@ -155,106 +154,52 @@ def _report(name, passed, metrics, tolerances, seed, t_start, notes=()):
 
 @functools.lru_cache(maxsize=None)
 def _monomial_exponents(dimension: int, degree: int) -> np.ndarray:
-    """Exponent tuples of total degree <= ``degree``, one row each; the
-    array is shared between calls and read-only."""
-    exps = []
-
-    def rec(prefix, remaining):
-        if len(prefix) == dimension:
-            exps.append(tuple(prefix))
-            return
-        for e in range(remaining + 1):
-            rec(prefix + [e], remaining - e)
-
-    rec([], degree)
-    out = np.array(exps, dtype=int)
+    """Exponent tuples of total degree <= ``degree``, one row each, in
+    lexicographic order; the array is shared between calls and read-only."""
+    out = np.array(
+        [
+            e
+            for e in itertools.product(range(degree + 1), repeat=dimension)
+            if sum(e) <= degree
+        ],
+        dtype=int,
+    )
     out.flags.writeable = False
     return out
 
 
-@functools.lru_cache(maxsize=None)
-def _grid_monomials(dimension: int, degree: int) -> np.ndarray:
-    """The monomials of ``_monomial_exponents(dimension, degree)`` at the
-    5^dimension points of the positivity grid on [-1, 1]^dimension, shape
-    (5^dimension, m); shared between calls and read-only."""
-    grid_1d = np.linspace(-1.0, 1.0, 5)
-    grid = np.stack(
-        np.meshgrid(*([grid_1d] * dimension), indexing="ij"), axis=-1
-    ).reshape(-1, dimension)
-    out = _monomials(grid, _monomial_exponents(dimension, degree))
-    out.flags.writeable = False
-    return out
-
-
-# Every eigenvalue of a random metric exceeds this on [-1, 1]^n.
-_MIN_EIGENVALUE = 0.05
-# Each coefficient of a random metric is at most this in size, which keeps
-# the whole perturbation well inside the positive-definite region.
+# The size bound of a random metric's coefficients in dimensions 2 and 3;
+# _random_coefficients lowers it where it would not keep g positive.
 _AMPLITUDE = 0.015
-
-
-def _positive_on_grid(coefs: np.ndarray, dimension: int, degree: int) -> bool:
-    """Whether every eigenvalue of g exceeds _MIN_EIGENVALUE at every point
-    of the 5^dimension grid on [-1, 1]^dimension, for the polynomial metric
-    with exponents ``_monomial_exponents(dimension, degree)`` and these
-    coefficients: g - _MIN_EIGENVALUE I has a Cholesky factor exactly when
-    it is positive definite, so one batched factorisation makes the test."""
-    g = _polynomial_values(_grid_monomials(dimension, degree), coefs)
-    try:
-        np.linalg.cholesky(g - _MIN_EIGENVALUE * np.eye(dimension))
-    except np.linalg.LinAlgError:
-        return False
-    return True
-
-
-def _gershgorin_bound(coefs: np.ndarray) -> np.ndarray:
-    """A lower bound on every eigenvalue of g = I + sum_k c[k] x^e[k] on the
-    whole box [-1, 1]^n, from the coefficients (..., m, n, n) alone: each
-    |x^e| <= 1 there, so by Gershgorin's theorem every eigenvalue is at
-    least min_i (1 - sum_j sum_k |c[k, i, j]|)."""
-    return 1.0 - np.abs(coefs).sum(axis=(-3, -1)).max(axis=-1)
-
-
-def _symmetrized(coefs):
-    return 0.5 * (coefs + coefs.swapaxes(-1, -2))
-
-
-def _amplitude_scaled(u):
-    """Uniform draws ``u`` in [0, 1) taken to [-_AMPLITUDE, _AMPLITUDE), by
-    the low + (high - low) u that ``Generator.uniform`` applies."""
-    return -_AMPLITUDE + (_AMPLITUDE - -_AMPLITUDE) * u
 
 
 def _random_coefficients(seeds, dimension: int) -> np.ndarray:
     """The coefficients (len(seeds), m, n, n) of the cubic perturbation that
     ``RandomMetricSpec(seed, dimension)`` builds, one table per seed.
 
-    Each seed's generator draws tables until one is positive: a draw is
-    accepted when its Gershgorin bound exceeds twice _MIN_EIGENVALUE, a
-    margin no rounding can cross, and otherwise only when it passes
-    ``_positive_on_grid``; so the bound accepts only draws the grid test
-    accepts.  The first draws of all seeds are scaled and bounded as one
-    stack.
+    Each seed's generator draws one block of uniforms, taken to [-A, A) by
+    the low + (high - low) u that ``Generator.uniform`` applies, and the
+    table is symmetrised.  A is _AMPLITUDE when n m _AMPLITUDE <= 0.9 (n = 2
+    and 3) and 0.9 / (n m) otherwise, so sum_j sum_k |c[k, i, j]| <= 0.9 for
+    every i: each |x^e| <= 1 on [-1, 1]^n, and by Gershgorin's theorem every
+    eigenvalue of g is at least 0.1 on the whole box.
     """
-    size = (len(_monomial_exponents(dimension, 3)), dimension, dimension)
-    rngs = [np.random.default_rng(seed) for seed in seeds]
-    coefs = _symmetrized(
-        _amplitude_scaled(np.array([rng.random(size) for rng in rngs]))
-    )
-    for i in np.flatnonzero(_gershgorin_bound(coefs) <= 2.0 * _MIN_EIGENVALUE):
-        draws = 1
-        while not _positive_on_grid(coefs[i], dimension, 3):
-            if draws == 50:
-                raise RuntimeError("could not sample a positive-definite metric")
-            coefs[i] = _symmetrized(_amplitude_scaled(rngs[i].random(size)))
-            draws += 1
-    return coefs
+    m = len(_monomial_exponents(dimension, 3))
+    if dimension * m * _AMPLITUDE <= 0.9:
+        amplitude = _AMPLITUDE
+    else:
+        amplitude = 0.9 / (dimension * m)
+    size = (m, dimension, dimension)
+    u = np.array([np.random.default_rng(seed).random(size) for seed in seeds])
+    coefs = -amplitude + (amplitude - -amplitude) * u
+    return 0.5 * (coefs + coefs.swapaxes(-1, -2))
 
 
 @dataclass(frozen=True)
 class RandomMetricSpec:
-    """Flat metric plus a seeded cubic polynomial perturbation, PD on the
-    unit box."""
+    """Flat metric plus a seeded cubic polynomial perturbation; every
+    eigenvalue of g is at least 0.1 on the box [-1, 1]^n, by the amplitude
+    rule of ``_random_coefficients``."""
 
     seed: int
     dimension: int = 3
@@ -263,7 +208,6 @@ class RandomMetricSpec:
         return polynomial_metric(
             _monomial_exponents(self.dimension, 3),
             _random_coefficients([self.seed], self.dimension)[0],
-            self.dimension,
             name=f"random(seed={self.seed})",
         )
 

@@ -48,8 +48,11 @@ def test_cartesian_chart_names_every_dimension():
 
 def test_polar_chart_singular_locus():
     chart = polar_chart()
-    assert chart.is_singular(np.array([1e-9, 0.3]))
-    assert not chart.is_singular(np.array([0.5, 0.3]))
+    assert chart.singular_mask(np.array([1e-9, 0.3]))
+    assert not chart.singular_mask(np.array([0.5, 0.3]))
+    mask = chart.singular_mask(np.array([[1e-9, 0.3], [0.5, 0.3]]))
+    assert mask.shape == (2,) and mask.tolist() == [True, False]
+    chart.require_regular(np.array([[0.5, 0.3], [2.0, 1.0]]))
     with pytest.raises(ChartSingularityError, match=r"point \[0\. 0\.\] lies on"):
         chart.require_regular(np.array([0.0, 0.0]))
     # a stack names its first singular point
@@ -203,7 +206,7 @@ def test_polynomial_jet_matches_the_per_table_power_rule(dimension, degree):
     for _ in range(10):
         coefs = rng.uniform(-0.3, 0.3, size=(len(exps), dimension, dimension))
         coefs = 0.5 * (coefs + coefs.transpose(0, 2, 1))
-        field = polynomial_metric(exps, coefs, dimension)
+        field = polynomial_metric(exps, coefs)
         evaluate, jet = _per_table_polynomial(exps, coefs, dimension)
         for x in rng.uniform(-1.5, 1.5, size=(20, dimension)):
             for got, expected in zip(field.analytic_jet(x), jet(x)):
@@ -216,7 +219,6 @@ def test_polynomial_jet_matches_the_per_table_power_rule(dimension, degree):
 @pytest.mark.parametrize(
     "exponents",
     [
-        np.array([[1, 0], [0, 1]]),  # (m, 2) for a 3D metric
         np.array([1, 0, 0]),  # not a table
         np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),  # not integers
         np.array([[1, 0, 0], [0, -1, 0]]),  # negative
@@ -224,14 +226,19 @@ def test_polynomial_jet_matches_the_per_table_power_rule(dimension, degree):
 )
 def test_polynomial_metric_rejects_bad_exponents(exponents):
     with pytest.raises(ValueError, match="exponents"):
-        polynomial_metric(exponents, np.zeros((2, 3, 3)), 3)
+        polynomial_metric(exponents, np.zeros((2, 3, 3)))
 
 
 def test_polynomial_metric_rejects_misshapen_coefficients():
     exps = np.array([[1, 0, 0], [0, 1, 0]])
     for shape in [(3, 3, 3), (2, 3), (2, 2, 2), (2, 3, 2)]:
         with pytest.raises(ValueError, match="shape"):
-            polynomial_metric(exps, np.zeros(shape), 3)
+            polynomial_metric(exps, np.zeros(shape))
+    # (m, 2) exponents make a 2D metric, which takes (m, 2, 2) coefficients
+    planar = np.array([[1, 0], [0, 1]])
+    with pytest.raises(ValueError, match=r"shape \(2, 2, 2\), not \(2, 3, 3\)"):
+        polynomial_metric(planar, np.zeros((2, 3, 3)))
+    assert polynomial_metric(planar, np.zeros((2, 2, 2))).dimension == 2
 
 
 def test_polynomial_metric_rejects_asymmetric_coefficients():
@@ -239,9 +246,9 @@ def test_polynomial_metric_rejects_asymmetric_coefficients():
     coefs = np.zeros((2, 3, 3))
     coefs[1, 0, 2] = 1e-3
     with pytest.raises(ValueError, match="symmetric"):
-        polynomial_metric(exps, coefs, 3)
+        polynomial_metric(exps, coefs)
     coefs[1, 2, 0] = 1e-3
-    polynomial_metric(exps, coefs, 3)  # symmetric again: accepted
+    polynomial_metric(exps, coefs)  # symmetric again: accepted
 
 
 def test_metric_inverse_helpers():

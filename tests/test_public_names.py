@@ -137,3 +137,11 @@ def test_rhs_and_residual_parameters_are_pinned():
     assert inspect.signature(confgeo.propertime_rhs).parameters[
         "curvature_step"
     ].default is None
+
+
+def test_polynomial_metric_parameters_are_pinned():
+    # The dimension is the exponent table's width; the name is a keyword,
+    # so a third positional argument is an error and not a name.
+    params = inspect.signature(confgeo.polynomial_metric).parameters
+    assert list(params) == ["exponents", "coefficients", "name"]
+    assert params["name"].kind is inspect.Parameter.KEYWORD_ONLY

@@ -1,5 +1,6 @@
 """The check battery: statuses, determinism, report schema."""
 import hashlib
+import itertools
 import json
 
 import numpy as np
@@ -10,7 +11,6 @@ from confgeo import (
     curvature,
     dynamics,
     example_metric,
-    polynomial_metric,
     verify,
 )
 from confgeo.verify import (
@@ -89,14 +89,19 @@ def test_random_metric_spec_deterministic():
     exps = verify._monomial_exponents(3, 3)
     assert exps is verify._monomial_exponents(3, 3) and not exps.flags.writeable
     assert exps.shape == (20, 3) and exps.sum(axis=1).max() == 3
+    # rows in lexicographic order
+    assert verify._monomial_exponents(2, 2).tolist() == [
+        [0, 0], [0, 1], [0, 2], [1, 0], [1, 1], [2, 0]
+    ]
 
 
 def test_one_curvature_kernel_evaluation_per_check(monkeypatch):
     # lemma1 and lemma2 draw their instances first and evaluate them as
     # one stack through the polynomial kernels, so no MetricField is built
     # or called (the residual norms and the speed take g from the jets,
-    # and build() tests positivity on coefficients and cached grid
-    # monomials); one curvature kernel evaluation covers all of them.
+    # and the coefficients are positive by construction, with no metric
+    # evaluated to test them); one curvature kernel evaluation covers all
+    # of them.
     # lemma3, lemma5 and the proposition's identity sweep call the public
     # curvature() once with their stack of points.
     kernels, stacks, publics, evals = [], [], [], []
@@ -219,110 +224,35 @@ def test_the_library_prints_nothing_to_stdout(capsys):
     assert capsys.readouterr().out == ""
 
 
-def _explicit_grid(dimension):
-    grid_1d = np.linspace(-1.0, 1.0, 5)
-    return np.stack(
-        np.meshgrid(*([grid_1d] * dimension), indexing="ij"), axis=-1
-    ).reshape(-1, dimension)
-
-
-def test_grid_positivity_is_the_eigenvalue_test():
-    # One batched Cholesky factorisation of g - 0.05 I accepts exactly the
-    # coefficient tables whose metric has eigvalsh(g).min() > 0.05 on the
-    # grid; the amplitudes straddle the threshold so both answers occur.
-    exps = verify._monomial_exponents(3, 3)
-    grid = _explicit_grid(3)
-    outcomes = set()
-    for seed in range(500):
-        rng = np.random.default_rng(seed)
-        amp = rng.uniform(0.0, 0.12)
-        coefs = rng.uniform(-amp, amp, size=(len(exps), 3, 3))
-        coefs = 0.5 * (coefs + coefs.transpose(0, 2, 1))
-        field = polynomial_metric(exps, coefs, 3)
-        expected = np.linalg.eigvalsh(field(grid)).min() > 0.05
-        assert verify._positive_on_grid(coefs, 3, 3) == expected, seed
-        outcomes.add(bool(expected))
-    assert outcomes == {True, False}
-    mono = verify._grid_monomials(3, 3)
-    assert mono is verify._grid_monomials(3, 3) and not mono.flags.writeable
-
-
-def test_the_gershgorin_bound_certifies_only_positive_draws():
-    # Over the amplitude sweep above, the coefficient-only bound never
-    # exceeds the smallest eigenvalue on the grid, and every draw it
-    # certifies passes the eigenvalue test; both answers occur.
-    exps = verify._monomial_exponents(3, 3)
-    grid = _explicit_grid(3)
-    certified = 0
-    for seed in range(500):
-        rng = np.random.default_rng(seed)
-        amp = rng.uniform(0.0, 0.12)
-        coefs = rng.uniform(-amp, amp, size=(len(exps), 3, 3))
-        coefs = 0.5 * (coefs + coefs.transpose(0, 2, 1))
-        lowest = np.linalg.eigvalsh(polynomial_metric(exps, coefs, 3)(grid)).min()
-        bound = verify._gershgorin_bound(coefs)
-        assert bound <= lowest, seed
-        if bound > 2.0 * verify._MIN_EIGENVALUE:
-            certified += 1
-            assert lowest > verify._MIN_EIGENVALUE, seed
-            assert verify._positive_on_grid(coefs, 3, 3), seed
-    assert 0 < certified < 500
-
-
-def test_no_grid_factorisation_at_the_checks_amplitude(monkeypatch):
-    calls = []
-    original = verify._positive_on_grid
-
-    def counted(*args):
-        calls.append(args)
-        return original(*args)
-
-    monkeypatch.setattr(verify, "_positive_on_grid", counted)
-    assert check_lemma1(seed=5).passed and check_lemma2(seed=6).passed
-    for seed in range(200):
-        RandomMetricSpec(seed=seed).build()
-    assert calls == []
-
-
-def _grid_tested_coefficients(seed, dimension):
-    """The draw loop with the grid test alone deciding."""
-    rng = np.random.default_rng(seed)
-    m = len(verify._monomial_exponents(dimension, 3))
-    for _ in range(50):
-        amp = verify._AMPLITUDE
-        coefs = rng.uniform(-amp, amp, size=(m, dimension, dimension))
-        coefs = 0.5 * (coefs + coefs.transpose(0, 2, 1))
-        if verify._positive_on_grid(coefs, dimension, 3):
-            return coefs
-    raise RuntimeError("no positive draw")
+@pytest.mark.parametrize("dimension", [2, 3, 4, 5])
+def test_random_metrics_are_positive_on_the_whole_box(dimension):
+    # The amplitude rule keeps every row's coefficient sum at most 0.9, so
+    # Gershgorin's bound holds on [-1, 1]^n by construction; the built
+    # metric's eigenvalues are checked at the box corners and at random
+    # points of the box.
+    seeds = range(200)
+    coefs = verify._random_coefficients(seeds, dimension)
+    bound = 1.0 - np.abs(coefs).sum(axis=(1, 3)).max(axis=1)
+    assert bound.min() >= 0.1
+    corners = np.array(list(itertools.product([-1.0, 1.0], repeat=dimension)))
+    for seed in seeds:
+        field = RandomMetricSpec(seed=seed, dimension=dimension).build()
+        inner = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(50, dimension))
+        points = np.concatenate([corners, inner])
+        assert np.linalg.eigvalsh(field(points)).min() >= 0.1, seed
 
 
 @pytest.mark.parametrize(
-    "dimension, amplitude",
-    # all certified; some not certified; some redrawn after the grid test
-    [(3, 0.015), (3, 0.04), (3, 0.15), (4, 0.015), (4, 0.1)],
+    "dimension, digest",
+    [
+        (2, "8a064a50c713a3c54393393a80ac8394d597dda4a0056cfdeb84fde961bed512"),
+        (3, "a06da3256d8d8d2b1fd55b65c3f4cdf2f3a019f173ce5f73476408ec30b98599"),
+    ],
 )
-def test_the_certificate_leaves_every_accepted_draw_as_it_was(
-    monkeypatch, dimension, amplitude
-):
-    monkeypatch.setattr(verify, "_AMPLITUDE", amplitude)
-    seeds = list(range(40))
-    coefs = verify._random_coefficients(seeds, dimension)
-    for seed, got in zip(seeds, coefs):
-        assert np.array_equal(got, _grid_tested_coefficients(seed, dimension)), seed
-
-
-def test_grid_positivity_rejects_one_bad_grid_point():
-    # g_00 = 1 - c (x + y + z) is smallest at the grid corner (1, 1, 1)
-    # alone: 1 - 3c there, at least 1 - 2.5c at every other grid point.
-    exps = verify._monomial_exponents(3, 3)
-    linear = [i for i, e in enumerate(exps) if e.sum() == 1]
-    coefs = np.zeros((len(exps), 3, 3))
-    for c, accepted in ((0.32, False), (0.31, True)):  # 1 - 3c = 0.04, 0.07
-        coefs[linear, 0, 0] = -c
-        assert verify._positive_on_grid(coefs, 3, 3) is accepted
-        g = polynomial_metric(exps, coefs, 3)(_explicit_grid(3))
-        assert (np.linalg.eigvalsh(g).min(axis=1) <= 0.05).sum() == (not accepted)
+def test_random_coefficients_are_pinned(dimension, digest):
+    # The checks' metrics (n = 2 and 3) keep their coefficients, bit for bit.
+    coefs = verify._random_coefficients(range(1000), dimension)
+    assert hashlib.sha256(coefs.tobytes()).hexdigest() == digest
 
 
 def test_run_checks_rejects_a_negative_seed():
