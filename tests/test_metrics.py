@@ -219,6 +219,7 @@ def test_polynomial_jet_matches_the_per_table_power_rule(dimension, degree):
 @pytest.mark.parametrize(
     "exponents",
     [
+        np.array([[True, False, False], [False, True, False]]),  # booleans
         np.array([1, 0, 0]),  # not a table
         np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),  # not integers
         np.array([[1, 0, 0], [0, -1, 0]]),  # negative
