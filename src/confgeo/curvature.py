@@ -32,11 +32,9 @@ _W2 = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0
 
 
 def _fd_steps(point: np.ndarray, step: Optional[float]) -> np.ndarray:
+    """Per-axis steps at one point; ``_metric_jets`` has refused a step
+    that is not positive and finite."""
     base = DEFAULT_FD_STEP if step is None else float(step)
-    if not 0.0 < base < math.inf:
-        raise StepSizeError(
-            f"finite-difference step must be positive and finite, got {base}"
-        )
     scale = np.maximum(1.0, np.abs(point))
     h = base * scale
     if np.any(h <= 64.0 * np.finfo(float).eps * scale):
@@ -89,14 +87,15 @@ def _fd_metric_derivatives(field: MetricField, point: np.ndarray, step):
     return g0, dg, d2g
 
 
-def _metric_jets(field: MetricField, point, step=None):
-    """(g, dg, d2g) at one point (n,) or points (..., n), n =
+def _metric_jets(field: MetricField, point: np.ndarray, step=None):
+    """(g, dg, d2g) at one float point (n,) or float points (..., n), n =
     field.dimension, refusing another last axis (ValueError), a coordinate
-    that is not finite (DegenerateMetricError) and the chart's singular
-    locus (ChartSingularityError), each naming the first such point.  The
-    stencil runs point by point: a stack has the bits of one-point calls."""
-    point = np.asarray(point, dtype=float)
-    n = field.dimension
+    that is not finite (DegenerateMetricError), the chart's singular locus
+    (ChartSingularityError), each naming the first such point, and then a
+    ``step`` that is not positive and finite (StepSizeError), on both
+    routes.  The stencil runs point by point: a stack has the bits of
+    one-point calls."""
+    n = field.chart.dimension
     if point.shape[-1:] != (n,):
         raise ValueError(
             f"points must have shape (..., {n}) on {field.name}, not {point.shape}"
@@ -105,9 +104,12 @@ def _metric_jets(field: MetricField, point, step=None):
         bad = ~np.isfinite(point).all(axis=-1)
         raise DegenerateMetricError(f"point {_first_point(bad, point)} is not finite")
     field.chart.require_regular(point)
+    if step is not None and not 0.0 < float(step) < math.inf:
+        raise StepSizeError(
+            f"finite-difference step must be positive and finite, got {float(step)}"
+        )
     if field.analytic_jet is not None:
-        g, dg, d2g = field.analytic_jet(point)
-        return np.asarray(g, float), np.asarray(dg, float), np.asarray(d2g, float)
+        return field.analytic_jet(point)
     fd = functools.partial(_fd_metric_derivatives, field, step=step)
     return _each_point(fd, point)
 
@@ -118,7 +120,7 @@ def metric_derivatives(field: MetricField, point, order: int, step=None):
     them."""
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
-    _, dg, d2g = _metric_jets(field, point, step)
+    _, dg, d2g = _metric_jets(field, np.asarray(point, dtype=float), step)
     return dg if order == 1 else d2g
 
 
@@ -235,42 +237,58 @@ def _curvature_kernel(point, g, dg, d2g) -> CurvatureBundle:
     and (..., n, n, n, n) with the layout of ``_metric_jets``.  Every
     product acts on one instance's matrices and vectors.  One instance
     (g of shape (n, n)) takes them through ``np.dot``, whose BLAS call
-    costs least per call; a stack takes ``np.matmul``, ``np.vecmat`` and
-    ``np.vecdot``.  numpy does not promise that these round an instance
-    as ``np.dot`` rounds it alone; they did, for these 1-D and 2-D forms,
-    on numpy 2.4 with OpenBLAS 0.3.31, and the stacking tests check that
-    each instance of a stack gets the bits a single-point call gives it.
-    A degenerate metric raises as ``_checked_inverse`` does, naming the
-    first degenerate instance's point.
+    costs least per call, in a block of fixed shapes; a stack takes the
+    same products in the same order through ``np.matmul``, ``np.vecmat``
+    and ``np.vecdot``.  numpy does not promise that these round an
+    instance as ``np.dot`` rounds it alone; they did, for these 1-D and
+    2-D forms, on numpy 2.4 with OpenBLAS 0.3.31, and the stacking tests
+    check that each instance of a stack gets the bits a single-point call
+    gives it.  A degenerate metric raises as ``_checked_inverse`` does,
+    naming the first degenerate instance's point.
+
+    The products: with dg.ravel() @ sym_w = (T/2, W) (``_contraction_maps``),
+    Gamma^m_ab = g^ms T[s, a, b] / 2, as (n, n*n).  As d_c g^-1 =
+    -g^-1 d_c g g^-1, d_c Gamma = g^-1 (d_c T/2 - d_c g Gamma), and
+    Gamma^m_cs Gamma^s_ab = g^-1 T/2[., c, .] Gamma, so Y[c] is
+    g^-1 (d_c T/2 - W[c] Gamma), the n products W[c] Gamma as one
+    product and Y as one matmul over c (``np.dot`` would contract other
+    axes of the n matrices).  Ricci is Y.ravel() @ ric_lin and the
+    scalar g^ab ricci_ab.
     """
     ginv = _checked_inverse(g, point)
-    lead, n = g.shape[:-2], g.shape[-1]
-    one = g.ndim == 2
-    matmul, vecmat, vecdot = (np.dot,) * 3 if one else (np.matmul, np.vecmat, np.vecdot)
+    n = g.shape[-1]
+    nn, n3 = n * n, n**3
     sym, sym_w, ric_lin = _contraction_maps(n)
-    half_t_w = vecmat(dg.reshape(lead + (n**3,)), sym_w)
-    # Gamma^m_ab = g^ms T[s, a, b] / 2, as (..., n, n*n)
-    gamma = matmul(ginv, half_t_w[..., : n**3].reshape(lead + (n, n * n)))
-
-    # d_c Gamma = g^-1 (d_c T/2 - d_c g Gamma), as d_c g^-1 = -g^-1 d_c g g^-1,
-    # and Gamma^m_cs Gamma^s_ab = g^-1 T/2[., c, .] Gamma, so Y[c] is
-    # g^-1 (d_c T/2 - W[c] Gamma), the n products W[c] Gamma as one product.
-    half_dT = matmul(d2g.reshape(lead + (n, n**3)), sym).reshape(lead + (n, n, n * n))
-    w_gamma = matmul(half_t_w[..., n**3 :].reshape(lead + (n * n, n)), gamma).reshape(
-        lead + (n, n, n * n)
-    )
-    # a matmul on both routes: np.dot would contract other axes of the n matrices
-    y = np.matmul(ginv[..., None, :, :], half_dT - w_gamma)
-
-    ricci_flat = vecmat(y.reshape(lead + (n**4,)), ric_lin)
-    ricci = ricci_flat.reshape(lead + (n, n))
-    scalar = vecdot(ginv.reshape(lead + (n * n,)), ricci_flat)
+    if g.ndim == 2:
+        half_t_w = np.dot(dg.ravel(), sym_w)
+        gamma = np.dot(ginv, half_t_w[:n3].reshape(n, nn))
+        z = np.dot(d2g.reshape(n, n3), sym) - np.dot(
+            half_t_w[n3:].reshape(nn, n), gamma
+        ).reshape(n, n3)
+        y = np.matmul(ginv, z.reshape(n, n, nn))
+        ricci_flat = np.dot(y.ravel(), ric_lin)
+        ricci = ricci_flat.reshape(n, n)
+        scalar = np.dot(ginv.ravel(), ricci_flat)
+        gamma_shape, y_shape = (n, n, n), (n, n, n, n)
+    else:
+        lead = g.shape[:-2]
+        half_t_w = np.vecmat(dg.reshape(lead + (n3,)), sym_w)
+        gamma = np.matmul(ginv, half_t_w[..., :n3].reshape(lead + (n, nn)))
+        by_n3 = lead + (n, n3)
+        z = np.matmul(d2g.reshape(by_n3), sym) - np.matmul(
+            half_t_w[..., n3:].reshape(lead + (nn, n)), gamma
+        ).reshape(by_n3)
+        y = np.matmul(ginv[..., None, :, :], z.reshape(lead + (n, n, nn)))
+        ricci_flat = np.vecmat(y.reshape(lead + (nn * nn,)), ric_lin)
+        ricci = ricci_flat.reshape(lead + (n, n))
+        scalar = np.vecdot(ginv.reshape(lead + (nn,)), ricci_flat)
+        gamma_shape, y_shape = lead + (n, n, n), lead + (n, n, n, n)
 
     if n >= 3:
         # one point's shift stays a scalar: broadcasting it as a (1, 1)
         # array costs ~0.7 us, 2% of a one-point curvature() call
         shift = scalar / (2.0 * (n - 1))
-        schouten = ricci - (shift if one else shift[..., None, None]) * g
+        schouten = ricci - (shift if g.ndim == 2 else shift[..., None, None]) * g
         if n > 3:  # dividing by n - 2 = 1 is exact
             schouten = schouten / (n - 2)
     else:
@@ -280,11 +298,11 @@ def _curvature_kernel(point, g, dg, d2g) -> CurvatureBundle:
         point,
         g,
         ginv,
-        gamma.reshape(lead + (n, n, n)),
+        gamma.reshape(gamma_shape),
         ricci,
         scalar,
         schouten,
-        y.reshape(lead + (n, n, n, n)),
+        y.reshape(y_shape),
     )
 
 

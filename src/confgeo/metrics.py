@@ -121,11 +121,12 @@ class MetricField:
     matrices of shape (..., dim, dim); all built-in metrics are
     vectorized so that finite-difference stencils evaluate in one call.
 
-    ``analytic_jet``, when given, maps an array of points (..., dim) to
-    fresh arrays ``(g, dg, d2g)`` with the points' leading axes in front
-    of ``g[i, j] = g_ij``, ``dg[a, i, j] = d_a g_ij`` and
-    ``d2g[a, b, i, j] = d_a d_b g_ij``, each point with the bits of a
-    one-point call; its g must agree with ``evaluate`` (to rounding).
+    ``analytic_jet``, when given, maps a float array of points (..., dim)
+    to fresh float arrays ``(g, dg, d2g)``, which curvature takes as they
+    are, with the points' leading axes in front of ``g[i, j] = g_ij``,
+    ``dg[a, i, j] = d_a g_ij`` and ``d2g[a, b, i, j] = d_a d_b g_ij``,
+    each point with the bits of a one-point call; its g must agree with
+    ``evaluate`` (to rounding).
     Curvature then takes the whole jet from this one call; a field
     without one takes its partials by finite differences of ``evaluate``
     (``dataclasses.replace(field, analytic_jet=None)`` forces that route).
@@ -335,16 +336,15 @@ def _power_rule_tables(shape, data):
     order: the polynomial itself, its d_a partials (table a) and its
     d_a d_b partials (table dim a + b), by d_a (x^e) = e_a x^(e - 1_a).
 
-    Returns n_powers and, per order, read-only arrays (index, slots,
-    rows, first, second) of its K tables (1, dim or dim^2), zero-padded
-    to the length m_k of its longest: monomial j of table k is the
-    product over a of entries index[k, j, a] of the flattened
-    (dim, n_powers) table of x_a^p, p < n_powers; the entries that are
-    not padding sit at the flat positions ``slots`` of the (K, m_k)
-    tables, and each is coefficient row ``rows`` of the polynomial times
-    ``first`` and then ``second`` (the factors of the first and the
-    second derivative, in the order the rule applies them; 1 where there
-    is none).
+    Returns n_powers and, per order, read-only arrays (index, gather,
+    first, second) of its K tables (1, dim or dim^2), padded to the
+    length m_k of its longest: monomial j of table k is the product over
+    a of entries index[k, j, a] of the flattened (dim, n_powers) table of
+    x_a^p, p < n_powers, and its coefficient is row gather[k m_k + j] of
+    the polynomial's m coefficient rows, with a zero row m appended for
+    the padding, times ``first`` and then ``second`` (the factors of the
+    first and the second derivative, in the order the rule applies them;
+    1 where there is none, and for the padding).
     """
     dim = shape[1]
     exps = np.frombuffer(data, dtype=np.int64).reshape(shape)
@@ -361,17 +361,17 @@ def _power_rule_tables(shape, data):
     def padded(tables):
         m_k = max(len(rows) for _, rows, _ in tables)
         index = np.zeros((len(tables), m_k, dim), dtype=np.int64)
-        for k, (e, _, _) in enumerate(tables):
+        gather = np.full((len(tables), m_k), len(exps))
+        factors = np.ones((len(tables), m_k, 2))
+        for k, (e, rows, f) in enumerate(tables):
             index[k, : len(e)] = e
+            gather[k, : len(rows)] = rows
+            factors[k, : len(rows)] = f
         index += np.arange(dim) * n_powers
-        slots = np.concatenate(
-            [k * m_k + np.arange(len(rows)) for k, (_, rows, _) in enumerate(tables)]
-        )
-        rows = np.concatenate([rows for _, rows, _ in tables])
-        factors = np.concatenate([factors for _, _, factors in tables])
-        for arr in (index, slots, rows, factors):
+        gather, factors = gather.ravel(), factors.reshape(-1, 2)
+        for arr in (index, gather, factors):
             arr.flags.writeable = False
-        return index, slots, rows, factors[:, :1], factors[:, 1:]
+        return index, gather, factors[:, :1], factors[:, 1:]
 
     base = (exps, np.arange(len(exps)), np.ones((len(exps), 2)))
     first = [derive(base, a, 0) for a in range(dim)]
@@ -401,14 +401,14 @@ def _jet_tables(exponents, coefficients):
     """n_powers and, per order, (index, table) of the power-rule jet of
     the metrics with these int64 exponents (see ``_power_rule_tables``):
     each table (..., K, m_k, dim^2) holds the coefficients of its
-    monomials."""
+    monomials, one gather per order, with +0.0 for the padding."""
     n_powers, groups = _power_rule_tables(exponents.shape, exponents.tobytes())
     lead, (m, n) = coefficients.shape[:-3], coefficients.shape[-3:-1]
-    flat = coefficients.reshape(lead + (m, n * n))
+    flat = np.zeros(lead + (m + 1, n * n))  # row m: the padding's zero row
+    flat[..., :m, :] = coefficients.reshape(lead + (m, n * n))
     out = []
-    for index, slots, rows, first, second in groups:
-        table = np.zeros(lead + (index.shape[0] * index.shape[1], n * n))
-        table[..., slots, :] = (flat[..., rows, :] * first) * second
+    for index, gather, first, second in groups:
+        table = (flat[..., gather, :] * first) * second
         out.append((index, table.reshape(lead + index.shape[:2] + (n * n,))))
     return n_powers, out
 

@@ -379,13 +379,17 @@ def spiral_state(t, dimension: int = 3) -> UnparamState:
 
 
 # The jet table [value or partial, flat (i, j)] of _jet_from_rows, as
-# indices into its rows g_00, g_11 and g_01 laid end to end, then 1 and 0.
+# indices into its rows g_00, g_11 and g_01 laid end to end, then 1 and 0,
+# and its read-only views in the shapes of g, dg and d2g.
 _JET_TABLE = np.full((13, 9), 31)
 _JET_TABLE[:, [0, 4, 1, 3]] = np.add.outer(
     [0, 1, 2, 3, 4, 5, 6, 5, 7, 8, 6, 8, 9], [0, 10, 20, 20]  # d_a d_b = d_b d_a
 )
 _JET_TABLE[0, 8] = 30  # g_22 = 1
 _JET_TABLE.flags.writeable = False
+_G_TABLE = _JET_TABLE[0].reshape(3, 3)
+_DG_TABLE = _JET_TABLE[1:4].reshape(3, 3, 3)
+_D2G_TABLE = _JET_TABLE[4:].reshape(3, 3, 3, 3)
 
 
 def _jet_from_rows(g00, g11, g01):
@@ -393,10 +397,12 @@ def _jet_from_rows(g00, g11, g01):
 
     Both charts vary only in g_00, g_11 and g_01 = g_10, and g_22 = 1.
     A row holds the component's value, its partials d_0, d_1, d_2, then
-    d_0 d_0, d_0 d_1, d_0 d_2, d_1 d_1, d_1 d_2 and d_2 d_2.
+    d_0 d_0, d_0 d_1, d_0 d_2, d_1 d_1, d_1 d_2 and d_2 d_2.  Each of g,
+    dg and d2g is one fresh array gathered in its own shape: one fancy
+    index per array costs less than one gather and three reshapes.
     """
-    out = np.fromiter(g00 + g11 + g01 + [1.0, 0.0], float, 32)[_JET_TABLE]
-    return out[0].reshape(3, 3), out[1:4].reshape(3, 3, 3), out[4:].reshape(3, 3, 3, 3)
+    rows = np.fromiter(g00 + g11 + g01 + [1.0, 0.0], float, 32)
+    return rows[_G_TABLE], rows[_DG_TABLE], rows[_D2G_TABLE]
 
 
 def _cylindrical_jet(point):

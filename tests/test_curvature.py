@@ -74,6 +74,19 @@ def test_step_underflow_rejected():
             metric_derivatives(field, np.zeros(3), order=1, step=step)
     with pytest.raises(StepSizeError, match="must be positive and finite, got nan"):
         curvature(round_sphere_metric(), [1.0, 0.3], step=np.nan)
+    # a closed-form jet takes no step, but refuses a bad one all the same,
+    # with the message of the stencil route, and ignores a good one
+    for field in (euclidean_metric(3), example_metric()):
+        x = np.array([0.5, 0.3, 0.1])
+        exact = curvature(field, x)
+        for step in (-1.0, 0.0, np.nan, np.inf):
+            message = f"must be positive and finite, got {float(step)}"
+            with pytest.raises(StepSizeError, match=re.escape(message)):
+                curvature(field, x, step=step)
+            with pytest.raises(StepSizeError, match=re.escape(message)):
+                metric_derivatives(field, np.stack([x, x]), order=2, step=step)
+        for step in (1e-16, 0.1):
+            assert curvature(field, x, step=step).ricci.tobytes() == exact.ricci.tobytes()
 
 
 @pytest.mark.parametrize("point", [[0.5, 0.1], [[0.5, 0.1], [0.6, 0.2]]])
@@ -591,6 +604,22 @@ def test_a_stack_of_points_gets_the_bits_of_one_point_calls(route):
             assert _bitwise(dg[index], metric_derivatives(field, x, 1)), x
             assert _bitwise(d2g[index], metric_derivatives(field, x, 2)), x
     assert curvature(field, points[:0]).ricci.shape == (0, n, n)
+
+
+@pytest.mark.parametrize(
+    "chart,point", [("cylindrical", [1, 2, 1]), ("cartesian", [1, 0, 1])]
+)
+def test_a_list_an_int_array_and_a_float_array_give_the_same_bundle(chart, point):
+    # curvature() converts the point once; the jet and the kernel then
+    # take it as it is
+    field = example_metric(chart)
+    want = curvature(field, np.array(point, dtype=float))
+    assert np.any(want.ricci != 0.0)  # inside the profile's support
+    for form in (point, np.array(point), np.array(point, dtype=np.int32)):
+        got = curvature(field, form)
+        assert got.point.dtype == np.float64
+        for name in _BUNDLE_FIELDS:
+            assert _bitwise(getattr(got, name), getattr(want, name)), (name, form)
 
 
 @pytest.mark.parametrize(

@@ -35,6 +35,7 @@ from confgeo.spiral import (
     h_profile,
     k_exact,
 )
+from confgeo.verify import RandomMetricSpec
 
 DIGITS = 30
 
@@ -229,6 +230,31 @@ def test_closed_form_partials_agree_with_the_stencil(chart, points):
             fd = metric_derivatives(stencil, point, order)
             scale = max(1.0, np.max(np.abs(exact)))
             np.testing.assert_allclose(fd, exact, rtol=0.0, atol=1e-6 * scale)
+
+
+@pytest.mark.parametrize(
+    "field,points",
+    [
+        (example_metric("cylindrical"), [(0.8, 0.7, 0.9), (1.6, 0.1, 0.3)]),
+        (example_metric("cartesian"), [(0.3, -0.2, -0.7), (0.0, 0.0, 0.5)]),
+        (RandomMetricSpec(seed=3).build(), [(0.2, -0.4, 0.1)]),
+    ],
+    ids=["cylindrical", "cartesian", "polynomial"],
+)
+def test_jets_are_fresh_arrays(field, points):
+    # MetricField.analytic_jet returns fresh arrays: writing into one of
+    # g, dg and d2g changes neither the other two nor a later call's jet
+    # (the flat core and the region past the cutoff included)
+    for point in np.array(points):
+        for k in range(3):
+            jet = field.analytic_jet(point)
+            want = [a.copy() for a in jet]
+            jet[k][...] = 7.0
+            for j in range(3):
+                if j != k:
+                    assert jet[j].tobytes() == want[j].tobytes(), (point, k, j)
+            for got, expected in zip(field.analytic_jet(point), want):
+                assert got.tobytes() == expected.tobytes(), (point, k)
 
 
 def test_closed_form_cartesian_jet_continuous_across_axis():
