@@ -382,19 +382,9 @@ def _power_rule_tables(shape, data):
 # The polynomial metrics' kernels take the coefficients (..., m, dim, dim)
 # of one metric, or of a stack of metrics over leading axes with one
 # point per metric; polynomial_metric's closures are their one-metric
-# case, and each metric of a stack gets the bits of its own closure.
-
-
-def _monomials(points, exponents):
-    """x^e for each exponent row e: points (..., dim), exponents (m, dim)
-    -> (..., m)."""
-    return np.prod(points[..., None, :] ** exponents, axis=-1)
-
-
-def _polynomial_values(monomials, coefficients):
-    """g_ij = delta_ij + sum_k c[k, i, j] x^e[k] from the monomials (..., m)."""
-    eye = np.eye(coefficients.shape[-1])
-    return eye + np.einsum("...m,...mij->...ij", monomials, coefficients)
+# case (its evaluate is the jet kernel on the first table alone, so g has
+# one formula), and each metric of a stack gets the bits of its own
+# closures.
 
 
 def _jet_tables(exponents, coefficients):
@@ -414,26 +404,24 @@ def _jet_tables(exponents, coefficients):
 
 
 def _polynomial_jet(points, n_powers, tables):
-    """(g, dg, d2g) at points (..., dim) from ``_jet_tables``' output: per
-    order, one contraction of the monomials x_a^p against its table."""
+    """One array per order of ``_jet_tables``' output given, at points
+    (..., dim): g, then dg and d2g, so the first table alone gives g.
+    Per order, one contraction of the monomials x_a^p against its table;
+    the identity is added to g."""
     n = points.shape[-1]
     powers = (points[..., :, None] ** np.arange(n_powers)).reshape(
         points.shape[:-1] + (n * n_powers,)
     )
-    g, dg, d2g = (
-        np.einsum(
+    out = []
+    for order, (index, table) in enumerate(tables):
+        terms = np.einsum(
             "...km,...kmx->...kx",
             np.prod(np.take(powers, index, axis=-1), axis=-1),
             table,
         )
-        for index, table in tables
-    )
-    lead = g.shape[:-2]
-    return (
-        np.eye(n) + g.reshape(lead + (n, n)),
-        dg.reshape(lead + (n,) * 3),
-        d2g.reshape(lead + (n,) * 4),
-    )
+        out.append(terms.reshape(terms.shape[:-2] + (n,) * (order + 2)))
+    out[0] = np.eye(n) + out[0]
+    return tuple(out)
 
 
 def polynomial_metric(
@@ -456,10 +444,11 @@ def polynomial_metric(
     monomial of g and of its partials is a product of the entries x_a^k
     of one power table, left to right as ``np.prod`` takes them, against
     a coefficient table stacked over the order's partials and built here.
-    ``evaluate`` and the jet are the one-metric case of the module's
-    kernels (``_polynomial_values``, ``_jet_tables``, ``_polynomial_jet``),
-    which also evaluate a stack of metrics, one point each, with the
-    bits each metric's own closures give.
+    ``evaluate`` is the jet's first order alone, so both give g by one
+    formula.  Both are the one-metric case of the module's kernels
+    (``_jet_tables``, ``_polynomial_jet``), which also evaluate a stack
+    of metrics, one point each, with the bits each metric's own
+    closures give.
     """
     exponents = np.asarray(exponents)
     coefficients = np.asarray(coefficients, dtype=float)
@@ -484,14 +473,14 @@ def polynomial_metric(
             "coefficients must be finite and symmetric in their last two indices"
         )
 
+    n_powers, tables = _jet_tables(exponents, coefficients)
+
     def evaluate(points):
         points = np.asarray(points, dtype=float)
-        return _polynomial_values(_monomials(points, exponents), coefficients)
-
-    tables = _jet_tables(exponents, coefficients)
+        return _polynomial_jet(points, n_powers, tables[:1])[0]
 
     def jet(points):
-        return _polynomial_jet(np.asarray(points, dtype=float), *tables)
+        return _polynomial_jet(np.asarray(points, dtype=float), n_powers, tables)
 
     return MetricField(
         cartesian_chart(dimension),

@@ -252,16 +252,12 @@ def _orthogonalised(g, u, w):
     return w / np.sqrt(_quadratic(w, g, w))[..., None]
 
 
-def _orthogonal_direction(g, u, rng):
-    return _orthogonalised(g, u, rng.standard_normal(len(u)))
-
-
 def _random_stack(seeds, states):
     """(x, u, a, (g, dg, d2g)) of the random instances with these metric
     seeds and ``_draw_state`` draws, evaluated as one stack: instance i
     gets the bits of ``random_gauge_state(RandomMetricSpec(seeds[i]).build(),
     ...)`` and of that metric's jet at its x, with no MetricField built.
-    The jet's g has the bits of the metric's own evaluation, so it also
+    The metric's own evaluation is its jet's g, so the jet's g also
     normalises the states."""
     x, u, a, scale = (np.array(d) for d in zip(*states))
     exps = _monomial_exponents(x.shape[-1], 3)

@@ -54,7 +54,7 @@ from confgeo.verify import (
     random_metric,
     spiral_tracking_errors,
     spiral_tracking_run,
-    _orthogonal_direction,
+    _orthogonalised,
     _reparametrized,
 )
 
@@ -459,12 +459,12 @@ def test_criterion_9_negative_controls():
     field = random_metric(rng)
     st = random_gauge_state(field, rng)
     _, du, da = propertime_rhs(field, st)
-    w = _orthogonal_direction(field(st.x), st.u, rng)
+    w = _orthogonalised(field(st.x), st.u, rng.standard_normal(len(st.u)))
     res_da = wedge_form_residual(field, st, da + 1e-3 * w).norm(field(st.x))
 
     # broken reparametrization data: unparametrized residual must fire
     ust, db = _reparametrized(st, du, da, 1.7, 0.3, -0.2)
-    wv = _orthogonal_direction(field(st.x), ust.v, rng)
+    wv = _orthogonalised(field(st.x), ust.v, rng.standard_normal(len(ust.v)))
     res_rep = unparam_residual(field, ust, db + 1e-3 * wv).norm(field(st.x))
 
     # profile switched off: the trajectory must visibly leave the spiral

@@ -26,6 +26,12 @@ from confgeo.metrics import _checked_inverse
 from confgeo.verify import RandomMetricSpec, _monomial_exponents
 
 
+def _same(a, b):
+    """Equal shapes and bytes: -0.0 does not match 0.0."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def strip_partials(field):
     """Force the finite-difference route of a metric with analytic partials."""
     return dataclasses.replace(field, analytic_jet=None)
@@ -145,7 +151,8 @@ def test_polynomial_partials_match_finite_differences():
 def _per_table_polynomial(exponents, coefficients, dimension):
     """The power-rule jet as one monomial pass and one einsum per
     derivative table, kept as the oracle of polynomial_metric's one
-    contraction per order.  Returns (evaluate, jet)."""
+    contraction per order, which gives its evaluate too.  Returns
+    (evaluate, jet)."""
     exponents = np.asarray(exponents, dtype=int)
     coefficients = np.asarray(coefficients, dtype=float)
     eye = np.eye(dimension)
@@ -203,6 +210,10 @@ def test_polynomial_jet_matches_the_per_table_power_rule(dimension, degree):
     rng = np.random.default_rng(10 * dimension + degree)
     exps = _monomial_exponents(dimension, degree)
     offsets = _stencil_offsets(dimension)
+    # a stack with leading axes of +0.0 and -0.0 coordinates, drawn apart
+    # so that the metrics and points keep their draws
+    signs = np.random.default_rng(dimension).standard_normal((2, 5, dimension))
+    signed_zeros = np.copysign(0.0, signs)
     for _ in range(10):
         coefs = rng.uniform(-0.3, 0.3, size=(len(exps), dimension, dimension))
         coefs = 0.5 * (coefs + coefs.transpose(0, 2, 1))
@@ -210,10 +221,10 @@ def test_polynomial_jet_matches_the_per_table_power_rule(dimension, degree):
         evaluate, jet = _per_table_polynomial(exps, coefs, dimension)
         for x in rng.uniform(-1.5, 1.5, size=(20, dimension)):
             for got, expected in zip(field.analytic_jet(x), jet(x)):
-                assert np.array_equal(got, expected)
-            assert np.array_equal(field(x), evaluate(x))
-        stencil = x + offsets * 1e-4
-        assert np.array_equal(field(stencil), evaluate(stencil))
+                assert _same(got, expected)
+            assert _same(field(x), evaluate(x))
+        for points in (x + offsets * 1e-4, signed_zeros, np.zeros((0, dimension))):
+            assert _same(field(points), evaluate(points))
 
 
 @pytest.mark.parametrize(

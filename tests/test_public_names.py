@@ -1,6 +1,8 @@
 """The names ``confgeo`` exports are its contract: a change to this list
 is a deliberate change to the public interface."""
+import ast
 import inspect
+import pathlib
 import types
 
 import confgeo
@@ -145,3 +147,32 @@ def test_polynomial_metric_parameters_are_pinned():
     params = inspect.signature(confgeo.polynomial_metric).parameters
     assert list(params) == ["exponents", "coefficients", "name"]
     assert params["name"].kind is inspect.Parameter.KEYWORD_ONLY
+
+
+def test_every_private_function_is_used_in_the_package():
+    # A module-level private function that nothing in the package refers
+    # to outside its own body is dead code, or a test helper kept in the
+    # package; either way it belongs elsewhere.
+    package = pathlib.Path(confgeo.__file__).parent
+    defined, referenced = [], set()
+    for path in sorted(package.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            owner = None
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner = node.name
+                if owner.startswith("_") and not owner.startswith("__"):
+                    defined.append((path.name, owner))
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Name):
+                    referenced.add((sub.id, path.name, owner))
+                elif isinstance(sub, ast.Attribute):
+                    referenced.add((sub.attr, path.name, owner))
+    unused = [
+        f"{module}:{name}"
+        for module, name in defined
+        if not any(
+            ref == name and (where, owner) != (module, name)
+            for ref, where, owner in referenced
+        )
+    ]
+    assert unused == []

@@ -30,7 +30,6 @@ from confgeo.dynamics import unparam_residual_scale
 from confgeo import metrics, verify
 from confgeo.verify import (
     RandomMetricSpec,
-    _orthogonal_direction,
     forcing_residual_relative,
     random_metric,
 )
@@ -209,15 +208,16 @@ def test_spiral_curve_and_forcing_residual_take_arrays_of_t():
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_polynomial_kernels_stack_equal_each_metric(n):
-    # the values and jet kernels over N metrics, one point each, against
-    # each metric's own closures
+    # the jet kernel over N metrics, one point each, on its first table
+    # (g alone) and on all three, against each metric's own closures
     rng = np.random.default_rng(10 + n)
     seeds = [int(s) for s in rng.integers(2**63, size=N)]
     x = rng.uniform(-0.6, 0.6, size=(N, n))
     exps = verify._monomial_exponents(n, 3)
     coefs = verify._random_coefficients(seeds, n)
-    g = metrics._polynomial_values(metrics._monomials(x, exps), coefs)
-    jet = metrics._polynomial_jet(x, *metrics._jet_tables(exps, coefs))
+    n_powers, tables = metrics._jet_tables(exps, coefs)
+    (g,) = metrics._polynomial_jet(x, n_powers, tables[:1])
+    jet = metrics._polynomial_jet(x, n_powers, tables)
     for i, seed in enumerate(seeds):
         field = RandomMetricSpec(seed=seed, dimension=n).build()
         assert _same(g[i], field(x[i])), (n, i)
@@ -322,7 +322,8 @@ def _lemma1_one_at_a_time(rng, trials):
         field = random_metric(rng)
         x, u, a = _gauge_state(field, rng)
         jet = _metric_jets(field, x)
-        out.append((x, u, a, *jet, _orthogonal_direction(jet[0], u, rng)))
+        w = verify._orthogonalised(jet[0], u, rng.standard_normal(len(u)))
+        out.append((x, u, a, *jet, w))
     return [np.array(arrays) for arrays in zip(*out)]
 
 
@@ -338,7 +339,8 @@ def _lemma2_one_at_a_time(rng, trials, reparams):
             lam1 = float(rng.uniform(-1.0, 1.0))
             lam2 = float(rng.uniform(-1.0, 1.0))
             speeds.append((lam0, lam1, lam2))
-            controls.append(_orthogonal_direction(jet[0], lam0 * u, rng))
+            w = rng.standard_normal(len(u))
+            controls.append(verify._orthogonalised(jet[0], lam0 * u, w))
     return [np.array(arrays) for arrays in zip(*instances)] + [
         np.array(speeds).reshape(trials, reparams, 3),
         np.array(controls).reshape(trials, reparams, -1),
