@@ -16,6 +16,8 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
+from numpy._core._ufunc_config import _extobj_contextvar
+from numpy._core.umath import _make_extobj
 from numpy.linalg import LinAlgError, _umath_linalg
 
 from .errors import ChartSingularityError, DegenerateMetricError
@@ -51,6 +53,9 @@ class Chart:
         """Raise ChartSingularityError naming the first of the points
         (..., dim) that lies on the singular locus."""
         if self.singular_mask is None:
+            return
+        # one point, as curvature() passes it: its mask's truth value clears it
+        if getattr(points, "ndim", None) == 1 and not self.singular_mask(points):
             return
         points = np.asarray(points, dtype=float)
         singular = self.singular_mask(points)
@@ -177,17 +182,26 @@ def _raise_singular(err, flag):
     raise LinAlgError("Singular matrix")
 
 
-@np.errstate(
+# np.linalg.inv's error state, built once: a singular matrix calls
+# _raise_singular, and nothing else warns or raises.
+_INVERSE_ERRSTATE = _make_extobj(
     call=_raise_singular, invalid="call", over="ignore", divide="ignore", under="ignore"
 )
+
+
 def _inverse(g: np.ndarray) -> np.ndarray:
     """np.linalg.inv of g (n, n) or a stack (..., n, n), in float64,
     without its Python wrapper, which doubles the time of a 3x3 inverse:
     the same LAPACK gufunc under the same errstate, so a singular matrix
     raises LinAlgError and nothing warns, whatever the caller's errstate.
-    As a decorator, np.errstate is constructed once, not on every call
-    as a ``with`` block constructs it."""
-    return _umath_linalg.inv(g, signature="d->d")
+    The errstate is numpy's own context variable set to an error state
+    built at import, and reset after the call; ``np.errstate`` would
+    build it anew on every call, as a decorator too."""
+    token = _extobj_contextvar.set(_INVERSE_ERRSTATE)
+    try:
+        return _umath_linalg.inv(g, signature="d->d")
+    finally:
+        _extobj_contextvar.reset(token)
 
 
 def _checked_inverse(g: np.ndarray, point) -> np.ndarray:
@@ -448,7 +462,8 @@ def polynomial_metric(
     formula.  Both are the one-metric case of the module's kernels
     (``_jet_tables``, ``_polynomial_jet``), which also evaluate a stack
     of metrics, one point each, with the bits each metric's own
-    closures give.
+    closures give.  Both refuse points whose last axis is not dim with
+    curvature()'s ValueError, which names the shape.
     """
     exponents = np.asarray(exponents)
     coefficients = np.asarray(coefficients, dtype=float)
@@ -475,12 +490,20 @@ def polynomial_metric(
 
     n_powers, tables = _jet_tables(exponents, coefficients)
 
-    def evaluate(points):
+    def checked(points):
         points = np.asarray(points, dtype=float)
-        return _polynomial_jet(points, n_powers, tables[:1])[0]
+        if points.shape[-1:] != (dimension,):
+            raise ValueError(
+                f"points must have shape (..., {dimension}) on {name}, "
+                f"not {points.shape}"
+            )
+        return points
+
+    def evaluate(points):
+        return _polynomial_jet(checked(points), n_powers, tables[:1])[0]
 
     def jet(points):
-        return _polynomial_jet(np.asarray(points, dtype=float), n_powers, tables)
+        return _polynomial_jet(checked(points), n_powers, tables)
 
     return MetricField(
         cartesian_chart(dimension),

@@ -1,6 +1,7 @@
 """Charts, metric fields, and the random polynomial perturbations."""
 import contextlib
 import dataclasses
+import re
 import warnings
 
 import numpy as np
@@ -23,7 +24,7 @@ from confgeo import (
 )
 from confgeo.curvature import _stencil_offsets, metric_derivatives
 from confgeo.metrics import _checked_inverse
-from confgeo.verify import RandomMetricSpec, _monomial_exponents
+from confgeo.verify import RandomMetricSpec, _monomial_exponents, random_metric
 
 
 def _same(a, b):
@@ -61,6 +62,15 @@ def test_polar_chart_singular_locus():
     chart.require_regular(np.array([[0.5, 0.3], [2.0, 1.0]]))
     with pytest.raises(ChartSingularityError, match=r"point \[0\. 0\.\] lies on"):
         chart.require_regular(np.array([0.0, 0.0]))
+    # a list, and a mask that gives one point a 0-d array, are refused alike
+    with pytest.raises(ChartSingularityError, match=r"point \[0\. 0\.\] lies on"):
+        chart.require_regular([0.0, 0.0])
+    zero_d = dataclasses.replace(
+        chart, singular_mask=lambda p: np.asarray(p[..., 0] < 1e-6)
+    )
+    zero_d.require_regular(np.array([0.5, 0.3]))
+    with pytest.raises(ChartSingularityError, match=r"point \[0\. 0\.\] lies on"):
+        zero_d.require_regular(np.array([0.0, 0.0]))
     # a stack names its first singular point
     with pytest.raises(ChartSingularityError, match=r"point \[5\.e-07 2\.e\+00\]"):
         chart.require_regular(np.array([[0.5, 1.0], [5e-7, 2.0], [0.0, 3.0]]))
@@ -251,6 +261,13 @@ def test_polynomial_metric_rejects_misshapen_coefficients():
     with pytest.raises(ValueError, match=r"shape \(2, 2, 2\), not \(2, 3, 3\)"):
         polynomial_metric(planar, np.zeros((2, 3, 3)))
     assert polynomial_metric(planar, np.zeros((2, 2, 2))).dimension == 2
+    # a point of another dimension is refused by name, as curvature() does
+    field = random_metric(np.random.default_rng(1))
+    for point in (np.zeros(2), np.zeros(4)):
+        match = re.escape(f"points must have shape (..., 3) on {field.name}, not {point.shape}")
+        for evaluate in (field.evaluate, field.analytic_jet, field):
+            with pytest.raises(ValueError, match=match):
+                evaluate(point)
 
 
 def test_polynomial_metric_rejects_asymmetric_coefficients():
@@ -388,23 +405,39 @@ def _refusal(kind, n, at):
     return f"metric ill-conditioned at {at} (condition number {REPORTED_CONDITION[kind, n]})"
 
 
-@pytest.mark.parametrize("errstate", ["default", "raise"])
+def _caller_handler(kind, flag):
+    raise AssertionError("the caller's error handler was called")
+
+
+@pytest.mark.parametrize("errstate", ["default", "raise", "ignore", "warn"])
 @pytest.mark.parametrize("n", [2, 3, 4])
 @pytest.mark.parametrize("kind", ["zero", "singular", "condition_1e12", "nan", "inf"])
 def test_checked_inverse_refuses_a_degenerate_metric_by_name(kind, n, errstate):
     # One metric, then a stack whose third instance is the degenerate one;
     # each message names the degenerate point.  No floating-point warning
-    # escapes, and a caller's np.errstate(all="raise") changes no outcome.
+    # escapes, a caller's np.errstate changes no outcome, and the caller's
+    # error state is back in place after each refusal and each inverse.
     G = np.zeros((n, n)) if kind == "zero" else _degenerate(kind, n)
     x = np.arange(n) * 0.25 + 0.1
     stack = np.stack([_well_conditioned(n), _well_conditioned(n), G, G])
     points = np.arange(4.0 * n).reshape(4, n) * 0.5
-    for g, at, named in ((G, x, x), (stack, points, points[2])):
-        caller = np.errstate(all="raise") if errstate == "raise" else contextlib.nullcontext()
+    for g, at, named, regular in (
+        (G, x, x, (_well_conditioned(n), x)),
+        (stack, points, points[2], (stack[:2], points[:2])),
+    ):
+        caller = (
+            contextlib.nullcontext()
+            if errstate == "default"
+            else np.errstate(all=errstate, call=_caller_handler)
+        )
         with warnings.catch_warnings(), caller:
             warnings.simplefilter("error")
+            before = np.geterr(), np.geterrcall()
             with pytest.raises(DegenerateMetricError) as refused:
                 _checked_inverse(g, at)
+            assert (np.geterr(), np.geterrcall()) == before
+            _checked_inverse(*regular)
+            assert (np.geterr(), np.geterrcall()) == before
         assert str(refused.value) == _refusal(kind, n, named)
 
 
