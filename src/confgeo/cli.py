@@ -250,7 +250,7 @@ def cmd_trace(args) -> int:
     )
     print(f"trace written to {csv_path}")
 
-    if traj.status in ("step_underflow", "max_steps", "left_domain", "turned_outward"):
+    if traj.status not in ("ok", "stopped"):
         print(f"integration incomplete: {traj.status}: {traj.message}", file=sys.stderr)
         return 3
     return 0

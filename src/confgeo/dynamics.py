@@ -599,6 +599,97 @@ def _underflows(h: float, s: float) -> bool:
     return abs(h) < _UNDERFLOW * max(abs(s), 1.0)
 
 
+class _DOP853:
+    """Dormand-Prince 8(5,3) steps of y' = f(y) for a flat float array y.
+
+    ``rhs(y, out, returned=None)`` writes f(y) into ``out``, a row of the
+    stage buffer K, and returns what the caller wants back from that
+    evaluation; passed that back as ``returned`` at the point it came
+    from, it may reuse it.  The scalars are Python floats: their +, -,
+    *, / and ** round as numpy's float64 scalars do.
+
+    Row i < 12 of K is stage i's derivative and row 12 the RHS at y_new;
+    stages[i] @ weights combines the rows before i.  Row 0 holds f at the
+    start of the next attempt, so a rejected attempt keeps it.  The RHS at
+    an accepted y_new is the next step's first stage (FSAL, first same as
+    last), unless the caller moved y_new after the attempt (``accept``).
+    So an attempt costs 12 RHS evaluations, and an accepted step that
+    moved y_new one more.
+
+    The stage sums and the error estimate act on one state, so they take
+    ``np.dot`` (as ``_g_product`` does for ``integrate``), which costs
+    less per call than ``@`` and gave the same bits on numpy 2.4 with
+    OpenBLAS 0.3.31 (the spiral's pinned trajectory checks it).
+    """
+
+    def __init__(self, rhs, size: int, tol: float):
+        self.rhs, self.tol = rhs, tol
+        self.K = np.empty((13, size))
+        self.rows = list(self.K)
+        self.stages = [self.K[:i].T for i in range(13)]
+
+    def start(self, y) -> float:
+        """Evaluate the first stage at y and return Hairer's guess for the
+        first |h|."""
+        self.rhs(y, self.rows[0])
+        scale = self.tol + self.tol * np.abs(y)
+        d0 = np.sqrt(np.mean((y / scale) ** 2))
+        d1 = np.sqrt(np.mean((self.K[0] / scale) ** 2))
+        return float(0.01 * d0 / d1) if d1 > 1e-10 else 1e-6
+
+    def attempt(self, y, h: float):
+        """One step of h from y: (y_new, what the RHS returned at y_new,
+        Hairer's error norm), the 8th-order solution y_new in a new array.
+
+        The norm is the 5th-order estimate e5 scaled by
+        |e5| / hypot(|e5|, 0.1 |e3|), e3 the 3rd-order one, so that it
+        shrinks like h^8; each component is measured against
+        ``tol * (1 + max(|y|, |y_new|))``.  A NaN or overflowing estimate
+        gives inf.  math.sqrt rounds as np.sqrt does, and its argument is
+        finite or +inf here.
+        """
+        stages, rows, rhs = self.stages, self.rows, self.rhs
+        for i in range(1, 12):
+            rhs(y + h * np.dot(stages[i], _A[i]), rows[i])
+        y_new = y + h * np.dot(stages[12], _B)
+        returned = rhs(y_new, rows[12])
+
+        sc = self.tol + self.tol * np.maximum(np.abs(y), np.abs(y_new))
+        e5 = np.dot(stages[12], _E5) / sc
+        e3 = np.dot(stages[12], _E3) / sc
+        e5_sq, e3_sq = float(np.dot(e5, e5)), float(np.dot(e3, e3))
+        err = 0.0
+        if not math.isfinite(e5_sq + e3_sq):
+            err = math.inf
+        elif e5_sq > 0.0:
+            err = abs(h) * e5_sq / math.sqrt((e5_sq + 0.01 * e3_sq) * y.size)
+        return y_new, returned, err
+
+    def accept(self, y_new, returned, moved: bool) -> None:
+        """Start the next attempt from the accepted y_new: its first stage
+        is row 12, or, when the caller ``moved`` y_new, the RHS evaluated
+        again there with what it returned at y_new."""
+        if moved:
+            self.rhs(y_new, self.rows[0], returned)
+        else:
+            self.K[0] = self.K[12]  # row 12 is overwritten by the next attempt
+
+
+def _renormalize(y, n: int, g) -> float:
+    """Project the state y = (x, u, a) in place, u to unit norm and a to
+    the complement of u under the metric matrix g; return the metric size
+    |du| + |da| of that projection."""
+    u, a = y[n : 2 * n], y[2 * n :]
+    # np.sqrt: u.g.u may be negative, where math.sqrt would raise
+    u_new = u / np.sqrt(_g_product(u, g, u))
+    a_new = a - _g_product(u_new, g, a) * u_new
+    du, da = u_new - u, a_new - a
+    y[n : 2 * n], y[2 * n :] = u_new, a_new
+    return math.sqrt(max(_g_product(du, g, du), 0.0)) + math.sqrt(
+        max(_g_product(da, g, da), 0.0)
+    )
+
+
 def integrate(
     field: MetricField,
     initial: GeodesicState,
@@ -630,20 +721,13 @@ def integrate(
     ``stop`` ends the run at the first accepted state it holds for, with
     status "stopped".
 
-    One curvature bundle serves each distinct point.  Each step attempt
-    evaluates the 12 stages and then the RHS at the new solution y_new,
-    whose derivative is the next step's first stage (FSAL, first same as
-    last).  That 13th evaluation's bundle also serves the FSAL refresh
-    after a renormalisation (which moves u and a, not x) and supplies g
-    for the renormalisation and the gauge
-    residual of the accepted state.  So an accepted step costs 12
-    curvature evaluations and, with its refresh, 13 RHS evaluations.  No
-    refresh is computed after the last accepted step.  The initial
-    state's g is evaluated once, for its gauge check and its diagnostics.
-    The stage sums, the error estimate, the renormalisation and the
-    gauge residuals act on one state, so they take ``np.dot``, which
-    costs less per call than ``@`` and gave the same bits on numpy 2.4
-    with OpenBLAS 0.3.31 (the spiral's pinned trajectory checks it).
+    One curvature bundle serves each distinct point: the one at an
+    attempt's new point also supplies g for the renormalisation and the
+    gauge residual of the accepted state, and serves the RHS again after
+    a renormalisation (which moves u and a, not x) unless that step was
+    the last.  So an accepted step costs 12 curvature evaluations.  The
+    initial state's g is evaluated once, for its gauge check and its
+    diagnostics.
 
     On step underflow, leaving the metric domain, or exceeding
     ``max_steps``, the partial trajectory is returned with a diagnostic
@@ -676,179 +760,94 @@ def integrate(
 
     direction = 1.0 if s1 >= s0 else -1.0
     span = abs(s1 - s0)
+    stats = dict(status="ok", message="", accepted=0, rejected=0, domain_shrinks=0)
+    stats.update(rhs_evaluations=0, curvature_evaluations=0, h_min=None, h_max=None)
 
-    counter = {"rhs": 0, "curvature": 0}
-    # Row i < 12 of K is stage i's derivative and row 12 the RHS at y_new;
-    # each RHS writes its (dx, du, da) straight into its row, and
-    # stages[i] @ weights combines the rows before i.
-    K = np.empty((13, 3 * n))
-    K_x, K_u, K_a = K[:, :n], K[:, n : 2 * n], K[:, 2 * n :]
-    stages = [K[:i].T for i in range(13)]
-
-    def rhs(state, row, bundle=None):
-        """Write dy/ds at ``state`` into row ``row`` of K and return the
-        curvature bundle at its point; pass the bundle when it is already
-        known there."""
-        counter["rhs"] += 1
+    def rhs(y, k, bundle=None):
+        """Write dy/ds at y into ``k``; return the bundle at y, reused when given."""
+        stats["rhs_evaluations"] += 1
+        state = _unpack(y, n, 0.0)
         if bundle is None:
-            counter["curvature"] += 1
+            stats["curvature_evaluations"] += 1
             bundle = curvature(field, state.x, step=curvature_step)
-        K_x[row], K_u[row], K_a[row] = propertime_rhs(field, state, bundle=bundle)
+        k[:n], k[n : 2 * n], k[2 * n :] = propertime_rhs(field, state, bundle=bundle)
         return bundle
 
     y = np.concatenate([initial.x, initial.u, initial.a])
-    s_vals = [s0]
-    rows = [y]
-    gauge = [max(initial.gauge_residuals(g))]
-    proj = [0.0]
-    status, message = "ok", ""
-    steps = rejected = shrinks = 0
-    h_lo, h_hi = math.inf, 0.0  # range of accepted |h|
+    s_vals, rows, gauge, proj = [s0], [y], [max(initial.gauge_residuals(g))], [0.0]
 
-    def finish():
-        stats = {
-            "status": status,
-            "message": message,
-            "accepted": steps,
-            "rejected": rejected,
-            "domain_shrinks": shrinks,
-            "rhs_evaluations": counter["rhs"],
-            "curvature_evaluations": counter["curvature"],
-            "h_min": h_lo if steps else None,
-            "h_max": h_hi if steps else None,
-        }
+    def finish(status, message=""):
+        stats.update(status=status, message=message)
+        # an accepted |h| is never 0, so ``or`` replaces only None
         log.info(
-            "integrate %s: %s%s; %d accepted, %d rejected, %d domain shrinks, "
-            "%d RHS evaluations, accepted |h| in [%.3g, %.3g], "
-            "%d curvature evaluations",
-            field.name,
-            status,
-            f" ({message})" if message else "",
-            steps,
-            rejected,
-            shrinks,
-            counter["rhs"],
-            h_lo if steps else math.nan,
-            h_hi if steps else math.nan,
-            counter["curvature"],
+            "integrate %(name)s: %(status)s%(note)s; %(accepted)d accepted, "
+            "%(rejected)d rejected, %(domain_shrinks)d domain shrinks, "
+            "%(rhs_evaluations)d RHS evaluations, accepted |h| in "
+            "[%(lo).3g, %(hi).3g], %(curvature_evaluations)d curvature evaluations",
+            dict(
+                stats,
+                name=field.name,
+                note=f" ({message})" if message else "",
+                lo=stats["h_min"] or math.nan,
+                hi=stats["h_max"] or math.nan,
+            ),
         )
-        return Trajectory(
-            field=field,
-            s=np.array(s_vals),
-            y=np.array(rows),
-            gauge_error=np.array(gauge),
-            projection=np.array(proj),
-            stats=stats,
-        )
+        return Trajectory(field, *map(np.array, (s_vals, rows, gauge, proj)), stats)
 
     if stop is not None and stop(_unpack(y, n, s0)):
-        status, message = "stopped", "stop condition met at the initial state"
-        return finish()
+        return finish("stopped", "stop condition met at the initial state")
     if span == 0.0:
-        return finish()
+        return finish("ok")
+
+    stepper = _DOP853(rhs, y.size, tol)
+    try:
+        h = direction * min(stepper.start(y), span)
+    except ConfgeoError as exc:
+        return finish("left_domain", str(exc))
 
     s = s0
-    try:
-        rhs(_unpack(y, n, 0.0), 0)  # K[0] holds k1 from here on
-    except ConfgeoError as exc:
-        status, message = "left_domain", str(exc)
-        return finish()
-
-    # initial step heuristic.  The step's scalars are Python floats from
-    # here on: their +, -, *, / and ** round as numpy's float64 scalars do.
-    scale = tol + tol * np.abs(y)
-    d0 = np.sqrt(np.mean((y / scale) ** 2))
-    d1 = np.sqrt(np.mean((K[0] / scale) ** 2))
-    h = float(0.01 * d0 / d1) if d1 > 1e-10 else 1e-6
-    h = direction * min(h, span)
-
-    while direction * (s1 - s) > 0.0:
-        if steps >= max_steps:
-            status, message = "max_steps", f"exceeded {max_steps} steps"
-            break
+    while True:
+        if stats["accepted"] >= max_steps:
+            return finish("max_steps", f"exceeded {max_steps} steps")
         if _underflows(h, s):
-            status, message = "step_underflow", f"step {h:.3e} underflowed at s={s:.6g}"
-            break
+            return finish("step_underflow", f"step {h:.3e} underflowed at s={s:.6g}")
         if direction * (s + h - s1) > 0.0:
             h = s1 - s
 
         try:
-            for i in range(1, 12):
-                rhs(_unpack(y + h * np.dot(stages[i], _A[i]), n, 0.0), i)
-            y_new = y + h * np.dot(stages[12], _B)
-            at_new = _unpack(y_new, n, 0.0)  # its u and a see the renormalisation
-            bundle = rhs(at_new, 12)
+            y_new, bundle, err = stepper.attempt(y, h)
         except ConfgeoError as exc:
             # shrink toward the domain boundary; give up when h underflows
-            shrinks += 1
+            stats["domain_shrinks"] += 1
             log.debug("domain shrink at s=%.17g, h=%.6g: %s", s, h, exc)
             h *= 0.5
             if _underflows(h, s):
-                status, message = "left_domain", str(exc)
-                break
+                return finish("left_domain", str(exc))
             continue
 
-        # Hairer's error norm: the 5th-order estimate e5 scaled by
-        # |e5| / hypot(|e5|, 0.1 |e3|), e3 the 3rd-order one, so that it
-        # shrinks like h^8 (hence the exponent -1/8 below).  ``bundle`` is
-        # the curvature at y_new.  math.sqrt rounds as np.sqrt does, and
-        # its argument is finite or +inf here.
-        sc = tol + tol * np.maximum(np.abs(y), np.abs(y_new))
-        e5 = np.dot(stages[12], _E5) / sc
-        e3 = np.dot(stages[12], _E3) / sc
-        e5_sq, e3_sq = float(np.dot(e5, e5)), float(np.dot(e3, e3))
-        err = 0.0
-        if not math.isfinite(e5_sq + e3_sq):
-            err = math.inf  # a NaN or overflowing estimate rejects the step
-        elif e5_sq > 0.0:
-            err = abs(h) * e5_sq / math.sqrt((e5_sq + 0.01 * e3_sq) * y.size)
-
         if err <= 1.0:
-            s_new = s + h
-            g = bundle.metric
-            proj_size = 0.0
-            if renormalize:
-                u, a = y_new[n : 2 * n], y_new[2 * n :]
-                # np.sqrt: u.g.u may be negative, where math.sqrt would raise
-                u_new = u / np.sqrt(_g_product(u, g, u))
-                a_new = a - _g_product(u_new, g, a) * u_new
-                du, da_ = u_new - u, a_new - a
-                proj_size = math.sqrt(max(_g_product(du, g, du), 0.0)) + math.sqrt(
-                    max(_g_product(da_, g, da_), 0.0)
-                )
-                y_new[n : 2 * n], y_new[2 * n :] = u_new, a_new
-            st_new = _unpack(y_new, n, s_new)
-            s_vals.append(s_new)
-            rows.append(y_new)
-            gauge.append(max(st_new.gauge_residuals(g)))
+            s, y = s + h, y_new
+            proj_size = _renormalize(y, n, bundle.metric) if renormalize else 0.0
+            state = _unpack(y, n, s)
+            s_vals.append(s)
+            rows.append(y)
+            gauge.append(max(state.gauge_residuals(bundle.metric)))
             proj.append(proj_size)
+            stats["accepted"] += 1
+            stats["h_min"] = min(abs(h), stats["h_min"] or math.inf)
+            stats["h_max"] = max(abs(h), stats["h_max"] or 0.0)
 
-            s, y = s_new, y_new
-            steps += 1
-            h_lo, h_hi = min(h_lo, abs(h)), max(h_hi, abs(h))
-
-            if stop is not None and stop(st_new):
-                status, message = "stopped", "stop condition met"
-                break
+            if stop is not None and stop(state):
+                return finish("stopped", "stop condition met")
             if direction * (s1 - s) <= 0.0:
-                break  # the end of s_span: no further step needs k1
-
-            # Renormalization invalidates FSAL: recompute k1 at the same
-            # x, with the bundle already there.
-            if renormalize and proj_size > 0.0:
-                rhs(at_new, 0, bundle)
-            else:
-                K[0] = K[12]  # row 12 is overwritten by the next attempt
-
-            factor = 0.9 * err ** -0.125 if err > 0.0 else 10.0
+                return finish("ok")  # the end of s_span: no further step needs k1
+            stepper.accept(y, bundle, proj_size > 0.0)
         else:
-            rejected += 1
+            stats["rejected"] += 1
             log.debug("rejected step at s=%.17g, h=%.6g: err=%.3g", s, h, err)
-            factor = 0.9 * err ** -0.125
 
-        h *= min(10.0, max(0.2, factor))
-
-    return finish()
+        # err ** (-1/8), the error norm shrinking like h^8
+        h *= min(10.0, max(0.2, 0.9 * err**-0.125 if err > 0.0 else 10.0))
 
 
 # ---------------------------------------------------------------------------

@@ -306,11 +306,13 @@ def test_trajectory_stats_are_the_logged_summary(caplog):
         (flat_cylindrical_metric(), spiral_data, (0.0, -3.0), None),
         (FLAT3, circle_state(1.0), (0.0, 2.0), lambda st: st.s > 0.5),
         (FLAT3, circle_state(1.0), (0.0, 0.0), None),
+        (FLAT3, circle_state(1.0), (1e17, 1e17 + 1e3), None),
+        (FLAT3, circle_state(1.0), (0.0, 2.0), None, ("max_steps", 1)),
     ]
     seen = set()
-    for field, initial, span, stop in runs:
+    for field, initial, span, stop, *options in runs:
         caplog.clear()
-        traj = integrate(field, initial, span, stop=stop)
+        traj = integrate(field, initial, span, stop=stop, **dict(options))
         (record,) = [r for r in caplog.records if r.name == "confgeo.dynamics"]
         m = re.fullmatch(
             r"integrate \S+: (\w+)(?: \((.*)\))?; (\d+) accepted, (\d+) rejected, "
@@ -343,7 +345,15 @@ def test_trajectory_stats_are_the_logged_summary(caplog):
             seen.add("rejected")
         if stats["domain_shrinks"]:
             seen.add("shrinks")
-    assert seen == {"ok", "left_domain", "stopped", "rejected", "shrinks"}
+    assert seen == {
+        "ok",
+        "left_domain",
+        "stopped",
+        "rejected",
+        "shrinks",
+        "step_underflow",
+        "max_steps",
+    }
 
 
 def test_integrate_logs_each_rejection_and_shrink_at_debug(caplog):
@@ -604,6 +614,24 @@ def test_dop853_tableau_is_consistent():
         assert abs(weights.sum()) <= 4 * eps * np.abs(weights).sum()
 
 
+def test_the_dop853_stepper_is_of_order_8():
+    # Fixed steps of y' = y over [0, 1]: halving h divides the error at
+    # s = 1 by 2^8, up to the next order's term.
+    def rhs(y, k, returned=None):
+        k[:] = y
+
+    errors = []
+    for h in (0.5, 0.25):
+        stepper = dynamics._DOP853(rhs, 1, 1e-8)
+        y = np.ones(1)
+        stepper.start(y)
+        for _ in range(round(1.0 / h)):
+            y, returned, _ = stepper.attempt(y, h)
+            stepper.accept(y, returned, False)
+        errors.append(abs(y[0] - np.e))
+    assert 7.5 <= np.log2(errors[0] / errors[1]) <= 8.5
+
+
 def test_integrate_straight_line_exact():
     st = GeodesicState(np.zeros(3), np.array([1.0, 0.0, 0.0]), np.zeros(3))
     traj = integrate(FLAT3, st, (0.0, 2.0), tol=1e-9)
@@ -709,6 +737,16 @@ def test_integrate_max_steps_diagnostic():
     )
     assert traj.status == "max_steps"
     assert len(traj) == 6  # initial sample plus five accepted steps
+
+
+def test_integrate_step_underflow_diagnostic():
+    # at s = 1e17 the first step, 5e-3, does not move s
+    traj = integrate(FLAT3, circle_state(1.0), (1e17, 1e17 + 1e3))
+    assert (traj.status, traj.message) == (
+        "step_underflow",
+        "step 5.000e-03 underflowed at s=1e+17",
+    )
+    assert (len(traj), traj.rhs_evaluations) == (1, 1)
 
 
 def test_integrate_stop_condition():

@@ -7,10 +7,15 @@ import numpy as np
 import pytest
 
 from confgeo import (
+    GeodesicState,
     MetricField,
     curvature,
     dynamics,
     example_metric,
+    flat_cylindrical_metric,
+    from_unparametrized,
+    integrate,
+    spiral_state,
     verify,
 )
 from confgeo.verify import (
@@ -333,6 +338,62 @@ def test_the_spiral_run_to_r_02_is_pinned_bit_for_bit():
     assert traj.stats["rhs_evaluations"] == 3471
     assert traj.stats["curvature_evaluations"] == 3205
     assert track_err == 1.656443046784759e-08
+
+
+# sha256 of the bytes of s, y, gauge_error and projection, in that order,
+# of the integrations that take the branches the spiral run never takes:
+# domain shrinks up to leaving the domain, a rejected step with and
+# without renormalisation.
+PINNED_BRANCH_RUNS = {
+    "left_domain": "b916b16381b40ab08d962f051e5e7f8d1dea85c721787af45a8f8cb08283f920",
+    "rejected": "6007171a5319b07516561b7b5d3be78bfdc4e01f8c586f5bff4601fe625df5cf",
+    "rejected_unrenormalized": (
+        "58d2ef73557639a882de6df84ead8a812614449526acc838aef9af616946e0b0"
+    ),
+}
+
+
+def test_the_integrator_branches_are_pinned_bit_for_bit():
+    flat = flat_cylindrical_metric()
+    example = example_metric("cylindrical")
+    toward_axis = GeodesicState(
+        np.array([0.5, 0.0, 0.0]), np.array([-1.0, 0.0, 0.0]), np.zeros(3)
+    )
+    runs = {
+        "left_domain": integrate(flat, toward_axis, (0.0, 2.0)),
+        "rejected": integrate(
+            flat, from_unparametrized(flat, spiral_state(0.8)), (0.0, -3.0)
+        ),
+        "rejected_unrenormalized": integrate(
+            example,
+            from_unparametrized(example, spiral_state(0.8)),
+            (0.0, -10.0),
+            tol=1e-8,
+            renormalize=False,
+        ),
+    }
+    digests = {}
+    for name, traj in runs.items():
+        h = hashlib.sha256()
+        for array in (traj.s, traj.y, traj.gauge_error, traj.projection):
+            h.update(array.tobytes())
+        digests[name] = h.hexdigest()
+    assert digests == PINNED_BRANCH_RUNS
+    counts = {
+        name: (
+            traj.status,
+            len(traj),
+            traj.stats["rejected"],
+            traj.stats["domain_shrinks"],
+            traj.rhs_evaluations,
+        )
+        for name, traj in runs.items()
+    }
+    assert counts == {
+        "left_domain": ("left_domain", 23, 0, 114, 741),
+        "rejected": ("ok", 10, 1, 0, 129),
+        "rejected_unrenormalized": ("ok", 41, 1, 0, 493),
+    }
 
 
 def test_tracking_run_rejects_a_metric_in_another_chart():
