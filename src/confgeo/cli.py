@@ -19,6 +19,7 @@ import logging
 import os
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,62 +49,93 @@ def _load_config(path: str) -> dict:
     return values
 
 
-_CONFIG_TYPES = {
-    "seed": int,
-    "tol": float,
-    "t0": float,
-    "t_end": float,
-    "circle": float,
-    "max_steps": int,
-    "out": str,
-    "metric": str,
-    "chart": str,
-    "point": str,
-    "format": str,
+# Each subcommand's settings, declared once: its flags and --help, the config
+# keys and their checks, the defaults and run_config.json all come from here.
+class _Setting(NamedTuple):
+    name: str  # the config key and, with '-' for '_', the flag
+    type: type
+    default: object = None
+    choices: tuple | None = None
+    metavar: str | None = None
+
+
+_METRIC = _Setting("metric", str, "example", ("example", "flat"))
+_OUT = _Setting("out", str, "confgeo_out")
+# the spiral's settings, which a circle trace leaves unset and refuses as flags
+_SPIRAL = (_Setting("t0", float, 0.8), _Setting("t_end", float, 0.4), _METRIC)
+_SETTINGS = {
+    "verify": (_Setting("seed", int, 42), _Setting("tol", float), _OUT),
+    "trace": (
+        *_SPIRAL,
+        _Setting("tol", float, 1e-10),
+        _Setting("circle", float, metavar="R"),
+        _Setting("max_steps", int, 500_000),
+        _OUT,
+    ),
+    "curvature": (
+        _METRIC,
+        _Setting("chart", str, "cylindrical", ("cartesian", "cylindrical")),
+        _Setting("point", str, "0.5,0,0"),
+        _Setting("format", str, "text", ("text", "json")),
+    ),
+}
+_HELP = {
+    "circle": "flat-space circle of radius R instead of the spiral",
+    "max_steps": "step budget; exceeding it yields a partial CSV and exit 3",
+    "point": "comma-separated",
 }
 
-# trace's spiral settings and their flags, which a circle trace refuses
-_SPIRAL_ONLY = {"t0": "--t0", "t_end": "--t-end", "metric": "--metric"}
 
-# Allowed values of the flags that have them; the parser and the config
-# file check against the same lists.
-_CHOICES = {
-    "metric": ("example", "flat"),
-    "chart": ("cartesian", "cylindrical"),
-    "format": ("text", "json"),
-}
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
 
 
 def _apply_config(args: argparse.Namespace) -> argparse.Namespace:
-    """Fill flag values left at None from the config file, then defaults.
+    """Fill each setting left unset from the config file, else its default.
 
-    Keys of other subcommands' flags, and the spiral's in a circle trace,
-    are left unused; a key of no flag or a value outside a flag's choices
-    raises ValueError, as a flag would.
+    Keys of other subcommands' settings, and the spiral's in a circle trace,
+    are left unused; a key of no setting, or a value that its flag would
+    refuse, raises ValueError naming the key.
     """
     config = _load_config(args.config) if args.config else {}
     for key in config:
-        if key not in _CONFIG_TYPES:
+        if all(key != s.name for settings in _SETTINGS.values() for s in settings):
             raise ValueError(f"unknown key {key!r}")
-    if hasattr(args, "circle") and (args.circle is not None or "circle" in config):
-        config = {k: v for k, v in config.items() if k not in _SPIRAL_ONLY}
-    for key, caster in _CONFIG_TYPES.items():
-        if hasattr(args, key) and getattr(args, key) is None and key in config:
-            value = caster(config[key])
-            if key in _CHOICES and value not in _CHOICES[key]:
-                raise ValueError(
-                    f"{key} = {value!r} is not one of {', '.join(_CHOICES[key])}"
-                )
-            setattr(args, key, value)
+    circle = hasattr(args, "circle") and (args.circle is not None or "circle" in config)
+    for s in _SETTINGS[args.command]:
+        if getattr(args, s.name) is not None or (circle and s in _SPIRAL):
+            continue
+        raw = config.get(s.name)
+        try:
+            value = s.default if raw is None else s.type(raw)
+        except ValueError:
+            kind = s.type.__name__
+            raise ValueError(f"{s.name} = {raw!r} is not a valid {kind}") from None
+        if s.choices and value not in s.choices:
+            allowed = ", ".join(s.choices)
+            raise ValueError(f"{s.name} = {value!r} is not one of {allowed}")
+        setattr(args, s.name, value)
     return args
 
 
-def _echo_config(out_dir: Path, args: argparse.Namespace, effective: dict):
-    payload = {"subcommand": args.command}
-    payload.update({k: effective[k] for k in sorted(effective)})
-    (out_dir / "run_config.json").write_text(
+def _open_out_dir(args: argparse.Namespace) -> Path | None:
+    """Make the --out directory and echo the settings in effect, all but
+    --out, to its run_config.json; None, after one line on stderr, if
+    --out cannot be made a directory (makedirs refuses an empty path)."""
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as exc:
+        print(f"cannot make --out {args.out!r}: {exc.strerror}", file=sys.stderr)
+        return None
+    unused = {"config", "out"}
+    if getattr(args, "circle", None) is not None:
+        unused.update(s.name for s in _SPIRAL)
+    payload = {k: v for k, v in vars(args).items() if k not in unused}
+    payload["subcommand"] = payload.pop("command")
+    (Path(args.out) / "run_config.json").write_text(
         json.dumps(payload, sort_keys=True, indent=2) + "\n"
     )
+    return Path(args.out)
 
 
 # ---------------------------------------------------------------------------
@@ -116,21 +148,18 @@ def _positive(value: float) -> bool:
 
 
 def cmd_verify(args) -> int:
-    seed = 42 if args.seed is None else args.seed
     for bad, need in (
         (args.tol is not None and not _positive(args.tol), "a positive finite --tol"),
-        (seed < 0, "a non-negative --seed"),
+        (args.seed < 0, "a non-negative --seed"),
     ):
         if bad:
             print(f"verify requires {need}", file=sys.stderr)
             return 2
-    out_dir = Path(args.out or "confgeo_out")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _echo_config(
-        out_dir, args, {"selection": args.selection, "seed": seed, "tol": args.tol}
-    )
+    out_dir = _open_out_dir(args)
+    if out_dir is None:
+        return 2
 
-    reports = run_checks(args.selection, seed=seed, tol=args.tol)
+    reports = run_checks(args.selection, seed=args.seed, tol=args.tol)
     all_pass = True
     for rep in reports:
         (out_dir / f"report_{rep.name}.json").write_text(rep.to_json())
@@ -187,31 +216,23 @@ def _trace_columns(traj, t_param, r, phi, track_err) -> np.ndarray:
 
 
 def cmd_trace(args) -> int:
-    tol = 1e-10 if args.tol is None else args.tol
-    metric_name = args.metric or "example"
-    t0 = 0.8 if args.t0 is None else args.t0
-    t_end = 0.4 if args.t_end is None else args.t_end
-    max_steps = 500_000 if args.max_steps is None else args.max_steps
-    radius = args.circle
-    for key, flag in _SPIRAL_ONLY.items():  # in a circle trace only a flag sets them
-        if radius is not None and getattr(args, key) is not None:
-            print(f"trace --circle takes no {flag}", file=sys.stderr)
+    radius, tol, max_steps = args.circle, args.tol, args.max_steps
+    for s in _SPIRAL:  # in a circle trace only a flag sets them
+        if radius is not None and getattr(args, s.name) is not None:
+            print(f"trace --circle takes no {_flag(s.name)}", file=sys.stderr)
             return 2
     for bad, need in (
         (not _positive(tol), "a positive finite --tol"),
         (max_steps < 1, "--max-steps >= 1"),
         (radius is not None and not _positive(radius), "a positive finite --circle"),
-        (radius is None and not 0.0 < t_end <= t0 <= 1.0, "0 < t_end <= t0 <= 1"),
+        (radius is None and not 0.0 < args.t_end <= args.t0 <= 1.0, "0 < t_end <= t0 <= 1"),
     ):
         if bad:
             print(f"trace requires {need}", file=sys.stderr)
             return 2
-    out_dir = Path(args.out or "confgeo_out")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    effective = {"circle": radius, "tol": tol, "max_steps": max_steps}
-    if radius is None:
-        effective.update(metric=metric_name, t0=t0, t_end=t_end)
-    _echo_config(out_dir, args, effective)
+    out_dir = _open_out_dir(args)
+    if out_dir is None:
+        return 2
     if radius is not None:
         field = euclidean_metric(3)
         initial = circle_state(radius)
@@ -227,16 +248,16 @@ def cmd_trace(args) -> int:
         print(f"circle R={radius}: {len(traj)} samples, closure error {closure:.3e}")
     else:
         traj, _, _ = spiral_tracking_run(
-            t0=t0,
-            t_end=t_end,
+            t0=args.t0,
+            t_end=args.t_end,
             integrator_tol=tol,
-            metric=flat_cylindrical_metric() if metric_name == "flat" else None,
+            metric=flat_cylindrical_metric() if args.metric == "flat" else None,
             max_steps=max_steps,
         )
         r, phi, _ = traj.positions().T
         columns = _trace_columns(traj, r, r, phi, spiral_tracking_errors(traj)[0])
         print(
-            f"spiral t0={t0} -> r={r[-1]:.4f}: "
+            f"spiral t0={args.t0} -> r={r[-1]:.4f}: "
             f"{len(traj)} samples, status {traj.status}"
         )
 
@@ -276,16 +297,15 @@ def _bundle_payload(bundle) -> dict:
 
 
 def cmd_curvature(args) -> int:
-    metric_name = args.metric or "example"
-    chart = args.chart or "cylindrical"
-    fmt = args.format or "text"
-    if metric_name == "flat":
-        field = euclidean_metric(3) if chart == "cartesian" else flat_cylindrical_metric()
+    if args.metric == "example":
+        field = example_metric(args.chart)
+    elif args.chart == "cartesian":
+        field = euclidean_metric(3)
     else:
-        field = example_metric(chart)
+        field = flat_cylindrical_metric()
 
     try:
-        point = np.array([float(v) for v in (args.point or "0.5,0,0").split(",")])
+        point = np.array([float(v) for v in args.point.split(",")])
     except ValueError:
         print("could not parse --point; expected comma-separated floats", file=sys.stderr)
         return 2
@@ -307,7 +327,7 @@ def cmd_curvature(args) -> int:
         print(f"{exc}", file=sys.stderr)
         return 3
 
-    if fmt == "json":
+    if args.format == "json":
         print(json.dumps(_bundle_payload(bundle), sort_keys=True, indent=2))
     else:
         with np.printoptions(precision=12, suppress=False, linewidth=120):
@@ -337,44 +357,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_verify = sub.add_parser("verify", help="run verification checks")
-    p_verify.add_argument(
+    sub.add_parser("verify", help="run verification checks").add_argument(
         "selection",
         choices=["all", "lemma1", "lemma2", "lemma3", "lemma5", "proposition"],
     )
-    p_verify.add_argument("--seed", type=int, default=None)
-    p_verify.add_argument("--tol", type=float, default=None)
-    p_verify.add_argument("--out", type=str, default=None)
-    p_verify.add_argument("--config", type=str, default=None)
-
-    p_trace = sub.add_parser("trace", help="integrate a conformal geodesic to CSV")
-    p_trace.add_argument("--t0", type=float, default=None)
-    p_trace.add_argument("--t-end", dest="t_end", type=float, default=None)
-    p_trace.add_argument("--tol", type=float, default=None)
-    p_trace.add_argument("--metric", choices=_CHOICES["metric"], default=None)
-    p_trace.add_argument(
-        "--circle",
-        type=float,
-        default=None,
-        metavar="R",
-        help="flat-space circle of radius R instead of the spiral",
-    )
-    p_trace.add_argument(
-        "--max-steps",
-        dest="max_steps",
-        type=int,
-        default=None,
-        help="step budget; exceeding it yields a partial CSV and exit 3",
-    )
-    p_trace.add_argument("--out", type=str, default=None)
-    p_trace.add_argument("--config", type=str, default=None)
-
-    p_curv = sub.add_parser("curvature", help="print the curvature bundle at a point")
-    p_curv.add_argument("--metric", choices=_CHOICES["metric"], default=None)
-    p_curv.add_argument("--chart", choices=_CHOICES["chart"], default=None)
-    p_curv.add_argument("--point", type=str, default=None, help="comma-separated")
-    p_curv.add_argument("--format", choices=_CHOICES["format"], default=None)
-    p_curv.add_argument("--config", type=str, default=None)
+    sub.add_parser("trace", help="integrate a conformal geodesic to CSV")
+    sub.add_parser("curvature", help="print the curvature bundle at a point")
+    for command, p in sub.choices.items():
+        for s in _SETTINGS[command]:
+            note = "" if s.default is None else f"(default: {s.default})"
+            p.add_argument(
+                _flag(s.name),
+                type=s.type,
+                choices=s.choices,
+                metavar=s.metavar,
+                help=f"{_HELP.get(s.name, '')} {note}".strip(),
+            )
+        p.add_argument("--config", type=str, default=None)
 
     return parser
 

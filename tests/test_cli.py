@@ -16,6 +16,7 @@ from confgeo import (
     integrate,
     spiral_state,
 )
+from confgeo import cli
 from confgeo.cli import CSV_HEADER, main
 from confgeo.verify import spiral_tracking_errors, spiral_tracking_run
 
@@ -101,6 +102,28 @@ def test_out_of_range_values_are_usage_errors(tmp_path, capsys, argv, named):
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1 and named in captured.err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("out", ["taken", ""], ids=["existing-file", "empty"])
+@pytest.mark.parametrize(
+    "argv",
+    [["verify", "lemma5"], ["trace", "--t0", "0.8", "--t-end", "0.79"]],
+    ids=lambda argv: argv[0],
+)
+def test_an_out_that_cannot_be_a_directory_is_a_usage_error(
+    tmp_path, monkeypatch, capsys, argv, out
+):
+    # one line naming --out, exit 2, no check run and nothing integrated
+    monkeypatch.chdir(tmp_path)
+    if out:
+        (tmp_path / out).write_text("kept\n")
+    assert main(argv + ["--out", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and "--out" in captured.err
+    assert [p.name for p in tmp_path.iterdir()] == ([out] if out else [])
+    if out:
+        assert (tmp_path / out).read_text() == "kept\n"
 
 
 @pytest.mark.parametrize(
@@ -366,6 +389,44 @@ def test_curvature_singular_point_exits_three(capsys):
     assert "cartesian" in err  # chart-switch hint
 
 
+def test_curvature_default_text_output(capsys):
+    # no flag: the example metric in the cylindrical chart at 0.5,0,0, as text
+    assert main(["curvature"]) == 0
+    out = capsys.readouterr().out
+    bundle = curvature(example_metric("cylindrical"), np.array([0.5, 0.0, 0.0]))
+    with np.printoptions(precision=12, suppress=False, linewidth=120):
+        blocks = [
+            f"metric 'example_cylindrical' at point {bundle.point}",
+            "metric g_ij:",
+            str(bundle.metric),
+            "christoffel Gamma^m_ab:",
+            str(bundle.christoffel),
+            "ricci R_ab:",
+            str(bundle.ricci),
+            f"scalar curvature: {bundle.scalar:.12e}",
+            "schouten L_ab:",
+            str(bundle.schouten),
+        ]
+    assert out == "\n".join(blocks) + "\n"
+
+
+@pytest.mark.parametrize("point", ["a,b,c", "", "1,,2"])
+def test_curvature_rejects_a_point_that_does_not_parse(capsys, point):
+    assert main(["curvature", "--point", point]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("could not parse --point")
+
+
+def test_curvature_metric_not_finite_exits_three(capsys):
+    # finite coordinates, but z**2 overflows in the example metric's profile
+    argv = ["curvature", "--chart", "cartesian", "--point", "1.2,0,1e200"]
+    assert main(argv) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("metric not finite at ")
+
+
 @pytest.mark.parametrize(
     "metric, chart, point",
     [
@@ -413,6 +474,8 @@ def test_malformed_config_rejected(tmp_path, capsys):
         (["curvature"], "metric = sphere"),
         (["curvature"], "format = yaml"),
         (["trace", "--t0", "0.8", "--t-end", "0.79"], "metric = sphere"),
+        (["trace", "--t0", "0.8", "--t-end", "0.79"], "max_steps = 1.5"),
+        (["trace", "--t0", "0.8", "--t-end", "0.79"], "tol = small"),
     ],
 )
 def test_config_values_outside_the_flag_choices_rejected(tmp_path, capsys, argv, line):
@@ -487,6 +550,71 @@ def test_config_values_inside_the_flag_choices_apply(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["point"] == [1.0, 2.0, 3.0]
     assert payload["scalar"] == 0.0
+
+
+# One case per (subcommand, setting): a value unlike the default that shows
+# in run_config.json (verify, trace) or on stdout (curvature), on cheap
+# runs; "out" takes the run's own directory.
+_SPIRAL_RUN = ["trace", "--t0", "0.8", "--t-end", "0.79"]
+_ONE_SETTING_CASES = [
+    (["verify", "lemma5"], "seed", "3"),
+    (["verify", "lemma5"], "tol", "1e-5"),
+    (["verify", "lemma5"], "out", None),
+    (["trace", "--t-end", "0.79"], "t0", "0.81"),
+    (["trace", "--t0", "0.8"], "t_end", "0.79"),
+    (_SPIRAL_RUN, "metric", "flat"),
+    (_SPIRAL_RUN, "tol", "1e-8"),
+    (["trace"], "circle", "1.0"),
+    (["trace", "--circle", "1.0"], "max_steps", "3"),
+    (_SPIRAL_RUN, "out", None),
+    (["curvature"], "metric", "flat"),
+    (["curvature"], "chart", "cartesian"),
+    (["curvature"], "point", "0.4,0.1,0.2"),
+    (["curvature"], "format", "json"),
+]
+
+
+def test_every_setting_has_a_flag_and_config_case():
+    covered = {(argv[0], key) for argv, key, _ in _ONE_SETTING_CASES}
+    table = {(cmd, s.name) for cmd, settings in cli._SETTINGS.items() for s in settings}
+    assert covered == table
+
+
+@pytest.mark.parametrize(
+    "argv, key, value",
+    _ONE_SETTING_CASES,
+    ids=[f"{argv[0]}-{key}" for argv, key, _ in _ONE_SETTING_CASES],
+)
+def test_a_flag_and_its_config_key_are_one_setting(tmp_path, capsys, argv, key, value):
+    runs = []
+    for via in ("flag", "config"):
+        out = tmp_path / via
+        given = {} if argv[0] == "curvature" else {"out": str(out)}
+        if key != "out":
+            given[key] = value
+        cfg = tmp_path / f"{via}.cfg"
+        cfg.write_text(f"{key} = {given.pop(key)}\n" if via == "config" else "")
+        flags = [a for k, v in given.items() for a in (cli._flag(k), v)]
+        code = main(argv + flags + ["--config", str(cfg)])
+        stdout = capsys.readouterr().out
+        if argv[0] == "curvature":
+            runs.append((code, stdout))
+        else:
+            runs.append((code, (out / "run_config.json").read_text()))
+    assert runs[0] == runs[1]
+
+
+def test_help_names_each_default(capsys):
+    for command, settings in cli._SETTINGS.items():
+        assert main([command, "--help"]) == 0
+        text = " ".join(capsys.readouterr().out.split())  # undo the wrapping
+        for s in settings:
+            if s.default is not None:
+                assert f"{cli._flag(s.name)} " in text
+                assert f"(default: {s.default})" in text
+        if command == "trace":
+            assert "--t-end T_END (default: 0.4)" in text
+            assert "partial CSV and exit 3 (default: 500000)" in text
 
 
 def test_trace_writes_run_stats(tmp_path, capsys):

@@ -821,6 +821,21 @@ def test_a_step_with_a_nan_error_estimate_is_rejected():
     assert 0.3 - 1e-9 < traj.final_state.x[0] <= 0.3
 
 
+def test_a_start_the_first_rhs_refuses_ends_the_run_there():
+    # r = 5e-7 lies inside the cylindrical chart's singular locus (r < 1e-6),
+    # so the first RHS, taken for the first-step guess, raises: the run
+    # ends at its one sample with the chart's message, having taken no step.
+    start = GeodesicState(
+        np.array([5e-7, 0.0, 0.0]), np.array([1.0, 0.0, 0.0]), np.zeros(3)
+    )
+    traj = integrate(flat_cylindrical_metric(), start, (0.0, 1.0))
+    assert traj.status == "left_domain" and len(traj) == 1
+    assert traj.stats["rhs_evaluations"] == 1
+    assert traj.stats["curvature_evaluations"] == 1
+    assert traj.stats["accepted"] == traj.stats["rejected"] == 0
+    assert "chart 'cylindrical'" in traj.message
+
+
 def test_a_rejected_step_restarts_from_the_derivative_at_the_state():
     # Without renormalisation the first stage of the next attempt was a
     # view of the last stage row, which a rejected attempt overwrites with

@@ -83,6 +83,13 @@ def test_cylindrical_embedding():
     np.testing.assert_allclose(xyz, [0.0, 2.0, 0.7], atol=1e-15)
 
 
+def test_polar_embedding():
+    chart = polar_chart()
+    np.testing.assert_allclose(chart.embed([2.0, np.pi / 2]), [0.0, 2.0], atol=1e-15)
+    stack = chart.embed(np.array([[1.0, 0.0], [2.0, np.pi], [3.0, -np.pi / 2]]))
+    np.testing.assert_allclose(stack, [[1.0, 0.0], [-2.0, 0.0], [0.0, -3.0]], atol=1e-15)
+
+
 def test_derivative_ops_reject_singular_points():
     field = strip_partials(flat_polar_metric())
     with pytest.raises(ChartSingularityError, match=r"point \[1\.e-08 0\.e\+00\]"):
